@@ -23,6 +23,15 @@ One controller sits at each core's L1 and orchestrates CC instructions:
 6. **Completion** - per-op results merge into the instruction entry; the
    L1 controller notifies the core when the count completes.
 
+Every block op runs through one pipeline: *stage* (steps 4-5: fetch and
+pin; run near-place or as RISC ops, or locate its rows and queue it),
+*account* (Table V energy, stats, events), *kernel* (one
+:meth:`~repro.sram.ComputeSubarray.op_batch` call per target sub-array),
+*complete* (step 6).  The dispatch modes differ only in when the queued
+kernels drain: after each op (``cc.dispatch`` outcome ``sequential``),
+after the whole instruction (``batched``), or after a fused group of
+instructions (:mod:`repro.core.stream`).
+
 Timing model: operand fetches overlap up to a fetch-MLP; in-place block
 commands stream over the unreplicated H-tree address bus at
 ``commands_per_cycle`` and execute concurrently across partitions but
@@ -43,11 +52,11 @@ from ..energy.mcpat import charge_key_broadcast, charge_key_row_write, charge_tr
 from ..errors import PinnedLineError, ReproError
 from ..params import BLOCK_SIZE, MachineConfig
 from .exceptions import split_by_pages
-from .inplace import InPlaceExecutor
-from .instruction_table import InstructionTable
+from .inplace import InPlaceExecutor, operand_rows
+from .instruction_table import InstructionEntry, InstructionTable
 from .isa import CCInstruction, Opcode
 from .key_table import KeyTable
-from .nearplace import NearPlaceUnit
+from .nearplace import NearPlaceUnit, block_result
 from .operation_table import BlockOperand, BlockOperation, OperationTable, OpStatus
 from .transpose import TransposeUnit
 
@@ -117,6 +126,32 @@ class CCResult:
         return self.inplace_ops > 0 and self.nearplace_ops == 0 and self.risc_ops == 0
 
 
+@dataclass
+class _Piece:
+    """One page-local piece of a CC instruction in the block-op pipeline."""
+
+    instr: CCInstruction
+    level: str
+    entry: InstructionEntry
+    subop: str
+    """The sub-array operation of every block op (``instr.opcode.subarray_op``)."""
+    key_writes_before: int
+    key_data: bytes | None = None
+    transpose_cycles: float = 0.0
+    ops: list[BlockOperation] = field(default_factory=list)
+    fetch_latencies: list[int] = field(default_factory=list)
+    partition_load: dict[int, int] = field(default_factory=dict)
+    queued: dict = field(default_factory=dict)
+    """``(id(cache), partition)`` -> ``[cache, subarray, partition, items]``:
+    located in-place ops whose kernel has not run yet."""
+    located: list = field(default_factory=list)
+    """``(op, cache, [(addr, row), ...], queue key)`` per queued op, for
+    the drain's row check."""
+    result: CCResult | None = None
+    """Set by :meth:`ComputeCacheController._finish`; its result bits by
+    :meth:`ComputeCacheController._collect`."""
+
+
 class ComputeCacheController:
     """Per-core CC controller attached to the L1 cache."""
 
@@ -165,11 +200,18 @@ class ComputeCacheController:
         pieces = split_by_pages(instr)
         if len(pieces) > 1:
             self.stats.page_splits += 1
-        total = CCResult(instr=instr, result=0, cycles=0.0, level="", pieces=len(pieces))
+        return self._complete(instr, [
+            self._execute_piece(piece, force_level, force_nearplace) for piece in pieces
+        ])
+
+    def _complete(self, instr: CCInstruction, results: list[CCResult]) -> CCResult:
+        """Per-instruction completion: merge the results of the
+        instruction's page-local pieces, store a clmul's packed result
+        bits, and count the instruction."""
+        total = CCResult(instr=instr, result=0, cycles=0.0, level="", pieces=len(results))
         bits_filled = 0
         result_bytes = bytearray()
-        for piece in pieces:
-            res = self._execute_piece(piece, force_level, force_nearplace)
+        for res in results:
             total.cycles += res.cycles
             # Pieces of a page-split instruction may compute at different
             # levels; report "mixed" rather than whichever piece ran last.
@@ -280,21 +322,39 @@ class ComputeCacheController:
             self._level_memo[instr] = (epoch, chosen)
         return chosen
 
-    # -- execution of one page-local piece ---------------------------------------------------
+    # -- the block-op pipeline: stage -> account -> kernel -> complete ----------------------
 
     def _execute_piece(self, instr: CCInstruction, force_level: str | None,
                        force_nearplace: bool) -> CCResult:
-        level = self._select_level(instr, force_level)
-        entry = self.instruction_table.allocate(instr, total_ops=instr.num_blocks)
-        entry.level = level
+        """Run one page-local piece through the block-op pipeline.
 
-        fetch_latencies: list[int] = []
-        partition_load: dict[int, int] = {}
-        inplace_ops = nearplace_ops = risc_ops = 0
-        nearplace_cycles = 0.0
-        clmul_bits: list[tuple[int, int]] = []
-        reduce_sum = 0
-        replications_before = self.stats.key_replications
+        Each block op is staged (fetched and pinned, then run near-place
+        or as RISC ops, or located and queued); queued ops drain as one
+        account + kernel call per target sub-array.  They drain once
+        after the whole instruction (batched dispatch) whenever that is
+        provably equivalent to draining after each op; otherwise after
+        each op.  The ``cc.dispatch`` event reports which, and why.
+        """
+        level = self._select_level(instr, force_level)
+        hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
+        piece = self._begin(instr, level, hazard)
+        for idx in range(instr.num_blocks):
+            op = self._new_op(piece, self._block_operands(instr, idx))
+            self._stage_block_op(piece, op, force_nearplace)
+            if hazard is not None:
+                self._drain(piece)
+        self._drain(piece)
+        self._finish(piece)
+        return self._collect(piece)
+
+    def _begin(self, instr: CCInstruction, level: str, hazard: str | None) -> _Piece:
+        """Open a piece: allocate its instruction-table entry, convert
+        arithmetic sources to bit-serial, stage a search/broadcast key,
+        and emit ``cc.dispatch`` (``hazard`` is why its ops drain one at a
+        time; ``None`` means batched)."""
+        entry = self.instruction_table.allocate(instr, total_ops=instr.num_blocks)
+        piece = _Piece(instr, level, entry, instr.opcode.subarray_op,
+                       key_writes_before=self.stats.key_replications)
 
         # Bit-serial layout conversion (arithmetic tier): every source
         # block not already transposed goes through the transpose unit
@@ -302,85 +362,169 @@ class ComputeCacheController:
         # instruction regardless of the eventual in-place/near-place/RISC
         # outcome, so accounting is a pure function of the instruction
         # stream (backend- and dispatch-invariant).
-        transpose_cycles = 0.0
         if instr.opcode.is_arith:
             ranges = [(instr.src1, instr.size)]
             if instr.src2 is not None:
                 ranges.append((instr.src2, instr.size))
-            blocks, transpose_cycles = self.transpose.convert(ranges)
+            blocks, piece.transpose_cycles = self.transpose.convert(ranges)
             if blocks:
                 cache = self.hierarchy.level_cache(level, self.core_id, instr.src1)
                 charge_transpose(cache.ledger, cache.name, blocks)
                 self.stats.transpose_blocks += blocks
-                self.stats.transpose_cycles += transpose_cycles
+                self.stats.transpose_cycles += piece.transpose_cycles
                 if self.tracer is not None:
                     self.tracer.emit(
                         "cc.transpose", core=self.core_id, level=level,
                         opcode=instr.opcode.value, instr_id=entry.instr_id,
-                        blocks=blocks, span=float(transpose_cycles),
+                        blocks=blocks, span=float(piece.transpose_cycles),
                     )
 
         # Key staging for cc_search and broadcast cc_clmul: read the key
         # block once; replicate it per partition through the key table.
-        key_data: bytes | None = None
         if instr.key_is_fixed_block:
-            key_data, key_latency = self._stage_key(instr, level)
+            piece.key_data, key_latency = self._stage_key(instr, level)
             if key_latency:
-                fetch_latencies.append(key_latency)
+                piece.fetch_latencies.append(key_latency)
 
-        # Batched dispatch (phase A: fetch/pin/locate every block op; phase
-        # B: one kernel call per target sub-array) whenever it is provably
-        # equivalent to issuing the ops one at a time; otherwise fall back
-        # to the sequential per-op loop.  Both execution backends use the
-        # same dispatch, so statistics and energy are backend-invariant.
-        hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
-        batchable = hazard is None
         if self.tracer is not None:
             self.tracer.emit(
                 "cc.dispatch", core=self.core_id, level=level,
                 opcode=instr.opcode.value, instr_id=entry.instr_id,
-                outcome="batched" if batchable else "sequential", reason=hazard,
+                outcome="batched" if hazard is None else "sequential", reason=hazard,
             )
-        batches: dict[tuple[int, int], list] = {}
-        verify: list[tuple[BlockOperation, object, list, tuple[int, int]]] = []
+        return piece
 
-        ops: list[BlockOperation] = []
-        for idx in range(instr.num_blocks):
-            op = BlockOperation(
-                instr_id=entry.instr_id,
-                op_index=entry.generate_next(),
-                subarray_op=instr.opcode.subarray_op,
-                operands=self._block_operands(instr, idx),
-                lane_bits=instr.lane_bits,
-                elem_bits=instr.elem_bits,
-            )
-            self.operation_table.allocate(op)
-            ops.append(op)
-            if batchable:
-                self._stage_block_op(op, instr, level, key_data, fetch_latencies,
-                                     partition_load, batches, verify)
-            else:
-                self._run_block_op(op, instr, level, key_data, force_nearplace,
-                                   fetch_latencies, partition_load)
-        if batchable:
-            self._drain_batches(instr, level, key_data, batches, verify,
-                                fetch_latencies, partition_load)
-
-        tracer = self.tracer
-        inplace_span = float(
-            self.inplace.op_latency(instr.opcode.subarray_op, instr.elem_bits)
+    def _new_op(self, piece: _Piece, operands: list[BlockOperand]) -> BlockOperation:
+        """Allocate the piece's next block op in the operation table."""
+        instr = piece.instr
+        op = BlockOperation(
+            instr_id=piece.entry.instr_id,
+            op_index=piece.entry.generate_next(),
+            subarray_op=piece.subop,
+            operands=operands,
+            lane_bits=instr.lane_bits,
+            elem_bits=instr.elem_bits,
         )
-        for op in ops:
+        self.operation_table.allocate(op)
+        piece.ops.append(op)
+        return op
+
+    def _stage_block_op(self, piece: _Piece, op: BlockOperation,
+                        force_nearplace: bool = False) -> None:
+        """Stage one block op: fetch and pin its operands (a lost pin
+        retries, then falls back to RISC ops), then run it near-place if
+        forced or if its operands lack locality, else locate its rows and
+        queue it for the next :meth:`_drain`.  The operands are unpinned
+        again before this returns."""
+        instr, level = piece.instr, piece.level
+        if not self._acquire_operands(op, instr, level, piece.key_data,
+                                      self._overwrites_dest(instr),
+                                      piece.fetch_latencies):
+            return
+        try:
+            if force_nearplace or not self._locality_holds(op, level):
+                # Near-place handles any operand placement, including L3
+                # operands homed on different NUCA slices.
+                op.fallback_reason = "forced" if force_nearplace else "locality-miss"
+                outcome = self.nearplace.execute(
+                    lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
+                    op, key_data=piece.key_data,
+                )
+                op.inplace = False
+                op.result_bits = outcome.result_bits
+                op.result_bit_count = outcome.result_bit_count
+                op.status = OpStatus.ISSUED
+                return
+            cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
+            if instr.key_is_fixed_block:
+                self._replicate_key(op, instr, level, piece.key_data)
+            locs = [cache.locate(o.addr) for o in op.operands]
+            rows = [row for _, row in locs]
+            key = self._queue(piece, op, cache, locs[0][0],
+                              cache.geometry.partition_of(op.operands[0].addr),
+                              operand_rows(op, rows, cache.geometry.key_row))
+            piece.located.append((op, cache, list(zip(op.addresses, rows)), key))
+        finally:
+            self._unpin_all(op, level)
+
+    def _queue(self, piece: _Piece, op: BlockOperation, cache, subarray,
+               partition: int, rows: tuple) -> tuple[int, int]:
+        """Queue a located op for the piece's next drain; returns the key
+        of the sub-array batch it joined."""
+        piece.partition_load[partition] = piece.partition_load.get(partition, 0) + 1
+        key = (id(cache), partition)
+        piece.queued.setdefault(key, [cache, subarray, partition, []])[3].append((op, rows))
+        return key
+
+    def _drain(self, piece: _Piece, deferred: dict | None = None) -> None:
+        """Account and run every queued op: one
+        :meth:`InPlaceExecutor.execute_batch` call per target sub-array.
+        With ``deferred`` (the stream's fused groups) only the accounting
+        runs now; the kernel items join ``deferred[(id(cache), partition)]
+        = (subarray, items)`` for one merged kernel call later.
+
+        A row check comes first, as a backstop: ``_batch_hazard``
+        guarantees that no staging fetch displaced a block an earlier op
+        located, but an op whose rows did move is taken out of its batch
+        and staged and drained again on its own.
+        """
+        queued, piece.queued = piece.queued, {}
+        located, piece.located = piece.located, []
+        while True:
+            moved = next((item for item in located if not all(
+                self._row_intact(item[1], addr, row) for addr, row in item[2])), None)
+            if moved is None:
+                break
+            located.remove(moved)
+            op, key = moved[0], moved[3]
+            batch = queued[key]
+            batch[3] = [(o, r) for o, r in batch[3] if o is not op]
+            piece.partition_load[batch[2]] -= 1
+            if not piece.partition_load[batch[2]]:
+                del piece.partition_load[batch[2]]
+            self._stage_block_op(piece, op)
+            self._drain(piece)
+        for key, (cache, subarray, partition, items) in queued.items():
+            if not items:
+                continue
+            if deferred is None:
+                self.inplace.execute_batch(cache, subarray, partition, items)
+            else:
+                self.inplace.account_batch(cache, partition, items)
+                deferred.setdefault(key, (subarray, []))[1].extend(items)
+
+    def _row_intact(self, cache, addr: int, row: int) -> bool:
+        """Uncounted check that a block still occupies its located row."""
+        parts = cache.geometry.decode(addr)
+        way = cache.tags.probe(parts.set_index, parts.tag)
+        return way is not None and cache.geometry.row_of(parts.set_index, way) == row
+
+    def _finish(self, piece: _Piece) -> None:
+        """Complete a piece up to its result bits: classify each op's
+        outcome, emit ``cc.block_op``, ``cc.attr`` and ``cc.instruction``,
+        update stats, makespans and occupancy, release the piece's keys,
+        track the transpose layout, and retire its ops.  Nothing here
+        reads a kernel result, so a fused group runs it before its merged
+        kernels."""
+        instr, level, entry = piece.instr, piece.level, piece.entry
+        tracer = self.tracer
+        inplace_span = float(self.inplace.op_latency(piece.subop, instr.elem_bits))
+        nearplace_span = float(self.nearplace.nearplace_latency)
+        inplace_ops = nearplace_ops = risc_ops = 0
+        nearplace_cycles = 0.0
+        for op in piece.ops:
             if op.status is OpStatus.FAILED:
                 risc_ops += 1
                 outcome, span = "risc-fallback", 0.0
-            elif op.inplace:
-                inplace_ops += 1
-                outcome, span = "in-place", inplace_span
             else:
-                nearplace_ops += 1
-                nearplace_cycles += self.nearplace.nearplace_latency
-                outcome, span = "near-place", float(self.nearplace.nearplace_latency)
+                op.status = OpStatus.DONE
+                if op.inplace:
+                    inplace_ops += 1
+                    outcome, span = "in-place", inplace_span
+                else:
+                    nearplace_ops += 1
+                    nearplace_cycles += self.nearplace.nearplace_latency
+                    outcome, span = "near-place", nearplace_span
             if op.fallback_reason is not None:
                 self.stats.fallback_reasons[op.fallback_reason] = (
                     self.stats.fallback_reasons.get(op.fallback_reason, 0) + 1
@@ -392,37 +536,21 @@ class ComputeCacheController:
                     addr=op.operands[0].addr, instr_id=entry.instr_id,
                     span=span, outcome=outcome, reason=op.fallback_reason,
                 )
-            if instr.opcode is Opcode.CLMUL:
-                clmul_bits.append((op.result_bits, op.result_bit_count))
-                entry.complete_op()
-            elif instr.opcode is Opcode.REDUCE:
-                # Block partial sums accumulate modulo 2^64 outside the
-                # instruction entry: complete_op's bit-packing contract
-                # (shift-OR of fixed-width fields) cannot express them.
-                reduce_sum = (reduce_sum + op.result_bits) & ((1 << 64) - 1)
-                entry.complete_op()
-            else:
-                entry.complete_op(op.result_bits, op.result_bit_count)
-            op.status = OpStatus.DONE if op.status is not OpStatus.FAILED else op.status
             self.operation_table.retire(entry.instr_id, op.op_index)
 
-        result_bytes = b""
-        if instr.opcode is Opcode.CLMUL:
-            result_bytes = self._pack_clmul_result(clmul_bits)
-
-        fetch_cycles = self._fetch_makespan(fetch_latencies)
-        compute_cycles = self._compute_makespan(level, partition_load, nearplace_cycles,
-                                                inplace_span)
+        fetch_cycles = self._fetch_makespan(piece.fetch_latencies)
+        compute_cycles = self._compute_makespan(level, piece.partition_load,
+                                                nearplace_cycles, inplace_span)
         notify = self.config.l1d.hit_latency  # L1 controller -> core completion
-        cycles = (INSTRUCTION_OVERHEAD_CYCLES + fetch_cycles + transpose_cycles
+        cycles = (INSTRUCTION_OVERHEAD_CYCLES + fetch_cycles + piece.transpose_cycles
                   + compute_cycles + notify)
         # Controller occupancy: decode + every block command down the
         # unreplicated address bus, plus any serial near-place logic-unit
         # time.  Key replication is a single broadcast command (the H-tree
         # fans it out to all target sub-arrays at once).  Sub-array
         # execution itself overlaps with later instructions.
-        key_writes = self.stats.key_replications - replications_before
-        commands = sum(partition_load.values()) + (1 if key_writes else 0) + risc_ops
+        key_writes = self.stats.key_replications - piece.key_writes_before
+        commands = sum(piece.partition_load.values()) + (1 if key_writes else 0) + risc_ops
         occupancy = (
             INSTRUCTION_OVERHEAD_CYCLES
             + self._issue_cycles(level, commands)
@@ -438,8 +566,6 @@ class ComputeCacheController:
             self.stats.level_compute_cycles.get(level, 0.0) + compute_cycles
         )
         self.key_table.release(entry.instr_id)
-        result = reduce_sum if instr.opcode is Opcode.REDUCE else entry.result_mask
-        self.instruction_table.retire(entry.instr_id)
         # Layout tracking: arithmetic destinations come out bit-serial
         # (free); any other destination write reverts its blocks to
         # row-major, so the next arithmetic use pays the conversion again.
@@ -456,7 +582,7 @@ class ComputeCacheController:
             for phase, span in (
                 ("decode", float(INSTRUCTION_OVERHEAD_CYCLES)),
                 ("operand-fetch", float(fetch_cycles)),
-                ("transpose", float(transpose_cycles)),
+                ("transpose", float(piece.transpose_cycles)),
                 ("compute-inplace", float(compute_cycles - nearplace_cycles)),
                 ("compute-nearplace", float(nearplace_cycles)),
                 ("notify", float(notify)),
@@ -476,12 +602,34 @@ class ComputeCacheController:
                 opcode=instr.opcode.value, instr_id=entry.instr_id,
                 span=float(cycles), outcome=instr_outcome,
             )
-        return CCResult(
-            instr=instr, result=result, cycles=cycles, level=level,
+        piece.result = CCResult(
+            instr=instr, result=0, cycles=cycles, level=level,
             inplace_ops=inplace_ops, nearplace_ops=nearplace_ops, risc_ops=risc_ops,
             fetch_cycles=fetch_cycles, compute_cycles=compute_cycles,
-            occupancy_cycles=occupancy, result_bytes=result_bytes,
+            occupancy_cycles=occupancy,
         )
+
+    def _collect(self, piece: _Piece) -> CCResult:
+        """Assemble a finished piece's result once its kernels have run,
+        and retire its instruction-table entry."""
+        entry, res, opcode = piece.entry, piece.result, piece.instr.opcode
+        for op in piece.ops:
+            if opcode is Opcode.CLMUL or opcode is Opcode.REDUCE:
+                # Packed clmul bits and 64-bit reduce partial sums bypass
+                # complete_op's bit-packing contract (shift-OR of
+                # fixed-width fields), which can express neither.
+                entry.complete_op()
+            else:
+                entry.complete_op(op.result_bits, op.result_bit_count)
+        if opcode is Opcode.CLMUL:
+            res.result_bytes = self._pack_clmul_result(
+                [(op.result_bits, op.result_bit_count) for op in piece.ops])
+        if opcode is Opcode.REDUCE:
+            res.result = sum(op.result_bits for op in piece.ops) & ((1 << 64) - 1)
+        else:
+            res.result = entry.result_mask
+        self.instruction_table.retire(entry.instr_id)
+        return res
 
     # -- block-op lifecycle -------------------------------------------------------------------
 
@@ -493,13 +641,11 @@ class ComputeCacheController:
         Returns True once all operands are pinned.  After exactly
         ``pin_retry_limit`` failed attempts the op is handed to the RISC
         fallback (starvation avoidance, Section IV-E) and False is
-        returned.  Shared by the sequential and batched dispatch paths so
-        retry accounting and fallback semantics cannot diverge.
+        returned.
         """
         attempts = 0
         while True:
             attempts += 1
-            op.pin_attempts = attempts
             lost = self._prepare_and_pin(op, level, skip_fetch, fetch_latencies)
             if not lost:
                 if attempts > 1 and self.tracer is not None:
@@ -530,40 +676,7 @@ class ComputeCacheController:
                     )
                 return False
 
-    def _run_block_op(self, op: BlockOperation, instr: CCInstruction, level: str,
-                      key_data: bytes | None, force_nearplace: bool,
-                      fetch_latencies: list[int], partition_load: dict[int, int]) -> None:
-        skip_fetch = self._overwrites_dest(instr)
-        if not self._acquire_operands(op, instr, level, key_data, skip_fetch,
-                                      fetch_latencies):
-            return
-
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-        use_inplace = not force_nearplace and self._locality_holds(op, level)
-        try:
-            if use_inplace:
-                if instr.key_is_fixed_block:
-                    self._replicate_key(op, instr, level, key_data)
-                outcome = self.inplace.execute(cache, op)
-                op.partition = outcome.partition
-                partition_load[outcome.partition] = partition_load.get(outcome.partition, 0) + 1
-                op.inplace = True
-            else:
-                # Near-place handles any operand placement, including L3
-                # operands homed on different NUCA slices.
-                op.fallback_reason = "forced" if force_nearplace else "locality-miss"
-                outcome = self.nearplace.execute(
-                    lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
-                    op, key_data=key_data,
-                )
-                op.inplace = False
-            op.result_bits = outcome.result_bits
-            op.result_bit_count = outcome.result_bit_count
-            op.status = OpStatus.ISSUED
-        finally:
-            self._unpin_all(op, level)
-
-    # -- batched dispatch (phase A / phase B) ----------------------------------------------------
+    # -- dispatch hazards ----------------------------------------------------------------------
 
     def _batch_hazard(self, instr: CCInstruction, level: str) -> str | None:
         """Memoizing wrapper around :meth:`_batch_hazard_uncached`.
@@ -586,17 +699,19 @@ class ComputeCacheController:
         return hazard
 
     def _batch_hazard_uncached(self, instr: CCInstruction, level: str) -> str | None:
-        """Why batched dispatch is *not* provably equivalent to sequential
-        (``"data-hazard"`` / ``"occupancy"``), or None when it is safe.
+        """Why draining an instruction's kernels once, after all its block
+        ops are staged, is *not* provably equivalent to draining after
+        each op (``"data-hazard"`` / ``"occupancy"``), or None when it is.
 
         Two conditions.  (1) No inter-op data hazard: a *shifted* overlap
         between the destination range and a source range makes a later
-        block op read an earlier op's result, which batched gather/compute/
-        scatter would miss (an exactly aligned ``dest == src`` overlap is
-        within-op and safe).  (2) No capacity (occupancy) hazard: every
-        operand block (plus the staged key) must be co-resident at the
-        compute level and at every inclusive level below it, so no phase-A
-        fetch can evict a block an earlier op already located.
+        block op read an earlier op's result, which one batched
+        gather/compute/scatter would miss (an exactly aligned
+        ``dest == src`` overlap is within-op and safe).  (2) No capacity
+        (occupancy) hazard: every operand block (plus the staged key) must
+        be co-resident at the compute level and at every inclusive level
+        below it, so no staging fetch can evict a block an earlier op
+        already located.
         """
         op = instr.opcode
         if op in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.COPY,
@@ -611,7 +726,7 @@ class ComputeCacheController:
         blocks: set[int] = set()
         for name, base in instr.operands().items():
             if name == "dest" and instr.opcode is Opcode.CLMUL:
-                continue  # clmul's dest receives a scalar store after phase B
+                continue  # clmul's dest receives a scalar store after the kernels
             length = BLOCK_SIZE if (name == "src2" and instr.key_is_fixed_block) else instr.size
             blocks.update(a for a, _ in chunk_range(base, length, BLOCK_SIZE))
         chain = {L1: (L1, L2, L3), L2: (L2, L3), L3: (L3,)}[level]
@@ -625,127 +740,20 @@ class ComputeCacheController:
                     return "occupancy"
         return None
 
-    def _stage_block_op(self, op: BlockOperation, instr: CCInstruction, level: str,
-                        key_data: bytes | None, fetch_latencies: list[int],
-                        partition_load: dict[int, int], batches: dict, verify: list) -> None:
-        """Phase A of one block op: fetch, pin, locate rows, unpin.
-
-        Performs exactly the cache-side work of the sequential path (same
-        fetches, pins, LRU touches, key replication) but defers the
-        sub-array kernel to phase B, recording the located rows.  Ops that
-        cannot batch (lost pins -> RISC, no locality -> near-place) execute
-        immediately, as in the sequential path.
-        """
-        skip_fetch = self._overwrites_dest(instr)
-        if not self._acquire_operands(op, instr, level, key_data, skip_fetch,
-                                      fetch_latencies):
-            return
-        if not self._locality_holds(op, level):
-            try:
-                op.fallback_reason = "locality-miss"
-                outcome = self.nearplace.execute(
-                    lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
-                    op, key_data=key_data,
-                )
-                op.inplace = False
-                op.result_bits = outcome.result_bits
-                op.result_bit_count = outcome.result_bit_count
-                op.status = OpStatus.ISSUED
-            finally:
-                self._unpin_all(op, level)
-            return
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-        try:
-            if instr.key_is_fixed_block:
-                self._replicate_key(op, instr, level, key_data)
-            subarray, rows, located = self._locate_rows(cache, op)
-            partition = cache.geometry.partition_of(op.operands[0].addr)
-            op.partition = partition
-            partition_load[partition] = partition_load.get(partition, 0) + 1
-        finally:
-            self._unpin_all(op, level)
-        group = (id(cache), partition)
-        batches.setdefault(group, [cache, subarray, partition, []])[3].append((op, rows))
-        verify.append((op, cache, located, group))
-
-    def _locate_rows(self, cache, op: BlockOperation):
-        """Sub-array rows of one locality-satisfying block op.
-
-        Returns ``(subarray, (row_a, row_b, row_dest), located)`` where the
-        unused row slots are ``None`` and ``located`` lists the
-        ``(addr, row)`` pairs for phase-B re-verification.
-        """
-        subop = op.subarray_op
-        locs = [cache.locate(o.addr) for o in op.operands]
-        subarray = locs[0][0]
-        located = [(o.addr, loc[1]) for o, loc in zip(op.operands, locs)]
-        sources = [loc[1] for o, loc in zip(op.operands, locs) if not o.is_dest]
-        dest_row = next(
-            (loc[1] for o, loc in zip(op.operands, locs) if o.is_dest), None
-        )
-        if subop in ("and", "or", "xor", "add", "mul"):
-            triple = (sources[0], sources[1], dest_row)
-        elif subop == "reduce":
-            triple = (sources[0], None, None)
-        elif subop in ("not", "copy"):
-            triple = (sources[0], None, dest_row)
-        elif subop == "buz":
-            triple = (dest_row, None, dest_row)
-        elif subop == "cmp":
-            triple = (sources[0], sources[1], None)
-        elif subop == "search":
-            triple = (sources[0], cache.geometry.key_row, None)
-        elif subop == "clmul":
-            row_b = sources[1] if len(sources) > 1 else cache.geometry.key_row
-            triple = (sources[0], row_b, None)
-        else:
-            raise ReproError(f"no batched dispatch for {subop!r}")
-        return subarray, triple, located
-
-    def _row_intact(self, cache, addr: int, row: int) -> bool:
-        """Uncounted check that a block still occupies its located row."""
-        parts = cache.geometry.decode(addr)
-        way = cache.tags.probe(parts.set_index, parts.tag)
-        return way is not None and cache.geometry.row_of(parts.set_index, way) == row
-
-    def _drain_batches(self, instr: CCInstruction, level: str, key_data: bytes | None,
-                       batches: dict, verify: list, fetch_latencies: list[int],
-                       partition_load: dict[int, int]) -> None:
-        """Phase B: verify located rows, then one kernel call per sub-array.
-
-        ``_batch_hazard`` guarantees no phase-A fetch can displace a located
-        block, so verification is a pure backstop; any op whose rows did
-        move is pulled out of its batch and re-executed sequentially.
-        """
-        while True:
-            moved = [
-                item for item in verify
-                if not all(self._row_intact(item[1], addr, row) for addr, row in item[2])
-            ]
-            if not moved:
-                break
-            for item in moved:
-                verify.remove(item)
-                op, _cache, _located, group = item
-                entry = batches[group]
-                entry[3] = [(o, r) for o, r in entry[3] if o is not op]
-                partition_load[entry[2]] -= 1
-                if not partition_load[entry[2]]:
-                    del partition_load[entry[2]]
-                self._run_block_op(op, instr, level, key_data, False,
-                                   fetch_latencies, partition_load)
-        for cache, subarray, partition, items in batches.values():
-            if items:
-                self.inplace.execute_batch(cache, subarray, partition, items)
-
     def _prepare_and_pin(self, op: BlockOperation, level: str, skip_fetch: bool,
                          fetch_latencies: list[int]) -> bool:
         """Fetch and pin every operand; True if a pin was lost (retry)."""
         for operand in op.operands:
-            latency = self.hierarchy.cc_prepare(
-                self.core_id, level, operand.addr, operand.is_dest,
-                skip_fetch=skip_fetch and operand.is_dest,
-            )
+            try:
+                latency = self.hierarchy.cc_prepare(
+                    self.core_id, level, operand.addr, operand.is_dest,
+                    skip_fetch=skip_fetch and operand.is_dest,
+                )
+            except PinnedLineError:
+                # The fill found every way of its set pinned (the op's own
+                # operands can fill a low-associativity set): a lost pin.
+                self._unpin_all(op, level)
+                return True
             if latency:
                 fetch_latencies.append(latency)
                 if self.tracer is not None:
@@ -857,61 +865,8 @@ class ComputeCacheController:
             self.hierarchy.read(self.core_id, o.addr, BLOCK_SIZE)[0]
             for o in op.source_operands
         ]
-        from ..bitops import bytes_and, bytes_not, bytes_or, bytes_xor
-
-        subop = op.subarray_op
-        result_data: bytes | None = None
-        if subop == "copy":
-            result_data = sources[0]
-        elif subop == "buz":
-            result_data = bytes(BLOCK_SIZE)
-        elif subop == "not":
-            result_data = bytes_not(sources[0])
-        elif subop == "and":
-            result_data = bytes_and(sources[0], sources[1])
-        elif subop == "or":
-            result_data = bytes_or(sources[0], sources[1])
-        elif subop == "xor":
-            result_data = bytes_xor(sources[0], sources[1])
-        elif subop == "cmp":
-            op.result_bits, op.result_bit_count = NearPlaceUnit._cmp_words(
-                sources[0], sources[1]
-            )
-        elif subop == "search":
-            if key_data is None:
-                raise ReproError("RISC search fallback with no key")
-            op.result_bits, op.result_bit_count = (
-                1 if sources[0] == key_data else 0, 1,
-            )
-        elif subop == "clmul":
-            other = sources[1] if len(sources) > 1 else key_data
-            if other is None:
-                raise ReproError("RISC clmul fallback with no key")
-            op.result_bits, op.result_bit_count = NearPlaceUnit._clmul(
-                sources[0], other, op.lane_bits or 64
-            )
-        elif subop in ("add", "mul"):
-            import numpy as np
-
-            from ..kernels import arith_rows
-
-            result_data = arith_rows(
-                subop,
-                np.frombuffer(sources[0], dtype=np.uint8),
-                np.frombuffer(sources[1], dtype=np.uint8),
-                op.elem_bits or 8,
-            )[0].tobytes()
-        elif subop == "reduce":
-            import numpy as np
-
-            from ..kernels import reduce_rows
-
-            total = int(reduce_rows(
-                np.frombuffer(sources[0], dtype=np.uint8), op.elem_bits or 8
-            )[0])
-            op.result_bits, op.result_bit_count = total, 0
-        else:
-            raise ReproError(f"no RISC fallback for {subop!r}")
+        result_data, op.result_bits, op.result_bit_count = block_result(
+            op, sources, key_data)
         dest = op.dest_operand
         if dest is not None and result_data is not None:
             self.hierarchy.write(self.core_id, dest.addr, result_data)
@@ -940,15 +895,11 @@ class ComputeCacheController:
         return cache.htree.command_issue_cycles(commands)
 
     def _compute_makespan(self, level: str, partition_load: dict[int, int],
-                          nearplace_cycles: float,
-                          inplace_latency: float | None = None) -> float:
+                          nearplace_cycles: float, inplace_latency: float) -> float:
         """In-place ops stream down the address bus and run concurrently
         across partitions, serially within one; near-place ops serialize
         through the controller's logic unit.  ``inplace_latency`` is the
-        per-block-op latency (step-scaled for the arithmetic tier);
-        defaults to the single-step in-place latency."""
-        if inplace_latency is None:
-            inplace_latency = float(self.inplace.inplace_latency)
+        per-block-op latency (step-scaled for the arithmetic tier)."""
         makespan = nearplace_cycles
         if partition_load:
             issue = self._issue_cycles(level, sum(partition_load.values()))

@@ -1,19 +1,22 @@
 """In-place execution of simple vector operations in cache sub-arrays.
 
-Given a :class:`~repro.core.operation_table.BlockOperation` whose operands
-are resident and pinned at a compute level, the executor locates each
-operand's (sub-array, row), issues the bit-line operation, charges the
-Table V energy, and returns any result bits (for CC-R operations) plus the
-operation latency.
+Block operations reach the executor located: each
+:class:`~repro.core.operation_table.BlockOperation` comes with the
+``(row_a, row_b, row_dest)`` its operands occupy at the compute level
+(:func:`operand_rows`).  :meth:`InPlaceExecutor.account_batch` charges the
+Table V energy and emits the ``subarray.op`` events;
+:meth:`InPlaceExecutor.kernel_batch` runs the bit-line operations as one
+:meth:`~repro.sram.ComputeSubarray.op_batch` call per sub-array and leaves
+any result bits (for CC-R operations) on each op.  A single op is a
+one-item batch.
 
-In-place execution requires all operands in the same block partition; the
-executor asserts this (the controller should only route locality-satisfying
-operations here) and raises :class:`OperandLocalityError` otherwise.
+In-place execution requires all operands in the same block partition;
+:meth:`InPlaceExecutor.execute` asserts this (the controller only routes
+locality-satisfying operations here) and raises
+:class:`OperandLocalityError` otherwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..bitops import popcount_mask
 from ..cache.cache import CacheLevel
@@ -24,15 +27,20 @@ from ..sram.timing import ARITH_OPS, arith_steps
 from .operation_table import BlockOperation, OpStatus
 
 
-@dataclass(frozen=True)
-class InPlaceOutcome:
-    """Result of one in-place block operation."""
-
-    result_bits: int
-    result_bit_count: int
-    latency: float
-    partition: int
-    result_data: bytes | None = None
+def operand_rows(op: BlockOperation, rows: list[int], key_row: int) -> tuple:
+    """The ``(row_a, row_b, row_dest)`` a block op's kernel reads and
+    writes, from the rows its operands occupy (``rows`` parallels
+    ``op.operands``); unused slots are ``None``.  ``search`` and broadcast
+    ``clmul`` read their second operand from the partition's key row."""
+    sources = [row for o, row in zip(op.operands, rows) if not o.is_dest]
+    dest = next((row for o, row in zip(op.operands, rows) if o.is_dest), None)
+    if op.subarray_op == "buz":
+        return dest, None, dest
+    if len(sources) > 1:
+        return sources[0], sources[1], dest
+    if op.subarray_op in ("search", "clmul"):
+        return sources[0], key_row, None
+    return sources[0], None, dest
 
 
 class InPlaceExecutor:
@@ -40,7 +48,6 @@ class InPlaceExecutor:
 
     def __init__(self, inplace_latency: int = 14) -> None:
         self.inplace_latency = inplace_latency
-        self.ops_executed = 0
 
     def op_latency(self, subop: str, elem_bits: int | None = None) -> int:
         """Latency of one in-place block op.
@@ -71,8 +78,8 @@ class InPlaceExecutor:
         charge_cc_op(level.ledger, level.name,
                      "cmp" if subop == "search" else subop)
 
-    def execute(self, level: CacheLevel, op: BlockOperation) -> InPlaceOutcome:
-        """Run one simple vector operation in place."""
+    def execute(self, level: CacheLevel, op: BlockOperation) -> None:
+        """Run one simple vector operation in place: a one-item batch."""
         addrs = op.addresses
         partitions = {level.geometry.partition_of(a) for a in addrs}
         if len(partitions) != 1:
@@ -80,91 +87,33 @@ class InPlaceExecutor:
                 f"in-place {op.subarray_op} operands {['%#x' % a for a in addrs]} span "
                 f"partitions {sorted(partitions)} of {level.name}"
             )
-        partition = partitions.pop()
-        handler = getattr(self, f"_op_{op.subarray_op}", None)
-        if handler is None:
-            raise ReproError(f"no in-place handler for {op.subarray_op!r}")
-        outcome = handler(level, op, partition)
-        self._charge(level, op.subarray_op, op.elem_bits)
-        level.stats.cc_inplace_ops += 1
-        self.ops_executed += 1
-        if level.tracer is not None:
-            level.tracer.emit(
-                "subarray.op", level=level.name, unit=level.unit,
-                opcode=op.subarray_op, partition=partition,
-                addr=op.operands[0].addr, instr_id=op.instr_id,
-                span=float(self.op_latency(op.subarray_op, op.elem_bits)),
-            )
-        return outcome
+        locs = [level.locate(a) for a in addrs]
+        rows = operand_rows(op, [row for _, row in locs], level.geometry.key_row)
+        self.execute_batch(level, locs[0][0], partitions.pop(), [(op, rows)])
 
     def execute_batch(self, level: CacheLevel, subarray, partition: int,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
         """Run one sub-array's worth of simple vector operations at once.
 
         ``items`` pairs each :class:`BlockOperation` with its located
-        ``(row_a, row_b, row_dest)`` triple (unused slots ``None``).  The
-        whole group is a single :meth:`ComputeSubarray.op_batch` call - one
-        vectorized kernel under the packed backend, the per-row circuit ops
-        under bit-exact - with per-op accounting identical to issuing the
-        operations through :meth:`execute` one at a time.
+        ``(row_a, row_b, row_dest)`` triple (see :func:`operand_rows`):
+        :meth:`account_batch` then :meth:`kernel_batch`.
         """
-        if not items:
-            return
-        subop = items[0][0].subarray_op
-        lane_bits = items[0][0].lane_bits
-        elem_bits = items[0][0].elem_bits
-        rows_a = [rows[0] for _, rows in items]
-        rows_b = [rows[1] for _, rows in items] if items[0][1][1] is not None else None
-        rows_dest = [rows[2] for _, rows in items] if items[0][1][2] is not None else None
-        results = subarray.op_batch(
-            subop, rows_a, rows_b, rows_dest,
-            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=elem_bits,
-        )
-        span = float(self.op_latency(subop, elem_bits))
-        for (op, _rows), result in zip(items, results):
-            if subop == "cmp":
-                op.result_bits, op.result_bit_count = result, BLOCK_SIZE // 8
-            elif subop == "search":
-                op.result_bits, op.result_bit_count = result & 1, 1
-            elif subop == "clmul":
-                lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
-                bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
-                op.result_bits, op.result_bit_count = bits, lanes
-            elif subop == "reduce":
-                # The block-wide sum can exceed 64 result bits' packing
-                # contract, so it rides result_bits raw (bit_count 0) and
-                # the controller accumulates it CLMUL-style.
-                op.result_bits, op.result_bit_count = result, 0
-            else:
-                op.result_bits, op.result_bit_count = 0, 0
-            op.partition = partition
-            op.inplace = True
-            op.status = OpStatus.ISSUED
-            self._charge(level, subop, elem_bits)
-            level.stats.cc_inplace_ops += 1
-            self.ops_executed += 1
-            if level.tracer is not None:
-                level.tracer.emit(
-                    "subarray.op", level=level.name, unit=level.unit,
-                    opcode=subop, partition=partition,
-                    addr=op.operands[0].addr, instr_id=op.instr_id,
-                    span=span,
-                )
-
-    # -- split seam for cross-instruction fusion (repro.core.stream) ---------------
+        self.account_batch(level, partition, items)
+        self.kernel_batch(subarray, items)
 
     def account_batch(self, level: CacheLevel, partition: int,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
-        """The controller-side half of :meth:`execute_batch`: Table-V
-        charges, level stats, and ``subarray.op`` events for a group of
-        located ops, *without* running the kernel.
+        """Table-V charges, level stats, and ``subarray.op`` events for a
+        group of located ops, without running the kernel.
 
-        The stream scheduler calls this in canonical per-instruction order
-        while deferring the actual sub-array kernels to a fused
-        :meth:`kernel_batch` call, keeping the ledger and event stream
-        bit-identical to one-at-a-time execution.  All emitted fields are
-        known before the kernel runs (result bits are not part of them).
+        Everything charged or emitted is known before the kernel runs
+        (result bits are not among it), so the stream scheduler can
+        account each instruction in order while deferring the kernels of
+        a fused group to one merged :meth:`kernel_batch` call.
         """
+        if not items:
+            return
         subop = items[0][0].subarray_op
         span = float(self.op_latency(subop, items[0][0].elem_bits))
         for op, _rows in items:
@@ -173,7 +122,6 @@ class InPlaceExecutor:
             op.status = OpStatus.ISSUED
             self._charge(level, subop, op.elem_bits)
             level.stats.cc_inplace_ops += 1
-            self.ops_executed += 1
             if level.tracer is not None:
                 level.tracer.emit(
                     "subarray.op", level=level.name, unit=level.unit,
@@ -184,9 +132,10 @@ class InPlaceExecutor:
 
     def kernel_batch(self, subarray,
                      items: list[tuple[BlockOperation, tuple]]) -> None:
-        """The kernel half of :meth:`execute_batch`: one
-        :meth:`~repro.sram.ComputeSubarray.op_batch` call over (possibly)
-        many instructions' ops, assigning result bits per op.
+        """One :meth:`~repro.sram.ComputeSubarray.op_batch` call over
+        (possibly) many instructions' ops, assigning result bits per op:
+        one vectorized kernel under the packed backend, the per-row
+        circuit ops under bit-exact.
 
         Sub-array accounting happens inside ``op_batch`` in item order, so
         as long as callers keep items in instruction order per sub-array
@@ -214,150 +163,12 @@ class InPlaceExecutor:
                 bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
                 op.result_bits, op.result_bit_count = bits, lanes
             elif subop == "reduce":
+                # The block-wide sum can exceed 64 result bits' packing
+                # contract, so it rides result_bits raw (bit_count 0) and
+                # the controller accumulates it.
                 op.result_bits, op.result_bit_count = result, 0
             else:
                 op.result_bits, op.result_bit_count = 0, 0
-
-    # -- per-op handlers ----------------------------------------------------------
-
-    def _rows(self, level: CacheLevel, op: BlockOperation) -> list[int]:
-        rows = []
-        for operand in op.operands:
-            _, row = level.locate(operand.addr)
-            rows.append(row)
-        return rows
-
-    def _logical(self, level: CacheLevel, op: BlockOperation, partition: int,
-                 method_name: str) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = [o for o in op.operands if not o.is_dest]
-        dest = op.dest_operand
-        if len(src) != 2 or dest is None:
-            raise ReproError(f"{op.subarray_op} needs two sources and a destination")
-        _, row_a = level.locate(src[0].addr)
-        _, row_b = level.locate(src[1].addr)
-        _, row_d = level.locate(dest.addr)
-        method = getattr(sub, method_name)
-        result = method(row_a, row_b, dest=row_d)
-        return InPlaceOutcome(0, 0, self.inplace_latency, partition, result_data=result)
-
-    def _op_and(self, level, op, partition):
-        return self._logical(level, op, partition, "op_and")
-
-    def _op_or(self, level, op, partition):
-        return self._logical(level, op, partition, "op_or")
-
-    def _op_xor(self, level, op, partition):
-        return self._logical(level, op, partition, "op_xor")
-
-    def _op_not(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        dest = op.dest_operand
-        if len(src) != 1 or dest is None:
-            raise ReproError("not needs one source and a destination")
-        _, row_s = level.locate(src[0].addr)
-        _, row_d = level.locate(dest.addr)
-        result = sub.op_not(row_s, dest=row_d)
-        return InPlaceOutcome(0, 0, self.inplace_latency, partition, result_data=result)
-
-    def _op_copy(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        dest = op.dest_operand
-        if len(src) != 1 or dest is None:
-            raise ReproError("copy needs one source and a destination")
-        _, row_s = level.locate(src[0].addr)
-        _, row_d = level.locate(dest.addr)
-        result = sub.op_copy(row_s, row_d)
-        return InPlaceOutcome(0, 0, self.inplace_latency, partition, result_data=result)
-
-    def _op_buz(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        dest = op.dest_operand
-        if dest is None:
-            raise ReproError("buz needs a destination")
-        _, row_d = level.locate(dest.addr)
-        sub.op_buz(row_d)
-        return InPlaceOutcome(0, 0, self.inplace_latency, partition,
-                              result_data=bytes(BLOCK_SIZE))
-
-    def _op_cmp(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        if len(src) != 2:
-            raise ReproError("cmp needs two sources")
-        _, row_a = level.locate(src[0].addr)
-        _, row_b = level.locate(src[1].addr)
-        mask = sub.op_cmp(row_a, row_b)
-        words = BLOCK_SIZE // 8
-        return InPlaceOutcome(mask, words, self.inplace_latency, partition)
-
-    def _op_search(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        if len(src) != 1:
-            raise ReproError("search block op needs the data source (key is in the key row)")
-        _, row_data = level.locate(src[0].addr)
-        mask = sub.op_search(row_data, level.geometry.key_row, key_bytes=BLOCK_SIZE)
-        return InPlaceOutcome(mask & 1, 1, self.inplace_latency, partition)
-
-    def _arith2(self, level: CacheLevel, op: BlockOperation, partition: int,
-                method_name: str) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = [o for o in op.operands if not o.is_dest]
-        dest = op.dest_operand
-        if len(src) != 2 or dest is None:
-            raise ReproError(f"{op.subarray_op} needs two sources and a destination")
-        if op.elem_bits is None:
-            raise ReproError(f"{op.subarray_op} needs an element width")
-        _, row_a = level.locate(src[0].addr)
-        _, row_b = level.locate(src[1].addr)
-        _, row_d = level.locate(dest.addr)
-        method = getattr(sub, method_name)
-        result = method(row_a, row_b, dest=row_d, elem_bits=op.elem_bits)
-        return InPlaceOutcome(0, 0, self.op_latency(op.subarray_op, op.elem_bits),
-                              partition, result_data=result)
-
-    def _op_add(self, level, op, partition):
-        return self._arith2(level, op, partition, "op_add")
-
-    def _op_mul(self, level, op, partition):
-        return self._arith2(level, op, partition, "op_mul")
-
-    def _op_reduce(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        if len(src) != 1:
-            raise ReproError("reduce needs one source")
-        if op.elem_bits is None:
-            raise ReproError("reduce needs an element width")
-        _, row_s = level.locate(src[0].addr)
-        total = sub.op_reduce(row_s, elem_bits=op.elem_bits)
-        # bit_count stays 0: the 64-bit sum is carried raw in result_bits
-        # (complete_op's little-endian packing contract tops out below it).
-        return InPlaceOutcome(total, 0,
-                              self.op_latency("reduce", op.elem_bits), partition)
-
-    def _op_clmul(self, level: CacheLevel, op: BlockOperation, partition: int) -> InPlaceOutcome:
-        sub = level.geometry.subarrays[partition]
-        src = op.source_operands
-        if op.lane_bits is None:
-            raise ReproError("clmul needs a lane width")
-        if len(src) == 1:
-            # Broadcast variant: the second operand sits in the partition's
-            # key row (replicated by the controller, BMM's A-row reuse).
-            _, row_a = level.locate(src[0].addr)
-            row_b = level.geometry.key_row
-        elif len(src) == 2:
-            _, row_a = level.locate(src[0].addr)
-            _, row_b = level.locate(src[1].addr)
-        else:
-            raise ReproError("clmul needs one (broadcast) or two sources")
-        packed = sub.op_clmul(row_a, row_b, op.lane_bits)
-        lanes = (BLOCK_SIZE * 8) // op.lane_bits
-        bits = int.from_bytes(packed, "little") & ((1 << lanes) - 1)
-        return InPlaceOutcome(bits, lanes, self.inplace_latency, partition)
 
 
 def mask_matches(mask: int) -> int:

@@ -25,8 +25,6 @@ class InstructionEntry:
     next_op_index: int = 0
     result_mask: int = 0
     result_bits_filled: int = 0
-    level: str | None = None
-    fallback_to_risc: bool = False
 
     @property
     def done(self) -> bool:
@@ -65,7 +63,6 @@ class InstructionTable:
         self.capacity = capacity
         self._entries: dict[int, InstructionEntry] = {}
         self._next_id = 0
-        self.peak_occupancy = 0
 
     def allocate(self, instr: CCInstruction, total_ops: int) -> InstructionEntry:
         if len(self._entries) >= self.capacity:
@@ -75,7 +72,6 @@ class InstructionTable:
         entry = InstructionEntry(instr=instr, instr_id=self._next_id, total_ops=total_ops)
         self._entries[self._next_id] = entry
         self._next_id += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
         return entry
 
     def get(self, instr_id: int) -> InstructionEntry:
@@ -87,14 +83,10 @@ class InstructionTable:
     def retire(self, instr_id: int) -> InstructionEntry:
         """Remove a completed instruction; returns its final entry."""
         entry = self.get(instr_id)
-        if not entry.done and not entry.fallback_to_risc:
+        if not entry.done:
             raise ReproError(f"retiring incomplete CC instruction {instr_id}")
         del self._entries[instr_id]
         return entry
-
-    @property
-    def pending(self) -> list[InstructionEntry]:
-        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)

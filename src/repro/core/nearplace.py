@@ -79,6 +79,59 @@ class OperandRegisters:
             self._tags.remove(addr)
 
 
+def block_result(op: BlockOperation, sources: list[bytes],
+                 key_data: bytes | None = None) -> tuple[bytes | None, int, int]:
+    """What one block op computes outside the sub-arrays.
+
+    ``sources`` holds the bytes of the op's source blocks in operand
+    order; ``key_data`` is the staged key block of ``search`` and
+    broadcast ``clmul``.  Returns ``(dest_data, result_bits,
+    result_bit_count)``: ``dest_data`` is ``None`` for ops that write no
+    destination, and ``reduce`` carries its 64-bit sum raw in
+    ``result_bits`` with a bit count of 0.  The near-place logic unit and
+    the core's RISC fallback both compute through this one function.
+    """
+    subop = op.subarray_op
+    if subop == "copy":
+        return sources[0], 0, 0
+    if subop == "buz":
+        return bytes(BLOCK_SIZE), 0, 0
+    if subop == "not":
+        return bytes_not(sources[0]), 0, 0
+    if subop == "and":
+        return bytes_and(sources[0], sources[1]), 0, 0
+    if subop == "or":
+        return bytes_or(sources[0], sources[1]), 0, 0
+    if subop == "xor":
+        return bytes_xor(sources[0], sources[1]), 0, 0
+    rows = [np.frombuffer(src, dtype=np.uint8) for src in sources]
+    if subop == "cmp":
+        words = BLOCK_SIZE // 8
+        return None, int(equality_mask(rows[0], rows[1], 8)[0]), words
+    if subop == "search":
+        if key_data is None:
+            raise ReproError("search needs the staged key block")
+        return None, int(sources[0] == key_data), 1
+    if subop == "clmul":
+        if op.lane_bits is None:
+            raise ReproError("clmul needs a lane width")
+        if len(rows) < 2:
+            if key_data is None:
+                raise ReproError("broadcast clmul needs the staged key block")
+            rows.append(np.frombuffer(key_data, dtype=np.uint8))
+        lanes = (BLOCK_SIZE * 8) // op.lane_bits
+        return None, int(clmul_mask(rows[0], rows[1], op.lane_bits)[0]), lanes
+    if subop in ("add", "mul", "reduce") and op.elem_bits is None:
+        raise ReproError(f"{subop} needs an element width")
+    if subop in ("add", "mul"):
+        # Word-parallel on row-major blocks: no bit-serial step penalty,
+        # but none of the in-place energy advantage either.
+        return arith_rows(subop, rows[0], rows[1], op.elem_bits)[0].tobytes(), 0, 0
+    if subop == "reduce":
+        return None, int(reduce_rows(rows[0], op.elem_bits)[0]), 0
+    raise ReproError(f"unknown block operation {subop!r}")
+
+
 class NearPlaceUnit:
     """The logic unit + operand registers at one cache controller."""
 
@@ -86,7 +139,6 @@ class NearPlaceUnit:
                  register_capacity: int = 4) -> None:
         self.nearplace_latency = nearplace_latency
         self.registers = OperandRegisters(register_capacity)
-        self.ops_executed = 0
 
     def execute(self, level: CacheLevel | CacheResolver, op: BlockOperation,
                 key_data: bytes | None = None) -> NearPlaceOutcome:
@@ -110,97 +162,21 @@ class NearPlaceUnit:
             sources.append(
                 cache_for(operand.addr).read_block(operand.addr, charge=not hit)
             )
+        result_data, bits, bit_count = block_result(op, sources, key_data)
         dest = op.dest_operand
-        result_data: bytes | None = None
-        bits, bit_count = 0, 0
-
-        subop = op.subarray_op
-        if subop == "copy":
-            result_data = sources[0]
-        elif subop == "buz":
-            result_data = bytes(BLOCK_SIZE)
-        elif subop == "not":
-            result_data = bytes_not(sources[0])
-        elif subop == "and":
-            result_data = bytes_and(sources[0], sources[1])
-        elif subop == "or":
-            result_data = bytes_or(sources[0], sources[1])
-        elif subop == "xor":
-            result_data = bytes_xor(sources[0], sources[1])
-        elif subop == "cmp":
-            bits, bit_count = self._cmp_words(sources[0], sources[1])
-        elif subop == "search":
-            if key_data is None:
-                raise ReproError("near-place search needs the key data")
-            bits, bit_count = (1 if sources[0] == key_data else 0), 1
-        elif subop == "clmul":
-            if op.lane_bits is None:
-                raise ReproError("clmul needs a lane width")
-            other = sources[1] if len(sources) > 1 else key_data
-            if other is None:
-                raise ReproError("broadcast clmul needs the staged key block")
-            bits, bit_count = self._clmul(sources[0], other, op.lane_bits)
-        elif subop in ("add", "mul"):
-            # The logic unit computes word-parallel on the conventionally
-            # read (row-major) blocks - no bit-serial step penalty, but
-            # also none of the in-place energy advantage.
-            if op.elem_bits is None:
-                raise ReproError(f"{subop} needs an element width")
-            result_data = arith_rows(
-                subop,
-                np.frombuffer(sources[0], dtype=np.uint8),
-                np.frombuffer(sources[1], dtype=np.uint8),
-                op.elem_bits,
-            )[0].tobytes()
-        elif subop == "reduce":
-            if op.elem_bits is None:
-                raise ReproError("reduce needs an element width")
-            bits = int(reduce_rows(
-                np.frombuffer(sources[0], dtype=np.uint8), op.elem_bits
-            )[0])
-            bit_count = 0
-        else:
-            raise ReproError(f"no near-place handler for {subop!r}")
-
         if dest is not None:
             if result_data is None:
-                raise ReproError(f"{subop} produced no data for its destination")
+                raise ReproError(
+                    f"{op.subarray_op} produced no data for its destination")
             cache_for(dest.addr).write_block(dest.addr, result_data, dirty=True)
             self.registers.invalidate(dest.addr)
         stats_home = op.operands[0].addr
         home = cache_for(stats_home)
         home.stats.cc_nearplace_ops += 1
-        self.ops_executed += 1
         if home.tracer is not None:
             home.tracer.emit(
                 "nearplace.op", level=home.name, unit=home.unit,
-                opcode=subop, addr=stats_home, instr_id=op.instr_id,
+                opcode=op.subarray_op, addr=stats_home, instr_id=op.instr_id,
                 span=float(self.nearplace_latency),
             )
         return NearPlaceOutcome(bits, bit_count, self.nearplace_latency, result_data)
-
-    @staticmethod
-    def _cmp_words(a: bytes, b: bytes, word_bytes: int = 8) -> tuple[int, int]:
-        """Per-word equality mask of two blocks (word 0 -> bit 0)."""
-        words = len(a) // word_bytes
-        if not words:
-            return 0, 0
-        mask = equality_mask(
-            np.frombuffer(a, dtype=np.uint8),
-            np.frombuffer(b, dtype=np.uint8),
-            word_bytes,
-        )
-        return int(mask[0]), words
-
-    @staticmethod
-    def _clmul(a: bytes, b: bytes, lane_bits: int) -> tuple[int, int]:
-        """Per-lane parity of ``a & b`` (lane 0 -> bit 0)."""
-        lanes = (len(a) * 8) // lane_bits
-        if not lanes:
-            return 0, 0
-        mask = clmul_mask(
-            np.frombuffer(a, dtype=np.uint8),
-            np.frombuffer(b, dtype=np.uint8),
-            lane_bits,
-        )
-        return int(mask[0]), lanes

@@ -1,10 +1,11 @@
 """The CC controller's operation table (Section IV-D).
 
 A CC instruction is broken into *simple vector operations* whose operands
-span at most one cache block.  Each operation-table entry tracks the status
-of every operand of one such operation (present / being fetched) and the
-operation's lifecycle: it is issued to the sub-array only once all operands
-are resident and pinned at the compute level.
+span at most one cache block.  Each operation-table entry holds one such
+operation's operands and its lifecycle: it is issued to the sub-array (or
+the near-place unit) only once all operands are resident and pinned at the
+compute level, and retires once done or handed to the core's RISC
+fallback.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from dataclasses import dataclass
 from ..errors import ReproError
 
 
-class OperandStatus(enum.Enum):
-    MISSING = "missing"
-    FETCHING = "fetching"
-    READY = "ready"
-
-
 class OpStatus(enum.Enum):
     WAITING = "waiting-operands"
-    READY = "ready"
     ISSUED = "issued"
     DONE = "done"
     FAILED = "failed"
@@ -35,7 +29,6 @@ class BlockOperand:
 
     addr: int
     is_dest: bool
-    status: OperandStatus = OperandStatus.MISSING
     pinned: bool = False
 
 
@@ -53,7 +46,6 @@ class BlockOperation:
     status: OpStatus = OpStatus.WAITING
     partition: int | None = None
     inplace: bool = True
-    pin_attempts: int = 0
     result_bits: int = 0
     result_bit_count: int = 0
     fallback_reason: str | None = None
@@ -75,13 +67,6 @@ class BlockOperation:
                 return o
         return None
 
-    def all_ready(self) -> bool:
-        return all(o.status is OperandStatus.READY for o in self.operands)
-
-    def mark_ready_if_complete(self) -> None:
-        if self.status is OpStatus.WAITING and self.all_ready():
-            self.status = OpStatus.READY
-
 
 class OperationTable:
     """Fixed-capacity table of in-flight simple vector operations."""
@@ -89,8 +74,6 @@ class OperationTable:
     def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
         self._ops: dict[tuple[int, int], BlockOperation] = {}
-        self.peak_occupancy = 0
-        self.total_allocated = 0
 
     def allocate(self, op: BlockOperation) -> BlockOperation:
         key = (op.instr_id, op.op_index)
@@ -101,8 +84,6 @@ class OperationTable:
                 f"operation table full ({self.capacity} entries); controller must stall"
             )
         self._ops[key] = op
-        self.total_allocated += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._ops))
         return op
 
     def get(self, instr_id: int, op_index: int) -> BlockOperation:
@@ -116,9 +97,6 @@ class OperationTable:
         if op.status not in (OpStatus.DONE, OpStatus.FAILED):
             raise ReproError(f"retiring unfinished operation ({instr_id}, {op_index})")
         del self._ops[(instr_id, op_index)]
-
-    def pending_for(self, instr_id: int) -> list[BlockOperation]:
-        return [op for (iid, _), op in self._ops.items() if iid == instr_id]
 
     def __len__(self) -> int:
         return len(self._ops)

@@ -1,13 +1,15 @@
 """Cross-instruction batching of CC instructions (the stream scheduler).
 
-PR 1 batched *within* one CC instruction: `ComputeCacheController` stages
-every block op of an instruction (phase A) and drains them as one kernel
-call per sub-array (phase B).  This module batches *across* instructions:
-:class:`CCInstructionStream` analyses a window of consecutive CC
-instructions for independence over their operand byte ranges and, when a
-run of instructions is provably equivalent to one-at-a-time execution,
-fuses all their block ops into shared per-sub-array
-:meth:`~repro.sram.ComputeSubarray.op_batch` kernel calls.
+The controller runs every block op through one pipeline - stage, account,
+kernel, complete - and drains the queued kernels after each op or after
+each instruction.  :class:`CCInstructionStream` adds the third drain
+point: it analyses a window of consecutive CC instructions for
+independence over their operand byte ranges and, when a run of
+instructions is provably equivalent to one-at-a-time execution, defers the
+kernels of all their block ops into shared per-sub-array
+:meth:`~repro.sram.ComputeSubarray.op_batch` calls.  What stays here is
+specific to fusion: group selection, the residency preflight, and a
+zero-cost pin/locate fast path for staging.
 
 Fusion is *observationally invisible*: per-instruction
 :class:`~repro.core.controller.CCResult` values, cache/sub-array/controller
@@ -24,26 +26,28 @@ sub-array work overlaps — the same model
 :class:`CCOccupancyTimeline`).
 
 A run of instructions is fused only when every member provably hits the
-sequential path's zero-cost staging:
+controller's zero-cost staging:
 
 * single page-local piece, fusable opcode (``and/or/xor/not/copy/buz/cmp``;
-  key-replicating and ``clmul`` instructions fall back to sequential);
+  key-replicating, ``clmul`` and arithmetic instructions run one at a
+  time);
 * one shared compute level and opcode/lane width (keeps per-sub-array
   accounting order, and therefore float accumulation, canonical);
 * the controller's per-instruction hazard analysis reports no hazard
-  (so the ``cc.dispatch`` event matches the sequential path verbatim);
+  (so the ``cc.dispatch`` event matches one-at-a-time execution verbatim);
 * operand block sets of distinct members are fully disjoint (no data
   hazards, no pin conflicts);
 * every operand block is resident at the compute level with no private
   copies above it (L3: no directory sharers; L2: nothing in L1; dests
-  writable) — exactly the condition under which the sequential
-  ``cc_prepare`` fast path performs no fetch, charge, or event;
+  writable) — exactly the condition under which ``cc_prepare``'s fast
+  path performs no fetch, charge, or event;
 * operand locality holds for every block op (no near-place execution);
 * no contention/fetch-fault hooks and no reuse policy are installed
-  (fault-injection campaigns always take the sequential path).
+  (fault-injection campaigns always run one instruction at a time).
 
-Anything else executes through the unmodified sequential path, so the
-stream accepts arbitrary instruction sequences.
+Anything else runs one instruction at a time through
+:meth:`ComputeCacheController.execute`, so the stream accepts arbitrary
+instruction sequences.
 """
 
 from __future__ import annotations
@@ -52,15 +56,11 @@ from dataclasses import dataclass, field
 
 from ..cache.block import MESIState
 from ..cache.hierarchy import L1, L2, L3
-from ..errors import CoherenceError, ReproError
-from .controller import (
-    INSTRUCTION_OVERHEAD_CYCLES,
-    MEMO_CAPACITY,
-    CCResult,
-    ComputeCacheController,
-)
+from ..errors import CoherenceError
+from .controller import MEMO_CAPACITY, CCResult, ComputeCacheController
+from .inplace import operand_rows
 from .isa import CCInstruction, Opcode
-from .operation_table import BlockOperand, BlockOperation, OpStatus
+from .operation_table import BlockOperand
 
 DEFAULT_WINDOW = 8
 """Instructions considered for one fused group.  Clamped to the
@@ -81,7 +81,7 @@ FUSABLE_OPCODES = frozenset({
 """Opcodes eligible for cross-instruction fusion.  ``search`` and
 broadcast ``clmul`` replicate keys into shared per-partition key rows
 (members would collide), and ``clmul`` stores its packed result through
-the hierarchy mid-stream; all take the sequential path."""
+the hierarchy mid-stream; all run one instruction at a time."""
 
 
 @dataclass
@@ -257,10 +257,10 @@ class CCInstructionStream:
             # invalidate anywhere bumps the residency epoch) and directory
             # sharers.  A sharer can only *appear* through a private fill,
             # which bumps the epoch, so a memoized True cannot go stale; a
-            # stale False merely falls back to the always-correct
-            # sequential path.  L1/L2 verdicts also depend on MESI
-            # writability, which downgrades without an epoch bump, so
-            # those are re-probed every time.
+            # stale False merely falls back to one-at-a-time execution.
+            # L1/L2 verdicts also depend on MESI writability, which
+            # downgrades without an epoch bump, so those are re-probed
+            # every time.
             epoch = ctrl.hierarchy.residency_epoch()
             hit = self._preflight_memo.get(instr)
             if hit is not None and hit[0] == epoch:
@@ -366,156 +366,46 @@ class CCInstructionStream:
         self._locate_memo[key] = (cache.epoch, loc)
         return loc
 
-    @staticmethod
-    def _rows_triple(subop: str, op: BlockOperation, locs: list[tuple]):
-        """The located ``(row_a, row_b, row_dest)`` of one block op — the
-        stream twin of the controller's ``_locate_rows`` (key-row cases
-        excluded by :data:`FUSABLE_OPCODES`)."""
-        sources = [loc[3] for o, loc in zip(op.operands, locs) if not o.is_dest]
-        dest_row = next(
-            (loc[3] for o, loc in zip(op.operands, locs) if o.is_dest), None
-        )
-        if subop in ("and", "or", "xor"):
-            triple = (sources[0], sources[1], dest_row)
-        elif subop in ("not", "copy"):
-            triple = (sources[0], None, dest_row)
-        elif subop == "buz":
-            triple = (dest_row, None, dest_row)
-        elif subop == "cmp":
-            triple = (sources[0], sources[1], None)
-        else:
-            raise ReproError(f"no fused dispatch for {subop!r}")
-        return triple
-
     def _execute_fused(self, members: list[_Member],
                        out: StreamResult) -> list[CCResult]:
-        """Run a fused group: canonical per-instruction staging and
-        accounting (identical charges/stats/events, in identical order, to
-        the sequential path — staging is zero-cost by precondition), with
-        all sub-array kernels deferred into merged per-sub-array calls.
+        """Run a fused group through the controller's block-op pipeline.
+
+        Each member is staged through the zero-cost fast path below, then
+        accounted and finished in instruction order exactly as one-at-a-time
+        execution would; only the kernels are deferred, into one merged
+        per-sub-array call after the last member.
         """
         ctrl = self.controller
-        tracer = ctrl.tracer
-        level = members[0].level
-        core = ctrl.core_id
-        inplace_latency = float(ctrl.inplace.inplace_latency)
-        notify = ctrl.config.l1d.hit_latency
-        merged: dict[tuple[int, int], tuple] = {}
-        bundles = []
-
+        deferred: dict[tuple[int, int], tuple] = {}
+        pieces = []
         for member in members:
-            instr = member.instr
-            entry = ctrl.instruction_table.allocate(
-                instr, total_ops=instr.num_blocks)
-            entry.level = level
-            if tracer is not None:
-                tracer.emit(
-                    "cc.dispatch", core=core, level=level,
-                    opcode=instr.opcode.value, instr_id=entry.instr_id,
-                    outcome="batched", reason=None,
-                )
-            ops: list[BlockOperation] = []
-            partition_load: dict[int, int] = {}
-            instr_groups: dict[tuple[int, int], tuple] = {}
-            subop = instr.opcode.subarray_op
-            for idx, spec in enumerate(member.plan.operand_specs):
-                op = BlockOperation(
-                    instr_id=entry.instr_id,
-                    op_index=entry.generate_next(),
-                    subarray_op=subop,
-                    operands=[BlockOperand(addr, is_dest=flag)
-                              for addr, flag in spec],
-                    lane_bits=instr.lane_bits,
-                )
-                ctrl.operation_table.allocate(op)
-                ops.append(op)
-                cache = member.plan.caches[idx]
+            piece = ctrl._begin(member.instr, member.level, None)
+            plan = member.plan
+            for spec, cache, partition in zip(plan.operand_specs, plan.caches,
+                                              plan.partitions):
+                op = ctrl._new_op(piece, [BlockOperand(addr, is_dest=flag)
+                                          for addr, flag in spec])
                 tags = cache.tags
-                locs = [self._located(cache, operand.addr)
-                        for operand in op.operands]
-                # Zero-cost phase A: mark dests MODIFIED and pin each
+                locs = [self._located(cache, addr) for addr, _flag in spec]
+                # Zero-cost staging: mark dests MODIFIED and pin each
                 # operand (the pin MRU-promotes, exactly like the
-                # sequential path); fetches are no-ops by precondition.
-                for operand, (set_index, way, _sub, _row) in zip(op.operands, locs):
-                    if operand.is_dest:
+                # controller's staging); fetches are no-ops by precondition.
+                for (_addr, is_dest), (set_index, way, _sub, _row) in zip(spec, locs):
+                    if is_dest:
                         tags.entry(set_index, way).state = MESIState.MODIFIED
                     tags.pin(set_index, way, op.instr_id)
-                    operand.pinned = True
-                subarray = locs[0][2]
-                rows = self._rows_triple(subop, op, locs)
-                for operand, (set_index, way, _sub, _row) in zip(op.operands, locs):
+                rows = operand_rows(op, [loc[3] for loc in locs],
+                                    cache.geometry.key_row)
+                for set_index, way, _sub, _row in locs:
                     tags.unpin(set_index, way)
-                    operand.pinned = False
-                partition = member.plan.partitions[idx]
-                op.partition = partition
-                partition_load[partition] = partition_load.get(partition, 0) + 1
-                group_key = (id(cache), partition)
-                merged.setdefault(group_key, (cache, subarray, partition, []))[3] \
-                    .append((op, rows))
-                instr_groups.setdefault(group_key, (cache, partition, []))[2] \
-                    .append((op, rows))
-
-            # Canonical per-instruction accounting, emitted *before* the
-            # merged kernels run: every charged/emitted quantity is known
-            # ahead of the kernel (result bits are not among them).
-            for cache, partition, items in instr_groups.values():
-                ctrl.inplace.account_batch(cache, partition, items)
-            for op in ops:
-                if tracer is not None:
-                    tracer.emit(
-                        "cc.block_op", core=core, level=level,
-                        opcode=instr.opcode.value, partition=op.partition,
-                        addr=op.operands[0].addr, instr_id=entry.instr_id,
-                        span=inplace_latency, outcome="in-place", reason=None,
-                    )
-                op.status = OpStatus.DONE
-                ctrl.operation_table.retire(entry.instr_id, op.op_index)
-            compute_cycles = ctrl._compute_makespan(level, partition_load, 0.0)
-            cycles = INSTRUCTION_OVERHEAD_CYCLES + compute_cycles + notify
-            occupancy = (INSTRUCTION_OVERHEAD_CYCLES
-                         + ctrl._issue_cycles(level, sum(partition_load.values())))
-            ctrl.stats.block_ops_inplace += len(ops)
-            ctrl.stats.compute_cycles += compute_cycles
-            ctrl.stats.level_compute_cycles[level] = (
-                ctrl.stats.level_compute_cycles.get(level, 0.0) + compute_cycles
-            )
-            ctrl.key_table.release(entry.instr_id)
-            if tracer is not None:
-                for phase, span in (
-                    ("decode", float(INSTRUCTION_OVERHEAD_CYCLES)),
-                    ("compute-inplace", float(compute_cycles)),
-                    ("notify", float(notify)),
-                ):
-                    if span:
-                        tracer.emit(
-                            "cc.attr", core=core, level=level,
-                            opcode=instr.opcode.value, instr_id=entry.instr_id,
-                            phase=phase, span=span,
-                        )
-                tracer.emit(
-                    "cc.instruction", core=core, level=level,
-                    opcode=instr.opcode.value, instr_id=entry.instr_id,
-                    span=float(cycles), outcome="in-place",
-                )
-            ctrl.stats.instructions += 1
-            bundles.append((member, entry, ops, cycles, compute_cycles, occupancy))
-
+                ctrl._queue(piece, op, cache, locs[0][2], partition, rows)
+            ctrl._drain(piece, deferred)
+            ctrl._finish(piece)
+            pieces.append(piece)
         # The fused kernels: one op_batch per target sub-array, items in
         # instruction order (preserving per-sub-array accounting order).
-        for cache, subarray, partition, items in merged.values():
+        for subarray, items in deferred.values():
             ctrl.inplace.kernel_batch(subarray, items)
             out.kernel_calls += 1
-
-        results = []
-        for member, entry, ops, cycles, compute_cycles, occupancy in bundles:
-            for op in ops:
-                entry.complete_op(op.result_bits, op.result_bit_count)
-            result = entry.result_mask
-            ctrl.instruction_table.retire(entry.instr_id)
-            results.append(CCResult(
-                instr=member.instr, result=result, cycles=cycles, level=level,
-                inplace_ops=len(ops), nearplace_ops=0, risc_ops=0,
-                fetch_cycles=0.0, compute_cycles=compute_cycles,
-                occupancy_cycles=occupancy, result_bytes=b"", pieces=1,
-            ))
-        return results
+        return [ctrl._complete(piece.instr, [ctrl._collect(piece)])
+                for piece in pieces]

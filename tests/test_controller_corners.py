@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
@@ -198,3 +199,34 @@ class TestInjectedPinSteals:
         assert recoveries[0].reason == "pin-loss"
         assert m.peek(c, BLOCK_SIZE) == bytes(
             x & y for x, y in zip(da, db))
+
+
+class TestLowAssociativityL3:
+    """A 2-way L3 cannot hold the three operand blocks of a block op in
+    one set: the fill inside operand staging finds every way pinned.  That
+    is a lost pin like any other, so the op retries and then falls back to
+    RISC operations (Section IV-E) instead of aborting the instruction."""
+
+    @pytest.mark.parametrize("backend", ["packed", "bitexact"])
+    def test_pinned_set_falls_back_to_risc(self, make_bytes, backend):
+        cfg = small_test_machine()
+        cfg = replace(cfg, l3_slice=replace(cfg.l3_slice, ways=2),
+                      trace_events=True)
+        m = ComputeCacheMachine(cfg, backend=backend)
+        bufs = [m.arena.alloc_page_aligned(PAGE_SIZE) for _ in range(17)]
+        # 32 KB apart: block i of each of them maps to 2-way L3 set i.
+        a, b, c = bufs[0], bufs[8], bufs[16]
+        da, db = make_bytes(PAGE_SIZE), make_bytes(PAGE_SIZE)
+        m.load(a, da)
+        m.load(b, db)
+        res = m.cc(cc_ops.cc_xor(a, b, c, PAGE_SIZE))
+        dispatch = [e for e in m.tracer.snapshot() if e.kind == "cc.dispatch"]
+        assert [(e.outcome, e.reason) for e in dispatch] == [
+            ("sequential", "occupancy")]
+        expected = (np.frombuffer(da, np.uint8) ^ np.frombuffer(db, np.uint8))
+        assert m.peek(c, PAGE_SIZE) == expected.tobytes()
+        stats = m.controllers[0].stats
+        assert res.risc_ops == 64
+        assert stats.fallback_reasons == {"pin-loss": 64}
+        m.hierarchy.check_inclusion()
+        m.hierarchy.check_single_writer()

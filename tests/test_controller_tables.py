@@ -8,7 +8,6 @@ from repro.core.key_table import KeyTable
 from repro.core.operation_table import (
     BlockOperand,
     BlockOperation,
-    OperandStatus,
     OperationTable,
     OpStatus,
 )
@@ -76,10 +75,6 @@ class TestOperationTable:
         table = OperationTable(capacity=4)
         op = table.allocate(self._op())
         assert op.status is OpStatus.WAITING
-        for operand in op.operands:
-            operand.status = OperandStatus.READY
-        op.mark_ready_if_complete()
-        assert op.status is OpStatus.READY
         op.status = OpStatus.DONE
         table.retire(0, 0)
         assert len(table) == 0
@@ -107,13 +102,6 @@ class TestOperationTable:
         table.allocate(self._op())
         with pytest.raises(ReproError):
             table.retire(0, 0)
-
-    def test_pending_for(self):
-        table = OperationTable()
-        table.allocate(self._op(instr_id=1, op_index=0))
-        table.allocate(self._op(instr_id=1, op_index=1))
-        table.allocate(self._op(instr_id=2, op_index=0))
-        assert len(table.pending_for(1)) == 2
 
 
 class TestKeyTable:

@@ -100,3 +100,46 @@ def test_timing_orderings(mode):
     res_in = m.cc(cc_ops.cc_and(a, b, c, 512))
     res_near = m.cc(cc_ops.cc_and(a, b, c, 512), force_nearplace=True)
     assert res_in.compute_cycles < res_near.compute_cycles
+
+
+@pytest.mark.parametrize("op", ["xor", "cmp", "not"])
+def test_executor_single_op_is_a_one_item_batch(op, make_bytes):
+    """``InPlaceExecutor.execute`` runs one op as a batch of one: the
+    destination bytes and result bits match the near-place semantics,
+    and the op is charged and counted.  Ops whose operands span
+    partitions are refused."""
+    from repro.core.nearplace import block_result
+    from repro.core.operation_table import BlockOperand, BlockOperation
+    from repro.errors import OperandLocalityError
+
+    m = ComputeCacheMachine(small_test_machine())
+    a, b, c = m.arena.alloc_colocated(64, 3)
+    da, db = make_bytes(64), make_bytes(64)
+    m.load(a, da)
+    m.load(b, db)
+    for addr in (a, b, c):
+        m.warm_l3(addr, 64)
+    level = m.hierarchy.level_cache("L3", 0, a)
+    srcs = [a] if op == "not" else [a, b]
+    operands = [BlockOperand(addr, is_dest=False) for addr in srcs]
+    if op != "cmp":
+        operands.append(BlockOperand(c, is_dest=True))
+    block = BlockOperation(instr_id=0, op_index=0, subarray_op=op,
+                           operands=operands)
+    executor = m.controllers[0].inplace
+    energy = m.ledger.total()
+    executor.execute(level, block)
+    data, bits, count = block_result(block, [da, db][:len(srcs)])
+    assert (block.result_bits, block.result_bit_count) == (bits, count)
+    if data is not None:
+        assert level.read_block(c, charge=False) == data
+    assert block.inplace and level.stats.cc_inplace_ops == 1
+    assert m.ledger.total() > energy
+
+    misaligned = BlockOperation(
+        instr_id=0, op_index=1, subarray_op="xor",
+        operands=[BlockOperand(a, is_dest=False),
+                  BlockOperand(b + 64, is_dest=False),
+                  BlockOperand(c, is_dest=True)])
+    with pytest.raises(OperandLocalityError):
+        executor.execute(level, misaligned)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.core.stream import CCInstructionStream, CCOccupancyTimeline
-from repro.params import BLOCK_SIZE, PAGE_SIZE, small_test_machine
+from repro.params import BLOCK_SIZE, PAGE_SIZE, sandybridge_8core, small_test_machine
 
 SLOTS = 4
 SLOT_BYTES = 2 * PAGE_SIZE
@@ -32,7 +32,8 @@ SLOT_BLOCKS = SLOT_BYTES // BLOCK_SIZE
 #: level/hazard probes while sizing fusion groups.
 MEMO_STATS = ("level_memo_hits", "hazard_memo_hits")
 
-OPS = ["and", "or", "xor", "copy", "not", "buz", "cmp", "search"]
+OPS = ["and", "or", "xor", "copy", "not", "buz", "cmp", "search",
+       "add", "mul", "reduce"]
 
 
 def build_instr(op, a, b, c, size):
@@ -52,6 +53,12 @@ def build_instr(op, a, b, c, size):
         return cc_ops.cc_cmp(a, b, size)
     if op == "search":
         return cc_ops.cc_search(a, b, size)  # b is the 64-byte key block
+    if op == "add":
+        return cc_ops.cc_add(a, b, c, size, elem_bits=8)
+    if op == "mul":
+        return cc_ops.cc_mul(a, b, c, size, elem_bits=16)
+    if op == "reduce":
+        return cc_ops.cc_reduce(a, size, elem_bits=32)
     raise AssertionError(op)
 
 
@@ -167,6 +174,44 @@ class TestStreamEquivalence:
         assert out.fused_instructions == 0
         assert m_seq.controllers[0].stats.pin_retries > 0
         assert_identical(m_seq, m_str, res_seq, out.results, slots)
+
+
+class TestStreamLayoutTracking:
+    def test_fused_copy_reverts_bit_serial_layout(self):
+        """A fused ``cc_copy`` into a ``cc_add`` destination reverts those
+        blocks to row-major exactly as a one-at-a-time copy does, so the
+        next ``cc_add`` reading them pays the transpose again."""
+
+        def run(fuse):
+            m = ComputeCacheMachine(sandybridge_8core())
+            rng = random.Random(5)
+            a, b, c, e, f, g, h = m.arena.alloc_colocated(PAGE_SIZE, 7)
+            for addr in (a, b, c, e, f, g, h):
+                m.load(addr, rng.randbytes(PAGE_SIZE))
+                m.warm_l3(addr, PAGE_SIZE)
+            m.cc(cc_ops.cc_add(a, b, c, PAGE_SIZE))
+            copies = [cc_ops.cc_copy(e, c, PAGE_SIZE),
+                      cc_ops.cc_copy(f, g, PAGE_SIZE)]
+            if fuse:
+                assert m.cc_stream(copies).fused_instructions == 2
+            else:
+                for instr in copies:
+                    m.cc(instr)
+            return m, m.cc(cc_ops.cc_add(c, a, h, PAGE_SIZE)), h
+
+        m_seq, res_seq, h = run(fuse=False)
+        m_str, res_str, _ = run(fuse=True)
+        assert res_seq.cycles == 161
+        assert m_seq.controllers[0].stats.transpose_blocks == 192
+        assert astuple(res_str) == astuple(res_seq)
+        stats_seq, stats_str = (asdict(m.controllers[0].stats)
+                                for m in (m_seq, m_str))
+        for key in MEMO_STATS:
+            stats_seq.pop(key)
+            stats_str.pop(key)
+        assert stats_str == stats_seq
+        assert dict(m_str.ledger.pj) == dict(m_seq.ledger.pj)
+        assert m_str.peek(h, PAGE_SIZE) == m_seq.peek(h, PAGE_SIZE)
 
 
 class TestStreamFusion:
