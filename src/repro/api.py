@@ -8,8 +8,7 @@ Everything in ``__all__`` follows the compatibility policy spelled out in
 ``docs/api.md`` ("stability tiers"): symbols here keep working across
 minor releases, while the deep module paths they come from
 (``repro.params``, ``repro.events``, ``repro.bench.runner``, …) are
-internal — importing the same names from those paths still works but
-raises a :class:`DeprecationWarning`.
+internal and may change in any release.
 
 The classic top-level spelling ``from repro import ComputeCacheMachine``
 remains supported as well.

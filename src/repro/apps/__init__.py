@@ -50,11 +50,3 @@ __all__ = [
     "run_qdnn",
     "run_streambw",
 ]
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "bitmap_db", "bmm", "crypto", "qdnn", "stringmatch", "textgen",
-    "wordcount", "checkpoint", "splash", "common", "streambw",
-))

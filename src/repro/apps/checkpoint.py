@@ -148,10 +148,3 @@ def checkpoint_app_result(run: CheckpointRun) -> AppResult:
         output=run.pages_copied,
         stats={"overhead": run.overhead},
     )
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "run_checkpoint",
-))

@@ -118,10 +118,3 @@ def pad_to_slot(word: bytes, slot: int = 64) -> bytes:
     if len(word) >= slot:
         word = word[: slot - 1]
     return word + bytes(slot - len(word))
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "AppResult", "fresh_machine",
-))

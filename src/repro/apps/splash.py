@@ -64,10 +64,3 @@ def profile(name: str) -> SplashProfile:
         raise KeyError(
             f"unknown SPLASH-2 profile {name!r}; choose from {BENCHMARKS}"
         ) from None
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "PROFILES", "SplashProfile",
-))

@@ -24,7 +24,7 @@ into L3 and streamed once, the bytes filled into L1-D equal exactly
 arrays on its own ring stop; ``"hub"`` homes *all* pages on cluster 0's
 slices, so scaling the cluster count drives the scalar variant into the
 bandwidth wall while CC-in-L3 latency stays flat - the crossover the
-``repro streambw`` sweep measures.
+``repro bench streambw`` sweep measures.
 """
 
 from __future__ import annotations

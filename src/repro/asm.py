@@ -141,10 +141,3 @@ def assemble(text: str) -> list[CCInstruction]:
         except ISAError as exc:
             raise ISAError(f"line {lineno}: {exc}") from None
     return out
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "parse", "assemble", "format_instruction",
-))

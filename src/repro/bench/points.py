@@ -166,7 +166,7 @@ def app_point(app: str, scale: float = 1.0,
     }
 
 
-# -- STREAM bandwidth points (repro streambw) ------------------------------------------
+# -- STREAM bandwidth points (repro bench streambw) ------------------------------------
 
 
 @point_function("streambw")

@@ -486,10 +486,3 @@ def format_runner_profile(tracer: EventTracer) -> str:
         lines.append(f"  {phase.ljust(width)}  {int(row['count']):4d} pts  "
                      f"{row['seconds']:8.2f} s")
     return "\n".join(lines)
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "PointRunner", "Point",
-))

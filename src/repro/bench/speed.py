@@ -1,4 +1,4 @@
-"""Sustained simulator-throughput benchmark — ``repro speed``.
+"""Sustained simulator-throughput benchmark — ``repro bench speed``.
 
 Measures how fast the *simulator itself* executes CC instructions
 (wall-clock instructions/sec, and the simulated bytes/sec those
@@ -12,11 +12,11 @@ final energy ledger must match exactly; the run aborts otherwise).
 
 The output document, ``BENCH_speed.json``, is the second entry of the
 repo's ``BENCH_*`` performance trajectory (after ``BENCH_serve.json``):
-``repro speed`` enforces two optional contracts, a minimum stream-over-
-sequential speedup (``--min-speedup``) and a maximum regression of
-stream instructions/sec against a committed baseline document
-(``--baseline`` / ``--tolerance``), and the CI ``speed-smoke`` job fails
-on either.
+``repro bench speed`` enforces two optional contracts, a minimum
+stream-over-sequential speedup (``--min-speedup``) and a maximum
+regression of stream instructions/sec against a committed baseline
+document (``--baseline`` / ``--tolerance``), and the CI ``speed-smoke``
+job fails on either.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ KERNEL_BUILDERS = {
 
 @dataclass
 class SpeedConfig:
-    """One ``repro speed`` run (CLI flags map 1:1 onto these fields)."""
+    """One ``repro bench speed`` run (CLI flags map onto these fields;
+    ``--backend`` narrows ``backends`` to one)."""
 
     kernel: str = "xor"
     size: int = 4096                # bytes per operand (fig7 scale)

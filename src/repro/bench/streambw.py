@@ -1,4 +1,4 @@
-"""NUMA bandwidth sweep — ``repro streambw`` -> ``BENCH_streambw.json``.
+"""NUMA bandwidth sweep — ``repro bench streambw`` -> ``BENCH_streambw.json``.
 
 Runs the STREAM kernels (:mod:`repro.apps.streambw`) over a grid of
 cluster counts, in both variants — scalar Base_32 through the multicore
@@ -61,7 +61,8 @@ STREAMBW_SCHEMA = "repro.streambw/1"
 
 @dataclass
 class StreamBWConfig:
-    """One ``repro streambw`` sweep (CLI flags map 1:1 onto these fields)."""
+    """One ``repro bench streambw`` sweep (CLI flags map onto these
+    fields; ``--backend`` narrows ``backends`` to one)."""
 
     kernels: tuple[str, ...] = STREAM_KERNELS
     clusters: tuple[int, ...] = (1, 2, 4)

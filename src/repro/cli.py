@@ -26,19 +26,17 @@ Usage::
                                      # simulation job service (HTTP/JSON)
     python -m repro loadgen --requests 1000 --concurrency 32
                                      # load-test a service -> BENCH_serve.json
+    python -m repro faults --seed 5  # fault-injection campaign and
+                                     # resilience report (docs/faults.md)
 
 Every ``bench`` suite shares one flag set — ``--jobs N`` (process-pool
 parallelism), ``--no-cache``, ``--cache-dir``, the simulation trio
 ``--backend``/``--trace-events``/``--seed``, and ``--out`` — see
 ``docs/benchmarks.md`` for the runner architecture and cache semantics.
-The suite registry lives in :mod:`repro.bench.suites`
-(``repro.api.bench_suites()``).
-
-The pre-``bench`` per-suite subcommands (``repro fig7``, ``repro
-speed``, ...) keep working as deprecated aliases that emit a
-``DeprecationWarning``; the ``faults`` subcommand runs a deterministic
-fault-injection campaign and prints a resilience report (see
-``docs/faults.md``).
+Each suite's own flags and the command that reads them live in
+:mod:`repro.bench.suites` (``repro.api.bench_suites()``); this module
+holds the other subcommands, the parser, and the ``--out`` tee of the
+print-only suites.
 """
 
 from __future__ import annotations
@@ -47,27 +45,6 @@ import argparse
 import sys
 
 from .params import BACKENDS
-
-
-def _runner_from(args):
-    """Build the sweep runner a figure/export command was asked for."""
-    from .bench.runner import PointRunner
-
-    return PointRunner(jobs=args.jobs, cache_dir=args.cache_dir,
-                       use_cache=not args.no_cache,
-                       backend=getattr(args, "backend", None))
-
-
-def _finish_runner(runner, args=None) -> None:
-    """The post-command cache-stats footer (grepped by CI); with
-    ``--trace-events``, also the runner's wall-clock attribution."""
-    if args is not None and getattr(args, "trace_events", False):
-        from .bench.runner import format_runner_profile
-
-        print()
-        print(format_runner_profile(runner.tracer))
-    print()
-    print(runner.stats.line())
 
 
 def _cmd_tables(_args) -> None:
@@ -79,89 +56,6 @@ def _cmd_tables(_args) -> None:
     print(render_table(table3_rows(), "Table III: geometry & operand locality"))
     print()
     print(render_table(table5_rows(), "Table V: CC energy (pJ) per 64-byte block"))
-
-
-def _cmd_fig3(args) -> None:
-    from .bench.microbench import figure3_energy_proportions
-    from .bench.report import render_table
-
-    rows = [
-        {"config": cfg, **vals}
-        for cfg, vals in figure3_energy_proportions(
-            backend=args.backend, seed=args.seed).items()
-    ]
-    print(render_table(rows, "Figure 3: bulk-compare energy proportions"))
-
-
-def _cmd_fig7(args) -> None:
-    from .bench.microbench import figure7, figure7_summary
-    from .bench.report import render_figure7
-
-    runner = _runner_from(args)
-    results = figure7(size=args.size, runner=runner,
-                      backend=args.backend, seed=args.seed)
-    print(render_figure7(results))
-    print()
-    for key, value in figure7_summary(results).items():
-        print(f"  {key}: {value:.2f}")
-    _finish_runner(runner, args)
-
-
-def _cmd_fig8(args) -> None:
-    from .bench.microbench import figure8a_inplace_vs_nearplace, figure8b_levels
-    from .bench.report import render_table
-
-    runner = _runner_from(args)
-    rows = []
-    for kernel, pair in figure8a_inplace_vs_nearplace(
-            args.size, runner=runner, backend=args.backend,
-            seed=args.seed).items():
-        rows.append({
-            "kernel": kernel,
-            "in-place nJ": pair["inplace"].total_energy_nj,
-            "near-place nJ": pair["nearplace"].total_energy_nj,
-            "energy ratio": pair["nearplace"].total_energy_nj
-            / pair["inplace"].total_energy_nj,
-            "throughput ratio": pair["nearplace"].steady_cycles
-            / pair["inplace"].steady_cycles,
-        })
-    print(render_table(rows, "Figure 8(a): in-place vs near-place"))
-    print()
-    rows = []
-    for kernel, levels in figure8b_levels(args.size, runner=runner,
-                                          backend=args.backend,
-                                          seed=args.seed).items():
-        for level, d in levels.items():
-            rows.append({
-                "kernel": kernel, "level": level,
-                "savings nJ": d["total_savings_pj"] / 1000,
-                "savings fraction": d["savings_fraction"],
-            })
-    print(render_table(rows, "Figure 8(b): dynamic-energy savings by level"))
-    _finish_runner(runner, args)
-
-
-def _cmd_fig9(args) -> None:
-    from .bench.appbench import figure9
-    from .bench.report import render_figure9
-
-    runner = _runner_from(args)
-    print(render_figure9(figure9(scale=args.scale, runner=runner,
-                                 backend=args.backend, seed=args.seed)))
-    _finish_runner(runner, args)
-
-
-def _cmd_qdnn(args) -> None:
-    from .bench.appbench import figure_qdnn
-    from .bench.report import render_figure9
-
-    runner = _runner_from(args)
-    summary = figure_qdnn(scale=args.scale, runner=runner,
-                          backend=args.backend, seed=args.seed)
-    print(render_figure9({"qdnn": summary}))
-    print(f"  instructions: {summary.baseline_instructions} baseline -> "
-          f"{summary.cc_instructions} CC")
-    _finish_runner(runner, args)
 
 
 def _cmd_docscheck(args) -> None:
@@ -180,61 +74,6 @@ def _cmd_docscheck(args) -> None:
             print(f"FAIL {err}")
         raise SystemExit(1)
     print("docscheck: all documentation checks passed")
-
-
-def _cmd_fig10(args) -> None:
-    from .bench.checkpointbench import figure10_overheads, summarize_overheads
-    from .bench.report import render_figure10
-
-    runner = _runner_from(args)
-    overheads = figure10_overheads(intervals=args.intervals, runner=runner,
-                                   backend=args.backend)
-    print(render_figure10(overheads))
-    print()
-    for key, value in summarize_overheads(overheads).items():
-        print(f"  {key}: {value:.1%}")
-    _finish_runner(runner, args)
-
-
-def _cmd_fig11(args) -> None:
-    from .bench.checkpointbench import figure11_energy
-    from .bench.report import render_figure11
-
-    runner = _runner_from(args)
-    print(render_figure11(figure11_energy(intervals=args.intervals,
-                                          runner=runner,
-                                          backend=args.backend)))
-    _finish_runner(runner, args)
-
-
-def _cmd_sweeps(args) -> None:
-    from .bench.report import render_table
-    from .bench.runner import format_runner_profile
-    from .bench.sweeps import (
-        noc_distance_sweep,
-        operand_size_sweep,
-        partition_parallelism_sweep,
-        wordline_activation_sweep,
-    )
-
-    runner = _runner_from(args)
-    print(render_table(operand_size_sweep(kernel=args.kernel, runner=runner,
-                                          backend=args.backend,
-                                          seed=args.seed),
-                       f"Operand-size sweep ({args.kernel})"))
-    print()
-    print(render_table(partition_parallelism_sweep(runner=runner,
-                                                   backend=args.backend,
-                                                   seed=args.seed),
-                       "Partition-parallelism sweep (copy)"))
-    print()
-    print(render_table(wordline_activation_sweep(),
-                       "Word-line activation sweep"))
-    print()
-    print(render_table(noc_distance_sweep(), "NoC distance sweep"))
-    print()
-    print(format_runner_profile(runner.tracer))
-    _finish_runner(runner, args)
 
 
 def _cmd_demo(args) -> None:
@@ -304,6 +143,7 @@ def _cmd_validate(args) -> None:
 
 def _cmd_export(args) -> None:
     from .bench.export import write_results
+    from .bench.suites import _finish_runner, _runner_from
 
     runner = _runner_from(args)
     doc = write_results(args.out, full=args.full, runner=runner,
@@ -387,85 +227,6 @@ def _cmd_loadgen(args) -> None:
         sys.exit(1)
 
 
-def _cmd_speed(args) -> None:
-    import json
-
-    from .bench.report import write_bench
-    from .bench.speed import SpeedConfig, run_speed, summarize
-
-    baseline = None
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    if args.backend is not None:
-        backends = (args.backend,)
-    else:
-        backends = tuple(args.backends.split(","))
-    cfg = SpeedConfig(
-        kernel=args.kernel, size=args.size, instructions=args.instructions,
-        passes=args.passes, window=args.window, backends=backends,
-        seed=args.seed if args.seed is not None else 42,
-        min_speedup=args.min_speedup, baseline=baseline,
-        tolerance=args.tolerance)
-    doc = run_speed(cfg)
-    write_bench(doc, args.out)
-    print(summarize(doc))
-    print(f"wrote {args.out}")
-    if not doc["contract"]["passed"]:
-        for failure in doc["contract"]["failures"]:
-            print(f"contract failure: {failure}", file=sys.stderr)
-        sys.exit(1)
-
-
-def _cmd_streambw(args) -> None:
-    from .bench.report import write_bench
-    from .bench.streambw import StreamBWConfig, run_streambw_sweep, summarize
-
-    backends = (args.backend,) if args.backend is not None else BACKENDS
-    cfg = StreamBWConfig(
-        kernels=tuple(args.kernels.split(",")),
-        clusters=tuple(int(c) for c in args.clusters.split(",")),
-        cores_per_cluster=args.cores_per_cluster,
-        words=args.words, placement=args.placement,
-        inter_hop_latency=args.inter_hop_latency,
-        seed=args.seed if args.seed is not None else 107,
-        check_words=args.check_words, backends=backends)
-    runner = _runner_from(args)
-    doc = run_streambw_sweep(cfg, runner=runner)
-    write_bench(doc, args.out)
-    print(summarize(doc))
-    print(f"wrote {args.out}")
-    _finish_runner(runner, args)
-    if not doc["contract"]["passed"]:
-        for failure in doc["contract"]["failures"]:
-            print(f"contract failure: {failure}", file=sys.stderr)
-        sys.exit(1)
-
-
-def _cmd_crypto(args) -> None:
-    from .bench.crypto import CryptoSweepConfig, run_crypto_sweep, summarize
-    from .bench.report import write_bench
-
-    backends = (args.backend,) if args.backend is not None else BACKENDS
-    cfg = CryptoSweepConfig(
-        kernels=tuple(args.kernels.split(",")),
-        ghash_blocks=args.ghash_blocks, crc_bytes=args.crc_bytes,
-        ntt_n=args.ntt_n,
-        seed=args.seed if args.seed is not None else 108,
-        backends=backends, fault_seed=args.fault_seed,
-        pulse_every=args.pulse_every, run_faults=not args.no_faults)
-    runner = _runner_from(args)
-    doc = run_crypto_sweep(cfg, runner=runner, backend=args.backend)
-    write_bench(doc, args.out)
-    print(summarize(doc))
-    print(f"wrote {args.out}")
-    _finish_runner(runner, args)
-    if not doc["contract"]["passed"]:
-        for failure in doc["contract"]["failures"]:
-            print(f"contract failure: {failure}", file=sys.stderr)
-        sys.exit(1)
-
-
 def _cmd_faults(args) -> None:
     import json
 
@@ -501,29 +262,18 @@ def _cmd_faults(args) -> None:
         sys.exit(1)
 
 
-def _suite_fn(suite, deprecated: bool):
-    """The dispatch target for one registry suite: the legacy alias warns
-    first (the `_compat` pattern applied to subcommands), then both paths
-    run the same implementation."""
-
-    def fn(args) -> None:
-        if deprecated:
-            from ._compat import warn_deprecated_command
-
-            warn_deprecated_command(suite.name, f"bench {suite.name}")
-        if suite.out_default is None and getattr(args, "out", None):
-            _run_teed(suite, args)
-        else:
-            suite.run(args)
-
-    return fn
-
-
-def _run_teed(suite, args) -> None:
-    """``--out`` on a print-only suite: tee the rendered report to the
-    file while still printing it."""
+def _cmd_bench(args) -> None:
+    """Run one registry suite.  ``--out`` on a print-only suite tees the
+    rendered report to the file while still printing it."""
     import contextlib
     import io
+
+    from .bench.suites import BENCH_SUITES
+
+    suite = BENCH_SUITES[args.suite]
+    if suite.out_default is not None or not args.out:
+        suite.run(args)
+        return
 
     class _Tee(io.TextIOBase):
         def __init__(self, *streams):
@@ -578,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="Tables I, III, V").set_defaults(fn=_cmd_tables)
 
     # The registry-driven benchmark dispatcher: one `repro bench <suite>`
-    # subparser per registered suite, plus a deprecated top-level alias
-    # with identical flags (the pre-PR-10 command surface).
+    # subparser per registered suite.
     from .bench.suites import BENCH_SUITES
 
     pbench = sub.add_parser(
@@ -589,19 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = pbench.add_subparsers(dest="suite", required=True,
                                       metavar="<suite>")
     for suite in BENCH_SUITES.values():
-        for home, deprecated in ((bench_sub, False), (sub, True)):
-            help_text = (f"(deprecated alias of 'repro bench {suite.name}') "
-                         f"{suite.help}" if deprecated else suite.help)
-            sp = home.add_parser(suite.name, help=help_text,
-                                 parents=[runner_args, sim_args])
-            sp.add_argument(
-                "--out", default=suite.out_default, metavar="OUT",
-                help=(f"output document (default {suite.out_default})"
-                      if suite.out_default else
-                      "also write the rendered report to this file"))
-            if suite.configure is not None:
-                suite.configure(sp)
-            sp.set_defaults(fn=_suite_fn(suite, deprecated))
+        sp = bench_sub.add_parser(suite.name, help=suite.help,
+                                  parents=[runner_args, sim_args])
+        sp.add_argument(
+            "--out", default=suite.out_default, metavar="OUT",
+            help=(f"output document (default {suite.out_default})"
+                  if suite.out_default else
+                  "also write the rendered report to this file"))
+        if suite.configure is not None:
+            suite.configure(sp)
+        sp.set_defaults(fn=_cmd_bench)
 
     pdc = sub.add_parser(
         "docscheck",
@@ -712,43 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--backend", choices=BACKENDS + ("both",), default="both",
                     help="backend(s) to campaign on; 'both' (default) also "
                          "cross-checks the report digests")
-    pf.add_argument("--trace-events", action="store_true",
-                    help="accepted for CLI uniformity (fault campaigns "
-                         "always trace events)")
     pf.add_argument("--report", metavar="OUT.json", default=None,
                     help="also write the resilience report(s) as JSON")
     pf.set_defaults(fn=_cmd_faults)
     return parser
 
 
-#: Hidden aliases for flags that were renamed when the trio was unified;
-#: they keep working with a deprecation note on stderr.
-DEPRECATED_FLAGS = {
-    "--exec-backend": "--backend",
-    "--trace": "--trace-events",
-    "--events": "--trace-events",
-    "--rng-seed": "--seed",
-    "--workload-seed": "--seed",
-}
-
-
-def _rewrite_deprecated_flags(argv: list[str]) -> list[str]:
-    out = []
-    for arg in argv:
-        flag, eq, value = arg.partition("=")
-        replacement = DEPRECATED_FLAGS.get(flag)
-        if replacement is not None:
-            print(f"note: {flag} is deprecated; use {replacement}",
-                  file=sys.stderr)
-            arg = replacement + eq + value
-        out.append(arg)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_rewrite_deprecated_flags(list(argv)))
+    args = build_parser().parse_args(argv)
     args.fn(args)
     return 0
 

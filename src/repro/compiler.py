@@ -202,10 +202,3 @@ def compile_and_run(machine: ComputeCacheMachine, op: Opcode,
     plan = compiler.compile_elementwise(op, a, b, dest)
     plan.run(machine)
     return plan
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "VectorCompiler", "VectorPlan", "ArrayRef", "compile_and_run",
-))

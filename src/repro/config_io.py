@@ -173,12 +173,3 @@ def save_fault_plan(plan, path: str) -> None:
 def load_fault_plan(path: str):
     with open(path, encoding="utf-8") as handle:
         return fault_plan_from_json(handle.read())
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "config_to_dict", "config_from_dict", "config_to_json", "config_from_json",
-    "config_digest", "save_config", "load_config", "fault_plan_to_json",
-    "fault_plan_from_json", "save_fault_plan", "load_fault_plan",
-))

@@ -82,10 +82,3 @@ class ScrubService:
                 report.corrections += 1
                 report.corrected_addrs.append(addr)
         return report
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "ScrubService",
-))

@@ -143,10 +143,3 @@ class Program:
         for instr in self.instructions:
             out[instr.kind.value] = out.get(instr.kind.value, 0) + 1
         return out
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "Program", "Instr", "InstrKind",
-))

@@ -393,12 +393,3 @@ def _find_repo_root() -> Path:
         if (parent / "docs" / "isa.md").exists():
             return parent
     raise ReproError("cannot locate the repository root (docs/isa.md)")
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "run_docscheck", "generate_isa_table", "check_isa_table",
-    "check_crosslinks", "check_examples", "extract_examples",
-    "write_isa_table",
-))

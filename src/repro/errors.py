@@ -93,13 +93,3 @@ class ServeError(ReproError):
 class QueueFullError(ServeError):
     """The service job queue is at its backpressure limit; the submitter
     should retry later (HTTP 429 at the front end)."""
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "ReproError", "ConfigError", "AddressError", "OperandLocalityError",
-    "ActivationLimitError", "DataCorruptionError", "PageSpanError",
-    "PinnedLineError", "CoherenceError", "ECCError", "ISAError",
-    "RunnerError", "FaultPlanError", "ServeError", "QueueFullError",
-))

@@ -34,11 +34,3 @@ __all__ = [
     "profile_trace",
     "write_chrome_trace",
 ]
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "Event", "EventTracer", "TraceProfile", "build_profile", "format_profile",
-    "profile_machine", "profile_trace", "chrome_trace", "write_chrome_trace",
-))

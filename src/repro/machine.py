@@ -216,10 +216,3 @@ class ComputeCacheMachine:
                 if res and res[1]:
                     self.hierarchy.l3[slice_id].write_block(block, res[0], dirty=True)
             self.hierarchy.directory[slice_id].remove_sharer(block, core)
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "ComputeCacheMachine",
-))

@@ -436,12 +436,3 @@ def validate_table3(config: MachineConfig) -> dict[str, int]:
 def ns_to_cycles(ns: float, core: CoreConfig) -> int:
     """Convert nanoseconds to (rounded-up) core cycles."""
     return int(math.ceil(ns / core.cycle_ns))
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "MachineConfig", "CacheLevelConfig", "ComputeCacheConfig", "CoreConfig",
-    "MemoryConfig", "RingConfig", "TopologyConfig", "sandybridge_8core",
-    "small_test_machine", "multi_cluster",
-))

@@ -16,7 +16,7 @@ Layout:
 * :mod:`repro.serve.loadgen`  — the load generator and its bench document.
 
 Import the public names from :mod:`repro.api`; the deep paths here are
-Tier 2 (deprecated) like every other subsystem module.
+internal like every other subsystem module.
 """
 
 from __future__ import annotations
@@ -39,10 +39,3 @@ __all__ = [
     "can_coalesce",
     "schedule_key",
 ]
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "Job", "JobQueue", "JobService", "ReproServer", "BackgroundServer",
-    "LoadgenConfig", "run_loadgen",
-))

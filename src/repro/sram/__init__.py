@@ -41,10 +41,3 @@ __all__ = [
     "SubarrayStats",
     "SubarrayTiming",
 ]
-
-
-from .._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "BitCellArray", "CellType",
-))

@@ -214,10 +214,3 @@ def format_stats(snap: MachineSnapshot) -> str:
     for component, nj in snap.energy_breakdown_nj.items():
         lines.append(f"    {component:14s} {nj:12,.1f} nJ")
     return "\n".join(lines)
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "MachineSnapshot", "collect_stats", "format_stats",
-))

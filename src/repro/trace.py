@@ -181,10 +181,3 @@ def run_trace_file(path: str, machine: ComputeCacheMachine | None = None) -> Tra
     """Replay a trace file."""
     with open(path, encoding="utf-8") as handle:
         return run_trace(handle.read(), machine)
-
-
-from ._compat import deprecate_deep_imports
-
-deprecate_deep_imports(__name__, (
-    "run_trace", "run_trace_file",
-))

@@ -1,4 +1,4 @@
-"""The `repro bench <suite>` dispatcher and its deprecated aliases."""
+"""The `repro bench <suite>` dispatcher."""
 
 import json
 import warnings
@@ -48,12 +48,31 @@ class TestParser:
 
     @pytest.mark.parametrize("suite", EXPECTED_SUITES)
     def test_shared_flags_on_both_spellings(self, suite):
-        for argv in ([suite], ["bench", suite]):
-            args = build_parser().parse_args(
-                argv + ["--jobs", "2", "--no-cache", "--backend", "packed",
-                        "--seed", "7"])
-            assert args.jobs == 2 and args.no_cache
-            assert args.backend == "packed" and args.seed == 7
+        """`repro bench <suite>` takes the shared flags; the top-level
+        `repro <suite>` spelling is gone."""
+        args = build_parser().parse_args(
+            ["bench", suite, "--jobs", "2", "--no-cache", "--backend",
+             "packed", "--seed", "7"])
+        assert args.jobs == 2 and args.no_cache
+        assert args.backend == "packed" and args.seed == 7
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([suite])
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "fig3", "--exec-backend", "packed"],
+        ["bench", "fig3", "--events"],
+        ["bench", "fig3", "--rng-seed", "1"],
+        ["bench", "fig3", "--workload-seed", "1"],
+        ["bench", "speed", "--backends", "packed"],
+        ["faults", "--trace-events"],
+    ])
+    def test_removed_flags_exit(self, argv):
+        """The flag spellings docs/api.md lists as removed in 2.0.0 are
+        usage errors before any suite runs (the top-level suite spellings
+        are covered per suite above)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_crypto_defaults(self):
         args = build_parser().parse_args(["bench", "crypto"])
@@ -63,11 +82,6 @@ class TestParser:
         assert args.out == "BENCH_crypto.json"
         assert not args.no_faults
 
-    def test_alias_and_bench_share_suite_flags(self):
-        new = build_parser().parse_args(["bench", "fig7", "--size", "512"])
-        old = build_parser().parse_args(["fig7", "--size", "512"])
-        assert new.size == old.size == 512
-
 
 class TestDispatch:
     def test_bench_fig3_runs_clean(self, capsys):
@@ -75,13 +89,6 @@ class TestDispatch:
             warnings.simplefilter("error", DeprecationWarning)
             assert main(["bench", "fig3"]) == 0
         assert "Figure 3" in capsys.readouterr().out
-
-    def test_alias_still_works_but_warns(self, capsys):
-        with pytest.warns(DeprecationWarning, match="repro bench fig3"):
-            assert main(["fig3"]) == 0
-        captured = capsys.readouterr()
-        assert "Figure 3" in captured.out
-        assert "deprecated" in captured.err
 
     def test_tee_writes_report_for_print_only_suites(self, tmp_path, capsys):
         out = tmp_path / "fig3.txt"

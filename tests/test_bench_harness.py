@@ -89,21 +89,24 @@ class TestTablesFast:
 class TestCLI:
     def test_parser_subcommands(self):
         parser = build_parser()
-        for command in ("tables", "fig3", "fig7", "fig8", "fig9", "fig10",
-                        "fig11", "sweeps", "demo"):
-            args = parser.parse_args([command])
+        for argv in (["tables"], ["demo"], ["bench", "fig3"],
+                     ["bench", "fig7"], ["bench", "fig8"], ["bench", "fig9"],
+                     ["bench", "fig10"], ["bench", "fig11"],
+                     ["bench", "sweeps"]):
+            args = parser.parse_args(argv)
             assert callable(args.fn)
 
     def test_runner_flags_on_figure_and_export_commands(self):
         parser = build_parser()
-        for command in ("fig7", "fig8", "fig9", "fig10", "fig11", "sweeps",
-                        "export"):
-            args = parser.parse_args([command, "--jobs", "3", "--no-cache",
-                                      "--cache-dir", "/tmp/cc-cache"])
+        for command in (["bench", "fig7"], ["bench", "fig8"],
+                        ["bench", "fig9"], ["bench", "fig10"],
+                        ["bench", "fig11"], ["bench", "sweeps"], ["export"]):
+            args = parser.parse_args(command + ["--jobs", "3", "--no-cache",
+                                                "--cache-dir", "/tmp/cc-cache"])
             assert args.jobs == 3
             assert args.no_cache is True
             assert args.cache_dir == "/tmp/cc-cache"
-        defaults = parser.parse_args(["fig7"])
+        defaults = parser.parse_args(["bench", "fig7"])
         assert defaults.jobs == 1 and defaults.no_cache is False
         assert defaults.cache_dir == ".repro-cache"
 

@@ -37,13 +37,13 @@ class TestErrorHierarchy:
 
 class TestCLIMore:
     def test_fig3_command(self, capsys):
-        assert main(["fig3"]) == 0
+        assert main(["bench", "fig3"]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "scalar" in out and "cc" in out
 
     def test_fig7_small_size(self, capsys):
-        assert main(["fig7", "--size", "512"]) == 0
+        assert main(["bench", "fig7", "--size", "512"]) == 0
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "mean_throughput_gain" in out
@@ -62,9 +62,9 @@ class TestCLIMore:
             build_parser().parse_args(["warp-drive"])
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["fig9"])
+        args = build_parser().parse_args(["bench", "fig9"])
         assert args.scale == 0.5
-        args = build_parser().parse_args(["fig10"])
+        args = build_parser().parse_args(["bench", "fig10"])
         assert args.intervals == 1
         args = build_parser().parse_args(["export"])
         assert args.out == "results.json" and not args.full

@@ -197,7 +197,7 @@ class TestSlicedL3Partition:
 
     def test_first_touch_honours_explicit_placement(self):
         """``place_page`` pins a page's home before first touch — the
-        NUMA lever ``repro streambw``'s hub placement uses."""
+        NUMA lever ``repro bench streambw``'s hub placement uses."""
         config = multi_cluster(2, 2)
         hierarchy = CacheHierarchy(config, EnergyLedger())
         target = config.l3_slices - 1
