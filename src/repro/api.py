@@ -83,10 +83,8 @@ from .errors import (
     OperandLocalityError,
     PageSpanError,
     PinnedLineError,
-    QueueFullError,
     ReproError,
     RunnerError,
-    ServeError,
 )
 from .events import (
     Event,
@@ -110,15 +108,6 @@ from .faults import (
     run_campaign,
 )
 from .machine import ComputeCacheMachine
-from .serve import (
-    BackgroundServer,
-    Job,
-    JobQueue,
-    JobService,
-    LoadgenConfig,
-    ReproServer,
-    run_loadgen,
-)
 from .params import (
     BACKENDS,
     BLOCK_SIZE,
@@ -202,14 +191,6 @@ __all__ = [
     "bench_document",
     "bench_provenance",
     "write_bench",
-    # simulation service & load generator
-    "JobService",
-    "Job",
-    "JobQueue",
-    "ReproServer",
-    "BackgroundServer",
-    "LoadgenConfig",
-    "run_loadgen",
     "SpeedConfig",
     "run_speed",
     "StreamBWConfig",
@@ -283,6 +264,4 @@ __all__ = [
     "ISAError",
     "RunnerError",
     "FaultPlanError",
-    "ServeError",
-    "QueueFullError",
 ]

@@ -286,18 +286,3 @@ def selftest_point(value: int = 0, sleep_in_worker_s: float = 0.0,
     if sleep_in_worker_s and multiprocessing.parent_process() is not None:
         time.sleep(sleep_in_worker_s)
     return {"value": value, "doubled": 2 * value}
-
-
-@point_function("sleep")
-def sleep_point(seconds: float = 0.0, value: int = 0) -> dict[str, Any]:
-    """Deterministic-result point that burns real wall-clock time.
-
-    Unlike ``selftest``'s ``sleep_in_worker_s`` this sleeps in *any*
-    process, so the service layer's per-job timeout path — which executes
-    points on in-process threads — can be exercised, and ``repro
-    loadgen`` can emulate arbitrarily heavy jobs while keeping the result
-    (and therefore the dedup/cache behaviour) exact.
-    """
-    if seconds:
-        time.sleep(seconds)
-    return {"value": value, "slept_s": seconds}

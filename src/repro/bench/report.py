@@ -2,9 +2,9 @@
 document writer.
 
 Every benchmark trajectory file the repo emits (``BENCH_speed.json``,
-``BENCH_streambw.json``, ``BENCH_serve.json``, ``BENCH_crypto.json``,
-``results.json``) opens with the same two fields — a ``schema`` tag and
-the deterministic :func:`bench_provenance` header — so documents from
+``BENCH_streambw.json``, ``BENCH_crypto.json``, ``results.json``) opens
+with the same two fields — a ``schema`` tag and the deterministic
+:func:`bench_provenance` header — so documents from
 different trees or backends are always distinguishable and documents
 from the same tree are bit-identical however they were produced.
 :func:`bench_document` assembles that envelope in one place and

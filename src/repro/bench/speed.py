@@ -10,13 +10,12 @@ the :class:`~repro.core.stream.CCInstructionStream` scheduler — and the
 results are cross-checked bit-for-bit (per-instruction results and the
 final energy ledger must match exactly; the run aborts otherwise).
 
-The output document, ``BENCH_speed.json``, is the second entry of the
-repo's ``BENCH_*`` performance trajectory (after ``BENCH_serve.json``):
-``repro bench speed`` enforces two optional contracts, a minimum
-stream-over-sequential speedup (``--min-speedup``) and a maximum
-regression of stream instructions/sec against a committed baseline
-document (``--baseline`` / ``--tolerance``), and the CI ``speed-smoke``
-job fails on either.
+The output document, ``BENCH_speed.json``, is one of the repo's
+``BENCH_*`` performance documents.  ``repro bench speed`` enforces two
+optional contracts, a minimum stream-over-sequential speedup
+(``--min-speedup``) and a maximum regression of stream instructions/sec
+against a committed baseline document (``--baseline`` /
+``--tolerance``), and the CI ``speed-smoke`` job fails on either.
 """
 
 from __future__ import annotations

@@ -22,10 +22,6 @@ Usage::
                                      # machine-readable results JSON
     python -m repro profile t.trace --chrome-trace t.json
                                      # cycle-attribution profile of a trace
-    python -m repro serve --port 8765 --workers 4
-                                     # simulation job service (HTTP/JSON)
-    python -m repro loadgen --requests 1000 --concurrency 32
-                                     # load-test a service -> BENCH_serve.json
     python -m repro faults --seed 5  # fault-injection campaign and
                                      # resilience report (docs/faults.md)
 
@@ -154,79 +150,6 @@ def _cmd_export(args) -> None:
     _finish_runner(runner, args)
 
 
-def _cmd_serve(args) -> None:
-    import asyncio
-
-    from .serve import JobService, ReproServer
-
-    async def main() -> None:
-        journal = None
-        if not args.no_journal:
-            journal = args.journal or f"{args.cache_dir}/serve-journal.jsonl"
-        service = JobService(
-            workers=args.workers, cache_dir=args.cache_dir,
-            use_cache=not args.no_cache, backend=args.backend,
-            max_queue=args.max_queue, timeout_s=args.job_timeout,
-            retries=args.retries, journal_path=journal,
-            pool_jobs=args.jobs)
-        server = ReproServer(service, host=args.host, port=args.port)
-        await server.start()
-        print(f"repro serve listening on {server.url} "
-              f"(workers={args.workers}, cache="
-              f"{'off' if args.no_cache else args.cache_dir}, "
-              f"journal={journal or 'off'})", flush=True)
-
-        import contextlib
-        import signal
-
-        loop = asyncio.get_running_loop()
-        drain = asyncio.Event()
-        with contextlib.suppress(NotImplementedError):
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                loop.add_signal_handler(sig, drain.set)
-        waiter = asyncio.create_task(drain.wait())
-        stopped = asyncio.create_task(server.serve_until_stopped())
-        await asyncio.wait({waiter, stopped},
-                           return_when=asyncio.FIRST_COMPLETED)
-        if drain.is_set():
-            print("draining...", flush=True)
-            await server.stop(drain=True)
-        waiter.cancel()
-        stopped.cancel()
-        if args.trace_events:
-            from .bench.runner import format_runner_profile
-
-            print(format_runner_profile(service.tracer))
-        print(service.stats.line())
-
-    asyncio.run(main())
-
-
-def _cmd_loadgen(args) -> None:
-    import asyncio
-
-    from .bench.report import write_bench
-    from .serve.loadgen import LoadgenConfig, run_loadgen, summarize
-
-    cfg = LoadgenConfig(
-        url=args.url, requests=args.requests, concurrency=args.concurrency,
-        distinct=args.distinct, distribution=args.distribution,
-        zipf_s=args.zipf_s, seed=args.seed if args.seed is not None else 0,
-        point=args.point, sleep_ms=args.sleep_ms,
-        contract_p99_ms=args.contract_p99_ms, workers=args.workers,
-        cache_dir=args.cache_dir, use_cache=not args.no_cache,
-        backend=args.backend)
-    doc = asyncio.run(run_loadgen(cfg))
-    write_bench(doc, args.out)
-    print(summarize(doc))
-    print(f"wrote {args.out}")
-    metrics = doc["metrics"]
-    ok = (metrics["lost"] == 0 and metrics["duplicated"] == 0
-          and metrics["inconsistent"] == 0 and doc["contract"]["passed"])
-    if not ok:
-        sys.exit(1)
-
-
 def _cmd_faults(args) -> None:
     import json
 
@@ -238,10 +161,10 @@ def _cmd_faults(args) -> None:
         from .config_io import load_fault_plan
 
         plan = load_fault_plan(args.plan)
-        if args.seed != plan.seed:
+        if args.seed is not None:
             plan = replace(plan, seed=args.seed)
     else:
-        plan = default_plan(args.seed)
+        plan = default_plan(args.seed or 0)
     backends = BACKENDS if args.backend == "both" else (args.backend,)
     reports = [run_campaign(plan, backend=backend) for backend in backends]
     print(reports[0].format())
@@ -393,65 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include Figures 8b/9/10/11 (minutes of simulation)")
     pe.set_defaults(fn=_cmd_export)
 
-    ps = sub.add_parser(
-        "serve",
-        help="run the simulation job service (HTTP/JSON; see "
-             "docs/serving.md)",
-        parents=[runner_args, sim_args])
-    ps.add_argument("--host", default="127.0.0.1")
-    ps.add_argument("--port", type=int, default=8765,
-                    help="listen port (0 = ephemeral; default 8765)")
-    ps.add_argument("--workers", type=int, default=4,
-                    help="concurrent job workers (default 4); --jobs N>1 "
-                         "additionally gives each worker a process pool")
-    ps.add_argument("--max-queue", type=int, default=1024,
-                    help="backpressure limit on queued jobs (default 1024)")
-    ps.add_argument("--job-timeout", type=float, default=60.0,
-                    help="default per-job wall-clock timeout in seconds")
-    ps.add_argument("--retries", type=int, default=1,
-                    help="default per-job retry budget after timeouts")
-    ps.add_argument("--journal", metavar="PATH", default=None,
-                    help="queue journal path (default "
-                         "<cache-dir>/serve-journal.jsonl)")
-    ps.add_argument("--no-journal", action="store_true",
-                    help="disable queue persistence")
-    ps.set_defaults(fn=_cmd_serve)
-
-    pl = sub.add_parser(
-        "loadgen",
-        help="replay concurrent jobs against a service and write "
-             "BENCH_serve.json (see docs/serving.md)",
-        parents=[runner_args, sim_args])
-    pl.add_argument("--url", default=None,
-                    help="service base URL (default: spawn an in-process "
-                         "server on an ephemeral port)")
-    pl.add_argument("--requests", type=int, default=1000)
-    pl.add_argument("--concurrency", type=int, default=32)
-    pl.add_argument("--distinct", type=int, default=50,
-                    help="distinct job configurations in the catalog")
-    pl.add_argument("--distribution", choices=("zipf", "uniform"),
-                    default="zipf")
-    pl.add_argument("--zipf-s", type=float, default=1.1,
-                    help="Zipf popularity exponent (default 1.1)")
-    pl.add_argument("--point", choices=("selftest", "sleep", "kernel"),
-                    default="selftest",
-                    help="job kind in the catalog (default selftest)")
-    pl.add_argument("--sleep-ms", type=float, default=0.0,
-                    help="simulated per-job work for --point sleep")
-    pl.add_argument("--workers", type=int, default=4,
-                    help="workers for the spawned server (ignored w/ --url)")
-    pl.add_argument("--contract-p99-ms", type=float, default=None,
-                    help="fail (exit 1) if p99 latency exceeds this")
-    pl.add_argument("--out", default="BENCH_serve.json")
-    pl.set_defaults(fn=_cmd_loadgen)
-
     pf = sub.add_parser(
         "faults",
         help="run a deterministic fault-injection campaign and report "
              "resilience (see docs/faults.md)",
     )
-    pf.add_argument("--seed", type=int, default=0, metavar="N",
-                    help="fault-schedule seed (default 0)")
+    pf.add_argument("--seed", type=int, default=None, metavar="N",
+                    help="fault-schedule seed (default: the plan's own seed "
+                         "with --plan, else 0)")
     pf.add_argument("--plan", metavar="PLAN.json", default=None,
                     help="fault plan JSON (default: the built-in default "
                          "plan covering every fault kind)")

@@ -70,7 +70,6 @@ DOC_FILES = (
     "docs/modeling.md",
     "docs/neural_cache.md",
     "docs/profiling.md",
-    "docs/serving.md",
     "docs/topology.md",
     "benchmarks/README.md",
 )

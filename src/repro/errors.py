@@ -83,13 +83,3 @@ class RunnerError(ReproError):
 
 class FaultPlanError(ConfigError):
     """A fault-injection plan is malformed (unknown kind, bad probability)."""
-
-
-class ServeError(ReproError):
-    """A job submitted to the simulation service is invalid, or the
-    service cannot accept it (draining, stopped, unknown point function)."""
-
-
-class QueueFullError(ServeError):
-    """The service job queue is at its backpressure limit; the submitter
-    should retry later (HTTP 429 at the front end)."""

@@ -70,11 +70,6 @@ Event kinds
                     ``serial-fallback``, ``failed``; ``span`` =
                     wall-clock seconds, not simulated cycles).
 ``runner.batch``    One sweep-runner batch (``span`` = wall seconds).
-``serve.job``       One job-service transition (``phase``: ``queued``,
-                    ``coalesced``, ``requeued``, ``start``, ``timeout``,
-                    ``retry``, ``done``, ``failed``, ``shutdown``;
-                    ``reason`` = job id, ``opcode`` = point function,
-                    ``span`` = wall seconds).
 ``fault.inject``    One fault delivered by :mod:`repro.faults` (``reason``
                     names the fault kind, e.g. ``sram.bitflip``,
                     ``controller.pin-steal``, ``directory.duplicate``).

@@ -65,11 +65,13 @@ class TestParser:
         ["bench", "fig3", "--workload-seed", "1"],
         ["bench", "speed", "--backends", "packed"],
         ["faults", "--trace-events"],
+        ["serve", "--help"],
+        ["loadgen", "--help"],
     ])
     def test_removed_flags_exit(self, argv):
-        """The flag spellings docs/api.md lists as removed in 2.0.0 are
-        usage errors before any suite runs (the top-level suite spellings
-        are covered per suite above)."""
+        """The flag spellings and commands docs/api.md lists as removed in
+        2.0.0 and 3.0.0 are usage errors before anything runs (the
+        top-level suite spellings are covered per suite above)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

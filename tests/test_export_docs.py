@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.export import export_fast, write_results
+from repro.docscheck import DOC_FILES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -73,13 +74,8 @@ class TestDocumentationConsistency:
         text = markdown.read_text(encoding="utf-8")
         return set(self.PATH_RE.findall(text))
 
-    @pytest.mark.parametrize("doc_name", [
-        "README.md", "DESIGN.md", "EXPERIMENTS.md",
-        "docs/architecture.md", "docs/isa.md", "docs/modeling.md",
-        "docs/api.md", "docs/profiling.md", "docs/benchmarks.md",
-        "docs/neural_cache.md", "docs/faults.md", "docs/serving.md",
-        "benchmarks/README.md",
-    ])
+    @pytest.mark.parametrize(
+        "doc_name", (*DOC_FILES, "DESIGN.md", "EXPERIMENTS.md"))
     def test_referenced_files_exist(self, doc_name):
         doc = REPO / doc_name
         assert doc.exists(), f"missing documentation file {doc_name}"

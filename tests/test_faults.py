@@ -3,9 +3,11 @@
 Covers the plan schema, the deterministic injector, the end-to-end
 resilience campaign (zero silent corruptions, cross-backend and rerun
 bit-identity), the chaos-pool runner degradation, an ECC single/double-bit
-sweep over logical ops on both backends, and eager backend validation.
+sweep over logical ops on both backends, eager backend validation, and
+which seed ``repro faults --plan`` runs.
 """
 
+import json
 import random
 from dataclasses import replace
 
@@ -26,9 +28,11 @@ from repro.api import (
     fault_plan_from_json,
     fault_plan_to_json,
     run_campaign,
+    save_fault_plan,
     small_test_machine,
 )
 from repro.bench.points import selftest_point
+from repro.cli import main
 
 
 class TestFaultPlan:
@@ -203,3 +207,17 @@ class TestCampaign:
                               include_runner=False)
         assert report.total_injected == 0
         assert report.silent == 0
+
+
+class TestCLISeed:
+    @pytest.mark.parametrize("seed_args, expected", [([], 5), (["--seed", "7"], 7)])
+    def test_plan_seed_kept_unless_overridden(self, tmp_path, seed_args, expected):
+        """``repro faults --plan`` runs the plan's own seed; ``--seed``
+        replaces it only when given."""
+        plan = tmp_path / "plan.json"
+        report = tmp_path / "report.json"
+        save_fault_plan(default_plan(5), plan)
+        assert main(["faults", "--plan", str(plan), "--backend", "packed",
+                     "--report", str(report), *seed_args]) == 0
+        [doc] = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["seed"] == expected
