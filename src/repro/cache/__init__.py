@@ -9,10 +9,11 @@ operands always share bit-lines.
 
 Data is physically stored in :class:`~repro.sram.ComputeSubarray` instances
 (one per block partition), which is what lets the CC controller compute on
-cached data in place.
+cached data in place.  Tags, states, LRU stamps and pins sit in flat
+per-level lists with a block-number index (:mod:`repro.cache.set_assoc`).
 """
 
-from .block import MESIState, TagEntry
+from .block import MESIState
 from .cache import CacheLevel
 from .geometry import AddressParts, CacheGeometry
 from .hierarchy import CacheHierarchy
@@ -23,7 +24,6 @@ from .ring import RingInterconnect
 
 __all__ = [
     "MESIState",
-    "TagEntry",
     "CacheLevel",
     "AddressParts",
     "CacheGeometry",

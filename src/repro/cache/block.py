@@ -1,9 +1,8 @@
-"""Cache-block metadata: MESI states and tag entries."""
+"""Cache-block metadata: MESI states."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 
 class MESIState(enum.Enum):
@@ -26,28 +25,3 @@ class MESIState(enum.Enum):
     def dirty(self) -> bool:
         return self is MESIState.MODIFIED
 
-
-@dataclass
-class TagEntry:
-    """One way of one set: tag, coherence state, replacement + pin metadata.
-
-    ``pinned`` marks lines locked by an in-flight CC operation
-    (Section IV-E); pinned lines are skipped by victim selection, and the
-    controller both promotes them to MRU and releases them on forwarded
-    coherence requests to avoid deadlock.
-    """
-
-    tag: int = 0
-    state: MESIState = MESIState.INVALID
-    lru: int = 0
-    pinned: bool = False
-    pin_owner: int | None = field(default=None)
-
-    @property
-    def valid(self) -> bool:
-        return self.state is not MESIState.INVALID
-
-    def invalidate(self) -> None:
-        self.state = MESIState.INVALID
-        self.pinned = False
-        self.pin_owner = None

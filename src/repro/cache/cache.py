@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..bitops import bits_to_bytes
 from ..energy.accounting import EnergyLedger
 from ..energy.mcpat import charge_cache_read, charge_cache_write
 from ..errors import AddressError, CoherenceError
-from ..params import CacheLevelConfig
+from ..params import BLOCK_SIZE, CacheLevelConfig
 from ..sram import ComputeSubarray
 from .block import MESIState
 from .geometry import CacheGeometry
@@ -62,6 +63,10 @@ class CacheLevel:
         self.tracer = tracer
         self.unit = unit
         self.tags = SetAssociativeArray(config)
+        self._way_of = self.tags.index.get
+        self._offset_bits = config.offset_bits
+        self._set_bits = self.tags.set_index_bits
+        self._set_mask = self.tags.sets - 1
         self.geometry = CacheGeometry(
             config, wordline_underdrive=wordline_underdrive, backend=backend
         )
@@ -79,15 +84,29 @@ class CacheLevel:
 
     # -- presence -----------------------------------------------------------------
 
-    def _parts(self, addr: int):
-        if addr % self.config.block_size:
+    def _block(self, addr: int) -> int:
+        """Block number (the tag store's index key) of a block address."""
+        if addr % BLOCK_SIZE:
             raise AddressError(f"{self.name}: unaligned block address {addr:#x}")
-        return self.geometry.decode(addr)
+        if addr < 0:
+            raise AddressError(f"negative address {addr:#x}")
+        return addr >> self._offset_bits
+
+    def _line(self, addr: int) -> tuple[int, int | None]:
+        """``(set_index, way)`` of a block address; way None if absent."""
+        block = self._block(addr)
+        return block & self._set_mask, self._way_of(block)
+
+    def _resident(self, addr: int, what: str) -> tuple[int, int]:
+        set_index, way = self._line(addr)
+        if way is None:
+            raise CoherenceError(f"{self.name}: {what} absent block {addr:#x}")
+        return set_index, way
 
     def lookup(self, addr: int) -> int | None:
         """Tag lookup (counted); returns the way or None."""
-        parts = self._parts(addr)
-        way = self.tags.lookup(parts.set_index, parts.tag)
+        block = self._block(addr)
+        way = self.tags.lookup(block & self._set_mask, block >> self._set_bits)
         if self.tracer is not None:
             self.tracer.emit("cache.lookup", level=self.name, unit=self.unit,
                              addr=addr, outcome="hit" if way is not None else "miss")
@@ -95,35 +114,24 @@ class CacheLevel:
 
     def probe(self, addr: int) -> int | None:
         """Uncounted presence check (coherence probes, CC level selection)."""
-        parts = self._parts(addr)
-        return self.tags.probe(parts.set_index, parts.tag)
+        return self._way_of(self._block(addr))
 
     def contains(self, addr: int) -> bool:
-        return self.probe(addr) is not None
+        return self._way_of(self._block(addr)) is not None
 
     def state_of(self, addr: int) -> MESIState:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            return MESIState.INVALID
-        return self.tags.entry(parts.set_index, way).state
+        set_index, way = self._line(addr)
+        return MESIState.INVALID if way is None else self.tags.state(set_index, way)
 
     def set_state(self, addr: int, state: MESIState) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: state change on absent block {addr:#x}")
-        self.tags.entry(parts.set_index, way).state = state
+        self.tags.set_state(*self._resident(addr, "state change on"), state)
 
     # -- data plane ----------------------------------------------------------------
 
     def read_block(self, addr: int, charge: bool = True) -> bytes:
         """Read a resident block (conventional access: array + H-tree)."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: read of absent block {addr:#x}")
-        self.tags.touch(parts.set_index, way)
+        set_index, way = self._resident(addr, "read of")
+        self.tags.touch(set_index, way)
         self.stats.reads += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -131,18 +139,15 @@ class CacheLevel:
                              addr=addr)
         if charge:
             charge_cache_read(self.ledger, self.name)
-        return self.geometry.read_data(addr, way)
+        sub, row = self.geometry.slot(set_index, way)
+        return sub.read_block(row)
 
     def write_block(self, addr: int, data: bytes, dirty: bool = True, charge: bool = True) -> None:
         """Write a resident block; marks it MODIFIED unless ``dirty=False``."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: write to absent block {addr:#x}")
-        entry = self.tags.entry(parts.set_index, way)
+        set_index, way = self._resident(addr, "write to")
         if dirty:
-            entry.state = MESIState.MODIFIED
-        self.tags.touch(parts.set_index, way)
+            self.tags.set_state(set_index, way, MESIState.MODIFIED)
+        self.tags.touch(set_index, way)
         self.stats.writes += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -150,7 +155,8 @@ class CacheLevel:
                              addr=addr)
         if charge:
             charge_cache_write(self.ledger, self.name)
-        self.geometry.write_data(addr, way, data)
+        sub, row = self.geometry.slot(set_index, way)
+        sub.write_block(row, data)
 
     def fill(self, addr: int, data: bytes, state: MESIState) -> Eviction | None:
         """Allocate a block, evicting the LRU victim if needed.
@@ -158,26 +164,25 @@ class CacheLevel:
         Returns the eviction (with its data and dirtiness) so the caller -
         the coherence engine - can write it back or drop it.
         """
-        parts = self._parts(addr)
-        existing = self.tags.probe(parts.set_index, parts.tag)
-        if existing is not None:
+        block = self._block(addr)
+        if self._way_of(block) is not None:
             raise CoherenceError(f"{self.name}: double fill of block {addr:#x}")
-        way = self.tags.victim_way(parts.set_index)
-        victim_entry = self.tags.entry(parts.set_index, way)
+        tags, set_index = self.tags, block & self._set_mask
+        way = tags.victim_way(set_index)
+        sub, row = self.geometry.slot(set_index, way)
+        victim_state = tags.state(set_index, way)
         eviction = None
-        if victim_entry.valid:
-            victim_addr = self.geometry.rebuild_address(victim_entry.tag, parts.set_index)
-            victim_data = self.geometry.read_data(victim_addr, way)
-            eviction = Eviction(
-                addr=victim_addr, data=victim_data, dirty=victim_entry.state.dirty
-            )
+        if victim_state is not MESIState.INVALID:
+            victim_block = tags.tag(set_index, way) << self._set_bits | set_index
+            victim_addr = victim_block << self._offset_bits
+            eviction = Eviction(victim_addr, sub.read_block(row), victim_state.dirty)
             if eviction.dirty:
                 self.stats.writebacks_out += 1
                 if self.tracer is not None:
                     self.tracer.emit("cache.writeback", level=self.name,
                                      unit=self.unit, addr=victim_addr)
-        self.tags.install(parts.set_index, way, parts.tag, state)
-        self.geometry.write_data(addr, way, data)
+        tags.install(set_index, way, block >> self._set_bits, state)
+        sub.write_block(row, data)
         self.stats.fills += 1
         self.epoch += 1
         if self.tracer is not None:
@@ -188,27 +193,20 @@ class CacheLevel:
 
     def invalidate(self, addr: int) -> tuple[bytes, bool] | None:
         """Remove a block; returns ``(data, dirty)`` if it was present."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
+        set_index, way = self._line(addr)
         if way is None:
             return None
-        entry = self.tags.entry(parts.set_index, way)
-        data = self.geometry.read_data(addr, way)
-        dirty = entry.state.dirty
-        entry.invalidate()
+        sub, row = self.geometry.slot(set_index, way)
+        data = sub.read_block(row)
+        dirty = self.tags.state(set_index, way).dirty
+        self.tags.invalidate(set_index, way)
         self.epoch += 1
         return data, dirty
 
     def peek_block(self, addr: int) -> bytes:
         """Read a resident block without touching LRU, stats, or energy
         (verification backdoor)."""
-        from ..bitops import bits_to_bytes
-
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: peek of absent block {addr:#x}")
-        sub, row = self.geometry.locate(addr, way)
+        sub, row = self.geometry.slot(*self._resident(addr, "peek of"))
         if sub.is_packed:
             return sub.cells.read_row_bytes(row)
         return bits_to_bytes(sub.cells.read_row(row))
@@ -217,37 +215,26 @@ class CacheLevel:
 
     def locate(self, addr: int) -> tuple[ComputeSubarray, int]:
         """``(sub-array, row)`` of a resident block for in-place compute."""
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: locate of absent block {addr:#x}")
-        return self.geometry.locate(addr, way)
+        return self.geometry.slot(*self._resident(addr, "locate of"))
 
     def pin(self, addr: int, owner: int) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            raise CoherenceError(f"{self.name}: pin of absent block {addr:#x}")
-        self.tags.pin(parts.set_index, way, owner)
+        self.tags.pin(*self._resident(addr, "pin of"), owner)
 
     def unpin(self, addr: int) -> None:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
+        set_index, way = self._line(addr)
         if way is not None:
-            self.tags.unpin(parts.set_index, way)
+            self.tags.unpin(set_index, way)
 
     def is_pinned(self, addr: int) -> bool:
-        parts = self._parts(addr)
-        way = self.tags.probe(parts.set_index, parts.tag)
-        if way is None:
-            return False
-        return self.tags.entry(parts.set_index, way).pinned
+        set_index, way = self._line(addr)
+        return way is not None and self.tags.pin_owner(set_index, way) is not None
 
     # -- debugging / inclusion audits ----------------------------------------------
 
     def resident_addresses(self) -> list[int]:
-        """Addresses of all valid blocks (inclusion-invariant checks)."""
+        """Addresses of all valid blocks, set-major and way-minor
+        (inclusion-invariant checks, scrubbing, fault-strike selection)."""
         return [
-            self.geometry.rebuild_address(entry.tag, set_index)
-            for set_index, _way, entry in self.tags.valid_entries()
+            (tag << self._set_bits | set_index) << self._offset_bits
+            for set_index, _way, tag in self.tags.valid_entries()
         ]

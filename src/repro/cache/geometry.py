@@ -77,6 +77,7 @@ class CacheGeometry:
         self._bp_shift = config.bank_bits
         self._bp_mask = config.bps_per_bank - 1
         self._rg_shift = config.bank_bits + config.bp_bits
+        self._low_set_mask = config.num_partitions - 1
         self._ways = config.ways
         self._bps_per_bank = config.bps_per_bank
         self._decode_cache: dict[int, AddressParts] = {}
@@ -94,6 +95,11 @@ class CacheGeometry:
                 backend=backend,
             )
             for _ in range(config.num_partitions)
+        ]
+        # A set's sub-array, by its low set-index bits (bank, then bp).
+        self._subarray_by_low_set = [
+            self.subarrays[(low & self._bank_mask) * self._bps_per_bank + (low >> self._bp_shift)]
+            for low in range(config.num_partitions)
         ]
 
     # -- address decode -------------------------------------------------------
@@ -133,23 +139,7 @@ class CacheGeometry:
             raise AddressError(f"way {way} outside 0..{self._ways - 1}")
         return (set_index >> self._rg_shift) * self._ways + way
 
-    def subarray_for(self, addr: int) -> ComputeSubarray:
-        """The sub-array (block partition) holding an address."""
-        return self.subarrays[self.partition_of(addr)]
-
     # -- physical data plane ----------------------------------------------------
-
-    def read_data(self, addr: int, way: int) -> bytes:
-        """Read the 64-byte block at (addr's set, way) from its sub-array."""
-        parts = self.decode(addr)
-        row = self.row_of(parts.set_index, way)
-        return self.subarrays[parts.partition].read_block(row)
-
-    def write_data(self, addr: int, way: int, data: bytes) -> None:
-        """Write a 64-byte block into (addr's set, way)'s sub-array row."""
-        parts = self.decode(addr)
-        row = self.row_of(parts.set_index, way)
-        self.subarrays[parts.partition].write_block(row, data)
 
     def locate(self, addr: int, way: int) -> tuple[ComputeSubarray, int]:
         """``(sub-array, row)`` of a resident block - the handle the CC
@@ -157,6 +147,11 @@ class CacheGeometry:
         parts = self.decode(addr)
         row = self.row_of(parts.set_index, way)
         return self.subarrays[parts.partition], row
+
+    def slot(self, set_index: int, way: int) -> tuple[ComputeSubarray, int]:
+        """``(sub-array, row)`` of an in-range (set, way); no address decode."""
+        return (self._subarray_by_low_set[set_index & self._low_set_mask],
+                (set_index >> self._rg_shift) * self._ways + way)
 
     def write_key(self, partition: int, key: bytes) -> int:
         """Replicate a search key into a partition's reserved key row.
@@ -166,14 +161,3 @@ class CacheGeometry:
         """
         self.subarrays[partition].write_block(self.key_row, key)
         return self.key_row
-
-    # -- reconstruction (for tests/debug) ---------------------------------------
-
-    def rebuild_address(self, tag: int, set_index: int, offset: int = 0) -> int:
-        """Inverse of :meth:`decode` (round-trip tested)."""
-        cfg = self.config
-        return (
-            (tag << (cfg.offset_bits + cfg.set_index_bits))
-            | (set_index << cfg.offset_bits)
-            | offset
-        )

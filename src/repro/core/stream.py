@@ -392,7 +392,7 @@ class CCInstructionStream:
                 # controller's staging); fetches are no-ops by precondition.
                 for (_addr, is_dest), (set_index, way, _sub, _row) in zip(spec, locs):
                     if is_dest:
-                        tags.entry(set_index, way).state = MESIState.MODIFIED
+                        tags.set_state(set_index, way, MESIState.MODIFIED)
                     tags.pin(set_index, way, op.instr_id)
                 rows = operand_rows(op, [loc[3] for loc in locs],
                                     cache.geometry.key_row)

@@ -134,8 +134,9 @@ class FaultInjector:
 
     def _strike_candidates(self, slice_id: int, clean_only: bool) -> list[int]:
         """Resident L3 blocks eligible for a strike, in deterministic
-        (fill) order.  ``clean_only`` restricts to clean, unshared blocks
-        — the ones an uncorrectable upset can recover from by refetch."""
+        set-major, way-minor order.  ``clean_only`` restricts to clean,
+        unshared blocks — the ones an uncorrectable upset can recover from
+        by refetch."""
         h = self.machine.hierarchy
         l3 = h.l3[slice_id]
         out = []

@@ -19,7 +19,7 @@ applications, and the benchmark harness::
 from __future__ import annotations
 
 from .alloc import Arena
-from .cache.hierarchy import CacheHierarchy
+from .cache.hierarchy import CacheHierarchy, block_of
 from .core.controller import CCResult, ComputeCacheController
 from .core.isa import CCInstruction
 from .core.stream import DEFAULT_WINDOW, CCInstructionStream, StreamResult
@@ -28,7 +28,7 @@ from .cpu.program import Program
 from .energy.accounting import EnergyLedger
 from .energy.mcpat import PowerModel, TotalEnergy
 from .errors import AddressError, ConfigError
-from .params import BACKENDS, MachineConfig, sandybridge_8core
+from .params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
 
 
 class ComputeCacheMachine:
@@ -86,14 +86,14 @@ class ComputeCacheMachine:
         Only safe before the range is cached; raises if any block of the
         range is currently resident somewhere in the hierarchy.
         """
-        for block in range(addr & ~63, addr + len(data), 64):
+        for block in range(block_of(addr), addr + len(data), BLOCK_SIZE):
             for core in range(self.config.cores):
                 if self.hierarchy.l1[core].contains(block) or \
                         self.hierarchy.l2[core].contains(block):
                     raise AddressError(
                         f"backdoor load into cached block {block:#x}; use write()"
                     )
-            slice_id = self.hierarchy._page_to_slice.get(block // 4096)
+            slice_id = self.hierarchy._page_to_slice.get(block // PAGE_SIZE)
             if slice_id is not None and self.hierarchy.l3[slice_id].contains(block):
                 raise AddressError(
                     f"backdoor load into cached block {block:#x}; use write()"
@@ -201,14 +201,14 @@ class ComputeCacheMachine:
     def touch_range(self, addr: int, size: int, core: int = 0,
                     for_write: bool = False) -> None:
         """Bring a byte range into the core's caches (warms L1/L2/L3)."""
-        for block in range(addr & ~63, addr + size, 64):
+        for block in range(block_of(addr), addr + size, BLOCK_SIZE):
             self.hierarchy.access_block(core, block, for_write=for_write)
 
     def warm_l3(self, addr: int, size: int, core: int = 0) -> None:
         """Place a range in L3 only (resident for CC_L3 experiments):
         touch it, then flush the private copies down."""
         self.touch_range(addr, size, core=core)
-        for block in range(addr & ~63, addr + size, 64):
+        for block in range(block_of(addr), addr + size, BLOCK_SIZE):
             slice_id = self.hierarchy.home_slice(block, core)
             for level in ("L1", "L2"):
                 cache = self.hierarchy.level_cache(level, core, block)

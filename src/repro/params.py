@@ -59,12 +59,16 @@ class CacheLevelConfig:
     block_size: int = BLOCK_SIZE
 
     def __post_init__(self) -> None:
+        if self.block_size != BLOCK_SIZE:
+            raise ConfigError(
+                f"{self.name}: block_size={self.block_size} is unsupported; the "
+                f"hierarchy, memory and ring move {BLOCK_SIZE}-byte blocks"
+            )
         for label, value in (
             ("size", self.size),
             ("ways", self.ways),
             ("banks", self.banks),
             ("bps_per_bank", self.bps_per_bank),
-            ("block_size", self.block_size),
         ):
             if not _is_pow2(value):
                 raise ConfigError(f"{self.name}: {label}={value} must be a power of two")

@@ -132,3 +132,18 @@ class TestEnergyCharging:
         sub, row = level.locate(0x1000)
         assert sub.read_block(row) == level.peek_block(0x1000)
         assert level.resident_addresses() == [0x1000]
+
+    def test_resident_addresses_are_set_major_way_minor(self, level):
+        stride = level.config.sets * level.config.block_size
+
+        def addr(set_index, tag):
+            return tag * stride + set_index * level.config.block_size
+
+        for set_index, tag in [(3, 0), (0, 0), (2, 1), (0, 1), (3, 2), (1, 0), (0, 2)]:
+            level.fill(addr(set_index, tag), bytes(64), MESIState.SHARED)
+        level.invalidate(addr(0, 0))
+        level.fill(addr(0, 5), bytes(64), MESIState.SHARED)  # refills way 0
+        assert level.resident_addresses() == [
+            addr(0, 5), addr(0, 1), addr(0, 2), addr(1, 0), addr(2, 1),
+            addr(3, 0), addr(3, 2),
+        ]

@@ -45,10 +45,14 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
-    def test_invalid_geometry_rejected_on_load(self):
+    @pytest.mark.parametrize("field, value", [
+        ("size", 3000),        # not a power of two
+        ("block_size", 128),   # the hierarchy moves 64-byte blocks only
+    ])
+    def test_invalid_geometry_rejected_on_load(self, field, value):
         doc = config_to_dict(small_test_machine())
-        doc["l1d"]["size"] = 3000  # not a power of two
-        with pytest.raises(ConfigError):
+        doc["l1d"][field] = value
+        with pytest.raises(ConfigError, match=field):
             config_from_dict(doc)
 
     def test_rebuilt_machine_runs(self, make_bytes):

@@ -39,7 +39,10 @@ class TestAddressDecode:
     def test_decode_rebuild_round_trip(self, addr):
         geo = CacheGeometry(sandybridge_8core().l3_slice)
         parts = geo.decode(addr)
-        assert geo.rebuild_address(parts.tag, parts.set_index, parts.offset) == addr
+        cfg = geo.config
+        rebuilt = ((parts.tag << (cfg.offset_bits + cfg.set_index_bits))
+                   | (parts.set_index << cfg.offset_bits) | parts.offset)
+        assert rebuilt == addr
 
     @given(st.integers(min_value=0, max_value=2**30 - 1))
     @settings(max_examples=50)
@@ -74,25 +77,37 @@ class TestWayMapping:
         with pytest.raises(AddressError):
             l3_geo.row_of(0, l3_geo.config.ways)
 
+    def test_slot_matches_decoded_locate_for_every_set(self, l3_geo):
+        cfg = l3_geo.config
+        for set_index in range(cfg.sets):
+            addr = (7 << (cfg.offset_bits + cfg.set_index_bits)) | (set_index << cfg.offset_bits)
+            for way in (0, cfg.ways - 1):
+                sub, row = l3_geo.slot(set_index, way)
+                located_sub, located_row = l3_geo.locate(addr, way)
+                assert sub is located_sub and row == located_row
+
 
 class TestDataPlane:
     def test_write_read_round_trip(self, small_geo, make_bytes):
         data = make_bytes(64)
-        small_geo.write_data(0x440, 2, data)
-        assert small_geo.read_data(0x440, 2) == data
+        sub, row = small_geo.locate(0x440, 2)
+        sub.write_block(row, data)
+        assert sub.read_block(row) == data
 
     def test_different_ways_independent(self, small_geo, make_bytes):
         d0, d1 = make_bytes(64), make_bytes(64)
-        small_geo.write_data(0x100, 0, d0)
-        small_geo.write_data(0x100, 1, d1)
-        assert small_geo.read_data(0x100, 0) == d0
-        assert small_geo.read_data(0x100, 1) == d1
+        (sub0, row0), (sub1, row1) = small_geo.locate(0x100, 0), small_geo.locate(0x100, 1)
+        sub0.write_block(row0, d0)
+        sub1.write_block(row1, d1)
+        assert sub0.read_block(row0) == d0
+        assert sub1.read_block(row1) == d1
 
     def test_locate_returns_live_handle(self, small_geo, make_bytes):
         data = make_bytes(64)
-        small_geo.write_data(0x200, 3, data)
         sub, row = small_geo.locate(0x200, 3)
-        assert sub.read_block(row) == data
+        sub.write_block(row, data)
+        again, again_row = small_geo.locate(0x200, 3)
+        assert again.read_block(again_row) == data
 
     def test_key_row_reserved(self, small_geo, make_bytes):
         """The key row is beyond all data rows and independent of them."""

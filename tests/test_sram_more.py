@@ -94,11 +94,12 @@ class TestKeyRowIndependence:
         geo = CacheGeometry(small_test_machine().l1d)
         data = make_bytes(64)
         key = make_bytes(64)
-        geo.write_data(0x0, 0, data)
+        sub, row = geo.locate(0x0, 0)
+        sub.write_block(row, data)
         partition = geo.partition_of(0x0)
         geo.write_key(partition, key)
-        assert geo.read_data(0x0, 0) == data
-        geo.write_data(0x0, 0, make_bytes(64))
+        assert sub.read_block(row) == data
+        sub.write_block(row, make_bytes(64))
         assert geo.subarrays[partition].read_block(geo.key_row) == key
 
 
