@@ -63,7 +63,6 @@ from .config_io import (
 )
 from .core import isa as cc_ops
 from .docscheck import generate_isa_table, run_docscheck
-from .bench.speed import SpeedConfig, run_speed
 from .core.controller import CCResult, ComputeCacheController
 from .core.isa import ARITH_ELEM_BITS, CCInstruction, Opcode
 from .core.scrub import ScrubService
@@ -191,8 +190,6 @@ __all__ = [
     "bench_document",
     "bench_provenance",
     "write_bench",
-    "SpeedConfig",
-    "run_speed",
     "StreamBWConfig",
     "run_streambw_sweep",
     # faults & resilience

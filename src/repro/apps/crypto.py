@@ -315,9 +315,10 @@ def _fold_slabs(runner: StreamRunner, m: ComputeCacheMachine,
     the two per-row lane parities are XOR-accumulated on the host - the
     same partial-fold accumulation hardware CRC engines pipeline.  The
     per-block instructions are mutually independent (read-only message,
-    disjoint dests), so without a fault injector they issue through the
-    PR 7 stream scheduler and overlap; under a campaign ``pulse`` they
-    run one at a time so faults can land between instructions.
+    disjoint dests), so without a fault injector they issue as one
+    ``cc_stream`` and are timed by its RMO overlap view; under a campaign
+    ``pulse`` they issue one by one through the runner so faults can land
+    between instructions.
     """
     from ..energy.accounting import Component
 

@@ -1,8 +1,8 @@
 """ASCII rendering of benchmark results, plus the shared ``BENCH_*.json``
 document writer.
 
-Every benchmark trajectory file the repo emits (``BENCH_speed.json``,
-``BENCH_streambw.json``, ``BENCH_crypto.json``, ``results.json``) opens
+Every benchmark trajectory file the repo emits (``BENCH_streambw.json``,
+``BENCH_crypto.json``, ``results.json``) opens
 with the same two fields — a ``schema`` tag and the deterministic
 :func:`bench_provenance` header — so documents from
 different trees or backends are always distinguishable and documents

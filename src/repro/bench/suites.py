@@ -247,48 +247,6 @@ def _cmd_qdnn(args) -> None:
     _finish_runner(runner, args)
 
 
-def _configure_speed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", default="xor",
-                        choices=("and", "or", "xor", "not", "copy", "buz",
-                                 "cmp"),
-                        help="CC kernel shape to stream (default xor)")
-    parser.add_argument("--size", type=int, default=4096,
-                        help="bytes per operand (default 4096, fig7 scale)")
-    parser.add_argument("--instructions", type=int, default=32,
-                        help="distinct disjoint-operand instructions per pass")
-    parser.add_argument("--passes", type=int, default=4,
-                        help="timed re-issues of the whole stream")
-    parser.add_argument("--window", type=int, default=8,
-                        help="stream fusion window (default 8)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail (exit 1) if stream speedup over the "
-                             "sequential path falls below X on any backend")
-    parser.add_argument("--baseline", metavar="BENCH_speed.json",
-                        default=None,
-                        help="committed baseline document to regress against")
-    parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional instructions/sec regression "
-                             "vs --baseline (default 0.2)")
-
-
-def _cmd_speed(args) -> None:
-    import json
-
-    from .speed import SpeedConfig, run_speed, summarize
-
-    baseline = None
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    cfg = SpeedConfig(
-        kernel=args.kernel, size=args.size, instructions=args.instructions,
-        passes=args.passes, window=args.window,
-        min_speedup=args.min_speedup, baseline=baseline,
-        tolerance=args.tolerance, **_sim_overrides(args))
-    _finish_document(run_speed(cfg), summarize, args)
-
-
 def _configure_streambw(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernels", default="copy,scale,add,triad",
                         metavar="K,K",
@@ -384,11 +342,6 @@ BENCH_SUITES: dict[str, BenchSuite] = {
                    _cmd_sweeps, configure=_configure_sweeps),
         BenchSuite("qdnn", "Neural Cache quantized-DNN benchmark",
                    _cmd_qdnn, configure=_configure_qdnn),
-        BenchSuite("speed",
-                   "sustained simulator-throughput benchmark (sequential "
-                   "vs stream scheduler; see docs/benchmarks.md)",
-                   _cmd_speed, configure=_configure_speed,
-                   out_default="BENCH_speed.json"),
         BenchSuite("streambw",
                    "STREAM NUMA bandwidth sweep over cluster counts "
                    "(see docs/topology.md)",

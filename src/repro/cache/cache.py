@@ -76,11 +76,11 @@ class CacheLevel:
         self.stats = CacheLevelStats()
         self.epoch = 0
         """Residency epoch: bumped on every fill and invalidate.  The CC
-        controller's memoized level-selection (and the stream scheduler's
-        residency preflight caches) are valid only while the epochs of all
-        caches are unchanged — any counter that could stale them moves this
-        number.  State-only transitions (MESI up/downgrades) do not bump it;
-        consumers that depend on writability must re-probe."""
+        controller's memoized level-selection is valid only while the
+        epochs of all caches are unchanged — any counter that could stale
+        it moves this number.  State-only transitions (MESI up/downgrades)
+        do not bump it; consumers that depend on writability must
+        re-probe."""
 
     # -- presence -----------------------------------------------------------------
 

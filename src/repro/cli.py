@@ -3,14 +3,11 @@
 Usage::
 
     python -m repro bench <suite>    # any benchmark suite (fig3-fig11,
-                                     # sweeps, qdnn, speed, streambw,
-                                     # crypto) behind one dispatcher
+                                     # sweeps, qdnn, streambw, crypto)
+                                     # behind one dispatcher
     python -m repro bench fig7       # micro-benchmarks (Fig 7a-c)
     python -m repro bench fig9 --scale 0.5
                                      # applications (Fig 9a-b)
-    python -m repro bench speed --instructions 32 --passes 4
-                                     # sustained simulator throughput
-                                     # -> BENCH_speed.json
     python -m repro bench streambw --clusters 1,2,4
                                      # STREAM NUMA bandwidth sweep
                                      # -> BENCH_streambw.json

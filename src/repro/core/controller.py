@@ -28,9 +28,8 @@ pin; run near-place or as RISC ops, or locate its rows and queue it),
 *account* (Table V energy, stats, events), *kernel* (one
 :meth:`~repro.sram.ComputeSubarray.op_batch` call per target sub-array),
 *complete* (step 6).  The dispatch modes differ only in when the queued
-kernels drain: after each op (``cc.dispatch`` outcome ``sequential``),
-after the whole instruction (``batched``), or after a fused group of
-instructions (:mod:`repro.core.stream`).
+kernels drain: after each op (``cc.dispatch`` outcome ``sequential``) or
+after the whole instruction (``batched``).
 
 Timing model: operand fetches overlap up to a fetch-MLP; in-place block
 commands stream over the unreplicated H-tree address bus at
@@ -147,9 +146,6 @@ class _Piece:
     located: list = field(default_factory=list)
     """``(op, cache, [(addr, row), ...], queue key)`` per queued op, for
     the drain's row check."""
-    result: CCResult | None = None
-    """Set by :meth:`ComputeCacheController._finish`; its result bits by
-    :meth:`ComputeCacheController._collect`."""
 
 
 class ComputeCacheController:
@@ -339,13 +335,21 @@ class ComputeCacheController:
         hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
         piece = self._begin(instr, level, hazard)
         for idx in range(instr.num_blocks):
-            op = self._new_op(piece, self._block_operands(instr, idx))
+            op = BlockOperation(
+                instr_id=piece.entry.instr_id,
+                op_index=piece.entry.generate_next(),
+                subarray_op=piece.subop,
+                operands=self._block_operands(instr, idx),
+                lane_bits=instr.lane_bits,
+                elem_bits=instr.elem_bits,
+            )
+            self.operation_table.allocate(op)
+            piece.ops.append(op)
             self._stage_block_op(piece, op, force_nearplace)
             if hazard is not None:
                 self._drain(piece)
         self._drain(piece)
-        self._finish(piece)
-        return self._collect(piece)
+        return self._finish(piece)
 
     def _begin(self, instr: CCInstruction, level: str, hazard: str | None) -> _Piece:
         """Open a piece: allocate its instruction-table entry, convert
@@ -394,21 +398,6 @@ class ComputeCacheController:
             )
         return piece
 
-    def _new_op(self, piece: _Piece, operands: list[BlockOperand]) -> BlockOperation:
-        """Allocate the piece's next block op in the operation table."""
-        instr = piece.instr
-        op = BlockOperation(
-            instr_id=piece.entry.instr_id,
-            op_index=piece.entry.generate_next(),
-            subarray_op=piece.subop,
-            operands=operands,
-            lane_bits=instr.lane_bits,
-            elem_bits=instr.elem_bits,
-        )
-        self.operation_table.allocate(op)
-        piece.ops.append(op)
-        return op
-
     def _stage_block_op(self, piece: _Piece, op: BlockOperation,
                         force_nearplace: bool = False) -> None:
         """Stage one block op: fetch and pin its operands (a lost pin
@@ -440,28 +429,18 @@ class ComputeCacheController:
                 self._replicate_key(op, instr, level, piece.key_data)
             locs = [cache.locate(o.addr) for o in op.operands]
             rows = [row for _, row in locs]
-            key = self._queue(piece, op, cache, locs[0][0],
-                              cache.geometry.partition_of(op.operands[0].addr),
-                              operand_rows(op, rows, cache.geometry.key_row))
+            partition = cache.geometry.partition_of(op.operands[0].addr)
+            piece.partition_load[partition] = piece.partition_load.get(partition, 0) + 1
+            key = (id(cache), partition)
+            batch = piece.queued.setdefault(key, [cache, locs[0][0], partition, []])
+            batch[3].append((op, operand_rows(op, rows, cache.geometry.key_row)))
             piece.located.append((op, cache, list(zip(op.addresses, rows)), key))
         finally:
             self._unpin_all(op, level)
 
-    def _queue(self, piece: _Piece, op: BlockOperation, cache, subarray,
-               partition: int, rows: tuple) -> tuple[int, int]:
-        """Queue a located op for the piece's next drain; returns the key
-        of the sub-array batch it joined."""
-        piece.partition_load[partition] = piece.partition_load.get(partition, 0) + 1
-        key = (id(cache), partition)
-        piece.queued.setdefault(key, [cache, subarray, partition, []])[3].append((op, rows))
-        return key
-
-    def _drain(self, piece: _Piece, deferred: dict | None = None) -> None:
+    def _drain(self, piece: _Piece) -> None:
         """Account and run every queued op: one
         :meth:`InPlaceExecutor.execute_batch` call per target sub-array.
-        With ``deferred`` (the stream's fused groups) only the accounting
-        runs now; the kernel items join ``deferred[(id(cache), partition)]
-        = (subarray, items)`` for one merged kernel call later.
 
         A row check comes first, as a backstop: ``_batch_hazard``
         guarantees that no staging fetch displaced a block an earlier op
@@ -484,14 +463,9 @@ class ComputeCacheController:
                 del piece.partition_load[batch[2]]
             self._stage_block_op(piece, op)
             self._drain(piece)
-        for key, (cache, subarray, partition, items) in queued.items():
-            if not items:
-                continue
-            if deferred is None:
+        for cache, subarray, partition, items in queued.values():
+            if items:
                 self.inplace.execute_batch(cache, subarray, partition, items)
-            else:
-                self.inplace.account_batch(cache, partition, items)
-                deferred.setdefault(key, (subarray, []))[1].extend(items)
 
     def _row_intact(self, cache, addr: int, row: int) -> bool:
         """Uncounted check that a block still occupies its located row."""
@@ -499,13 +473,11 @@ class ComputeCacheController:
         way = cache.tags.probe(parts.set_index, parts.tag)
         return way is not None and cache.geometry.row_of(parts.set_index, way) == row
 
-    def _finish(self, piece: _Piece) -> None:
-        """Complete a piece up to its result bits: classify each op's
-        outcome, emit ``cc.block_op``, ``cc.attr`` and ``cc.instruction``,
-        update stats, makespans and occupancy, release the piece's keys,
-        track the transpose layout, and retire its ops.  Nothing here
-        reads a kernel result, so a fused group runs it before its merged
-        kernels."""
+    def _finish(self, piece: _Piece) -> CCResult:
+        """Complete a drained piece: classify each op's outcome, emit
+        ``cc.block_op``, ``cc.attr`` and ``cc.instruction``, update stats,
+        makespans and occupancy, release the piece's keys, track the
+        transpose layout, retire its ops, and assemble its result."""
         instr, level, entry = piece.instr, piece.level, piece.entry
         tracer = self.tracer
         inplace_span = float(self.inplace.op_latency(piece.subop, instr.elem_bits))
@@ -602,17 +574,13 @@ class ComputeCacheController:
                 opcode=instr.opcode.value, instr_id=entry.instr_id,
                 span=float(cycles), outcome=instr_outcome,
             )
-        piece.result = CCResult(
+        res = CCResult(
             instr=instr, result=0, cycles=cycles, level=level,
             inplace_ops=inplace_ops, nearplace_ops=nearplace_ops, risc_ops=risc_ops,
             fetch_cycles=fetch_cycles, compute_cycles=compute_cycles,
             occupancy_cycles=occupancy,
         )
-
-    def _collect(self, piece: _Piece) -> CCResult:
-        """Assemble a finished piece's result once its kernels have run,
-        and retire its instruction-table entry."""
-        entry, res, opcode = piece.entry, piece.result, piece.instr.opcode
+        opcode = instr.opcode
         for op in piece.ops:
             if opcode is Opcode.CLMUL or opcode is Opcode.REDUCE:
                 # Packed clmul bits and 64-bit reduce partial sums bypass

@@ -105,13 +105,8 @@ class InPlaceExecutor:
     def account_batch(self, level: CacheLevel, partition: int,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
         """Table-V charges, level stats, and ``subarray.op`` events for a
-        group of located ops, without running the kernel.
-
-        Everything charged or emitted is known before the kernel runs
-        (result bits are not among it), so the stream scheduler can
-        account each instruction in order while deferring the kernels of
-        a fused group to one merged :meth:`kernel_batch` call.
-        """
+        group of located ops, without running the kernel (the *account*
+        stage of :meth:`execute_batch`)."""
         if not items:
             return
         subop = items[0][0].subarray_op
@@ -132,14 +127,14 @@ class InPlaceExecutor:
 
     def kernel_batch(self, subarray,
                      items: list[tuple[BlockOperation, tuple]]) -> None:
-        """One :meth:`~repro.sram.ComputeSubarray.op_batch` call over
-        (possibly) many instructions' ops, assigning result bits per op:
-        one vectorized kernel under the packed backend, the per-row
-        circuit ops under bit-exact.
+        """One :meth:`~repro.sram.ComputeSubarray.op_batch` call over a
+        sub-array's located ops (the *kernel* stage of
+        :meth:`execute_batch`), assigning result bits per op: one
+        vectorized kernel under the packed backend, the per-row circuit
+        ops under bit-exact.
 
         Sub-array accounting happens inside ``op_batch`` in item order, so
-        as long as callers keep items in instruction order per sub-array
-        the per-sub-array stats are bit-identical to sequential execution.
+        items must keep the order in which their ops were staged.
         """
         if not items:
             return

@@ -22,12 +22,12 @@ from .alloc import Arena
 from .cache.hierarchy import CacheHierarchy, block_of
 from .core.controller import CCResult, ComputeCacheController
 from .core.isa import CCInstruction
-from .core.stream import DEFAULT_WINDOW, CCInstructionStream, StreamResult
+from .core.stream import CCInstructionStream, StreamResult
 from .cpu.core_model import CoreModel, RunResult
 from .cpu.program import Program
 from .energy.accounting import EnergyLedger
 from .energy.mcpat import PowerModel, TotalEnergy
-from .errors import AddressError, ConfigError
+from .errors import AddressError, ConfigError, ReproError
 from .params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
 
 
@@ -76,7 +76,13 @@ class ComputeCacheMachine:
         ]
         self.arena = Arena(self.config.memory_size)
         self.power = PowerModel(self.config)
-        self._streams: dict[tuple[int, int], CCInstructionStream] = {}
+
+    def _check_core(self, core: int) -> None:
+        """Reject a core index the machine does not have; a negative one
+        would otherwise index the per-core lists from the end."""
+        if not 0 <= core < self.config.cores:
+            raise ReproError(
+                f"core {core} out of range: the machine has {self.config.cores} cores")
 
     # -- data staging --------------------------------------------------------------
 
@@ -112,12 +118,14 @@ class ComputeCacheMachine:
         A conventional write reverts any bit-serial (transposed) blocks in
         its range to row-major layout (see :mod:`repro.core.transpose`).
         """
+        self._check_core(core)
         for controller in self.controllers:
             controller.transpose.invalidate(addr, len(data))
         return self.hierarchy.write(core, addr, data)
 
     def read(self, addr: int, size: int, core: int = 0) -> bytes:
         """Read through the cache hierarchy."""
+        self._check_core(core)
         data, _ = self.hierarchy.read(core, addr, size)
         return data
 
@@ -126,31 +134,24 @@ class ComputeCacheMachine:
     def cc(self, instr: CCInstruction, core: int = 0,
            force_level: str | None = None, force_nearplace: bool = False) -> CCResult:
         """Execute one CC instruction on a core's controller."""
+        self._check_core(core)
         return self.controllers[core].execute(
             instr, force_level=force_level, force_nearplace=force_nearplace
         )
 
     def run(self, program: Program, core: int = 0) -> RunResult:
         """Execute an instruction stream on a core."""
+        self._check_core(core)
         return self.cores[core].run(program)
 
-    def cc_stream(self, instrs, core: int = 0, window: int = DEFAULT_WINDOW,
-                  force_level: str | None = None,
+    def cc_stream(self, instrs, core: int = 0, force_level: str | None = None,
                   force_nearplace: bool = False) -> StreamResult:
-        """Execute a sequence of CC instructions through the stream
-        scheduler (:mod:`repro.core.stream`): independent runs fuse into
-        shared per-sub-array kernel calls, with per-instruction results
-        bit-identical to issuing them one at a time via :meth:`cc`.
-
-        The per-(core, window) scheduler instance is kept so its decode
-        and locate memos persist across calls.
-        """
-        stream = self._streams.get((core, window))
-        if stream is None:
-            stream = CCInstructionStream(self.controllers[core], window=window)
-            self._streams[(core, window)] = stream
-        return stream.execute(instrs, force_level=force_level,
-                              force_nearplace=force_nearplace)
+        """Execute a sequence of CC instructions one at a time on a
+        core's controller, as :meth:`cc` would; the result adds the
+        serial and RMO-overlapped cycle counts (:mod:`repro.core.stream`)."""
+        self._check_core(core)
+        return CCInstructionStream(self.controllers[core]).execute(
+            instrs, force_level=force_level, force_nearplace=force_nearplace)
 
     # -- topology (multi-cluster NUMA) --------------------------------------------------
 
@@ -161,6 +162,7 @@ class ComputeCacheMachine:
 
     def cluster_of_core(self, core: int) -> int:
         """Cluster a core belongs to (cores partition like ring stops)."""
+        self._check_core(core)
         stop = core % self.config.ring.stops
         return self.hierarchy.ring.cluster_of(stop)
 
@@ -201,6 +203,7 @@ class ComputeCacheMachine:
     def touch_range(self, addr: int, size: int, core: int = 0,
                     for_write: bool = False) -> None:
         """Bring a byte range into the core's caches (warms L1/L2/L3)."""
+        self._check_core(core)
         for block in range(block_of(addr), addr + size, BLOCK_SIZE):
             self.hierarchy.access_block(core, block, for_write=for_write)
 

@@ -9,7 +9,7 @@ from repro.api import BenchSuite, bench_suites
 from repro.cli import build_parser, main
 
 EXPECTED_SUITES = ("fig3", "fig7", "fig8", "fig9", "fig10", "fig11",
-                   "sweeps", "qdnn", "speed", "streambw", "crypto")
+                   "sweeps", "qdnn", "streambw", "crypto")
 
 
 class TestRegistry:
@@ -31,7 +31,6 @@ class TestRegistry:
 
     def test_document_suites_declare_outputs(self):
         reg = bench_suites()
-        assert reg["speed"].out_default == "BENCH_speed.json"
         assert reg["streambw"].out_default == "BENCH_streambw.json"
         assert reg["crypto"].out_default == "BENCH_crypto.json"
         assert reg["fig3"].out_default is None
@@ -67,10 +66,11 @@ class TestParser:
         ["faults", "--trace-events"],
         ["serve", "--help"],
         ["loadgen", "--help"],
+        ["bench", "speed"],
     ])
     def test_removed_flags_exit(self, argv):
         """The flag spellings and commands docs/api.md lists as removed in
-        2.0.0 and 3.0.0 are usage errors before anything runs (the
+        2.0.0, 3.0.0 and 4.0.0 are usage errors before anything runs (the
         top-level suite spellings are covered per suite above)."""
         with pytest.raises(SystemExit) as exc:
             main(argv)

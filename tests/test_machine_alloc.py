@@ -5,7 +5,8 @@ import pytest
 from repro import ComputeCacheMachine, cc_ops
 from repro.alloc import Arena
 from repro.cache.locality import check_operand_locality
-from repro.errors import AddressError
+from repro.cpu.program import Instr, Program
+from repro.errors import AddressError, ReproError
 from repro.params import PAGE_SIZE, sandybridge_8core
 
 
@@ -143,3 +144,30 @@ class TestMachineFacade:
         assert res0.cycles > 0 and res1.cycles > 0
         assert machine.controllers[0].stats.instructions == 1
         assert machine.controllers[1].stats.instructions == 1
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["-1", "cores"])
+    @pytest.mark.parametrize("method", ["cc", "cc_stream", "run", "read",
+                                        "write", "touch_range", "warm_l3",
+                                        "cluster_of_core"])
+    def test_core_out_of_range_rejected(self, machine, method, past_end):
+        """A core index outside ``range(cores)`` is a ReproError naming the
+        index and the core count, raised before any cache state changes
+        (a negative index must not reach the per-core lists)."""
+        cores = machine.config.cores
+        core = cores if past_end else -1
+        a, c = machine.arena.alloc_colocated(128, 2)
+        copy = cc_ops.cc_copy(a, c, 128)
+        call = {
+            "cc": lambda: machine.cc(copy, core=core),
+            "cc_stream": lambda: machine.cc_stream([copy], core=core),
+            "run": lambda: machine.run(Program("p", [Instr.cc_op(copy)]), core=core),
+            "read": lambda: machine.read(a, 8, core=core),
+            "write": lambda: machine.write(a, b"\x01" * 8, core=core),
+            "touch_range": lambda: machine.touch_range(a, 128, core=core),
+            "warm_l3": lambda: machine.warm_l3(a, 128, core=core),
+            "cluster_of_core": lambda: machine.cluster_of_core(core),
+        }[method]
+        with pytest.raises(ReproError, match=rf"core {core} .*{cores} cores"):
+            call()
+        slice_id = machine.hierarchy.home_slice(a, 0)
+        assert machine.hierarchy.directory[slice_id].peek(a) is None
