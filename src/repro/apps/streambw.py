@@ -295,8 +295,7 @@ def measured_fill_bytes(machine: ComputeCacheMachine, level: str = "L1-D") -> in
     if machine.tracer is None:
         raise ValueError("machine has no event tracer")
     return BLOCK_SIZE * sum(
-        1 for e in machine.tracer.events
-        if e.kind == "cache.fill" and e.level == level
+        1 for e in machine.tracer.by_kind("cache.fill") if e.level == level
     )
 
 

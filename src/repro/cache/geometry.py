@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from ..errors import AddressError
 from ..params import CacheLevelConfig
 from ..sram import ComputeSubarray, SubarrayTiming
+from ..sram.timing import DEFAULT_TIMING
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class CacheGeometry:
         backend: str = "bitexact",
     ) -> None:
         self.config = config
-        self.timing = timing or SubarrayTiming()
+        self.timing = timing or DEFAULT_TIMING
         self.backend = backend
         # Decode is on the critical path of every cache access and every CC
         # block operation; precompute the field masks/shifts once and

@@ -80,6 +80,7 @@ class ClusterInterconnect(RingInterconnect):
         self.tracer = tracer
         self.stops_per_cluster = config.stops // self.topology.clusters
         self.topo_stats = TopologyStats()
+        self._messages: dict[tuple[int, int, bool], tuple] = {}
 
     # -- routing ---------------------------------------------------------------------
 
@@ -117,35 +118,48 @@ class ClusterInterconnect(RingInterconnect):
 
     # -- accounting ------------------------------------------------------------------
 
+    def _message(self, src_stop: int, dst_stop: int, data: bool) -> tuple:
+        """One message's routed costs, ``(flit_hops, intra_pj, inter,
+        inter_flit_hops, inter_pj, src_cluster, dst_cluster, route_label,
+        latency)``: computed on the first message of each
+        ``(src, dst, data)`` and looked up after that (the configs are
+        frozen, so the route never changes)."""
+        key = (src_stop, dst_stop, data)
+        message = self._messages.get(key)
+        if message is None:
+            intra, inter = self.route(src_stop, dst_stop)
+            ring_flits = self.config.flits_per_block if data else 1
+            inter_flits = self.topology.inter_flits_per_block if data else 1
+            src, dst = self.cluster_of(src_stop), self.cluster_of(dst_stop)
+            message = self._messages[key] = (
+                intra * ring_flits,
+                intra * ring_flits * self.config.energy_per_hop_per_flit,
+                inter, inter * inter_flits,
+                inter * inter_flits * self.topology.inter_energy_per_hop_per_flit,
+                src, dst, f"c{src}->c{dst}",
+                self.latency(src_stop, dst_stop, data))
+        return message
+
     def _account(self, src_stop: int, dst_stop: int, data: bool) -> int:
-        intra, inter = self.route(src_stop, dst_stop)
-        ring_flits = self.config.flits_per_block if data else 1
-        intra_pj = intra * ring_flits * self.config.energy_per_hop_per_flit
-        self.stats.flit_hops += intra * ring_flits
+        (flit_hops, intra_pj, inter, inter_flit_hops, inter_pj,
+         src, dst, label, latency) = self._message(src_stop, dst_stop, data)
+        self.stats.flit_hops += flit_hops
         if data:
             self.stats.data_messages += 1
         else:
             self.stats.control_messages += 1
         self._charge(intra_pj)
         if inter:
-            inter_flits = self.topology.inter_flits_per_block if data else 1
-            inter_pj = (inter * inter_flits
-                        * self.topology.inter_energy_per_hop_per_flit)
             self.topo_stats.inter_messages += 1
-            self.topo_stats.inter_flit_hops += inter * inter_flits
+            self.topo_stats.inter_flit_hops += inter_flit_hops
             self.topo_stats.inter_energy_pj += inter_pj
             self._charge(inter_pj)
             if self.tracer is not None:
-                self.tracer.emit(
-                    "topo.hop",
-                    unit=self.cluster_of(src_stop),
-                    blocks=self.cluster_of(dst_stop),
-                    span=float(inter),
-                    outcome="data" if data else "control",
-                    reason=f"c{self.cluster_of(src_stop)}->"
-                           f"c{self.cluster_of(dst_stop)}",
-                )
-        return self.latency(src_stop, dst_stop, data)
+                self.tracer.emit("topo.hop", unit=src, blocks=dst,
+                                 span=float(inter),
+                                 outcome="data" if data else "control",
+                                 reason=label)
+        return latency
 
     def send_control(self, src_stop: int, dst_stop: int) -> int:
         return self._account(src_stop, dst_stop, data=False)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import ReproError
 from .params import BACKENDS
 
 
@@ -334,9 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; malformed input (a :class:`ReproError`, or an
+    ``OSError`` on a path given on the command line) is reported as one
+    ``repro: error:`` line on stderr with exit status 2."""
     args = build_parser().parse_args(argv)
-    args.fn(args)
-    return 0
+    try:
+        args.fn(args)
+    except ReproError as exc:
+        message = str(exc)
+    except OSError as exc:
+        if exc.filename is None or exc.filename not in vars(args).values():
+            raise
+        message = f"{exc.filename}: {exc.strerror}"
+    else:
+        return 0
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

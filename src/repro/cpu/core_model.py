@@ -22,6 +22,7 @@ The model captures the terms the paper's evaluation depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from ..cache.hierarchy import CacheHierarchy
 from ..core.consistency import OpKind, RMOOrderModel
@@ -34,6 +35,17 @@ from .program import Instr, InstrKind, Program
 
 MEMORY_LEVEL_PARALLELISM = 4.0
 """Concurrent misses the load queue sustains on streaming kernels."""
+
+
+@cache
+def _epi_by_kind(epi_scalar: float, epi_simd: float,
+                 epi_cc: float) -> dict[InstrKind, float]:
+    """Energy per instruction of each :class:`InstrKind` (a core's
+    ``epi_*`` constants).  One table per distinct set of constants, shared
+    by every core that uses it; read it, never write it."""
+    return {kind: (epi_cc if kind is InstrKind.CC
+                   else epi_simd if kind.is_simd else epi_scalar)
+            for kind in InstrKind}
 
 
 @dataclass
@@ -79,18 +91,13 @@ class CoreModel:
         self.order_model = RMOOrderModel()
         self.keep_load_data = False
         self.tracer = hierarchy.tracer
+        core = self.config.core
+        self._epi = _epi_by_kind(core.epi_scalar, core.epi_simd, core.epi_cc)
 
     # -- energy helpers ---------------------------------------------------------
 
     def _charge_core(self, instr: Instr) -> None:
-        core = self.config.core
-        if instr.kind is InstrKind.CC:
-            epi = core.epi_cc
-        elif instr.kind.is_simd:
-            epi = core.epi_simd
-        else:
-            epi = core.epi_scalar
-        self.hierarchy.ledger.add(Component.CORE, epi)
+        self.hierarchy.ledger.add(Component.CORE, self._epi[instr.kind])
 
     @staticmethod
     def _alu(op: str, a: bytes, b: bytes) -> bytes:

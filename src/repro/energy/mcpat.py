@@ -13,8 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..params import CoreConfig, MachineConfig
+from ..params import BLOCK_SIZE, CoreConfig, MachineConfig
+from ..sram.timing import ARITH_OPS
 from .accounting import Component, EnergyLedger
+from .tables import (
+    _OP_COLUMN,
+    CACHE_ACCESS_ENERGY_PJ,
+    CACHE_IC_ENERGY_PJ,
+    cc_arith_energy,
+    cc_op_energy,
+    read_energy,
+    transpose_energy,
+    write_energy,
+)
 
 
 @dataclass(frozen=True)
@@ -74,19 +85,70 @@ class PowerModel:
         ) * 1e-3
 
 
+# Every per-event charge is a constant of the published tables, built
+# here once per cache level (and op): the ledger receives the same floats,
+# in the same order, as computing each charge on every event.  The tables
+# are built at import so that no long-lived object is allocated in the
+# middle of a run, where it would pin memory the run frees.
+
+
+def _table_level(level_name: str) -> str:
+    return "L1-D" if level_name.startswith("L1") else level_name
+
+
+def _conventional(level_name: str, total: float) -> tuple[str, float, str, float]:
+    """``(access component, pJ, ic component, pJ)`` of one conventional
+    64-byte access of ``total`` pJ, split in the Table I access/H-tree
+    proportion."""
+    access_c, ic_c = Component.for_level(level_name)
+    table_level = _table_level(level_name)
+    ic = CACHE_IC_ENERGY_PJ[table_level]
+    array = CACHE_ACCESS_ENERGY_PJ[table_level]
+    scale = total / (ic + array)
+    return access_c, array * scale, ic_c, ic * scale
+
+
+def _cc_op(level_name: str, op: str) -> tuple[str, float]:
+    return (Component.for_level(level_name)[0],
+            cc_op_energy(_table_level(level_name), op))
+
+
+def _cc_arith(level_name: str, op: str, elem_bits: int,
+              n_elems: int | None) -> tuple[str, float]:
+    return (Component.for_level(level_name)[0],
+            cc_arith_energy(_table_level(level_name), op, elem_bits, n_elems))
+
+
+_LEVEL_NAMES = tuple(Component._BY_LEVEL)
+_READ = {name: _conventional(name, read_energy(_table_level(name)))
+         for name in _LEVEL_NAMES}
+_WRITE = {name: _conventional(name, write_energy(_table_level(name)))
+          for name in _LEVEL_NAMES}
+_TRANSPOSE = {name: (Component.for_level(name)[0],
+                     transpose_energy(_table_level(name)))
+              for name in _LEVEL_NAMES}
+_KEY_BROADCAST = {name: (Component.for_level(name)[1],
+                         2.0 * CACHE_IC_ENERGY_PJ[_table_level(name)])
+                  for name in _LEVEL_NAMES}
+_KEY_ROW_WRITE = {name: (Component.for_level(name)[0],
+                         write_energy(_table_level(name))
+                         - CACHE_IC_ENERGY_PJ[_table_level(name)])
+                  for name in _LEVEL_NAMES}
+_CC_OP = {(name, op): _cc_op(name, op)
+          for name in _LEVEL_NAMES for op in _OP_COLUMN}
+# The element widths the ISA accepts (repro.core.isa.ARITH_ELEM_BITS), at
+# the element count of one block; any other call is computed on the spot.
+_CC_ARITH = {(name, op, bits, BLOCK_SIZE * 8 // bits):
+             _cc_arith(name, op, bits, BLOCK_SIZE * 8 // bits)
+             for name in _LEVEL_NAMES for op in ARITH_OPS for bits in (8, 16, 32)}
+
+
 def charge_cache_read(ledger: EnergyLedger, level_name: str) -> None:
     """Charge one conventional 64-byte read at ``level_name`` to a ledger,
     split into access and H-tree components per Table I proportions."""
-    from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, read_energy
-
-    access_c, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ic = CACHE_IC_ENERGY_PJ[table_level]
-    array = CACHE_ACCESS_ENERGY_PJ[table_level]
-    total = read_energy(table_level)
-    scale = total / (ic + array)
-    ledger.add(access_c, array * scale)
-    ledger.add(ic_c, ic * scale)
+    access_c, access_pj, ic_c, ic_pj = _READ[level_name]
+    ledger.add(access_c, access_pj)
+    ledger.add(ic_c, ic_pj)
 
 
 def charge_cache_write(ledger: EnergyLedger, level_name: str) -> None:
@@ -95,16 +157,9 @@ def charge_cache_write(ledger: EnergyLedger, level_name: str) -> None:
     Table I only reports the read split; writes use the same ic/access
     proportion applied to the Table V write energy.
     """
-    from .tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ, write_energy
-
-    access_c, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ic = CACHE_IC_ENERGY_PJ[table_level]
-    array = CACHE_ACCESS_ENERGY_PJ[table_level]
-    total = write_energy(table_level)
-    scale = total / (ic + array)
-    ledger.add(access_c, array * scale)
-    ledger.add(ic_c, ic * scale)
+    access_c, access_pj, ic_c, ic_pj = _WRITE[level_name]
+    ledger.add(access_c, access_pj)
+    ledger.add(ic_c, ic_pj)
 
 
 def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
@@ -113,11 +168,7 @@ def charge_cc_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
     In-place operations never traverse the H-tree, so the whole Table V
     energy lands on the ``*-access`` component.
     """
-    from .tables import cc_op_energy
-
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, cc_op_energy(table_level, op))
+    ledger.add(*(_CC_OP.get((level_name, op)) or _cc_op(level_name, op)))
 
 
 def charge_cc_arith(ledger: EnergyLedger, level_name: str, op: str,
@@ -128,11 +179,8 @@ def charge_cc_arith(ledger: EnergyLedger, level_name: str, op: str,
     it scales with the bit-serial step count (Table V logic energy per
     step, see :func:`repro.energy.tables.cc_arith_energy`).
     """
-    from .tables import cc_arith_energy
-
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, cc_arith_energy(table_level, op, elem_bits, n_elems))
+    ledger.add(*(_CC_ARITH.get((level_name, op, elem_bits, n_elems))
+                 or _cc_arith(level_name, op, elem_bits, n_elems)))
 
 
 def charge_transpose(ledger: EnergyLedger, level_name: str, blocks: int) -> None:
@@ -140,13 +188,10 @@ def charge_transpose(ledger: EnergyLedger, level_name: str, blocks: int) -> None
 
     Each conversion is one data-array read plus one write through the
     sub-array-periphery transpose unit (no H-tree component)."""
-    from .tables import transpose_energy
-
     if blocks <= 0:
         return
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, blocks * transpose_energy(table_level))
+    access_c, pj = _TRANSPOSE[level_name]
+    ledger.add(access_c, blocks * pj)
 
 
 def charge_key_broadcast(ledger: EnergyLedger, level_name: str) -> None:
@@ -158,21 +203,13 @@ def charge_key_broadcast(ledger: EnergyLedger, level_name: str) -> None:
     switched tree) plus a per-partition array write
     (:func:`charge_key_row_write`).
     """
-    from .tables import CACHE_IC_ENERGY_PJ
-
-    _, ic_c = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(ic_c, 2.0 * CACHE_IC_ENERGY_PJ[table_level])
+    ledger.add(*_KEY_BROADCAST[level_name])
 
 
 def charge_key_row_write(ledger: EnergyLedger, level_name: str) -> None:
     """The data-array portion of one key-row write (no H-tree component -
     that is paid once by :func:`charge_key_broadcast`)."""
-    from .tables import CACHE_IC_ENERGY_PJ, write_energy
-
-    access_c, _ = Component.for_level(level_name)
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
-    ledger.add(access_c, write_energy(table_level) - CACHE_IC_ENERGY_PJ[table_level])
+    ledger.add(*_KEY_ROW_WRITE[level_name])
 
 
 def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
@@ -182,9 +219,6 @@ def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
     unit and writes any result back, so it pays conventional read/write
     energy (including the H-tree component) instead of the in-place cost.
     """
-    from .tables import read_energy, write_energy
-
-    table_level = "L1-D" if level_name.startswith("L1") else level_name
     reads = {"copy": 1, "buz": 0, "not": 1, "cmp": 2, "search": 2,
              "reduce": 1}.get(op, 2)
     writes = 0 if op in ("cmp", "search", "reduce") else 1
@@ -192,4 +226,3 @@ def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
         charge_cache_read(ledger, level_name)
     for _ in range(writes):
         charge_cache_write(ledger, level_name)
-    del read_energy, write_energy

@@ -3,10 +3,18 @@
 The tracer is the observability backbone of the simulator: every layer -
 the CC controller, the in-place / near-place executors, the cache levels,
 the H-trees, the coherence directory, and the core timing model - emits
-:class:`Event` records into one shared bounded ring buffer.  Tracing is
-enabled at :class:`~repro.params.MachineConfig` level (``trace_events``);
-when it is off the components hold ``tracer=None`` and the only residual
-cost on a hot path is a single ``is not None`` check.
+events into one shared bounded ring buffer.  Tracing is enabled at
+:class:`~repro.params.MachineConfig` level (``trace_events``); when it is
+off the components hold ``tracer=None`` and the only residual cost on a
+hot path is a single ``is not None`` check.
+
+Recording an event stores one flat row, a tuple of its fields; the frozen
+:class:`Event` records are built from the rows only when the buffer is
+read.  Reading the whole buffer costs about what building every event at
+emit time used to, and :meth:`EventTracer.by_kind` builds only the events
+of the kind asked for.  The read surface is :meth:`EventTracer.snapshot`,
+:meth:`EventTracer.by_kind`, iteration, ``len``, ``dropped`` and
+``total_emitted``.
 
 Events are *simulation-deterministic*: they carry simulated cycles, never
 wall-clock time, so two machines configured identically produce identical
@@ -121,7 +129,13 @@ EVENT_FIELDS = tuple(f.name for f in fields(Event))
 
 
 class EventTracer:
-    """Bounded ring buffer of :class:`Event` records.
+    """Bounded ring buffer of traced events.
+
+    :meth:`emit` stores each event as one flat row, the :class:`Event`
+    fields after ``seq`` in order; the :class:`Event` objects are built
+    only when the buffer is read (:meth:`snapshot`, iteration,
+    :meth:`by_kind`).  An event's ``seq`` is its position in the whole
+    stream, so the first buffered row has ``seq == dropped``.
 
     ``capacity`` bounds memory: once full, the oldest events are dropped
     (``dropped`` counts them, and the profiler refuses to validate a
@@ -129,50 +143,64 @@ class EventTracer:
     components constructed without a tracer skip even the method call.
     """
 
-    __slots__ = ("capacity", "events", "enabled", "_seq")
+    __slots__ = ("capacity", "enabled", "_rows", "_emitted")
 
     def __init__(self, capacity: int = 1 << 20, enabled: bool = True) -> None:
         if capacity <= 0:
             raise ValueError(f"tracer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.events: deque[Event] = deque(maxlen=capacity)
         self.enabled = enabled
-        self._seq = 0
+        self._rows: deque[tuple] = deque(maxlen=capacity)
+        self._emitted = 0
 
     # -- recording ------------------------------------------------------------------
 
-    def emit(self, kind: str, **fields: object) -> None:
-        """Append one event (no-op while paused)."""
-        if not self.enabled:
-            return
-        self.events.append(Event(seq=self._seq, kind=kind, **fields))
-        self._seq += 1
+    def emit(self, kind: str, *, core: int | None = None, level: str | None = None,
+             unit: int | None = None, opcode: str | None = None,
+             partition: object = None, addr: int | None = None,
+             instr_id: int | None = None, cycle: float | None = None,
+             span: float = 0.0, outcome: str | None = None,
+             reason: str | None = None, phase: str | None = None,
+             blocks: int | None = None) -> None:
+        """Append one event (no-op while paused).  The keywords are the
+        :class:`Event` fields, so a misspelt one raises ``TypeError``."""
+        if self.enabled:
+            self._rows.append((kind, core, level, unit, opcode, partition, addr,
+                               instr_id, cycle, span, outcome, reason, phase,
+                               blocks))
+            self._emitted += 1
 
     # -- inspection -----------------------------------------------------------------
 
     @property
     def total_emitted(self) -> int:
-        return self._seq
+        """Events recorded since construction or the last :meth:`clear`."""
+        return self._emitted
 
     @property
     def dropped(self) -> int:
         """Events lost to ring-buffer wraparound."""
-        return self._seq - len(self.events)
+        return self._emitted - len(self._rows)
 
     def snapshot(self) -> list[Event]:
         """Stable copy of the current buffer contents (oldest first)."""
-        return list(self.events)
+        first = self.dropped
+        return [Event(first + i, *row) for i, row in enumerate(self._rows)]
+
+    def by_kind(self, kind: str) -> list[Event]:
+        """The buffered events of one kind (oldest first); only those
+        are built."""
+        first = self.dropped
+        return [Event(first + i, *row) for i, row in enumerate(self._rows)
+                if row[0] == kind]
 
     def clear(self) -> None:
         """Empty the buffer and reset sequence numbering."""
-        self.events.clear()
-        self._seq = 0
-
-    def by_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
+        self._rows.clear()
+        self._emitted = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(self.events)
+        return iter(self.snapshot())

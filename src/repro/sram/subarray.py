@@ -67,7 +67,7 @@ from ..kernels import (
 from .bitcell import BitCellArray
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
-from .timing import SubarrayTiming, arith_steps
+from .timing import DEFAULT_TIMING, SubarrayTiming, arith_steps
 
 BACKEND_BITEXACT = "bitexact"
 BACKEND_PACKED = "packed"
@@ -160,7 +160,8 @@ class ComputeSubarray:
             )
         self.decoder = DualRowDecoder(rows)
         self.sense = SenseAmpColumn(cols)
-        self.timing = timing or SubarrayTiming()
+        self.timing = timing or DEFAULT_TIMING
+        self._costs = self.timing.op_costs
         self.stats = SubarrayStats()
 
     @property
@@ -608,6 +609,8 @@ class ComputeSubarray:
     def _account(self, op: str, steps: int = 1) -> None:
         """Record one operation; ``steps`` scales the per-step cost of the
         bit-serial arithmetic ops (1 for every single-step operation)."""
-        self.stats.record(
-            op, steps * self.timing.op_energy(op), steps * self.timing.op_delay(op)
-        )
+        try:
+            energy, delay = self._costs[op]
+        except KeyError:
+            raise ISAError(f"unknown sub-array operation {op!r}") from None
+        self.stats.record(op, steps * energy, steps * delay)

@@ -20,6 +20,7 @@ model so alternative cache geometries can be annotated consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ISAError
 
@@ -129,3 +130,17 @@ class SubarrayTiming:
             return self.access_energy_pj * ENERGY_MULTIPLIER[op]
         except KeyError:
             raise ISAError(f"unknown sub-array operation {op!r}") from None
+
+    @cached_property
+    def op_costs(self) -> dict[str, tuple[float, float]]:
+        """``op -> (energy pJ, delay cycles)`` of every sub-array operation,
+        equal to :meth:`op_energy` and :meth:`op_delay`; built on first use
+        and shared by every sub-array with this timing.  Read it, never
+        write it."""
+        return {op: (self.op_energy(op), self.op_delay(op))
+                for op in ENERGY_MULTIPLIER}
+
+
+DEFAULT_TIMING = SubarrayTiming()
+"""The timing of every sub-array built without one: a single shared
+instance, so its :attr:`~SubarrayTiming.op_costs` table is built once."""

@@ -7,20 +7,27 @@ from repro.energy.mcpat import (
     PowerModel,
     charge_cache_read,
     charge_cache_write,
+    charge_cc_arith,
     charge_cc_op,
     charge_key_broadcast,
     charge_key_row_write,
     charge_nearplace_op,
+    charge_transpose,
 )
 from repro.energy.tables import (
+    CACHE_ACCESS_ENERGY_PJ,
     CACHE_IC_ENERGY_PJ,
+    cc_arith_energy,
     cc_op_energy,
     htree_fraction,
     read_energy,
+    transpose_energy,
     write_energy,
 )
 from repro.errors import ConfigError, ISAError
 from repro.params import sandybridge_8core
+
+LEVEL_NAMES = ("L1-D", "L1-I", "L2", "L3-slice")
 
 
 class TestLedger:
@@ -135,6 +142,92 @@ class TestChargeFunctions:
         assert ledger.get(Component.L3_IC) == pytest.approx(
             2 * CACHE_IC_ENERGY_PJ["L3-slice"]
         )
+
+
+class TestChargesMatchTheFormula:
+    """Every charge leaves exactly (``==``) the ledger of the formula it
+    stands for, written out here from the published tables, on the first
+    call and on repeated calls."""
+
+    @staticmethod
+    def _table(level_name: str) -> str:
+        return "L1-D" if level_name.startswith("L1") else level_name
+
+    def _conventional(self, ledger, level_name: str, total: float) -> None:
+        access_c, ic_c = Component.for_level(level_name)
+        table = self._table(level_name)
+        ic = CACHE_IC_ENERGY_PJ[table]
+        array = CACHE_ACCESS_ENERGY_PJ[table]
+        scale = total / (ic + array)
+        ledger.add(access_c, array * scale)
+        ledger.add(ic_c, ic * scale)
+
+    def _check(self, charge, formula) -> None:
+        got, want = EnergyLedger(), EnergyLedger()
+        for _ in range(3):
+            charge(got)
+            formula(want)
+        assert got.pj == want.pj
+
+    @pytest.mark.parametrize("level", LEVEL_NAMES)
+    def test_conventional_access(self, level):
+        table = self._table(level)
+        self._check(lambda l: charge_cache_read(l, level),
+                    lambda l: self._conventional(l, level, read_energy(table)))
+        self._check(lambda l: charge_cache_write(l, level),
+                    lambda l: self._conventional(l, level, write_energy(table)))
+
+    @pytest.mark.parametrize("level", LEVEL_NAMES)
+    def test_inplace_ops(self, level):
+        table = self._table(level)
+        access_c, ic_c = Component.for_level(level)
+        for op in ("and", "or", "nor", "xor", "not", "copy", "buz", "cmp",
+                   "search", "clmul"):
+            self._check(lambda l: charge_cc_op(l, level, op),
+                        lambda l: l.add(access_c, cc_op_energy(table, op)))
+        for op, bits, n in [(op, bits, 512 // bits) for op in ("add", "mul", "reduce")
+                            for bits in (8, 16, 32)] + [("add", 4, None),
+                                                        ("mul", 16, None),
+                                                        ("reduce", 8, 32)]:
+            self._check(
+                lambda l: charge_cc_arith(l, level, op, bits, n),
+                lambda l: l.add(access_c, cc_arith_energy(table, op, bits, n)))
+        for blocks in (0, 1, 7):
+            def transpose(ledger, blocks=blocks):
+                if blocks > 0:
+                    ledger.add(access_c, blocks * transpose_energy(table))
+            self._check(lambda l: charge_transpose(l, level, blocks), transpose)
+        self._check(lambda l: charge_key_broadcast(l, level),
+                    lambda l: l.add(ic_c, 2.0 * CACHE_IC_ENERGY_PJ[table]))
+        self._check(lambda l: charge_key_row_write(l, level),
+                    lambda l: l.add(access_c,
+                                    write_energy(table) - CACHE_IC_ENERGY_PJ[table]))
+
+    @pytest.mark.parametrize("level", LEVEL_NAMES)
+    def test_nearplace_ops(self, level):
+        table = self._table(level)
+
+        def formula(ledger, op):
+            reads = {"copy": 1, "buz": 0, "not": 1, "cmp": 2, "search": 2,
+                     "reduce": 1}.get(op, 2)
+            writes = 0 if op in ("cmp", "search", "reduce") else 1
+            for _ in range(reads):
+                self._conventional(ledger, level, read_energy(table))
+            for _ in range(writes):
+                self._conventional(ledger, level, write_energy(table))
+
+        for op in ("and", "xor", "not", "copy", "buz", "cmp", "search", "reduce"):
+            self._check(lambda l: charge_nearplace_op(l, level, op),
+                        lambda l: formula(l, op))
+
+    def test_unknown_ops_raise(self):
+        ledger = EnergyLedger()
+        for _ in range(2):
+            with pytest.raises(ISAError):
+                charge_cc_op(ledger, "L2", "div")
+            with pytest.raises(ISAError):
+                charge_cc_arith(ledger, "L2", "div", 8, 64)
+        assert ledger.pj == {}
 
 
 class TestPowerModel:

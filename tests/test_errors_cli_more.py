@@ -1,5 +1,8 @@
 """Exception-hierarchy contracts and remaining CLI paths."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import errors
@@ -52,8 +55,6 @@ class TestCLIMore:
         out_path = str(tmp_path / "r.json")
         assert main(["export", "--out", out_path]) == 0
         assert "validation_ok=True" in capsys.readouterr().out
-        import json
-
         doc = json.loads(open(out_path).read())
         assert doc["schema"] == "repro.results/1"
 
@@ -68,3 +69,42 @@ class TestCLIMore:
         assert args.intervals == 1
         args = build_parser().parse_args(["export"])
         assert args.out == "results.json" and not args.full
+
+
+class TestCLIErrors:
+    """Malformed input ends in one ``repro: error:`` line and exit 2, not
+    a traceback."""
+
+    DEMO_TRACE = str(Path(__file__).resolve().parents[1] / "examples"
+                     / "profile_demo.trace")
+
+    @staticmethod
+    def _error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("repro: error: ")
+        return lines[0]
+
+    def test_bad_buffer_capacity(self, capsys):
+        assert main(["profile", self.DEMO_TRACE, "--machine", "small",
+                     "--buffer", "0"]) == 2
+        assert "event_buffer_capacity" in self._error_line(capsys)
+
+    def test_missing_trace_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.trace")
+        assert main(["profile", missing, "--machine", "small"]) == 2
+        assert missing in self._error_line(capsys)
+
+    def test_malformed_trace_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("bogus 0x0, 8\n", encoding="utf-8")
+        assert main(["profile", str(bad), "--machine", "small"]) == 2
+        assert "trace line 1" in self._error_line(capsys)
+
+    def test_fault_plan_bad_schema(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"schema": "repro.faultplan/999"}),
+                        encoding="utf-8")
+        assert main(["faults", "--plan", str(plan)]) == 2
+        assert "fault-plan schema" in self._error_line(capsys)

@@ -8,6 +8,7 @@ CLI, and the near-zero cost of disabled tracing.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -26,6 +27,7 @@ from repro.events import (
     profile_trace,
     write_chrome_trace,
 )
+from repro.events.tracer import EVENT_FIELDS
 from repro.params import small_test_machine
 from repro.stats import collect_stats
 from repro.trace import run_trace
@@ -86,6 +88,8 @@ class TestEventTracer:
         assert tracer.total_emitted == 10
         assert tracer.dropped == 6
         assert [e.addr for e in tracer.snapshot()] == [6, 7, 8, 9]
+        assert [e.seq for e in tracer.snapshot()] == [6, 7, 8, 9]
+        assert [e.seq for e in tracer.by_kind("cache.lookup")] == [6, 7, 8, 9]
 
     def test_disabled_tracer_is_noop(self):
         tracer = EventTracer(capacity=4, enabled=False)
@@ -103,6 +107,18 @@ class TestEventTracer:
         assert len(tracer.by_kind("dir.grant")) == 1
         tracer.clear()
         assert len(tracer) == 0
+        tracer.emit("dir.grant")
+        assert [e.seq for e in tracer] == [0]
+
+    def test_misspelt_field_raises(self):
+        """``emit`` takes the :class:`Event` fields as keywords, in order,
+        and rejects any other name without recording."""
+        params = inspect.signature(EventTracer.emit).parameters
+        assert tuple(params)[1:] == EVENT_FIELDS[1:]
+        tracer = EventTracer(capacity=4)
+        with pytest.raises(TypeError):
+            tracer.emit("cache.lookup", bogus=1)
+        assert len(tracer) == 0 and tracer.total_emitted == 0
 
     def test_config_capacity_validated(self):
         from repro.errors import ConfigError

@@ -96,7 +96,7 @@ class Case:
             "controller": _sha([c.stats for c in m.controllers]),
             "caches": _sha([c.stats for c in caches]),
             "subarrays": _sha([[s.stats for s in c.geometry.subarrays] for c in caches]),
-            "events": _sha(m.tracer.events),
+            "events": _sha(m.tracer.snapshot()),
         }
 
 
@@ -303,7 +303,7 @@ def test_mix_reaches_every_outcome():
     for name in CASES:
         case = run_case(name, "packed")
         levels.update(res.level for res in case.results)
-        events = case.m.tracer.events
+        events = case.m.tracer.snapshot()
         opcode_of = {}
         for ev in events:
             if ev.kind == "cc.dispatch":

@@ -185,6 +185,21 @@ class TestTimingAnnotation:
         t = SubarrayTiming()
         with pytest.raises(ISAError):
             t.op_delay("frobnicate")
+        sub = ComputeSubarray(rows=4, cols=512, timing=t)
+        with pytest.raises(ISAError):
+            sub._account("frobnicate")
+        assert sub.stats.energy_pj == 0.0
+
+    @pytest.mark.parametrize("timing", [SubarrayTiming(),
+                                        SubarrayTiming(2.0, 37.5),
+                                        SubarrayTiming(3, 80)])
+    def test_cost_table_equals_the_formulas(self, timing):
+        """The per-op table sub-arrays charge from holds exactly the
+        multiplier formulas, for every op and every timing."""
+        assert set(timing.op_costs) == set(ENERGY_MULTIPLIER)
+        for op, cost in timing.op_costs.items():
+            assert cost == (timing.access_energy_pj * ENERGY_MULTIPLIER[op],
+                            timing.access_delay_cycles * DELAY_MULTIPLIER[op])
 
     def test_energy_accumulates(self, sub):
         sub.write_block(0, bytes(BLOCK))

@@ -91,8 +91,8 @@ def assert_identical(m_seq, m_str, res_seq, res_str, slots):
         assert m_seq.peek(slot, SLOT_BYTES) == m_str.peek(slot, SLOT_BYTES)
     assert dict(m_seq.ledger.pj) == dict(m_str.ledger.pj)
     assert asdict(m_seq.controllers[0].stats) == asdict(m_str.controllers[0].stats)
-    events_seq = [astuple(e) for e in m_seq.tracer.events]
-    events_str = [astuple(e) for e in m_str.tracer.events]
+    events_seq = [astuple(e) for e in m_seq.tracer.snapshot()]
+    events_str = [astuple(e) for e in m_str.tracer.snapshot()]
     assert events_seq == events_str
 
 
