@@ -23,10 +23,6 @@ class Corpus:
     words: tuple[str, ...]
     vocabulary: tuple[str, ...]
 
-    @property
-    def text_bytes(self) -> int:
-        return sum(len(w) + 1 for w in self.words)
-
     def unique_words(self) -> set[str]:
         return set(self.words)
 

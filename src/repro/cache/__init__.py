@@ -7,10 +7,11 @@ Section IV-C: all ways of a set map to one block partition, and bank/
 partition-select bits come from the low set-index bits, so page-aligned
 operands always share bit-lines.
 
-Data is physically stored in :class:`~repro.sram.ComputeSubarray` instances
-(one per block partition), which is what lets the CC controller compute on
-cached data in place.  Tags, states, LRU stamps and pins sit in flat
-per-level lists with a block-number index (:mod:`repro.cache.set_assoc`).
+Data is physically stored in compute sub-arrays of the machine's backend
+(:data:`~repro.sram.SUBARRAYS`, one per block partition), which is what
+lets the CC controller compute on cached data in place.  Tags, states, LRU
+stamps and pins sit in flat per-level lists with a block-number index
+(:mod:`repro.cache.set_assoc`).
 """
 
 from .block import MESIState

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bitops import bits_to_bytes
 from ..energy.accounting import EnergyLedger
 from ..energy.mcpat import charge_cache_read, charge_cache_write
 from ..errors import AddressError, CoherenceError
 from ..params import BLOCK_SIZE, CacheLevelConfig
-from ..sram import ComputeSubarray
+from ..sram import ComputeSubarray, PackedSubarray
 from .block import MESIState
 from .geometry import CacheGeometry
 from .htree import HTree
-from .mshr import MSHRFile
 from .set_assoc import SetAssociativeArray
 
 
@@ -51,8 +49,6 @@ class CacheLevel:
         config: CacheLevelConfig,
         ledger: EnergyLedger,
         commands_per_cycle: int = 1,
-        mshr_capacity: int = 16,
-        wordline_underdrive: bool = True,
         backend: str = "bitexact",
         tracer=None,
         unit: int = 0,
@@ -67,12 +63,9 @@ class CacheLevel:
         self._offset_bits = config.offset_bits
         self._set_bits = self.tags.set_index_bits
         self._set_mask = self.tags.sets - 1
-        self.geometry = CacheGeometry(
-            config, wordline_underdrive=wordline_underdrive, backend=backend
-        )
+        self.geometry = CacheGeometry(config, backend)
         self.htree = HTree(config.name, commands_per_cycle=commands_per_cycle,
                            tracer=tracer, unit=unit)
-        self.mshrs = MSHRFile(capacity=mshr_capacity)
         self.stats = CacheLevelStats()
         self.epoch = 0
         """Residency epoch: bumped on every fill and invalidate.  The CC
@@ -207,13 +200,11 @@ class CacheLevel:
         """Read a resident block without touching LRU, stats, or energy
         (verification backdoor)."""
         sub, row = self.geometry.slot(*self._resident(addr, "peek of"))
-        if sub.is_packed:
-            return sub.cells.read_row_bytes(row)
-        return bits_to_bytes(sub.cells.read_row(row))
+        return sub.peek_block(row)
 
     # -- CC support -------------------------------------------------------------
 
-    def locate(self, addr: int) -> tuple[ComputeSubarray, int]:
+    def locate(self, addr: int) -> tuple[ComputeSubarray | PackedSubarray, int]:
         """``(sub-array, row)`` of a resident block for in-place compute."""
         return self.geometry.slot(*self._resident(addr, "locate of"))
 

@@ -44,17 +44,6 @@ class Directory:
     def peek(self, block_addr: int) -> DirectoryEntry | None:
         return self._entries.get(block_addr)
 
-    def add_sharer(self, block_addr: int, core: int) -> None:
-        e = self.entry(block_addr)
-        e.sharers.add(core)
-        if e.owner is not None and e.owner != core:
-            raise CoherenceError(
-                f"block {block_addr:#x}: adding sharer {core} while owned by {e.owner}"
-            )
-        if self.tracer is not None:
-            self.tracer.emit("dir.grant", core=core, unit=self.slice_id,
-                             addr=block_addr, outcome="sharer")
-
     def set_owner(self, block_addr: int, core: int) -> None:
         e = self.entry(block_addr)
         e.sharers = {core}

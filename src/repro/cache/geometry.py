@@ -15,9 +15,9 @@ Consequently two addresses map to the same block partition iff their low
 "minimum address bits match" rule that lets software guarantee operand
 locality with page alignment alone.
 
-Each block partition is realized by one :class:`~repro.sram.ComputeSubarray`
-whose rows each hold one cache block; any two blocks of a partition can be
-computed on in place.
+Each block partition is realized by one sub-array of the machine's backend
+(:data:`~repro.sram.SUBARRAYS`) whose rows each hold one cache block; any
+two blocks of a partition can be computed on in place.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from ..errors import AddressError
 from ..params import CacheLevelConfig
-from ..sram import ComputeSubarray, SubarrayTiming
-from ..sram.timing import DEFAULT_TIMING
+from ..sram import SUBARRAYS, ComputeSubarray, PackedSubarray
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,8 @@ class AddressParts:
 class CacheGeometry:
     """Address decoding plus the physical sub-array grid of one cache level."""
 
-    def __init__(
-        self,
-        config: CacheLevelConfig,
-        timing: SubarrayTiming | None = None,
-        max_activated: int = 64,
-        wordline_underdrive: bool = True,
-        backend: str = "bitexact",
-    ) -> None:
+    def __init__(self, config: CacheLevelConfig, backend: str = "bitexact") -> None:
         self.config = config
-        self.timing = timing or DEFAULT_TIMING
-        self.backend = backend
         # Decode is on the critical path of every cache access and every CC
         # block operation; precompute the field masks/shifts once and
         # memoize decoded addresses (the config is frozen, so decode is
@@ -86,15 +76,9 @@ class CacheGeometry:
         # replication: the key must share bit-lines with the data it is
         # compared against, so each block partition holds its own copy.
         self.key_row = config.blocks_per_partition
+        subarray = SUBARRAYS[backend]
         self.subarrays = [
-            ComputeSubarray(
-                rows=config.blocks_per_partition + 1,
-                cols=config.block_size * 8,
-                timing=self.timing,
-                max_activated=max_activated,
-                wordline_underdrive=wordline_underdrive,
-                backend=backend,
-            )
+            subarray(config.blocks_per_partition + 1, config.block_size * 8)
             for _ in range(config.num_partitions)
         ]
         # A set's sub-array, by its low set-index bits (bank, then bp).
@@ -142,14 +126,14 @@ class CacheGeometry:
 
     # -- physical data plane ----------------------------------------------------
 
-    def locate(self, addr: int, way: int) -> tuple[ComputeSubarray, int]:
+    def locate(self, addr: int, way: int) -> tuple[ComputeSubarray | PackedSubarray, int]:
         """``(sub-array, row)`` of a resident block - the handle the CC
         controller uses to issue in-place operations."""
         parts = self.decode(addr)
         row = self.row_of(parts.set_index, way)
         return self.subarrays[parts.partition], row
 
-    def slot(self, set_index: int, way: int) -> tuple[ComputeSubarray, int]:
+    def slot(self, set_index: int, way: int) -> tuple[ComputeSubarray | PackedSubarray, int]:
         """``(sub-array, row)`` of an in-range (set, way); no address decode."""
         return (self._subarray_by_low_set[set_index & self._low_set_mask],
                 (set_index >> self._rg_shift) * self._ways + way)

@@ -56,8 +56,7 @@ def block_of(addr: int) -> int:
 class CacheHierarchy:
     """Cores' private caches + shared L3 slices + directory + memory."""
 
-    def __init__(self, config: MachineConfig, ledger: EnergyLedger | None = None,
-                 wordline_underdrive: bool = True) -> None:
+    def __init__(self, config: MachineConfig, ledger: EnergyLedger | None = None) -> None:
         self.config = config
         self.ledger = ledger if ledger is not None else EnergyLedger()
         self.tracer = (
@@ -68,20 +67,17 @@ class CacheHierarchy:
         backend = config.backend
         self.l1 = [
             CacheLevel(config.l1d, self.ledger, commands_per_cycle=cpc,
-                       wordline_underdrive=wordline_underdrive, backend=backend,
-                       tracer=self.tracer, unit=core)
+                       backend=backend, tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l2 = [
             CacheLevel(config.l2, self.ledger, commands_per_cycle=cpc,
-                       wordline_underdrive=wordline_underdrive, backend=backend,
-                       tracer=self.tracer, unit=core)
+                       backend=backend, tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l3 = [
             CacheLevel(config.l3_slice, self.ledger, commands_per_cycle=cpc,
-                       wordline_underdrive=wordline_underdrive, backend=backend,
-                       tracer=self.tracer, unit=slice_id)
+                       backend=backend, tracer=self.tracer, unit=slice_id)
             for slice_id in range(config.l3_slices)
         ]
         self.directory = [Directory(slice_id=s, tracer=self.tracer)
@@ -135,20 +131,6 @@ class CacheHierarchy:
         self.page_map_epoch += 1
 
     # -- private-hierarchy helpers ----------------------------------------------------
-
-    def _freshest_private(self, core: int, addr: int) -> tuple[bytes, bool] | None:
-        """Newest (data, dirty) copy in a core's private hierarchy, if any."""
-        l1_state = self.l1[core].state_of(addr)
-        if l1_state.dirty:
-            return self.l1[core].read_block(addr, charge=False), True
-        l2_state = self.l2[core].state_of(addr)
-        if l2_state.dirty:
-            return self.l2[core].read_block(addr, charge=False), True
-        if l1_state.readable:
-            return self.l1[core].read_block(addr, charge=False), False
-        if l2_state.readable:
-            return self.l2[core].read_block(addr, charge=False), False
-        return None
 
     def _invalidate_private(self, core: int, addr: int) -> tuple[bytes | None, bool]:
         """Invalidate a core's L1+L2 copies; returns freshest (data, dirty)."""

@@ -35,13 +35,13 @@ class HTree:
         """Energy of moving one 64-byte block over the H-tree (Table I)."""
         return CACHE_IC_ENERGY_PJ[self._table_level()]
 
-    def record_transfer(self) -> float:
-        """Account one block transfer; returns its energy in pJ."""
+    def record_transfer(self) -> None:
+        """Account one block transfer (its energy is charged with the
+        access, see :mod:`repro.energy.mcpat`)."""
         self.data_transfers += 1
         if self.tracer is not None:
             self.tracer.emit("htree.transfer", level=self.level_name,
                              unit=self.unit)
-        return self.transfer_energy_pj()
 
     def record_command(self) -> None:
         """Account one CC block-command broadcast over the address bus."""

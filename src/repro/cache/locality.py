@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import OperandLocalityError
-from ..params import PAGE_SIZE, CacheLevelConfig, log2i
+from ..params import PAGE_SIZE, CacheLevelConfig
 
 
 def partitions_match(addr_a: int, addr_b: int, config: CacheLevelConfig) -> bool:
@@ -69,8 +69,3 @@ def alignment_satisfies(compiled_bits: int, config: CacheLevelConfig) -> bool:
     """Portability rule of Section IV-C: a binary compiled with
     ``compiled_bits`` of alignment runs on any cache needing <= that."""
     return config.min_locality_bits <= compiled_bits
-
-
-def page_offset_bits(page_size: int = PAGE_SIZE) -> int:
-    """Number of address bits fixed by page alignment."""
-    return log2i(page_size)

@@ -84,11 +84,3 @@ class RingInterconnect:
     def core_stop(core_id: int, stops: int) -> int:
         """Ring stop a core attaches to (one core + one L3 slice per stop)."""
         return core_id % stops
-
-    def avg_block_energy(self) -> float:
-        """Mean block-transfer energy over uniformly random stop pairs."""
-        return (
-            self.config.avg_hops()
-            * self.config.flits_per_block
-            * self.config.energy_per_hop_per_flit
-        )

@@ -16,7 +16,7 @@ import hashlib
 import json
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, FaultPlanError
 from .params import (
     CacheLevelConfig,
     ComputeCacheConfig,
@@ -29,15 +29,13 @@ from .params import (
 
 _LEVEL_FIELDS = ("name", "size", "ways", "banks", "bps_per_bank",
                  "hit_latency", "block_size")
-_CORE_FIELDS = ("frequency_ghz", "load_queue_entries", "store_queue_entries",
-                "vector_lsq_entries", "simd_width", "epi_scalar", "epi_simd",
-                "epi_cc", "static_power_core_mw")
+_CORE_FIELDS = ("frequency_ghz", "epi_scalar", "epi_simd", "epi_cc",
+                "static_power_core_mw")
 _RING_FIELDS = ("hop_latency", "link_width_bits", "stops",
                 "energy_per_hop_per_flit")
-_MEMORY_FIELDS = ("latency", "energy_per_block", "bandwidth_blocks_per_cycle")
-_CC_FIELDS = ("inplace_latency", "nearplace_latency", "max_activated_wordlines",
-              "max_operand_bytes", "cmp_search_max_bytes", "search_key_bytes",
-              "pin_retry_limit", "area_overhead_fraction", "commands_per_cycle")
+_MEMORY_FIELDS = ("latency", "energy_per_block")
+_CC_FIELDS = ("inplace_latency", "nearplace_latency", "pin_retry_limit",
+              "area_overhead_fraction", "commands_per_cycle")
 _TOPOLOGY_FIELDS = ("clusters", "inter_hop_latency", "inter_link_width_bits",
                     "inter_energy_per_hop_per_flit", "slice_interleave")
 
@@ -83,6 +81,8 @@ def config_to_dict(config: MachineConfig) -> dict[str, Any]:
 
 def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
     """Rebuild a machine configuration; validates on construction."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config document must be a JSON object, not {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != "repro.machine-config/1":
         raise ConfigError(f"unsupported config schema {schema!r}")
@@ -138,8 +138,17 @@ def config_digest(config: MachineConfig) -> str:
     return hashlib.sha256(canonical_json(config_to_dict(config)).encode()).hexdigest()
 
 
+def _parse_json(text: str, error: type[ConfigError]) -> Any:
+    """Decode a JSON document; a syntax error becomes ``error`` with its
+    line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"not a JSON document: {exc}") from None
+
+
 def config_from_json(text: str) -> MachineConfig:
-    return config_from_dict(json.loads(text))
+    return config_from_dict(_parse_json(text, ConfigError))
 
 
 def save_config(config: MachineConfig, path: str) -> None:
@@ -162,7 +171,7 @@ def fault_plan_to_json(plan, indent: int = 2) -> str:
 def fault_plan_from_json(text: str):
     from .faults.plan import FaultPlan
 
-    return FaultPlan.from_dict(json.loads(text))
+    return FaultPlan.from_dict(_parse_json(text, FaultPlanError))
 
 
 def save_fault_plan(plan, path: str) -> None:

@@ -18,7 +18,6 @@ locality-satisfying operations here) and raises
 
 from __future__ import annotations
 
-from ..bitops import popcount_mask
 from ..cache.cache import CacheLevel
 from ..energy.mcpat import charge_cc_arith, charge_cc_op
 from ..errors import OperandLocalityError, ReproError
@@ -164,8 +163,3 @@ class InPlaceExecutor:
                 op.result_bits, op.result_bit_count = result, 0
             else:
                 op.result_bits, op.result_bit_count = 0, 0
-
-
-def mask_matches(mask: int) -> int:
-    """Convenience: number of matching words/keys in a CC-R result mask."""
-    return popcount_mask(mask)

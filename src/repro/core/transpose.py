@@ -54,9 +54,6 @@ class TransposeUnit:
     def __len__(self) -> int:
         return len(self._bit_serial)
 
-    def is_bit_serial(self, addr: int) -> bool:
-        return (addr & ~(BLOCK_SIZE - 1)) in self._bit_serial
-
     @staticmethod
     def _blocks(addr: int, size: int) -> range:
         start = addr & ~(BLOCK_SIZE - 1)

@@ -27,11 +27,6 @@ class InstrKind(enum.Enum):
     FENCE = "fence"
 
     @property
-    def is_memory(self) -> bool:
-        return self in (InstrKind.LOAD, InstrKind.STORE,
-                        InstrKind.SIMD_LOAD, InstrKind.SIMD_STORE)
-
-    @property
     def is_simd(self) -> bool:
         return self in (InstrKind.SIMD_LOAD, InstrKind.SIMD_STORE, InstrKind.SIMD_OP)
 

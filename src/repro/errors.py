@@ -37,18 +37,19 @@ class ActivationLimitError(ReproError):
     """More word-lines were activated than the circuit tolerates.
 
     Jeloka et al. demonstrated no data corruption with up to 64
-    simultaneously-activated word-lines; the sub-array model enforces a
-    configurable cap and raises this error beyond it.
+    simultaneously-activated word-lines; the bit-cell array model enforces
+    a configurable cap (``BitCellArray(max_activated=)``) and raises this
+    error beyond it.
     """
 
 
 class DataCorruptionError(ReproError):
     """Multi-row activation corrupted bit-cells.
 
-    Only raised when the sub-array is configured with
+    Only raised by a :class:`~repro.sram.bitcell.BitCellArray` built with
     ``wordline_underdrive=False`` (fault-injection mode) - the paper's
     circuit lowers the word-line voltage to bias against writes, which
-    prevents this failure.
+    prevents this failure, and every cache sub-array keeps it lowered.
     """
 
 

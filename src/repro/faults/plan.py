@@ -132,6 +132,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "FaultPlan":
+        if not isinstance(doc, dict):
+            raise FaultPlanError(
+                f"fault-plan document must be a JSON object, not {type(doc).__name__}")
         schema = doc.get("schema")
         if schema != PLAN_SCHEMA:
             raise FaultPlanError(f"unsupported fault-plan schema {schema!r}")

@@ -181,8 +181,8 @@ class PackedCellArray:
     bytes without ever unpacking.
 
     Circuit physics (multi-row activation, write-disturb, sense amps) is
-    *not* modeled here; sub-arrays configured with circuit-level options
-    (``wordline_underdrive=False``) fall back to the bit-exact backend.
+    *not* modeled here; circuit-level experiments use
+    :class:`~repro.sram.bitcell.BitCellArray` directly.
     """
 
     def __init__(self, rows: int, cols: int) -> None:

@@ -27,8 +27,8 @@ from .cpu.core_model import CoreModel, RunResult
 from .cpu.program import Program
 from .energy.accounting import EnergyLedger
 from .energy.mcpat import PowerModel, TotalEnergy
-from .errors import AddressError, ConfigError, ReproError
-from .params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
+from .errors import AddressError, ReproError
+from .params import BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
 
 
 class ComputeCacheMachine:
@@ -36,22 +36,18 @@ class ComputeCacheMachine:
 
     ``backend`` (``"packed"`` or ``"bitexact"``) overrides the execution
     backend of ``config`` for this machine; ``None`` keeps the config's
-    choice (``MachineConfig.backend``, default ``"packed"``).  Likewise
+    choice (``MachineConfig.backend``, default ``"packed"``), and an
+    unknown name raises :class:`~repro.errors.ConfigError`.  Likewise
     ``trace_events`` overrides ``MachineConfig.trace_events``: when on,
     ``machine.tracer`` holds the :class:`~repro.events.EventTracer` every
     layer of the machine emits into (see :mod:`repro.events`).
     """
 
     def __init__(self, config: MachineConfig | None = None,
-                 wordline_underdrive: bool = True,
                  backend: str | None = None,
                  trace_events: bool | None = None) -> None:
         from dataclasses import replace
 
-        if backend is not None and backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         self.config = config or sandybridge_8core()
         overrides = {}
         if backend is not None and backend != self.config.backend:
@@ -61,9 +57,7 @@ class ComputeCacheMachine:
         if overrides:
             self.config = replace(self.config, **overrides)
         self.ledger = EnergyLedger()
-        self.hierarchy = CacheHierarchy(
-            self.config, self.ledger, wordline_underdrive=wordline_underdrive
-        )
+        self.hierarchy = CacheHierarchy(self.config, self.ledger)
         self.tracer = self.hierarchy.tracer
         self.controllers = [
             ComputeCacheController(self.hierarchy, core_id, self.config)

@@ -126,16 +126,6 @@ class CacheLevelConfig:
         """
         return self.offset_bits + self.bank_bits + self.bp_bits
 
-    @property
-    def subarray_rows(self) -> int:
-        """Rows per sub-array; one cache block per row in our layout."""
-        return self.blocks_per_partition
-
-    @property
-    def subarray_cols(self) -> int:
-        """Bit-lines per sub-array; one 64-byte block per row -> 512 columns."""
-        return self.block_size * 8
-
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -145,14 +135,11 @@ class CoreConfig:
     (fetch/decode/rename/wakeup/commit included - McPAT puts a
     SandyBridge-class out-of-order core near 1 nJ/instruction).  They are
     calibrated so a scalar bulk-compare spends roughly three quarters of
-    its energy on instruction processing (Figure 3 top-left).
+    its energy on instruction processing (Figure 3 top-left).  The SIMD
+    width is :data:`repro.cpu.simd.SIMD_WIDTH`.
     """
 
     frequency_ghz: float = 2.66
-    load_queue_entries: int = 48
-    store_queue_entries: int = 32
-    vector_lsq_entries: int = 16
-    simd_width: int = 32
     epi_scalar: float = 800.0
     epi_simd: float = 1000.0
     epi_cc: float = 1100.0
@@ -175,10 +162,6 @@ class RingConfig:
     @property
     def flits_per_block(self) -> int:
         return (BLOCK_SIZE * 8) // self.link_width_bits
-
-    def avg_hops(self) -> float:
-        """Average hop count between two uniformly random ring stops."""
-        return self.stops / 4.0
 
 
 @dataclass(frozen=True)
@@ -241,22 +224,22 @@ class MemoryConfig:
 
     latency: int = 120
     energy_per_block: float = 15000.0
-    bandwidth_blocks_per_cycle: float = 0.25
 
 
 @dataclass(frozen=True)
 class ComputeCacheConfig:
-    """Parameters specific to the Compute Cache extensions (Sections IV, VI-C)."""
+    """Parameters specific to the Compute Cache extensions (Sections IV, VI-C).
+
+    The ISA's operand limits are constants of :mod:`repro.core.isa`
+    (``MAX_OPERAND_BYTES``, ``CMP_MAX_BYTES``, ``SEARCH_KEY_BYTES``), and the
+    64-word-line activation limit is ``BitCellArray(max_activated=)``'s.
+    """
 
     inplace_latency: int = 14
     nearplace_latency: int = 22
     transpose_latency: int = 8
     """Cycles to convert one cache block between row-major and bit-serial
     layout in the sub-array-periphery transpose unit (Neural Cache)."""
-    max_activated_wordlines: int = 64
-    max_operand_bytes: int = 16 * 1024
-    cmp_search_max_bytes: int = 512
-    search_key_bytes: int = 64
     pin_retry_limit: int = 2
     area_overhead_fraction: float = 0.08
     commands_per_cycle: int = 1

@@ -16,8 +16,12 @@ Public surface:
 * :class:`~repro.sram.decoder.DualRowDecoder` - the added second decoder.
 * :class:`~repro.sram.sense_amp.SenseAmpColumn` - differential sensing that
   reconfigures into two single-ended amps during compute.
-* :class:`~repro.sram.subarray.ComputeSubarray` - the full sub-array with
-  read/write/compute entry points and per-operation stats.
+* :class:`~repro.sram.subarray.ComputeSubarray` - the full sub-array as a
+  circuit, with read/write/compute entry points and per-operation stats.
+* :class:`~repro.sram.subarray.PackedSubarray` - the ``packed`` fast path:
+  the same block access and batched compute over packed bytes, bit-exact
+  against the circuit.  :data:`~repro.sram.subarray.SUBARRAYS` maps each
+  backend name to its class.
 * :class:`~repro.sram.timing.SubarrayTiming` - delay/energy multipliers
   (Section VI-C).
 """
@@ -26,7 +30,7 @@ from .bitcell import BitCellArray, CellType
 from .column_mux import ColumnMuxLayout
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
-from .subarray import ComputeSubarray, SubarrayOp, SubarrayStats
+from .subarray import SUBARRAYS, ComputeSubarray, PackedSubarray, SubarrayOp, SubarrayStats
 from .timing import SubarrayTiming
 
 __all__ = [
@@ -37,6 +41,8 @@ __all__ = [
     "SenseAmpColumn",
     "SenseMode",
     "ComputeSubarray",
+    "PackedSubarray",
+    "SUBARRAYS",
     "SubarrayOp",
     "SubarrayStats",
     "SubarrayTiming",

@@ -29,22 +29,22 @@ Supported in-place operations (all bit-exact):
 Execution backends
 ------------------
 
-Each sub-array runs one of two functional backends, selected at
-construction (machine-wide via ``MachineConfig.backend``):
+The backend is chosen once per machine (``MachineConfig.backend``), when
+the cache geometry builds its sub-arrays from :data:`SUBARRAYS`:
 
-* ``"bitexact"`` - the circuit model above: bytes expand to per-bit bool
-  arrays, word-lines activate, sense amps resolve rails.  Required for
-  circuit-level experiments (disturb injection, sense/decoder counters);
-  automatically forced when ``wordline_underdrive=False`` because the
-  write-disturb physics only exists in the bit-level model.
-* ``"packed"`` - vectorized numpy kernels over packed ``uint8`` rows
-  (:mod:`repro.kernels`); no bit unpacking anywhere.  Proven bit-exact
-  against the circuit model by the differential-equivalence harness.
+* ``"bitexact"`` - :class:`ComputeSubarray`, the circuit model above:
+  bytes expand to per-bit bool arrays, word-lines activate, sense amps
+  resolve rails.  It is the oracle for the fast path and the only one with
+  circuit diagnostics (sense-amp reconfiguration and decoder counts).
+* ``"packed"`` - :class:`PackedSubarray`, vectorized numpy kernels over
+  packed ``uint8`` rows (:mod:`repro.kernels`); no bit unpacking anywhere.
+  Proven bit-exact against the circuit model by the differential-equivalence
+  harness.
 
-Both backends drive the same :class:`SubarrayStats` and Table-V/VI-C
-energy/delay accounting, so results, statistics, and energy totals are
-backend-invariant.  Circuit diagnostics (sense-amp reconfiguration and
-decoder counts) are only meaningful under ``bitexact``.
+Both drive the same :class:`SubarrayStats` and Table-V/VI-C energy/delay
+accounting, so results, statistics, and energy totals are
+backend-invariant.  Circuit-level experiments (write disturb, activation
+limits, 8T cells) use :class:`~repro.sram.bitcell.BitCellArray` directly.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bitops import bits_to_bytes, bytes_to_bits, word_equality_mask, xor_reduce_lanes
-from ..errors import AddressError, ConfigError, ISAError
+from ..errors import AddressError, ISAError
 from ..kernels import (
     PackedCellArray,
     arith_rows,
@@ -68,10 +68,6 @@ from .bitcell import BitCellArray
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
 from .timing import DEFAULT_TIMING, SubarrayTiming, arith_steps
-
-BACKEND_BITEXACT = "bitexact"
-BACKEND_PACKED = "packed"
-BACKENDS = (BACKEND_BITEXACT, BACKEND_PACKED)
 
 
 class SubarrayOp:
@@ -126,56 +122,50 @@ class SubarrayStats:
         return sum(self.compute_ops.values())
 
 
-class ComputeSubarray:
-    """One sub-array: ``rows`` cache blocks sharing ``cols`` bit-lines."""
+class _Subarray:
+    """What both backends share: shape, timing, statistics and accounting."""
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        timing: SubarrayTiming | None = None,
-        max_activated: int = 64,
-        wordline_underdrive: bool = True,
-        backend: str = BACKEND_BITEXACT,
-    ) -> None:
+    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
         if cols % 8:
             raise AddressError(f"sub-array width {cols} is not a whole number of bytes")
-        if backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown sub-array backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if backend == BACKEND_PACKED and not wordline_underdrive:
-            # Write-disturb physics only exists in the bit-level circuit
-            # model; a full-swing experiment silently falls back to it.
-            backend = BACKEND_BITEXACT
         self.rows = rows
         self.cols = cols
-        self.backend = backend
-        if backend == BACKEND_PACKED:
-            self.cells: PackedCellArray | BitCellArray = PackedCellArray(rows, cols)
-        else:
-            self.cells = BitCellArray(
-                rows, cols, max_activated=max_activated,
-                wordline_underdrive=wordline_underdrive,
-            )
-        self.decoder = DualRowDecoder(rows)
-        self.sense = SenseAmpColumn(cols)
         self.timing = timing or DEFAULT_TIMING
         self._costs = self.timing.op_costs
         self.stats = SubarrayStats()
 
-    @property
-    def is_packed(self) -> bool:
-        return self.backend == BACKEND_PACKED
+    def _check_elem_width(self, elem_bits: int) -> None:
+        if elem_bits not in (8, 16, 32):
+            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
+        if self.cols % elem_bits:
+            raise ISAError(
+                f"{self.cols}-bit row is not divisible into {elem_bits}-bit elements"
+            )
+
+    def _account(self, op: str, steps: int = 1) -> None:
+        """Record one operation; ``steps`` scales the per-step cost of the
+        bit-serial arithmetic ops (1 for every single-step operation)."""
+        try:
+            energy, delay = self._costs[op]
+        except KeyError:
+            raise ISAError(f"unknown sub-array operation {op!r}") from None
+        self.stats.record(op, steps * energy, steps * delay)
+
+
+class ComputeSubarray(_Subarray):
+    """One sub-array as a circuit: ``rows`` cache blocks sharing ``cols``
+    bit-lines, a dual row decoder and reconfigurable sense amps."""
+
+    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
+        super().__init__(rows, cols, timing)
+        self.cells = BitCellArray(rows, cols)
+        self.decoder = DualRowDecoder(rows)
+        self.sense = SenseAmpColumn(cols)
 
     # -- conventional access ------------------------------------------------
 
     def read_block(self, row: int) -> bytes:
         """Conventional differential read of one row (one cache block)."""
-        if self.is_packed:
-            data = self.cells.read_row_bytes(row)
-            self._account(SubarrayOp.READ)
-            return data
         wl = self.decoder.decode(row)
         self.sense.configure(SenseMode.DIFFERENTIAL)
         bl, blb = self.cells.activate(wl)
@@ -189,14 +179,14 @@ class ComputeSubarray:
             raise AddressError(
                 f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
             )
-        if self.is_packed:
-            self.cells.write_row_bytes(row, data)
-            self._account(SubarrayOp.WRITE)
-            return
         bits = bytes_to_bits(data)
         self.decoder.decode(row)
         self.cells.write_row(row, bits)
         self._account(SubarrayOp.WRITE)
+
+    def peek_block(self, row: int) -> bytes:
+        """One row's bytes without stats or energy (verification backdoor)."""
+        return bits_to_bytes(self.cells.read_row(row))
 
     # -- in-place compute ---------------------------------------------------
 
@@ -207,47 +197,26 @@ class ComputeSubarray:
         bl, blb = self.cells.activate(wl)
         return self.sense.sense_single_ended(bl, blb)
 
-    def _packed_rows(self, *rows: int) -> list[np.ndarray]:
-        for row in rows:
-            self.cells._check_row(row)
-        return [self.cells.row(row) for row in rows]
-
     def op_and(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place AND of two rows; optionally written back to ``dest``."""
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.AND)
-            return self._finish_packed(a & b, dest)
         and_bits, _ = self._compute_sense(row_a, row_b)
         self._account(SubarrayOp.AND)
         return self._finish(and_bits, dest)
 
     def op_nor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place NOR of two rows (sensed on bit-line-bar)."""
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.NOR)
-            return self._finish_packed(~(a | b), dest)
         _, nor_bits = self._compute_sense(row_a, row_b)
         self._account(SubarrayOp.NOR)
         return self._finish(nor_bits, dest)
 
     def op_or(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place OR: complement of the NOR sense result."""
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.OR)
-            return self._finish_packed(a | b, dest)
         _, nor_bits = self._compute_sense(row_a, row_b)
         self._account(SubarrayOp.OR)
         return self._finish(~nor_bits, dest)
 
     def op_xor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place XOR: NOR of the BL (AND) and BLB (NOR) sense results."""
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.XOR)
-            return self._finish_packed(a ^ b, dest)
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
         self._account(SubarrayOp.XOR)
@@ -255,10 +224,6 @@ class ComputeSubarray:
 
     def op_not(self, row: int, dest: int | None = None) -> bytes:
         """Complement of one row, via BLB sensing of a single activation."""
-        if self.is_packed:
-            (a,) = self._packed_rows(row)
-            self._account(SubarrayOp.NOT)
-            return self._finish_packed(~a, dest)
         wl = self.decoder.decode(row)
         self.sense.configure(SenseMode.SINGLE_ENDED)
         bl, blb = self.cells.activate(wl)
@@ -273,10 +238,6 @@ class ComputeSubarray:
         bit-lines, and the destination word-line is write-enabled.  The data
         never leaves the sub-array.
         """
-        if self.is_packed:
-            (a,) = self._packed_rows(src)
-            self._account(SubarrayOp.COPY)
-            return self._finish_packed(a.copy(), dest)
         wl = self.decoder.decode(src)
         self.sense.configure(SenseMode.DIFFERENTIAL)
         bl, blb = self.cells.activate(wl)
@@ -288,11 +249,6 @@ class ComputeSubarray:
 
     def op_buz(self, dest: int) -> None:
         """In-place zeroing: reset the data latch, then write (cc_buz)."""
-        if self.is_packed:
-            self.cells._check_row(dest)
-            self.cells.row(dest)[:] = 0
-            self._account(SubarrayOp.BUZ)
-            return
         self.sense.reset_latch()
         bits = self.sense.drive_back()
         self.decoder.decode(dest)
@@ -305,10 +261,6 @@ class ComputeSubarray:
         The per-bit XOR results are combined per word with a wired-NOR;
         returns a mask with bit *i* set iff word *i* of the two rows match.
         """
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.CMP)
-            return int(equality_mask(a, b, word_bits // 8)[0])
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
         self._account(SubarrayOp.CMP)
@@ -321,24 +273,12 @@ class ComputeSubarray:
         reported at key granularity: bit *i* of the result is set iff the
         *i*-th key-sized chunk of the data row equals the key.
         """
-        if self.is_packed:
-            a, b = self._packed_rows(data_row, key_row)
-            self._account(SubarrayOp.SEARCH)
-            return int(equality_mask(a, b, key_bytes)[0])
         and_bits, nor_bits = self._compute_sense(data_row, key_row)
         xor_bits = ~(and_bits | nor_bits)
         self._account(SubarrayOp.SEARCH)
         return word_equality_mask(xor_bits, key_bytes * 8)
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
-
-    def _check_elem_width(self, elem_bits: int) -> None:
-        if elem_bits not in (8, 16, 32):
-            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
-        if self.cols % elem_bits:
-            raise ISAError(
-                f"{self.cols}-bit row is not divisible into {elem_bits}-bit elements"
-            )
 
     def _row_bit_planes(self, row: int, elem_bits: int) -> np.ndarray:
         """Row contents as ``(n_elems, elem_bits)`` bit planes, LSB first.
@@ -397,10 +337,6 @@ class ComputeSubarray:
         """Element-wise bit-serial addition of two rows (cc_add)."""
         self._check_elem_width(elem_bits)
         steps = arith_steps(SubarrayOp.ADD, elem_bits)
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.ADD, steps=steps)
-            return self._finish_packed(arith_rows("add", a, b, elem_bits)[0], dest)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_add_planes(a, b)
@@ -412,10 +348,6 @@ class ComputeSubarray:
         """Element-wise bit-serial multiplication of two rows (cc_mul)."""
         self._check_elem_width(elem_bits)
         steps = arith_steps(SubarrayOp.MUL, elem_bits)
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.MUL, steps=steps)
-            return self._finish_packed(arith_rows("mul", a, b, elem_bits)[0], dest)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_mul_planes(a, b)
@@ -432,10 +364,6 @@ class ComputeSubarray:
         self._check_elem_width(elem_bits)
         n_elems = self.cols // elem_bits
         steps = arith_steps(SubarrayOp.REDUCE, elem_bits, n_elems)
-        if self.is_packed:
-            (a,) = self._packed_rows(row)
-            self._account(SubarrayOp.REDUCE, steps=steps)
-            return int(reduce_rows(a, elem_bits)[0])
         planes = self._row_bit_planes(row, elem_bits)
         total = 0
         for k in range(elem_bits):
@@ -452,19 +380,13 @@ class ComputeSubarray:
         """
         if lane_bits not in (64, 128, 256):
             raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-        n_lanes = self.cols // lane_bits
-        if self.is_packed:
-            a, b = self._packed_rows(row_a, row_b)
-            self._account(SubarrayOp.CLMUL)
-            mask = int(clmul_mask(a, b, lane_bits)[0])
-            return mask.to_bytes((n_lanes + 7) // 8, "little")
         and_bits, _ = self._compute_sense(row_a, row_b)
         lanes = xor_reduce_lanes(and_bits, lane_bits)
         self._account(SubarrayOp.CLMUL)
         mask = int(pack_flags(lanes)[0])
         return mask.to_bytes((lanes.size + 7) // 8, "little")
 
-    # -- batched compute (one kernel call across many rows) ------------------
+    # -- batched compute ----------------------------------------------------
 
     def op_batch(
         self,
@@ -477,87 +399,22 @@ class ComputeSubarray:
         lane_bits: int | None = None,
         elem_bits: int | None = None,
     ) -> list:
-        """Issue one operation over many row tuples of this sub-array.
-
-        Under the packed backend the whole batch is one vectorized kernel
-        call (gather packed rows, compute, scatter); under the bit-exact
-        backend it degenerates to the per-row circuit operations.  Either
-        way the per-operation accounting (:class:`SubarrayStats`, Table-V
-        energy) is identical to issuing the rows one at a time, so timing
-        and energy are batch- and backend-invariant.
+        """Issue one operation over many row tuples of this sub-array, one
+        tuple at a time through the per-row circuit operations
+        (:meth:`PackedSubarray.op_batch` makes the batch one kernel call).
+        Either way the accounting (:class:`SubarrayStats`, Table-V energy)
+        equals that of issuing the rows one at a time.
 
         Returns a list with one entry per row tuple: result ``bytes`` for
         data-producing ops, ``int`` masks for ``cmp``/``search``, packed
         ``bytes`` for ``clmul``, ``int`` partial sums for ``reduce``, and
         ``None`` for ``buz``.
         """
-        if not rows_a:
-            return []
-        if not self.is_packed:
-            return [
-                self._one_op(op, i, rows_a, rows_b, rows_dest,
-                             word_bits, key_bytes, lane_bits, elem_bits)
-                for i in range(len(rows_a))
-            ]
-        for row in rows_a:
-            self.cells._check_row(row)
-        for row in rows_b or ():
-            self.cells._check_row(row)
-        for row in rows_dest or ():
-            self.cells._check_row(row)
-
-        a = self.cells.read_rows(rows_a)
-        b = self.cells.read_rows(rows_b) if rows_b is not None else None
-
-        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR,
-                  SubarrayOp.NOT, SubarrayOp.COPY, SubarrayOp.BUZ):
-            out = logical_rows(op, a, b)
-            if rows_dest is not None:
-                self.cells.write_rows(rows_dest, out)
-            for _ in rows_a:
-                self._account(op)
-            if op == SubarrayOp.BUZ:
-                return [None] * len(rows_a)
-            return [row.tobytes() for row in out]
-        if op == SubarrayOp.CMP:
-            masks = equality_mask(a, b, word_bits // 8)
-            for _ in rows_a:
-                self._account(op)
-            return [int(m) for m in masks]
-        if op == SubarrayOp.SEARCH:
-            masks = equality_mask(a, b, key_bytes)
-            for _ in rows_a:
-                self._account(op)
-            return [int(m) for m in masks]
-        if op == SubarrayOp.CLMUL:
-            if lane_bits not in (64, 128, 256):
-                raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-            masks = clmul_mask(a, b, lane_bits)
-            nbytes = (self.cols // lane_bits + 7) // 8
-            for _ in rows_a:
-                self._account(op)
-            return [int(m).to_bytes(nbytes, "little") for m in masks]
-        if op in (SubarrayOp.ADD, SubarrayOp.MUL):
-            if elem_bits is None:
-                raise ISAError(f"batched {op} needs an element width")
-            self._check_elem_width(elem_bits)
-            out = arith_rows(op, a, b, elem_bits)
-            if rows_dest is not None:
-                self.cells.write_rows(rows_dest, out)
-            steps = arith_steps(op, elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [row.tobytes() for row in out]
-        if op == SubarrayOp.REDUCE:
-            if elem_bits is None:
-                raise ISAError("batched reduce needs an element width")
-            self._check_elem_width(elem_bits)
-            sums = reduce_rows(a, elem_bits)
-            steps = arith_steps(op, elem_bits, self.cols // elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [int(s) for s in sums]
-        raise ISAError(f"unknown batched sub-array operation {op!r}")
+        return [
+            self._one_op(op, i, rows_a, rows_b, rows_dest,
+                         word_bits, key_bytes, lane_bits, elem_bits)
+            for i in range(len(rows_a))
+        ]
 
     def _one_op(self, op: str, i: int, rows_a, rows_b, rows_dest,
                 word_bits: int, key_bytes: int, lane_bits: int | None,
@@ -599,18 +456,101 @@ class ComputeSubarray:
             self.cells.write_row(dest, self.sense.drive_back())
         return bits_to_bytes(bits)
 
-    def _finish_packed(self, packed: np.ndarray, dest: int | None) -> bytes:
-        """Packed-backend twin of :meth:`_finish`."""
-        if dest is not None:
-            self.cells._check_row(dest)
-            self.cells.data[dest] = packed
-        return packed.tobytes()
 
-    def _account(self, op: str, steps: int = 1) -> None:
-        """Record one operation; ``steps`` scales the per-step cost of the
-        bit-serial arithmetic ops (1 for every single-step operation)."""
-        try:
-            energy, delay = self._costs[op]
-        except KeyError:
-            raise ISAError(f"unknown sub-array operation {op!r}") from None
-        self.stats.record(op, steps * energy, steps * delay)
+class PackedSubarray(_Subarray, PackedCellArray):
+    """The fast path: packed rows whose every batch is one vectorized kernel
+    call (gather packed rows, compute, scatter), with the circuit's results
+    and accounting."""
+
+    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
+        _Subarray.__init__(self, rows, cols, timing)
+        PackedCellArray.__init__(self, rows, cols)
+
+    def read_block(self, row: int) -> bytes:
+        """Conventional read of one row (one cache block)."""
+        data = self.read_row_bytes(row)
+        self._account(SubarrayOp.READ)
+        return data
+
+    def write_block(self, row: int, data: bytes) -> None:
+        """Conventional write of one row."""
+        if len(data) * 8 != self.cols:
+            raise AddressError(
+                f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
+            )
+        self.write_row_bytes(row, data)
+        self._account(SubarrayOp.WRITE)
+
+    def peek_block(self, row: int) -> bytes:
+        """One row's bytes without stats or energy (verification backdoor)."""
+        return self.read_row_bytes(row)
+
+    def op_batch(
+        self,
+        op: str,
+        rows_a: list[int],
+        rows_b: list[int] | None = None,
+        rows_dest: list[int] | None = None,
+        word_bits: int = 64,
+        key_bytes: int = 64,
+        lane_bits: int | None = None,
+        elem_bits: int | None = None,
+    ) -> list:
+        """:meth:`ComputeSubarray.op_batch` as one kernel call."""
+        if not rows_a:
+            return []
+        for row in (*rows_a, *(rows_b or ()), *(rows_dest or ())):
+            self._check_row(row)
+
+        a = self.read_rows(rows_a)
+        b = self.read_rows(rows_b) if rows_b is not None else None
+
+        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR,
+                  SubarrayOp.NOT, SubarrayOp.COPY, SubarrayOp.BUZ):
+            out = logical_rows(op, a, b)
+            if rows_dest is not None:
+                self.write_rows(rows_dest, out)
+            for _ in rows_a:
+                self._account(op)
+            if op == SubarrayOp.BUZ:
+                return [None] * len(rows_a)
+            return [row.tobytes() for row in out]
+        if op in (SubarrayOp.CMP, SubarrayOp.SEARCH):
+            chunk_bytes = word_bits // 8 if op == SubarrayOp.CMP else key_bytes
+            masks = equality_mask(a, b, chunk_bytes)
+            for _ in rows_a:
+                self._account(op)
+            return [int(m) for m in masks]
+        if op == SubarrayOp.CLMUL:
+            if lane_bits not in (64, 128, 256):
+                raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
+            masks = clmul_mask(a, b, lane_bits)
+            nbytes = (self.cols // lane_bits + 7) // 8
+            for _ in rows_a:
+                self._account(op)
+            return [int(m).to_bytes(nbytes, "little") for m in masks]
+        if op in (SubarrayOp.ADD, SubarrayOp.MUL):
+            if elem_bits is None:
+                raise ISAError(f"batched {op} needs an element width")
+            self._check_elem_width(elem_bits)
+            out = arith_rows(op, a, b, elem_bits)
+            if rows_dest is not None:
+                self.write_rows(rows_dest, out)
+            steps = arith_steps(op, elem_bits)
+            for _ in rows_a:
+                self._account(op, steps=steps)
+            return [row.tobytes() for row in out]
+        if op == SubarrayOp.REDUCE:
+            if elem_bits is None:
+                raise ISAError("batched reduce needs an element width")
+            self._check_elem_width(elem_bits)
+            sums = reduce_rows(a, elem_bits)
+            steps = arith_steps(op, elem_bits, self.cols // elem_bits)
+            for _ in rows_a:
+                self._account(op, steps=steps)
+            return [int(s) for s in sums]
+        raise ISAError(f"unknown batched sub-array operation {op!r}")
+
+
+SUBARRAYS = {"bitexact": ComputeSubarray, "packed": PackedSubarray}
+"""The sub-array class of each execution backend (``MachineConfig.backend``)."""

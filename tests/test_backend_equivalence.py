@@ -3,13 +3,15 @@
 The packed fast-path backend must be *observationally identical* to the
 bit-exact circuit model: same data, same CC-R result masks, same cycle
 counts, same per-sub-array statistics, and same energy - on any
-instruction stream.  Two layers of evidence:
+instruction stream.  Three layers of evidence:
 
 1. a seeded random-stream harness driving full machine pairs through
    identical CC instruction sequences (the headline differential test);
 2. Hypothesis properties running every CC opcode on both backends with
    random payloads, odd (non-power-of-two) block counts, misaligned
-   (block- but not page-aligned) starts, and page-spanning ranges.
+   (block- but not page-aligned) starts, and page-spanning ranges;
+3. every sub-array operation, batched, on one sub-array of each backend
+   (including ``nor``, which no CC opcode issues).
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.core.isa import CLMUL_LANES, CMP_MAX_BYTES, SEARCH_MAX_BYTES
-from repro.params import BLOCK_SIZE, PAGE_SIZE, small_test_machine
-from repro.sram.subarray import BACKENDS
+from repro.errors import ConfigError
+from repro.params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, MachineConfig, small_test_machine
+from repro.sram import SUBARRAYS
 
 REGION = 2 * PAGE_SIZE  # big enough that offsets can span a page boundary
 
@@ -328,3 +331,80 @@ class TestArithProperties:
         ea = np.frombuffer(_payload(seed, REGION)[off:off + size], dtype=dt)
         expect = int(ea.astype(np.uint64).sum(dtype=np.uint64))
         assert out["packed"][0] == expect % (1 << 64)
+
+
+# -- the sub-array layer --------------------------------------------------------
+
+SOURCE_ROWS = 16
+SUB_ROWS = SOURCE_ROWS + 8  # eight destination rows: one per tuple of a batch
+
+SUBARRAY_CASES = (
+    [(op, {}) for op in ("and", "or", "nor", "xor", "not", "copy", "buz",
+                         "cmp", "search")]
+    + [("clmul", {"lane_bits": lanes}) for lanes in CLMUL_LANES]
+    + [(op, {"elem_bits": bits}) for op in ("add", "mul", "reduce")
+       for bits in (8, 16, 32)]
+)
+
+
+def _row_image(rng):
+    """Sub-array contents in which each 8-byte word of a row is one of two
+    values, so word compares come out mixed."""
+    pool = rng.integers(0, 256, (2, BLOCK_SIZE), dtype=np.uint8)
+    pick = rng.integers(0, 2, (SUB_ROWS, BLOCK_SIZE // 8)).repeat(8, axis=1)
+    return np.where(pick == 0, pool[0], pool[1])
+
+
+def _row_tuples(op, n, rng):
+    """``(rows_a, rows_b, rows_dest)`` of ``n`` tuples, in the shape the
+    in-place executor issues ``op`` (see ``repro.core.inplace.operand_rows``)."""
+    a = [int(r) for r in rng.integers(0, SOURCE_ROWS, n)]
+    b = [int(r) for r in rng.integers(0, SOURCE_ROWS, n)]
+    dest = [int(r) for r in rng.permutation(np.arange(SOURCE_ROWS, SUB_ROWS))[:n]]
+    if op == "buz":
+        return dest, None, dest
+    if op in ("not", "copy"):
+        return a, None, dest
+    if op in ("cmp", "search", "clmul"):
+        return a, b, None
+    if op == "reduce":
+        return a, None, None
+    return a, b, dest
+
+
+class TestSubarrayBackends:
+    @pytest.mark.parametrize("op, widths", SUBARRAY_CASES,
+                             ids=[op + "".join(f"-{v}" for v in w.values())
+                                  for op, w in SUBARRAY_CASES])
+    def test_batches_agree(self, op, widths):
+        """Batches of 1 to 8 row tuples: equal results, rows and stats."""
+        rng = np.random.default_rng(len(op) * 1000 + sum(widths.values()))
+        subs = {be: SUBARRAYS[be](SUB_ROWS, BLOCK_SIZE * 8) for be in BACKENDS}
+        for sub in subs.values():
+            for row, data in enumerate(_row_image(np.random.default_rng(5))):
+                sub.write_block(row, data.tobytes())
+        for n in range(1, 9):
+            rows = _row_tuples(op, n, rng)
+            results = {be: sub.op_batch(op, *rows, **widths)
+                       for be, sub in subs.items()}
+            assert results["bitexact"] == results["packed"], f"batch of {n}"
+            images = {be: [sub.peek_block(r) for r in range(SUB_ROWS)]
+                      for be, sub in subs.items()}
+            assert images["bitexact"] == images["packed"], f"batch of {n}"
+        assert subs["bitexact"].stats == subs["packed"].stats
+        assert subs["packed"].stats.compute_ops == {op: 36}
+
+
+class TestBackendSelection:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_geometry_builds_the_backends_subarray(self, backend):
+        m = ComputeCacheMachine(small_test_machine(), backend=backend)
+        h = m.hierarchy
+        for level in (*h.l1, *h.l2, *h.l3):
+            assert {type(sub) for sub in level.geometry.subarrays} == {SUBARRAYS[backend]}
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigError, match="nope"):
+            MachineConfig(backend="nope")
+        with pytest.raises(ConfigError, match="nope"):
+            ComputeCacheMachine(small_test_machine(), backend="nope")

@@ -4,9 +4,10 @@ The packed backend exists to make simulation fast; this file pins the
 speedup so a regression that silently falls back to per-bit circuit
 evaluation fails loudly.
 
-* At the backend layer - :meth:`ComputeSubarray.op_batch` over a 16 KB
-  cc_xor's worth of row operations - packed must be **>= 5x** faster than
-  bit-exact (in practice it is orders of magnitude faster).
+* At the backend layer - ``op_batch`` of each backend's sub-array class
+  (:data:`repro.sram.SUBARRAYS`) over a 16 KB cc_xor's worth of row
+  operations - packed must be **>= 5x** faster than bit-exact (in practice
+  it is orders of magnitude faster).
 * Machine-level end-to-end 16 KB cc_xor timings are *recorded* for both
   backends (no ratio assert there: the simulated controller's tag/LRU/
   coherence bookkeeping is backend-invariant by design and dominates the
@@ -21,8 +22,8 @@ import numpy as np
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.params import BLOCK_SIZE, small_test_machine
-from repro.sram.subarray import BACKENDS, ComputeSubarray
+from repro.params import BACKENDS, BLOCK_SIZE, small_test_machine
+from repro.sram import SUBARRAYS
 
 KB16 = 16 * 1024
 BLOCKS = KB16 // BLOCK_SIZE  # 256 row operations = one 16 KB cc_xor
@@ -31,9 +32,8 @@ ROWS_B = list(range(BLOCKS, 2 * BLOCKS))
 ROWS_DEST = list(range(2 * BLOCKS, 3 * BLOCKS))
 
 
-def _subarray(backend: str) -> ComputeSubarray:
-    sub = ComputeSubarray(rows=3 * BLOCKS, cols=BLOCK_SIZE * 8,
-                          backend=backend)
+def _subarray(backend: str):
+    sub = SUBARRAYS[backend](3 * BLOCKS, BLOCK_SIZE * 8)
     rng = np.random.default_rng(42)
     for row in (*ROWS_A, *ROWS_B):
         sub.write_block(row, rng.integers(0, 256, BLOCK_SIZE,
@@ -41,7 +41,7 @@ def _subarray(backend: str) -> ComputeSubarray:
     return sub
 
 
-def _batch(sub: ComputeSubarray):
+def _batch(sub):
     return sub.op_batch("xor", ROWS_A, ROWS_B, ROWS_DEST)
 
 

@@ -14,7 +14,7 @@ from repro.config_io import (
 )
 from repro.core.scrub import ScrubService
 from repro.errors import ConfigError
-from repro.params import sandybridge_8core, small_test_machine
+from repro.params import CoreConfig, sandybridge_8core, small_test_machine
 
 
 class TestConfigSerialization:
@@ -54,6 +54,31 @@ class TestConfigSerialization:
         doc["l1d"][field] = value
         with pytest.raises(ConfigError, match=field):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("core", "load_queue_entries", 48),
+        ("core", "store_queue_entries", 32),
+        ("core", "vector_lsq_entries", 16),
+        ("core", "simd_width", 32),
+        ("memory", "bandwidth_blocks_per_cycle", 0.25),
+        ("cc", "max_activated_wordlines", 64),
+        ("cc", "max_operand_bytes", 16 * 1024),
+        ("cc", "cmp_search_max_bytes", 512),
+        ("cc", "search_key_bytes", 64),
+    ])
+    def test_removed_field_rejected(self, section, field, value):
+        """A 4.x document that still carries a field removed in 5.0.0
+        (with its 4.x default value) fails with a ConfigError naming it."""
+        doc = config_to_dict(small_test_machine())
+        doc[section][field] = value
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(doc)
+
+    def test_removed_knobs_are_type_errors(self):
+        with pytest.raises(TypeError):
+            ComputeCacheMachine(small_test_machine(), wordline_underdrive=False)
+        with pytest.raises(TypeError):
+            CoreConfig(simd_width=16)
 
     def test_rebuilt_machine_runs(self, make_bytes):
         cfg = config_from_dict(config_to_dict(small_test_machine()))

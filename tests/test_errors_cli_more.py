@@ -7,6 +7,7 @@ import pytest
 
 from repro import errors
 from repro.cli import build_parser, main
+from repro.config_io import config_from_json, fault_plan_from_json
 
 
 class TestErrorHierarchy:
@@ -36,6 +37,20 @@ class TestErrorHierarchy:
 
     def test_repro_error_is_exception(self):
         assert issubclass(errors.ReproError, Exception)
+
+
+@pytest.mark.parametrize("loader, error", [
+    (config_from_json, errors.ConfigError),
+    (fault_plan_from_json, errors.FaultPlanError),
+])
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '"text"', "42", "null"])
+def test_loaders_reject_malformed_documents(loader, error, text):
+    """Text that is not JSON, or JSON that is not an object, fails with
+    the loader's own ``ReproError``; a syntax error keeps its position."""
+    with pytest.raises(error) as info:
+        loader(text)
+    if text == "{not json":
+        assert "line 1 column 2" in str(info.value)
 
 
 class TestCLIMore:
@@ -108,3 +123,9 @@ class TestCLIErrors:
                         encoding="utf-8")
         assert main(["faults", "--plan", str(plan)]) == 2
         assert "fault-plan schema" in self._error_line(capsys)
+
+    def test_fault_plan_not_json(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text("{not json", encoding="utf-8")
+        assert main(["faults", "--plan", str(plan)]) == 2
+        assert "not a JSON document" in self._error_line(capsys)

@@ -33,8 +33,6 @@ class TestTable4Defaults:
         cfg = sandybridge_8core()
         assert cfg.cores == 8
         assert cfg.core.frequency_ghz == 2.66
-        assert cfg.core.load_queue_entries == 48
-        assert cfg.core.store_queue_entries == 32
 
     def test_caches(self):
         cfg = sandybridge_8core()
