@@ -96,14 +96,18 @@ class CacheLevel:
             raise CoherenceError(f"{self.name}: {what} absent block {addr:#x}")
         return set_index, way
 
-    def lookup(self, addr: int) -> int | None:
-        """Tag lookup (counted); returns the way or None."""
+    def lookup(self, addr: int) -> tuple[int, int, MESIState] | None:
+        """Tag lookup (counted); returns a hit line's ``(set_index, way,
+        state)`` - the handle :meth:`read_line` takes - or None."""
         block = self._block(addr)
-        way = self.tags.lookup(block & self._set_mask, block >> self._set_bits)
+        set_index = block & self._set_mask
+        way = self.tags.lookup(set_index, block >> self._set_bits)
         if self.tracer is not None:
             self.tracer.emit("cache.lookup", level=self.name, unit=self.unit,
                              addr=addr, outcome="hit" if way is not None else "miss")
-        return way
+        if way is None:
+            return None
+        return set_index, way, self.tags.state(set_index, way)
 
     def probe(self, addr: int) -> int | None:
         """Uncounted presence check (coherence probes, CC level selection)."""
@@ -123,7 +127,12 @@ class CacheLevel:
 
     def read_block(self, addr: int, charge: bool = True) -> bytes:
         """Read a resident block (conventional access: array + H-tree)."""
-        set_index, way = self._resident(addr, "read of")
+        return self.read_line(addr, *self._resident(addr, "read of"), charge)
+
+    def read_line(self, addr: int, set_index: int, way: int,
+                  charge: bool = True) -> bytes:
+        """:meth:`read_block` of the block at ``addr`` that a
+        :meth:`lookup` found in ``(set_index, way)``."""
         self.tags.touch(set_index, way)
         self.stats.reads += 1
         self.htree.record_transfer()

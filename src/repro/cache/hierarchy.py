@@ -306,16 +306,16 @@ class CacheHierarchy:
         l1, l2 = self.l1[core], self.l2[core]
         l1_lat = l1.config.hit_latency
 
-        l1_way = l1.lookup(addr)
-        if l1_way is not None:
-            state = l1.state_of(addr)
-            if not for_write or state.writable:
-                data = l1.read_block(addr)
-                if for_write:
-                    l1.set_state(addr, MESIState.MODIFIED)
+        line = l1.lookup(addr)
+        if line is not None:
+            set_index, way, state = line
+            data = l1.read_line(addr, set_index, way)
+            if not for_write:
+                return AccessResult(data, l1_lat, L1)
+            if state.writable:
+                l1.tags.set_state(set_index, way, MESIState.MODIFIED)
                 return AccessResult(data, l1_lat, L1)
             # S -> M upgrade through the directory.
-            data = l1.read_block(addr)
             _, up_lat = self._l3_get(core, addr, for_write=True)
             l1.set_state(addr, MESIState.MODIFIED)
             if l2.contains(addr):
@@ -323,18 +323,16 @@ class CacheHierarchy:
             return AccessResult(data, l1_lat + up_lat, L3)
 
         l2_lat = l2.config.hit_latency
-        l2_way = l2.lookup(addr)
-        if l2_way is not None and (not for_write or l2.state_of(addr).writable):
-            data = l2.read_block(addr)
-            state = MESIState.MODIFIED if for_write else l2.state_of(addr)
-            ev = l1.fill(addr, data, state)
-            if ev:
-                self._handle_l1_eviction(core, ev)
-            return AccessResult(data, l1_lat + l2_lat, L2)
-
-        # Miss (or upgrade-miss) to the home L3 slice.
-        if l2_way is not None:
-            data = l2.read_block(addr)
+        line = l2.lookup(addr)
+        if line is not None:
+            set_index, way, state = line
+            data = l2.read_line(addr, set_index, way)
+            if not for_write or state.writable:
+                ev = l1.fill(addr, data, MESIState.MODIFIED if for_write else state)
+                if ev:
+                    self._handle_l1_eviction(core, ev)
+                return AccessResult(data, l1_lat + l2_lat, L2)
+            # Upgrade-miss to the home L3 slice.
             _, l3_lat = self._l3_get(core, addr, for_write=True)
             l2.set_state(addr, MESIState.EXCLUSIVE)
             ev = l1.fill(addr, data, MESIState.MODIFIED)
@@ -342,6 +340,7 @@ class CacheHierarchy:
                 self._handle_l1_eviction(core, ev)
             return AccessResult(data, l1_lat + l2_lat + l3_lat, L3)
 
+        # Miss to the home L3 slice.
         data, l3_lat = self._l3_get(core, addr, for_write)
         entry = self.directory[self.home_slice(addr, core)].entry(addr)
         if for_write:
@@ -361,9 +360,14 @@ class CacheHierarchy:
     # -- byte-granularity interface used by the core model ---------------------------------
 
     def read(self, core: int, addr: int, size: int) -> tuple[bytes, int]:
-        """Read ``size`` bytes; returns (data, total latency)."""
-        if size == 0:
+        """Read ``size`` bytes; returns (data, total latency).  A size of 0
+        or less reads nothing."""
+        if size <= 0:
             return b"", 0
+        lo = addr % BLOCK_SIZE
+        if lo + size <= BLOCK_SIZE:
+            res = self.access_block(core, addr - lo, for_write=False)
+            return res.data[lo:lo + size], res.latency
         out = bytearray()
         latency = 0
         for block in range(block_of(addr), block_of(addr + size - 1) + 1, BLOCK_SIZE):

@@ -22,30 +22,23 @@ The model captures the terms the paper's evaluation depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from ..cache.hierarchy import CacheHierarchy
-from ..core.consistency import OpKind, RMOOrderModel
 from ..core.controller import CCResult, ComputeCacheController
 from ..core.stream import CCOccupancyTimeline
 from ..energy.accounting import Component
 from ..errors import ReproError
 from ..params import MachineConfig
-from .program import Instr, InstrKind, Program
+from .program import InstrKind, Program
 
 MEMORY_LEVEL_PARALLELISM = 4.0
 """Concurrent misses the load queue sustains on streaming kernels."""
 
-
-@cache
-def _epi_by_kind(epi_scalar: float, epi_simd: float,
-                 epi_cc: float) -> dict[InstrKind, float]:
-    """Energy per instruction of each :class:`InstrKind` (a core's
-    ``epi_*`` constants).  One table per distinct set of constants, shared
-    by every core that uses it; read it, never write it."""
-    return {kind: (epi_cc if kind is InstrKind.CC
-                   else epi_simd if kind.is_simd else epi_scalar)
-            for kind in InstrKind}
+CORE = Component.CORE
+SCALAR_OP, BRANCH, SIMD_OP = InstrKind.SCALAR_OP, InstrKind.BRANCH, InstrKind.SIMD_OP
+LOAD, SIMD_LOAD = InstrKind.LOAD, InstrKind.SIMD_LOAD
+STORE, SIMD_STORE = InstrKind.STORE, InstrKind.SIMD_STORE
+CC, FENCE = InstrKind.CC, InstrKind.FENCE
 
 
 @dataclass
@@ -88,16 +81,8 @@ class CoreModel:
             hierarchy, core_id, self.config
         )
         self.mlp = mlp
-        self.order_model = RMOOrderModel()
         self.keep_load_data = False
         self.tracer = hierarchy.tracer
-        core = self.config.core
-        self._epi = _epi_by_kind(core.epi_scalar, core.epi_simd, core.epi_cc)
-
-    # -- energy helpers ---------------------------------------------------------
-
-    def _charge_core(self, instr: Instr) -> None:
-        self.hierarchy.ledger.add(Component.CORE, self._epi[instr.kind])
 
     @staticmethod
     def _alu(op: str, a: bytes, b: bytes) -> bytes:
@@ -112,81 +97,85 @@ class CoreModel:
     # -- execution -----------------------------------------------------------------
 
     def run(self, program: Program) -> RunResult:
-        """Execute a program; returns cycles/instruction accounting."""
+        """Execute a program; returns cycles/instruction accounting.
+
+        Each instruction first charges its class's energy to ``core``
+        (SIMD loads, stores and ops ``epi_simd``, CC ``epi_cc``, the rest
+        ``epi_scalar``), before any cache traffic it causes."""
         res = RunResult(name=program.name)
+        core_id = self.core_id
+        hierarchy = self.hierarchy
+        charge = hierarchy.ledger.add
+        epi = self.config.core
+        epi_scalar, epi_simd, epi_cc = epi.epi_scalar, epi.epi_simd, epi.epi_cc
         l1_hit = self.config.l1d.hit_latency
         pending_stall = 0.0
         cc_timeline = CCOccupancyTimeline()
         tracer = self.tracer
         for instr in program:
+            kind = instr.kind
             res.instructions += 1
-            self._charge_core(instr)
             res.cycles += 1  # issue slot
             if tracer is not None:
                 # ``core.phase`` spans tile [0, res.cycles]: the profiler
                 # asserts they sum to the run's total machine cycles.
-                tracer.emit("core.phase", core=self.core_id, phase="issue",
+                tracer.emit("core.phase", core=core_id, phase="issue",
                             cycle=res.cycles - 1.0, span=1.0,
-                            outcome=instr.kind.name.lower())
+                            outcome=kind.name.lower())
 
-            if instr.kind in (InstrKind.SCALAR_OP, InstrKind.BRANCH, InstrKind.SIMD_OP):
-                if instr.kind is InstrKind.SIMD_OP:
-                    res.simd_ops += 1
-                else:
-                    res.scalar_ops += 1
-                continue
+            if kind is SCALAR_OP or kind is BRANCH:
+                charge(CORE, epi_scalar)
+                res.scalar_ops += 1
 
-            if instr.kind in (InstrKind.LOAD, InstrKind.SIMD_LOAD):
+            elif kind is SIMD_OP:
+                charge(CORE, epi_simd)
+                res.simd_ops += 1
+
+            elif kind is LOAD or kind is SIMD_LOAD:
+                charge(CORE, epi_scalar if kind is LOAD else epi_simd)
                 res.loads += 1
-                op_id = self.order_model.issue(OpKind.LOAD)
-                data, latency = self.hierarchy.read(self.core_id, instr.addr, instr.size)
-                self.order_model.complete(op_id)
+                data, latency = hierarchy.read(core_id, instr.addr, instr.size)
                 if self.keep_load_data:
                     res.load_data.append(data)
                 if latency > l1_hit and not instr.streaming:
                     if instr.dependent:
                         # A serial chain: the full latency is exposed now.
                         if tracer is not None:
-                            tracer.emit("core.phase", core=self.core_id,
+                            tracer.emit("core.phase", core=core_id,
                                         phase="load-stall", cycle=float(res.cycles),
                                         span=float(latency - l1_hit), addr=instr.addr)
                         res.cycles += latency - l1_hit
                         res.stall_cycles += latency - l1_hit
                     else:
                         pending_stall += (latency - l1_hit) / self.mlp
-                continue
 
-            if instr.kind in (InstrKind.STORE, InstrKind.SIMD_STORE):
+            elif kind is STORE or kind is SIMD_STORE:
+                charge(CORE, epi_scalar if kind is STORE else epi_simd)
                 if instr.data is not None:
                     payload = instr.data
                 elif instr.src_addr is not None:
                     # Register contents: the value(s) previously loaded
                     # (peeked coherently, no extra traffic).
-                    payload = self.hierarchy.coherent_peek(instr.src_addr, instr.size)
+                    payload = hierarchy.coherent_peek(instr.src_addr, instr.size)
                     if instr.alu is not None and instr.src2_addr is not None:
-                        other = self.hierarchy.coherent_peek(instr.src2_addr, instr.size)
+                        other = hierarchy.coherent_peek(instr.src2_addr, instr.size)
                         payload = self._alu(instr.alu, payload, other)
                 else:
                     raise ReproError("store instruction without data or source")
                 res.stores += 1
-                op_id = self.order_model.issue(OpKind.STORE)
-                latency = self.hierarchy.write(self.core_id, instr.addr, payload)
-                self.order_model.complete(op_id)
+                latency = hierarchy.write(core_id, instr.addr, payload)
                 # Stores retire through the store buffer, but write-allocate
                 # misses still occupy MSHRs: bulk stores are throughput-bound
                 # by the same memory-level parallelism as loads.
                 if latency > l1_hit:
                     pending_stall += (latency - l1_hit) / self.mlp
-                continue
 
-            if instr.kind is InstrKind.CC:
+            elif kind is CC:
+                charge(CORE, epi_cc)
                 if instr.cc is None:
                     raise ReproError("CC instruction without a payload")
                 res.cc_instructions += 1
-                kind = OpKind.CC_R if instr.cc.opcode.reads_only else OpKind.CC_RW
-                op_id = self.order_model.issue(kind)
                 cc_res = self.controller.execute(instr.cc)
-                self.order_model.complete(op_id)
                 res.cc_results.append(cc_res)
                 res.cc_cycles += cc_res.cycles
                 # RMO overlap: the core keeps issuing; this operation holds
@@ -198,21 +187,22 @@ class CoreModel:
                                           cc_res.cycles)
                 if tracer is not None:
                     opname = instr.cc.opcode.value
-                    tracer.emit("cc.timeline", core=self.core_id, phase="occupancy",
+                    tracer.emit("cc.timeline", core=core_id, phase="occupancy",
                                 opcode=opname, cycle=float(start),
                                 span=float(max(cc_res.occupancy_cycles, 1.0)))
-                    tracer.emit("cc.timeline", core=self.core_id, phase="total",
+                    tracer.emit("cc.timeline", core=core_id, phase="total",
                                 opcode=opname, cycle=float(start),
                                 span=float(cc_res.cycles))
-                continue
 
-            if instr.kind is InstrKind.FENCE:
+            elif kind is FENCE:
+                charge(CORE, epi_scalar)
                 res.fences += 1
-                # Fence commit waits for every pending operation,
-                # including in-flight CC instructions (Section IV-G).
-                self.order_model.drain_for_fence()
+                # Fence commit waits for every pending operation, including
+                # in-flight CC instructions (Section IV-G).  Loads and stores
+                # complete at issue here, so what remains is the overlapped
+                # miss latency and the CC controller's timeline.
                 if tracer is not None and pending_stall:
-                    tracer.emit("core.phase", core=self.core_id, phase="mlp-stall",
+                    tracer.emit("core.phase", core=core_id, phase="mlp-stall",
                                 cycle=float(res.cycles), span=float(pending_stall))
                 res.cycles += pending_stall
                 res.stall_cycles += pending_stall
@@ -220,14 +210,14 @@ class CoreModel:
                 drain_to = cc_timeline.drain_target
                 if drain_to > res.cycles:
                     if tracer is not None:
-                        tracer.emit("core.phase", core=self.core_id, phase="cc-drain",
+                        tracer.emit("core.phase", core=core_id, phase="cc-drain",
                                     cycle=float(res.cycles),
                                     span=float(drain_to - res.cycles))
                     res.stall_cycles += drain_to - res.cycles
                     res.cycles = drain_to
-                continue
 
-            raise ReproError(f"core cannot execute {instr.kind}")
+            else:
+                raise ReproError(f"core cannot execute {kind}")
 
         if tracer is not None and pending_stall:
             tracer.emit("core.phase", core=self.core_id, phase="mlp-stall",

@@ -5,6 +5,11 @@ what the timing/energy model needs: the kind of each instruction and, for
 memory operations, its address/size.  Data movement happens for real (the
 core model routes loads/stores through the cache hierarchy), so programs
 compute real results while being cheap to synthesize in benchmarks.
+
+Instructions are frozen, so the factories of the kinds that carry no
+operands (:meth:`Instr.scalar`, :meth:`~Instr.branch`,
+:meth:`~Instr.simd_op`, :meth:`~Instr.fence`) each return one shared
+instance.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ class Instr:
 
     @staticmethod
     def scalar() -> "Instr":
-        return Instr(InstrKind.SCALAR_OP)
+        return _SCALAR_OP
 
     @staticmethod
     def branch() -> "Instr":
-        return Instr(InstrKind.BRANCH)
+        return _BRANCH
 
     @staticmethod
     def load(addr: int, size: int = 8, dependent: bool = False,
@@ -101,7 +106,7 @@ class Instr:
 
     @staticmethod
     def simd_op() -> "Instr":
-        return Instr(InstrKind.SIMD_OP)
+        return _SIMD_OP
 
     @staticmethod
     def cc_op(cc: CCInstruction) -> "Instr":
@@ -109,7 +114,13 @@ class Instr:
 
     @staticmethod
     def fence() -> "Instr":
-        return Instr(InstrKind.FENCE)
+        return _FENCE
+
+
+_SCALAR_OP = Instr(InstrKind.SCALAR_OP)
+_BRANCH = Instr(InstrKind.BRANCH)
+_SIMD_OP = Instr(InstrKind.SIMD_OP)
+_FENCE = Instr(InstrKind.FENCE)
 
 
 @dataclass

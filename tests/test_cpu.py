@@ -1,5 +1,7 @@
 """Core model and baseline-kernel tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,24 @@ class TestCoreModel:
         machine.cores[0].keep_load_data = True
         res = machine.run(Program("ld", [Instr.load(addr, 64)]))
         assert res.load_data == [data]
+
+
+class TestSharedInstructions:
+    @pytest.mark.parametrize("factory, kind", [
+        (Instr.scalar, InstrKind.SCALAR_OP), (Instr.branch, InstrKind.BRANCH),
+        (Instr.simd_op, InstrKind.SIMD_OP), (Instr.fence, InstrKind.FENCE),
+    ])
+    def test_data_free_factories_share_one_frozen_instance(self, factory, kind):
+        instr = factory()
+        assert instr is factory()
+        assert instr == Instr(kind)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instr.addr = 64
+        assert factory() == Instr(kind)
+
+    def test_data_carrying_factories_build_new_instances(self):
+        assert Instr.load(0x40) is not Instr.load(0x40)
+        assert Instr.load(0x40) == Instr.load(0x40)
 
 
 class TestBaselineKernels:

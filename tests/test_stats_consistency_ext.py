@@ -1,10 +1,9 @@
-"""Tests: machine-wide stats, TSO exploration, and the 8T cell variant."""
+"""Tests: machine-wide stats, the 8T cell variant, and CC on several cores."""
 
 import numpy as np
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.core.consistency import OpKind, TSOOrderModel
 from repro.errors import DataCorruptionError
 from repro.params import small_test_machine
 from repro.sram import BitCellArray, CellType
@@ -49,52 +48,6 @@ class TestStatsCollection:
         assert set(snap.energy_breakdown_nj) == {
             "core", "cache-access", "cache-ic", "noc"
         }
-
-
-class TestTSOExploration:
-    def test_rmo_allows_everything_pending(self):
-        from repro.core.consistency import RMOOrderModel
-
-        rmo = RMOOrderModel()
-        rmo.issue(OpKind.CC_RW)
-        assert rmo.may_issue(OpKind.STORE)
-        assert rmo.may_issue(OpKind.LOAD)
-
-    def test_tso_orders_store_stream(self):
-        tso = TSOOrderModel()
-        op = tso.issue(OpKind.STORE)
-        assert not tso.may_issue(OpKind.STORE)
-        assert not tso.may_issue(OpKind.CC_RW)
-        tso.complete(op)
-        assert tso.may_issue(OpKind.STORE)
-
-    def test_tso_load_bypasses_scalar_store_not_cc_rw(self):
-        tso = TSOOrderModel()
-        st = tso.issue(OpKind.STORE)
-        assert tso.may_issue(OpKind.LOAD)  # store buffer bypass
-        tso.complete(st)
-        cc = tso.issue(OpKind.CC_RW)
-        assert not tso.may_issue(OpKind.LOAD)  # no forwarding from vectors
-        tso.complete(cc)
-        assert tso.may_issue(OpKind.LOAD)
-
-    def test_tso_cc_r_unordered(self):
-        tso = TSOOrderModel()
-        tso.issue(OpKind.STORE)
-        assert tso.may_issue(OpKind.CC_R)
-
-    def test_tso_exposes_cc_rw_latency(self):
-        """The headline of the exploration: RMO hides what TSO must wait
-        for - a CC-RW pending under TSO stalls the next store."""
-        tso = TSOOrderModel()
-        tso.issue(OpKind.CC_RW)
-        assert tso.ordering_stalls(OpKind.STORE)
-
-    def test_fence_semantics_shared(self):
-        tso = TSOOrderModel()
-        tso.issue(OpKind.LOAD)
-        assert not tso.may_issue(OpKind.FENCE)
-        assert tso.drain_for_fence() == 1
 
 
 class TestEightTCell:
