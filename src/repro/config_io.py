@@ -14,104 +14,88 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import MISSING, fields
 from typing import Any
 
 from .errors import ConfigError, FaultPlanError
-from .params import (
-    CacheLevelConfig,
-    ComputeCacheConfig,
-    CoreConfig,
-    MachineConfig,
-    MemoryConfig,
-    RingConfig,
-    TopologyConfig,
-)
+from .params import MachineConfig, TopologyConfig
 
-_LEVEL_FIELDS = ("name", "size", "ways", "banks", "bps_per_bank",
-                 "hit_latency", "block_size")
-_CORE_FIELDS = ("frequency_ghz", "epi_scalar", "epi_simd", "epi_cc",
-                "static_power_core_mw")
-_RING_FIELDS = ("hop_latency", "link_width_bits", "stops",
-                "energy_per_hop_per_flit")
-_MEMORY_FIELDS = ("latency", "energy_per_block")
-_CC_FIELDS = ("inplace_latency", "nearplace_latency", "pin_retry_limit",
-              "area_overhead_fraction", "commands_per_cycle")
-_TOPOLOGY_FIELDS = ("clusters", "inter_hop_latency", "inter_link_width_bits",
-                    "inter_energy_per_hop_per_flit", "slice_interleave")
-
-
-def _dump(obj: Any, fields: tuple[str, ...]) -> dict[str, Any]:
-    return {f: getattr(obj, f) for f in fields}
+SCHEMA = "repro.machine-config/1"
+_UNSERIALIZED = ("trace_events", "event_buffer_capacity")
+"""Observability settings: they cannot change a simulated number, so they
+stay out of the document and its digest."""
+_FIELDS = tuple(f for f in fields(MachineConfig) if f.name not in _UNSERIALIZED)
+_SECTIONS = {f.name: type(f.default_factory()) for f in _FIELDS
+             if f.default_factory is not MISSING}
+"""The nested sections (``core``, ``l1d``, ..., ``topology``) and their
+dataclasses."""
+_OPTIONAL = ("backend", "topology")
 
 
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
     """Serialize a machine configuration to plain data.
 
-    ``backend`` (the functional execution backend) is part of the
-    document; observability settings (``trace_events``,
-    ``event_buffer_capacity``) are deliberately *not* — they cannot change
+    Every field of :class:`~repro.params.MachineConfig` and of its sections
+    is in the document except the observability settings
+    (``trace_events``, ``event_buffer_capacity``): they cannot change
     simulation results, so two configs differing only in tracing
     serialize (and hash, see :func:`config_digest`) identically.
 
     ``topology`` appears in the document only when it differs from the
-    default flat machine, so every document (and digest) produced before
-    multi-cluster topologies existed remains byte-identical — and the
-    sweep runner's on-disk cache entries for flat configs stay valid.
+    default flat machine, so flat machines keep the documents (and
+    digests) they had before multi-cluster topologies existed.
     """
-    doc = {
-        "schema": "repro.machine-config/1",
-        "backend": config.backend,
-        "cores": config.cores,
-        "l3_slices": config.l3_slices,
-        "memory_size": config.memory_size,
-        "static_power_uncore_mw": config.static_power_uncore_mw,
-        "core": _dump(config.core, _CORE_FIELDS),
-        "l1d": _dump(config.l1d, _LEVEL_FIELDS),
-        "l1i": _dump(config.l1i, _LEVEL_FIELDS),
-        "l2": _dump(config.l2, _LEVEL_FIELDS),
-        "l3_slice": _dump(config.l3_slice, _LEVEL_FIELDS),
-        "ring": _dump(config.ring, _RING_FIELDS),
-        "memory": _dump(config.memory, _MEMORY_FIELDS),
-        "cc": _dump(config.cc, _CC_FIELDS),
-    }
-    if config.topology != TopologyConfig():
-        doc["topology"] = _dump(config.topology, _TOPOLOGY_FIELDS)
+    doc: dict[str, Any] = {"schema": SCHEMA}
+    for f in _FIELDS:
+        value = getattr(config, f.name)
+        if f.name == "topology" and value == TopologyConfig():
+            continue
+        if f.name in _SECTIONS:
+            value = {g.name: getattr(value, g.name) for g in fields(value)}
+        doc[f.name] = value
     return doc
 
 
+def _unknown_key(doc: dict[str, Any], known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown config field {key!r}{where}")
+
+
 def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
-    """Rebuild a machine configuration; validates on construction."""
+    """Rebuild a machine configuration; validates on construction.
+
+    A key that is not a field of the configuration (or ``schema``) is an
+    error naming it, so a document from another version cannot load with a
+    field silently dropped.  Top-level fields other than ``backend`` and
+    ``topology`` are required; a missing section field takes its default.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"config document must be a JSON object, not {type(doc).__name__}")
     schema = doc.get("schema")
-    if schema != "repro.machine-config/1":
+    if schema != SCHEMA:
         raise ConfigError(f"unsupported config schema {schema!r}")
-    extra: dict[str, Any] = {}
-    if "backend" in doc:
-        extra["backend"] = doc["backend"]
-    if "topology" in doc:
-        try:
-            extra["topology"] = TopologyConfig(**doc["topology"])
-        except TypeError as exc:
-            raise ConfigError(f"malformed topology section: {exc}") from None
+    _unknown_key(doc, {"schema", *(f.name for f in _FIELDS)}, "")
+    kwargs: dict[str, Any] = {}
+    for f in _FIELDS:
+        if f.name not in doc:
+            if f.name in _OPTIONAL:
+                continue
+            raise ConfigError(f"config document missing field {f.name!r}")
+        value = doc[f.name]
+        section = _SECTIONS.get(f.name)
+        if section is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {f.name!r} must be an object")
+            _unknown_key(value, {g.name for g in fields(section)},
+                         f" in section {f.name!r}")
+            try:
+                value = section(**value)
+            except TypeError as exc:
+                raise ConfigError(f"malformed {f.name} section: {exc}") from None
+        kwargs[f.name] = value
     try:
-        return MachineConfig(
-            **extra,
-            cores=doc["cores"],
-            l3_slices=doc["l3_slices"],
-            memory_size=doc["memory_size"],
-            static_power_uncore_mw=doc["static_power_uncore_mw"],
-            core=CoreConfig(**doc["core"]),
-            l1d=CacheLevelConfig(**doc["l1d"]),
-            l1i=CacheLevelConfig(**doc["l1i"]),
-            l2=CacheLevelConfig(**doc["l2"]),
-            l3_slice=CacheLevelConfig(**doc["l3_slice"]),
-            ring=RingConfig(**doc["ring"]),
-            memory=MemoryConfig(**doc["memory"]),
-            cc=ComputeCacheConfig(**doc["cc"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config document missing field {exc}") from None
+        return MachineConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"malformed config document: {exc}") from None
 

@@ -270,11 +270,6 @@ class MachineConfig:
             name="L1-D", size=32 * 1024, ways=8, banks=2, bps_per_bank=2, hit_latency=5
         )
     )
-    l1i: CacheLevelConfig = field(
-        default_factory=lambda: CacheLevelConfig(
-            name="L1-I", size=32 * 1024, ways=4, banks=2, bps_per_bank=2, hit_latency=5
-        )
-    )
     l2: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(
             name="L2", size=256 * 1024, ways=8, banks=8, bps_per_bank=2, hit_latency=11
@@ -357,9 +352,6 @@ def small_test_machine(memory_size: int = 1024 * 1024) -> MachineConfig:
         cores=2,
         l1d=CacheLevelConfig(
             name="L1-D", size=4 * 1024, ways=4, banks=2, bps_per_bank=2, hit_latency=5
-        ),
-        l1i=CacheLevelConfig(
-            name="L1-I", size=4 * 1024, ways=2, banks=2, bps_per_bank=2, hit_latency=5
         ),
         l2=CacheLevelConfig(
             name="L2", size=16 * 1024, ways=4, banks=4, bps_per_bank=2, hit_latency=11

@@ -74,6 +74,22 @@ class TestConfigSerialization:
         with pytest.raises(ConfigError, match=field):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["l1i", "trace_events", "cache_line"])
+    def test_unknown_top_level_key_rejected(self, key):
+        """A key that is not a serialized field - ``l1i`` (removed in
+        6.0.0), an observability setting, a typo - fails with a
+        ConfigError naming it instead of being dropped."""
+        doc = config_to_dict(small_test_machine())
+        doc[key] = {"name": "L1-I"} if key == "l1i" else True
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
+    def test_section_must_be_an_object(self):
+        doc = config_to_dict(small_test_machine())
+        doc["cc"] = [14, 22]
+        with pytest.raises(ConfigError, match="cc"):
+            config_from_dict(doc)
+
     def test_removed_knobs_are_type_errors(self):
         with pytest.raises(TypeError):
             ComputeCacheMachine(small_test_machine(), wordline_underdrive=False)

@@ -3,6 +3,7 @@ cache hit/miss semantics, timeout -> retry -> serial-fallback, degraded
 (pool-less) execution, and parallel-vs-serial determinism."""
 
 import json
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -17,11 +18,70 @@ from repro.bench.runner import (
     point_key,
     runner_wall_profile,
 )
-from repro.config_io import config_digest, config_from_dict, config_to_dict
-from repro.errors import RunnerError
-from repro.params import sandybridge_8core, small_test_machine
+from repro.config_io import (
+    config_digest,
+    config_from_dict,
+    config_from_json,
+    config_to_dict,
+    config_to_json,
+)
+from repro.errors import ConfigError, RunnerError
+from repro.params import TopologyConfig, sandybridge_8core, small_test_machine
 
 SMALL = lambda: config_to_dict(small_test_machine())  # noqa: E731
+
+DIGEST_BASE = replace(sandybridge_8core(), topology=TopologyConfig(clusters=2))
+"""A machine whose document carries every section (``topology`` only
+appears when it is not the default)."""
+NOT_SERIALIZED = {"trace_events", "event_buffer_capacity"}
+CHANGED = {
+    # a legal value different from DIGEST_BASE's, per leaf field
+    "backend": "bitexact", "cores": 4, "l3_slices": 4, "memory_size": 1 << 27,
+    "static_power_uncore_mw": 1500.0,
+    "frequency_ghz": 3.0, "epi_scalar": 900.0, "epi_simd": 1100.0,
+    "epi_cc": 1200.0, "static_power_core_mw": 500.0,
+    "name": "X", "size": 1 << 23, "ways": 4, "banks": 4, "bps_per_bank": 1,
+    "hit_latency": 40,
+    "hop_latency": 4, "link_width_bits": 128, "stops": 4,
+    "energy_per_hop_per_flit": 60.0,
+    "latency": 200, "energy_per_block": 16000.0,
+    "inplace_latency": 15, "nearplace_latency": 23, "transpose_latency": 40,
+    "pin_retry_limit": 3, "area_overhead_fraction": 0.1, "commands_per_cycle": 2,
+    "clusters": 4, "inter_hop_latency": 30, "inter_link_width_bits": 128,
+    "inter_energy_per_hop_per_flit": 300.0, "slice_interleave": "page",
+}
+
+
+def _leaf_fields(config) -> list[str]:
+    """``name`` or ``section.name`` of every field a config document
+    carries, taken from the dataclasses themselves."""
+    out = []
+    for f in fields(config):
+        if f.name in NOT_SERIALIZED:
+            continue
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out += [f"{f.name}.{g.name}" for g in fields(value)
+                    if g.name != "block_size"]
+        else:
+            out.append(f.name)
+    return out
+
+
+def _with_leaf(config, path: str):
+    """``config`` with one leaf field set to its ``CHANGED`` value; the L3
+    slice count and the ring's stop count change together (one stop per
+    slice)."""
+    section, _, name = path.rpartition(".")
+    top = {}
+    if section:
+        top[section] = replace(getattr(config, section), **{name: CHANGED[name]})
+    else:
+        top[name] = CHANGED[name]
+    if path in ("l3_slices", "ring.stops"):
+        top["l3_slices"] = CHANGED["l3_slices"]
+        top["ring"] = replace(config.ring, stops=CHANGED["stops"])
+    return replace(config, **top)
 
 
 def small_kernel_point(kernel="copy", config="cc", size=512):
@@ -48,14 +108,28 @@ class TestCacheKeys:
     def test_config_digest_covers_backend_and_geometry(self):
         base = sandybridge_8core()
         assert config_digest(base) == config_digest(sandybridge_8core())
-        from dataclasses import replace
-
         assert config_digest(base) != config_digest(replace(base, cores=4))
         assert config_digest(base) != \
             config_digest(replace(base, backend="bitexact"))
         # Observability settings must NOT change the digest.
         assert config_digest(base) == \
             config_digest(replace(base, trace_events=True))
+        assert config_digest(base) == \
+            config_digest(replace(base, event_buffer_capacity=1 << 10))
+
+    @pytest.mark.parametrize("path", _leaf_fields(DIGEST_BASE))
+    def test_config_digest_covers_every_field(self, path):
+        """Changing any serialized field changes the digest and survives a
+        JSON round trip (a field the document dropped would do neither)."""
+        changed = _with_leaf(DIGEST_BASE, path)
+        assert config_digest(changed) != config_digest(DIGEST_BASE)
+        assert config_from_json(config_to_json(changed)) == changed
+
+    def test_only_block_size_is_fixed(self):
+        """``block_size`` is the one serialized field with a single legal
+        value, so no digest test above can change it."""
+        with pytest.raises(ConfigError, match="block_size"):
+            replace(DIGEST_BASE.l1d, block_size=128)
 
     def test_config_roundtrip_preserves_backend(self):
         from dataclasses import replace
