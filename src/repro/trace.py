@@ -17,9 +17,9 @@ Event grammar (one per line, ``#`` comments):
 
 =============  ===========================================
 ``init``       ``addr, <data-spec>``  - backdoor memory fill
-``load``       ``addr[, size][, dependent][, streaming]``
+``load``       ``addr[, size][, dependent][, streaming]`` (size > 0)
 ``store``      ``addr, <data-spec>``
-``simd_load``  ``addr[, size]``
+``simd_load``  ``addr[, size]`` (size > 0)
 ``simd_store`` ``addr, <data-spec>``
 ``scalar``     (no operands) - one ALU op
 ``branch``     (no operands)
@@ -126,6 +126,8 @@ class TraceReader:
                 raise ISAError(f"{head} needs an address")
             addr = int(ops[0], 0)
             size = int(ops[1], 0) if len(ops) > 1 else (32 if head == "simd_load" else 8)
+            if size <= 0:
+                raise ISAError(f"{head} size must be positive, got {size}")
             flags = {o.lower() for o in ops[2:]}
             if head == "simd_load":
                 self.program.append(Instr.simd_load(addr, size))

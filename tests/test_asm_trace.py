@@ -124,9 +124,11 @@ class TestTraceFrontend:
         assert m.peek(0x0, 8) == bytes(range(1, 9))
 
     def test_bad_lines_report_position(self):
-        with pytest.raises(ISAError) as exc:
-            run_trace("scalar\nwibble 0x0", ComputeCacheMachine(small_test_machine()))
-        assert "line 2" in str(exc.value)
+        for bad in ("wibble 0x0", "load 0x1000, -8", "simd_load 0x2000, -32",
+                    "load 0x0, 0", "simd_load 0x40, 0"):
+            with pytest.raises(ISAError) as exc:
+                run_trace(f"scalar\n{bad}", ComputeCacheMachine(small_test_machine()))
+            assert "line 2" in str(exc.value)
 
     def test_trace_file(self, tmp_path):
         from repro.trace import run_trace_file
