@@ -70,7 +70,7 @@ class TestCLIMore:
         out_path = str(tmp_path / "r.json")
         assert main(["export", "--out", out_path]) == 0
         assert "validation_ok=True" in capsys.readouterr().out
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["schema"] == "repro.results/1"
 
     def test_parser_rejects_unknown(self):
