@@ -8,6 +8,9 @@ decoder, single-ended sensing, XOR-reduction tree, copy control).
 from repro.bench.report import render_table
 from repro.sram.area import cache_area_overhead, subarray_area, tree_depth
 
+PAPER_AREA_OVERHEAD = 0.08
+"""Section VI-C: "The area overhead is 8% for a sub-array of size 512 x 512"."""
+
 
 def test_512x512_overhead_is_8_percent(benchmark):
     area = benchmark.pedantic(subarray_area, args=(512, 512),
@@ -31,15 +34,12 @@ def test_overhead_grows_for_smaller_subarrays(benchmark):
     assert result[128] > result[256] > result[512]
 
 
-def test_whole_cache_overhead_matches_config(benchmark):
-    """The machine's configured 8% area overhead is consistent with the
-    structural model for the L3's 512x512 sub-arrays."""
-    from repro.params import sandybridge_8core
-
+def test_whole_cache_overhead_matches_paper(benchmark):
+    """The paper's 8% area overhead is consistent with the structural
+    model for the L3's 512x512 sub-arrays."""
     overhead = benchmark.pedantic(cache_area_overhead, args=(512, 512, 64),
                                   rounds=1, iterations=1)
-    cfg = sandybridge_8core()
-    assert abs(overhead - cfg.cc.area_overhead_fraction) < 0.02
+    assert abs(overhead - PAPER_AREA_OVERHEAD) < 0.02
 
 
 def test_reduction_tree_depth(benchmark):

@@ -105,9 +105,10 @@ def run_stringmatch_cc(workload: StringMatchWorkload,
     m = machine or fresh_machine()
     text_base = _stage_text(m, workload.corpus)
     # Two batch buffers: the core encrypts into one while the CC controller
-    # searches the other (the RMO overlap of Section IV-G; the vector LSQ's
-    # range checks would otherwise order same-buffer stores behind the
-    # in-flight searches).
+    # searches the other (the RMO overlap of Section IV-G).  On the paper's
+    # hardware the vector LSQ would order stores into a buffer behind the
+    # searches still reading it; the model has no LSQ, but the program is
+    # written as the hardware needs it.
     batch_addrs = m.arena.alloc_colocated(BATCH_WORDS * SLOT, 2)
     keys_addr = m.arena.alloc_page_aligned(len(workload.keys) * SLOT)
     runner = StreamRunner(m, "stringmatch-cc", chunk=1 << 30)

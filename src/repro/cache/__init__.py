@@ -20,7 +20,6 @@ from .geometry import AddressParts, CacheGeometry
 from .hierarchy import CacheHierarchy
 from .locality import check_operand_locality, partitions_match
 from .memory import MainMemory
-from .prefetch import StridePrefetcher
 from .ring import RingInterconnect
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "check_operand_locality",
     "partitions_match",
     "MainMemory",
-    "StridePrefetcher",
     "RingInterconnect",
 ]

@@ -28,12 +28,9 @@ class HTree:
     tracer: object = field(default=None, repr=False, compare=False)
     unit: int = field(default=0, repr=False, compare=False)
 
-    def _table_level(self) -> str:
-        return "L1-D" if self.level_name.startswith("L1") else self.level_name
-
     def transfer_energy_pj(self) -> float:
         """Energy of moving one 64-byte block over the H-tree (Table I)."""
-        return CACHE_IC_ENERGY_PJ[self._table_level()]
+        return CACHE_IC_ENERGY_PJ[self.level_name]
 
     def record_transfer(self) -> None:
         """Account one block transfer (its energy is charged with the
@@ -56,6 +53,5 @@ class HTree:
 
     def htree_fraction(self) -> float:
         """Fraction of read energy spent on wires for this level."""
-        level = self._table_level()
-        ic = CACHE_IC_ENERGY_PJ[level]
-        return ic / (ic + CACHE_ACCESS_ENERGY_PJ[level])
+        ic = CACHE_IC_ENERGY_PJ[self.level_name]
+        return ic / (ic + CACHE_ACCESS_ENERGY_PJ[self.level_name])

@@ -30,6 +30,9 @@ _SECTIONS = {f.name: type(f.default_factory()) for f in _FIELDS
 """The nested sections (``core``, ``l1d``, ..., ``topology``) and their
 dataclasses."""
 _OPTIONAL = ("backend", "topology")
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+"""The JSON values a field of each annotated type accepts.  ``true`` and
+``false`` are not numbers here, although Python's ``bool`` is an ``int``."""
 
 
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
@@ -62,12 +65,22 @@ def _unknown_key(doc: dict[str, Any], known, where: str) -> None:
             raise ConfigError(f"unknown config field {key!r}{where}")
 
 
+def _check_types(cls, values: dict[str, Any], where: str) -> None:
+    for f in fields(cls):
+        if f.name in values and f.type in _JSON_TYPES:
+            value = values[f.name]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise ConfigError(
+                    f"config field {f.name!r}{where} must be {f.type}, not {value!r}")
+
+
 def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
     """Rebuild a machine configuration; validates on construction.
 
     A key that is not a field of the configuration (or ``schema``) is an
     error naming it, so a document from another version cannot load with a
-    field silently dropped.  Top-level fields other than ``backend`` and
+    field silently dropped.  So is a value whose JSON type does not match
+    its field's annotation.  Top-level fields other than ``backend`` and
     ``topology`` are required; a missing section field takes its default.
     """
     if not isinstance(doc, dict):
@@ -76,6 +89,7 @@ def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
     if schema != SCHEMA:
         raise ConfigError(f"unsupported config schema {schema!r}")
     _unknown_key(doc, {"schema", *(f.name for f in _FIELDS)}, "")
+    _check_types(MachineConfig, doc, "")
     kwargs: dict[str, Any] = {}
     for f in _FIELDS:
         if f.name not in doc:
@@ -87,8 +101,9 @@ def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
         if section is not None:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {f.name!r} must be an object")
-            _unknown_key(value, {g.name for g in fields(section)},
-                         f" in section {f.name!r}")
+            where = f" in section {f.name!r}"
+            _unknown_key(value, {g.name for g in fields(section)}, where)
+            _check_types(section, value, where)
             try:
                 value = section(**value)
             except TypeError as exc:

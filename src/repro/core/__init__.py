@@ -9,7 +9,6 @@ This package implements everything Section IV describes on top of the
   coherence-driven release and RISC fallback (IV-E/IV-F);
 * in-place execution in sub-arrays and the near-place logic unit (IV-J);
 * page-span exception splitting (IV-D);
-* the split scalar/vector LSQ and store buffers (IV-H);
 * RMO fence semantics (IV-G);
 * ECC schemes for every CC operation (IV-I), including a real SECDED
   Hamming(72, 64) code whose linearity enables the XOR-check scheme.
@@ -18,7 +17,6 @@ This package implements everything Section IV describes on top of the
 from .controller import CCResult, ComputeCacheController
 from .ecc import EccCodec, EccPolicy
 from .isa import CCInstruction, Opcode
-from .lsq import ScalarStoreBuffer, VectorLSQ, VectorStoreBuffer
 
 __all__ = [
     "CCResult",
@@ -27,7 +25,4 @@ __all__ = [
     "EccPolicy",
     "CCInstruction",
     "Opcode",
-    "ScalarStoreBuffer",
-    "VectorLSQ",
-    "VectorStoreBuffer",
 ]

@@ -173,10 +173,6 @@ class ComputeCacheController:
         operand block address before it is pinned; returning True
         simulates an operand-fetch timeout, which drains into the same
         retry-then-RISC-fallback path as a lost pin."""
-        self.reuse_policy = None
-        """Optional :class:`~repro.core.reuse.ReuseAwarePolicy` refining
-        level selection with reuse prediction (the paper's suggested
-        future-work enhancement, Section IV-E)."""
         # Decode memoization.  Repeated instructions (streaming kernels
         # re-issue the same (opcode, operand-page) shapes constantly) skip
         # the residency probes of level selection while no fill/invalidate
@@ -291,13 +287,11 @@ class ComputeCacheController:
             if force_level not in LEVEL_ORDER:
                 raise ReproError(f"unknown cache level {force_level!r}")
             return force_level
-        memoizable = self.reuse_policy is None
-        if memoizable:
-            epoch = self.hierarchy.residency_epoch()
-            hit = self._level_memo.get(instr)
-            if hit is not None and hit[0] == epoch:
-                self.stats.level_memo_hits += 1
-                return hit[1]
+        epoch = self.hierarchy.residency_epoch()
+        hit = self._level_memo.get(instr)
+        if hit is not None and hit[0] == epoch:
+            self.stats.level_memo_hits += 1
+            return hit[1]
         addrs = []
         for name, base in instr.operands().items():
             if name == "dest" and instr.opcode is Opcode.CLMUL:
@@ -310,12 +304,9 @@ class ComputeCacheController:
             if residency[level]:
                 chosen = level
                 break
-        if self.reuse_policy is not None:
-            chosen = self.reuse_policy.select(chosen, addrs)
-        if memoizable:
-            if len(self._level_memo) >= MEMO_CAPACITY:
-                self._level_memo.clear()
-            self._level_memo[instr] = (epoch, chosen)
+        if len(self._level_memo) >= MEMO_CAPACITY:
+            self._level_memo.clear()
+        self._level_memo[instr] = (epoch, chosen)
         return chosen
 
     # -- the block-op pipeline: stage -> account -> kernel -> complete ----------------------

@@ -23,8 +23,11 @@ fits a 64-bit register; the search key is fixed at 64 bytes (smaller keys
 are duplicated or padded by software, Section IV-A).
 
 Instructions are classified CC-R (read-only: ``cc_cmp``, ``cc_search``,
-``cc_reduce``) or CC-RW (the rest); the distinction drives memory-ordering
-treatment in the vector LSQ (Section IV-H).
+``cc_reduce``) or CC-RW (the rest).  In the paper the class sets how the
+vector LSQ orders an instruction (Section IV-H).  This model has no LSQ,
+because each instruction's memory effects are complete before the next
+one issues; here the class (``Opcode.reads_only``) decides whether the
+instruction returns its result in the result register.
 
 The arithmetic tier (``cc_add``/``cc_mul``/``cc_reduce``) follows the
 Neural Cache successor design (arXiv 1805.03718): operands are treated as
@@ -66,11 +69,6 @@ class Opcode(enum.Enum):
     def reads_only(self) -> bool:
         """CC-R instructions only read memory (Section IV-H)."""
         return self in (Opcode.CMP, Opcode.SEARCH, Opcode.REDUCE)
-
-    @property
-    def is_rw(self) -> bool:
-        """CC-RW instructions read and write memory; treated like stores."""
-        return not self.reads_only
 
     @property
     def operand_count(self) -> int:

@@ -50,10 +50,6 @@ class ScrubService:
             count += 1
         return count
 
-    def protect_block(self, addr: int) -> None:
-        """Refresh one block's side-band (a write/fill hook)."""
-        self.scrubber.protect(addr, self.level.peek_block(addr))
-
     def inject_strike(self, addr: int, bit: int) -> None:
         """Flip one bit of a resident block in the physical sub-array."""
         data = bytearray(self.level.peek_block(addr))

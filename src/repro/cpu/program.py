@@ -31,10 +31,6 @@ class InstrKind(enum.Enum):
     CC = "cc"
     FENCE = "fence"
 
-    @property
-    def is_simd(self) -> bool:
-        return self in (InstrKind.SIMD_LOAD, InstrKind.SIMD_STORE, InstrKind.SIMD_OP)
-
 
 @dataclass(frozen=True)
 class Instr:

@@ -32,7 +32,6 @@ class Component:
 
     _BY_LEVEL = {
         "L1-D": (L1_ACCESS, L1_IC),
-        "L1-I": (L1_ACCESS, L1_IC),
         "L2": (L2_ACCESS, L2_IC),
         "L3-slice": (L3_ACCESS, L3_IC),
     }

@@ -92,47 +92,42 @@ class PowerModel:
 # middle of a run, where it would pin memory the run frees.
 
 
-def _table_level(level_name: str) -> str:
-    return "L1-D" if level_name.startswith("L1") else level_name
-
-
 def _conventional(level_name: str, total: float) -> tuple[str, float, str, float]:
     """``(access component, pJ, ic component, pJ)`` of one conventional
     64-byte access of ``total`` pJ, split in the Table I access/H-tree
     proportion."""
     access_c, ic_c = Component.for_level(level_name)
-    table_level = _table_level(level_name)
-    ic = CACHE_IC_ENERGY_PJ[table_level]
-    array = CACHE_ACCESS_ENERGY_PJ[table_level]
+    ic = CACHE_IC_ENERGY_PJ[level_name]
+    array = CACHE_ACCESS_ENERGY_PJ[level_name]
     scale = total / (ic + array)
     return access_c, array * scale, ic_c, ic * scale
 
 
 def _cc_op(level_name: str, op: str) -> tuple[str, float]:
     return (Component.for_level(level_name)[0],
-            cc_op_energy(_table_level(level_name), op))
+            cc_op_energy(level_name, op))
 
 
 def _cc_arith(level_name: str, op: str, elem_bits: int,
               n_elems: int | None) -> tuple[str, float]:
     return (Component.for_level(level_name)[0],
-            cc_arith_energy(_table_level(level_name), op, elem_bits, n_elems))
+            cc_arith_energy(level_name, op, elem_bits, n_elems))
 
 
 _LEVEL_NAMES = tuple(Component._BY_LEVEL)
-_READ = {name: _conventional(name, read_energy(_table_level(name)))
+_READ = {name: _conventional(name, read_energy(name))
          for name in _LEVEL_NAMES}
-_WRITE = {name: _conventional(name, write_energy(_table_level(name)))
+_WRITE = {name: _conventional(name, write_energy(name))
           for name in _LEVEL_NAMES}
 _TRANSPOSE = {name: (Component.for_level(name)[0],
-                     transpose_energy(_table_level(name)))
+                     transpose_energy(name))
               for name in _LEVEL_NAMES}
 _KEY_BROADCAST = {name: (Component.for_level(name)[1],
-                         2.0 * CACHE_IC_ENERGY_PJ[_table_level(name)])
+                         2.0 * CACHE_IC_ENERGY_PJ[name])
                   for name in _LEVEL_NAMES}
 _KEY_ROW_WRITE = {name: (Component.for_level(name)[0],
-                         write_energy(_table_level(name))
-                         - CACHE_IC_ENERGY_PJ[_table_level(name)])
+                         write_energy(name)
+                         - CACHE_IC_ENERGY_PJ[name])
                   for name in _LEVEL_NAMES}
 _CC_OP = {(name, op): _cc_op(name, op)
           for name in _LEVEL_NAMES for op in _OP_COLUMN}
@@ -211,18 +206,3 @@ def charge_key_row_write(ledger: EnergyLedger, level_name: str) -> None:
     that is paid once by :func:`charge_key_broadcast`)."""
     ledger.add(*_KEY_ROW_WRITE[level_name])
 
-
-def charge_nearplace_op(ledger: EnergyLedger, level_name: str, op: str) -> None:
-    """Charge one near-place CC block operation.
-
-    Near-place reads operands over the H-tree to the controller's logic
-    unit and writes any result back, so it pays conventional read/write
-    energy (including the H-tree component) instead of the in-place cost.
-    """
-    reads = {"copy": 1, "buz": 0, "not": 1, "cmp": 2, "search": 2,
-             "reduce": 1}.get(op, 2)
-    writes = 0 if op in ("cmp", "search", "reduce") else 1
-    for _ in range(reads):
-        charge_cache_read(ledger, level_name)
-    for _ in range(writes):
-        charge_cache_write(ledger, level_name)

@@ -189,9 +189,6 @@ class ComputeCacheMachine:
         power = PowerModel(self.config, active_cores=active_cores)
         return power.total_energy(ledger, cycles)
 
-    def reset_energy(self) -> None:
-        self.ledger.reset()
-
     # -- warming helpers (benchmarks) -------------------------------------------------
 
     def touch_range(self, addr: int, size: int, core: int = 0,

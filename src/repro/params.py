@@ -13,7 +13,7 @@ picojoules unless noted otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -37,6 +37,31 @@ def log2i(n: int) -> int:
     if not _is_pow2(n):
         raise ConfigError(f"{n} is not a power of two")
     return n.bit_length() - 1
+
+
+def _check_numbers(config, positive: tuple[str, ...] = ()) -> None:
+    """Every number of a config section is finite and >= 0, and each one
+    named in ``positive`` is > 0; any other value would divide by zero or
+    give a wrong number mid-run."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        if (isinstance(value, float) and not math.isfinite(value)) or value < 0 \
+                or (value == 0 and f.name in positive):
+            raise ConfigError(
+                f"{type(config).__name__}.{f.name}={value!r} must be a finite "
+                f"number {'> 0' if f.name in positive else '>= 0'}"
+            )
+
+
+def _check_link_width(config, name: str) -> None:
+    """A link of ``name`` bits carries a block in a whole number of flits."""
+    if (BLOCK_SIZE * 8) % getattr(config, name):
+        raise ConfigError(
+            f"{type(config).__name__}.{name}={getattr(config, name)} must "
+            f"divide a {BLOCK_SIZE * 8}-bit block"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,7 @@ class CacheLevelConfig:
                 f"{self.name}: block_size={self.block_size} is unsupported; the "
                 f"hierarchy, memory and ring move {BLOCK_SIZE}-byte blocks"
             )
+        _check_numbers(self)
         for label, value in (
             ("size", self.size),
             ("ways", self.ways),
@@ -145,6 +171,9 @@ class CoreConfig:
     epi_cc: float = 1100.0
     static_power_core_mw: float = 450.0
 
+    def __post_init__(self) -> None:
+        _check_numbers(self, positive=("frequency_ghz",))
+
     @property
     def cycle_ns(self) -> float:
         return 1.0 / self.frequency_ghz
@@ -158,6 +187,10 @@ class RingConfig:
     link_width_bits: int = 256
     stops: int = 8
     energy_per_hop_per_flit: float = 52.0
+
+    def __post_init__(self) -> None:
+        _check_numbers(self, positive=("link_width_bits",))
+        _check_link_width(self, "link_width_bits")
 
     @property
     def flits_per_block(self) -> int:
@@ -195,18 +228,8 @@ class TopologyConfig:
     slice_interleave: str = "first-touch"
 
     def __post_init__(self) -> None:
-        if self.clusters < 1:
-            raise ConfigError("topology needs at least one cluster")
-        if self.inter_hop_latency < 0:
-            raise ConfigError("inter-cluster hop latency cannot be negative")
-        if self.inter_energy_per_hop_per_flit < 0:
-            raise ConfigError("inter-cluster hop energy cannot be negative")
-        if (self.inter_link_width_bits <= 0
-                or (BLOCK_SIZE * 8) % self.inter_link_width_bits):
-            raise ConfigError(
-                f"inter-cluster link width {self.inter_link_width_bits} must "
-                f"divide a {BLOCK_SIZE * 8}-bit block"
-            )
+        _check_numbers(self, positive=("clusters", "inter_link_width_bits"))
+        _check_link_width(self, "inter_link_width_bits")
         if self.slice_interleave not in ("first-touch", "page"):
             raise ConfigError(
                 f"unknown slice_interleave {self.slice_interleave!r}; "
@@ -225,6 +248,9 @@ class MemoryConfig:
     latency: int = 120
     energy_per_block: float = 15000.0
 
+    def __post_init__(self) -> None:
+        _check_numbers(self)
+
 
 @dataclass(frozen=True)
 class ComputeCacheConfig:
@@ -241,10 +267,12 @@ class ComputeCacheConfig:
     """Cycles to convert one cache block between row-major and bit-serial
     layout in the sub-array-periphery transpose unit (Neural Cache)."""
     pin_retry_limit: int = 2
-    area_overhead_fraction: float = 0.08
     commands_per_cycle: int = 1
     """CC block-operations the controller can issue per cycle (the address
     bus in the H-tree is not replicated, Section IV-D)."""
+
+    def __post_init__(self) -> None:
+        _check_numbers(self, positive=("pin_retry_limit", "commands_per_cycle"))
 
 
 BACKENDS = ("bitexact", "packed")
@@ -302,6 +330,8 @@ class MachineConfig:
     once full; the profiler refuses to validate a truncated stream)."""
 
     def __post_init__(self) -> None:
+        _check_numbers(self, positive=("cores", "l3_slices", "memory_size",
+                                       "event_buffer_capacity"))
         if self.memory_size % PAGE_SIZE:
             raise ConfigError("memory_size must be a multiple of the page size")
         if self.l3_slices != self.ring.stops:
@@ -320,8 +350,6 @@ class MachineConfig:
             raise ConfigError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.event_buffer_capacity <= 0:
-            raise ConfigError("event_buffer_capacity must be positive")
 
     @property
     def l3_total_size(self) -> int:

@@ -27,7 +27,6 @@ Public surface:
 """
 
 from .bitcell import BitCellArray, CellType
-from .column_mux import ColumnMuxLayout
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
 from .subarray import SUBARRAYS, ComputeSubarray, PackedSubarray, SubarrayOp, SubarrayStats
@@ -36,7 +35,6 @@ from .timing import SubarrayTiming
 __all__ = [
     "BitCellArray",
     "CellType",
-    "ColumnMuxLayout",
     "DualRowDecoder",
     "SenseAmpColumn",
     "SenseMode",

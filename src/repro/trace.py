@@ -18,16 +18,17 @@ Event grammar (one per line, ``#`` comments):
 =============  ===========================================
 ``init``       ``addr, <data-spec>``  - backdoor memory fill
 ``load``       ``addr[, size][, dependent][, streaming]`` (size > 0)
-``store``      ``addr, <data-spec>``
+``store``      ``addr, <data-spec>`` (at least one byte)
 ``simd_load``  ``addr[, size]`` (size > 0)
-``simd_store`` ``addr, <data-spec>``
+``simd_store`` ``addr, <data-spec>`` (at least one byte)
 ``scalar``     (no operands) - one ALU op
 ``branch``     (no operands)
 ``fence``      (no operands)
 ``cc_*``       Table II assembly (see :mod:`repro.asm`)
 =============  ===========================================
 
-Data specs: ``zeros:N``, ``repeat:0xVV*N``, ``bytes:<hex>``.
+Data specs: ``zeros:N``, ``repeat:0xVV*N``, ``bytes:<hex>``.  An empty
+payload is legal for ``init`` only: a store of no bytes touches no cache.
 
 Data-spec grammar rules: the count ``N`` must be a *non-negative* integer
 (decimal or ``0x`` hex) - a negative count is a parse error, not an empty
@@ -142,6 +143,8 @@ class TraceReader:
                 raise ISAError(f"{head} takes: addr, data-spec")
             addr = int(ops[0], 0)
             data = _parse_data_spec(ops[1])
+            if not data:
+                raise ISAError(f"{head} needs at least one byte of data")
             if head == "simd_store":
                 self.program.append(Instr.simd_store(addr, data))
             else:

@@ -125,7 +125,8 @@ class TestTraceFrontend:
 
     def test_bad_lines_report_position(self):
         for bad in ("wibble 0x0", "load 0x1000, -8", "simd_load 0x2000, -32",
-                    "load 0x0, 0", "simd_load 0x40, 0"):
+                    "load 0x0, 0", "simd_load 0x40, 0", "store 0x40, zeros:0",
+                    "simd_store 0x80, bytes:", "store 0x0, repeat:0x1*0"):
             with pytest.raises(ISAError) as exc:
                 run_trace(f"scalar\n{bad}", ComputeCacheMachine(small_test_machine()))
             assert "line 2" in str(exc.value)

@@ -65,10 +65,11 @@ class TestConfigSerialization:
         ("cc", "max_operand_bytes", 16 * 1024),
         ("cc", "cmp_search_max_bytes", 512),
         ("cc", "search_key_bytes", 64),
+        ("cc", "area_overhead_fraction", 0.08),
     ])
     def test_removed_field_rejected(self, section, field, value):
-        """A 4.x document that still carries a field removed in 5.0.0
-        (with its 4.x default value) fails with a ConfigError naming it."""
+        """A document that still carries a field removed in 5.0.0 or 7.0.0
+        (with its old default value) fails with a ConfigError naming it."""
         doc = config_to_dict(small_test_machine())
         doc[section][field] = value
         with pytest.raises(ConfigError, match=field):

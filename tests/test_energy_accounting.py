@@ -11,7 +11,6 @@ from repro.energy.mcpat import (
     charge_cc_op,
     charge_key_broadcast,
     charge_key_row_write,
-    charge_nearplace_op,
     charge_transpose,
 )
 from repro.energy.tables import (
@@ -27,7 +26,7 @@ from repro.energy.tables import (
 from repro.errors import ConfigError, ISAError
 from repro.params import sandybridge_8core
 
-LEVEL_NAMES = ("L1-D", "L1-I", "L2", "L3-slice")
+LEVEL_NAMES = ("L1-D", "L2", "L3-slice")
 
 
 class TestLedger:
@@ -109,26 +108,12 @@ class TestChargeFunctions:
         charge_cache_write(ledger, "L3-slice")
         assert ledger.total() == pytest.approx(write_energy("L3-slice"))
 
-    def test_l1i_maps_to_l1_components(self):
-        ledger = EnergyLedger()
-        charge_cache_read(ledger, "L1-I")
-        assert ledger.get(Component.L1_ACCESS) > 0
-
     def test_cc_op_has_no_ic_component(self):
         """In-place ops never traverse the H-tree."""
         ledger = EnergyLedger()
         charge_cc_op(ledger, "L3-slice", "and")
         assert ledger.cache_ic() == 0.0
         assert ledger.total() == pytest.approx(cc_op_energy("L3-slice", "and"))
-
-    def test_nearplace_pays_htree(self):
-        ledger = EnergyLedger()
-        charge_nearplace_op(ledger, "L3-slice", "xor")
-        assert ledger.cache_ic() > 0
-        # 2 reads + 1 write, all conventional.
-        assert ledger.total() == pytest.approx(
-            2 * read_energy("L3-slice") + write_energy("L3-slice")
-        )
 
     def test_key_broadcast_plus_row_writes(self):
         """Broadcast wire energy once + array-only writes per partition is
@@ -149,15 +134,10 @@ class TestChargesMatchTheFormula:
     stands for, written out here from the published tables, on the first
     call and on repeated calls."""
 
-    @staticmethod
-    def _table(level_name: str) -> str:
-        return "L1-D" if level_name.startswith("L1") else level_name
-
     def _conventional(self, ledger, level_name: str, total: float) -> None:
         access_c, ic_c = Component.for_level(level_name)
-        table = self._table(level_name)
-        ic = CACHE_IC_ENERGY_PJ[table]
-        array = CACHE_ACCESS_ENERGY_PJ[table]
+        ic = CACHE_IC_ENERGY_PJ[level_name]
+        array = CACHE_ACCESS_ENERGY_PJ[level_name]
         scale = total / (ic + array)
         ledger.add(access_c, array * scale)
         ledger.add(ic_c, ic * scale)
@@ -171,54 +151,35 @@ class TestChargesMatchTheFormula:
 
     @pytest.mark.parametrize("level", LEVEL_NAMES)
     def test_conventional_access(self, level):
-        table = self._table(level)
         self._check(lambda l: charge_cache_read(l, level),
-                    lambda l: self._conventional(l, level, read_energy(table)))
+                    lambda l: self._conventional(l, level, read_energy(level)))
         self._check(lambda l: charge_cache_write(l, level),
-                    lambda l: self._conventional(l, level, write_energy(table)))
+                    lambda l: self._conventional(l, level, write_energy(level)))
 
     @pytest.mark.parametrize("level", LEVEL_NAMES)
     def test_inplace_ops(self, level):
-        table = self._table(level)
         access_c, ic_c = Component.for_level(level)
         for op in ("and", "or", "nor", "xor", "not", "copy", "buz", "cmp",
                    "search", "clmul"):
             self._check(lambda l: charge_cc_op(l, level, op),
-                        lambda l: l.add(access_c, cc_op_energy(table, op)))
+                        lambda l: l.add(access_c, cc_op_energy(level, op)))
         for op, bits, n in [(op, bits, 512 // bits) for op in ("add", "mul", "reduce")
                             for bits in (8, 16, 32)] + [("add", 4, None),
                                                         ("mul", 16, None),
                                                         ("reduce", 8, 32)]:
             self._check(
                 lambda l: charge_cc_arith(l, level, op, bits, n),
-                lambda l: l.add(access_c, cc_arith_energy(table, op, bits, n)))
+                lambda l: l.add(access_c, cc_arith_energy(level, op, bits, n)))
         for blocks in (0, 1, 7):
             def transpose(ledger, blocks=blocks):
                 if blocks > 0:
-                    ledger.add(access_c, blocks * transpose_energy(table))
+                    ledger.add(access_c, blocks * transpose_energy(level))
             self._check(lambda l: charge_transpose(l, level, blocks), transpose)
         self._check(lambda l: charge_key_broadcast(l, level),
-                    lambda l: l.add(ic_c, 2.0 * CACHE_IC_ENERGY_PJ[table]))
+                    lambda l: l.add(ic_c, 2.0 * CACHE_IC_ENERGY_PJ[level]))
         self._check(lambda l: charge_key_row_write(l, level),
                     lambda l: l.add(access_c,
-                                    write_energy(table) - CACHE_IC_ENERGY_PJ[table]))
-
-    @pytest.mark.parametrize("level", LEVEL_NAMES)
-    def test_nearplace_ops(self, level):
-        table = self._table(level)
-
-        def formula(ledger, op):
-            reads = {"copy": 1, "buz": 0, "not": 1, "cmp": 2, "search": 2,
-                     "reduce": 1}.get(op, 2)
-            writes = 0 if op in ("cmp", "search", "reduce") else 1
-            for _ in range(reads):
-                self._conventional(ledger, level, read_energy(table))
-            for _ in range(writes):
-                self._conventional(ledger, level, write_energy(table))
-
-        for op in ("and", "xor", "not", "copy", "buz", "cmp", "search", "reduce"):
-            self._check(lambda l: charge_nearplace_op(l, level, op),
-                        lambda l: formula(l, op))
+                                    write_energy(level) - CACHE_IC_ENERGY_PJ[level]))
 
     def test_unknown_ops_raise(self):
         ledger = EnergyLedger()

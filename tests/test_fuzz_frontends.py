@@ -1,9 +1,14 @@
-"""Fuzzing the text frontends and the ECC repair path.
+"""Fuzzing the text frontends, config documents and the ECC repair path.
 
 The assembler and trace parser accept untrusted text: any input must
 either parse or raise :class:`ISAError` - never crash with anything else.
+A config document is untrusted too: it must load into a machine that runs,
+or fail with a :class:`ReproError`.
 The ECC path must repair a strike at *any* bit position of any block.
 """
+
+import copy
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine
 from repro.asm import parse
+from repro.config_io import config_from_dict, config_to_dict
 from repro.core.scrub import ScrubService
-from repro.errors import ISAError
+from repro.errors import ISAError, ReproError
 from repro.params import small_test_machine
 from repro.trace import TraceReader, run_trace
 
@@ -71,6 +77,44 @@ class TestTraceFuzz:
         result = run_trace(trace, m)
         assert result.instructions == len(events)
         assert result.cycles >= len(events)
+
+
+CONFIG_DOC = config_to_dict(small_test_machine())
+NUMERIC_FIELDS = [
+    (section, name)
+    for section, fields in CONFIG_DOC.items() if isinstance(fields, dict)
+    for name, value in fields.items() if isinstance(value, (int, float))
+] + [(None, name) for name, value in CONFIG_DOC.items()
+     if isinstance(value, (int, float))]
+CONFIG_TRACE = """init 0x0, zeros:4096
+init 0x1000, repeat:0xff*4096
+load 0x0, 8
+store 0x40, zeros:8
+cc_or 0x0, 0x1000, 0x2000, 4096
+fence"""
+# Any JSON scalar, with numbers kept small enough that the machine fits
+# in memory and its energy sums stay finite.
+JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=4)
+                | st.integers(-1024, 1024) | st.floats(-1e9, 1e9)
+                | st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestConfigFuzz:
+    @given(st.sampled_from(NUMERIC_FIELDS), JSON_SCALARS)
+    @settings(max_examples=300, deadline=None)
+    def test_one_changed_value_runs_or_fails_cleanly(self, field, value):
+        """A document with one number replaced by any JSON scalar either
+        runs a trace to finite, non-negative totals or fails with a
+        ReproError; never with another exception or a NaN."""
+        doc = copy.deepcopy(CONFIG_DOC)
+        section, name = field
+        (doc[section] if section else doc)[name] = value
+        try:
+            result = run_trace(CONFIG_TRACE, ComputeCacheMachine(config_from_dict(doc)))
+        except ReproError:
+            return
+        assert result.cycles > 0
+        assert math.isfinite(result.dynamic_nj) and result.dynamic_nj >= 0
 
 
 class TestECCStrikeSweep:

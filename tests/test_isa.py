@@ -83,7 +83,7 @@ class TestClassification:
         assert Opcode.CMP.reads_only and Opcode.SEARCH.reads_only
         for op in (Opcode.COPY, Opcode.BUZ, Opcode.AND, Opcode.OR,
                    Opcode.XOR, Opcode.NOT, Opcode.CLMUL):
-            assert op.is_rw
+            assert not op.reads_only
 
     def test_subarray_op_mapping(self):
         assert Opcode.COPY.subarray_op == "copy"

@@ -31,9 +31,6 @@ class TestPaperMachineGeometry:
             )
             assert data_rows * cfg.block_size == cfg.size
 
-    def test_area_overhead_parameter(self, paper):
-        assert paper.config.cc.area_overhead_fraction == pytest.approx(0.08)
-
 
 class TestPaperMachineEndToEnd:
     def test_8kb_operands_full_width(self, paper, make_bytes):

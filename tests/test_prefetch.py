@@ -1,16 +1,142 @@
-"""Stride-prefetcher tests: training, coverage, and the streaming-
-annotation justification."""
+"""The stride prefetcher behind the core model's ``streaming`` annotation,
+and the tests that show the annotation is justified.
+
+The timing model marks sequential file-scan loads ``streaming`` (no stall
+charged) on the argument that any modern stride prefetcher covers them.
+The prefetcher below makes that claim mechanical rather than asserted: a
+per-core reference-prediction table detects constant block strides in the
+demand-miss stream and issues prefetch fills ahead of it, and the tests
+check that a sequential scan's misses become prefetch hits after the
+training period.  No simulated number runs it: the annotation already
+models its effect.
+"""
+
+from dataclasses import dataclass
 
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.prefetch import (
-    StreamEntry,
-    StridePrefetcher,
-    validate_streaming_annotation,
-)
 from repro.energy.accounting import EnergyLedger
-from repro.params import BLOCK_SIZE, small_test_machine
+from repro.params import BLOCK_SIZE
+
+
+@dataclass
+class StreamEntry:
+    """One tracked reference stream."""
+
+    last_block: int
+    stride: int = 0
+    confidence: int = 0
+
+    def observe(self, block: int) -> bool:
+        """Update with a new block address; True when confident."""
+        stride = block - self.last_block
+        if stride == self.stride and stride != 0:
+            self.confidence = min(self.confidence + 1, 3)
+        else:
+            self.stride = stride
+            self.confidence = 1 if stride else 0
+        self.last_block = block
+        return self.confidence >= 2
+
+
+@dataclass
+class PrefetcherStats:
+    trainings: int = 0
+    prefetches_issued: int = 0
+    prefetch_hits: int = 0
+    demand_misses: int = 0
+
+
+class StridePrefetcher:
+    """Reference-prediction-table stride prefetcher for one core.
+
+    Call :meth:`access` on every demand access; the prefetcher trains on
+    the block stream and, once a stream is confident, prefetches
+    ``degree`` blocks ahead into the core's private hierarchy.
+    """
+
+    def __init__(self, hierarchy: CacheHierarchy, core: int,
+                 table_size: int = 16, degree: int = 2) -> None:
+        self.hierarchy = hierarchy
+        self.core = core
+        self.table_size = table_size
+        self.degree = degree
+        self._streams: dict[int, StreamEntry] = {}
+        self._prefetched: set[int] = set()
+        self.stats = PrefetcherStats()
+
+    def _stream_key(self, block: int) -> int:
+        """Streams are tracked per 16 KB region (a PC proxy)."""
+        return block >> 14
+
+    def access(self, addr: int) -> list[int]:
+        """Record a demand access; returns the blocks prefetched (if any)."""
+        block = addr & ~(BLOCK_SIZE - 1)
+        was_prefetched = block in self._prefetched
+        if was_prefetched:
+            self.stats.prefetch_hits += 1
+            self._prefetched.discard(block)
+        elif not self.hierarchy.l1[self.core].contains(block):
+            self.stats.demand_misses += 1
+
+        key = self._stream_key(block)
+        entry = self._streams.get(key)
+        if entry is None:
+            if len(self._streams) >= self.table_size:
+                self._streams.pop(next(iter(self._streams)))
+            self._streams[key] = StreamEntry(last_block=block)
+            return []
+        confident = entry.observe(block)
+        if not confident:
+            return []
+        self.stats.trainings += 1
+        issued = []
+        for i in range(1, self.degree + 1):
+            target = block + i * entry.stride
+            if target < 0 or target + BLOCK_SIZE > self.hierarchy.config.memory_size:
+                continue
+            if target in self._prefetched or \
+                    self.hierarchy.l1[self.core].contains(target):
+                continue
+            # The prefetch fill is a normal (off-critical-path) access.
+            self.hierarchy.access_block(self.core, target, for_write=False)
+            self._prefetched.add(target)
+            issued.append(target)
+            self.stats.prefetches_issued += 1
+        return issued
+
+    @property
+    def accuracy(self) -> float:
+        """Fraction of issued prefetches that were later demanded."""
+        if not self.stats.prefetches_issued:
+            return 0.0
+        return self.stats.prefetch_hits / self.stats.prefetches_issued
+
+
+def validate_streaming_annotation(hierarchy: CacheHierarchy, core: int,
+                                  base: int, blocks: int) -> dict[str, float]:
+    """Drive a sequential scan through a prefetcher; report coverage.
+
+    Coverage ~1.0 after training justifies charging sequential loads zero
+    stall cycles in the core model.
+    """
+    prefetcher = StridePrefetcher(hierarchy, core, degree=4)
+    covered = 0
+    for i in range(blocks):
+        addr = base + i * BLOCK_SIZE
+        in_l1_before = hierarchy.l1[core].contains(addr)
+        prefetcher.access(addr)
+        if in_l1_before:
+            covered += 1
+        hierarchy.access_block(core, addr, for_write=False)
+    trained_region = max(blocks - 3, 1)  # training takes ~3 accesses
+    return {
+        "coverage": covered / blocks,
+        "coverage_after_training": min(covered / trained_region, 1.0),
+        "accuracy": prefetcher.accuracy,
+        "prefetches": float(prefetcher.stats.prefetches_issued),
+    }
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ CHANGED = {
     "energy_per_hop_per_flit": 60.0,
     "latency": 200, "energy_per_block": 16000.0,
     "inplace_latency": 15, "nearplace_latency": 23, "transpose_latency": 40,
-    "pin_retry_limit": 3, "area_overhead_fraction": 0.1, "commands_per_cycle": 2,
+    "pin_retry_limit": 3, "commands_per_cycle": 2,
     "clusters": 4, "inter_hop_latency": 30, "inter_link_width_bits": 128,
     "inter_energy_per_hop_per_flit": 300.0, "slice_interleave": "page",
 }

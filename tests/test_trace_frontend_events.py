@@ -109,6 +109,9 @@ class TestDataSpecEdgeCases:
     def test_zero_counts_are_valid_empty_payloads(self):
         assert _parse_data_spec("zeros:0") == b""
         assert _parse_data_spec("repeat:0xff*0") == b""
+        # An empty init is legal; an empty store is not.
+        trace = "init 0x0, zeros:0\nscalar\n"
+        assert run_trace(trace, ComputeCacheMachine(small_test_machine())).instructions == 1
 
     def test_counts_accept_hex(self):
         assert _parse_data_spec("zeros:0x10") == bytes(16)
