@@ -217,8 +217,13 @@ class CacheLevel:
         """``(sub-array, row)`` of a resident block for in-place compute."""
         return self.geometry.slot(*self._resident(addr, "locate of"))
 
-    def pin(self, addr: int, owner: int) -> None:
-        self.tags.pin(*self._resident(addr, "pin of"), owner)
+    def pin(self, addr: int, owner: int) -> tuple[int, int]:
+        """Pin a resident block for CC instruction ``owner``; returns the
+        ``(set_index, way)`` it is pinned in (its row is
+        ``geometry.slot(set_index, way)``)."""
+        line = self._resident(addr, "pin of")
+        self.tags.pin(*line, owner)
+        return line
 
     def unpin(self, addr: int) -> None:
         set_index, way = self._line(addr)

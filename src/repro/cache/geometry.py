@@ -17,7 +17,9 @@ locality with page alignment alone.
 
 Each block partition is realized by one sub-array of the machine's backend
 (:data:`~repro.sram.SUBARRAYS`) whose rows each hold one cache block; any
-two blocks of a partition can be computed on in place.
+two blocks of a partition can be computed on in place.  The ``packed``
+sub-arrays of one level are views of one shared ``(partitions, rows,
+block_size)`` uint8 block.
 """
 
 from __future__ import annotations
@@ -76,11 +78,11 @@ class CacheGeometry:
         # replication: the key must share bit-lines with the data it is
         # compared against, so each block partition holds its own copy.
         self.key_row = config.blocks_per_partition
-        subarray = SUBARRAYS[backend]
-        self.subarrays = [
-            subarray(config.blocks_per_partition + 1, config.block_size * 8)
-            for _ in range(config.num_partitions)
-        ]
+        # The backend's sub-array class builds the level's partitions
+        # (packed ones share one block, so a batch spanning partitions is
+        # one kernel call).
+        self.subarrays = SUBARRAYS[backend].level(
+            config.num_partitions, config.blocks_per_partition + 1, config.block_size * 8)
         # A set's sub-array, by its low set-index bits (bank, then bp).
         self._subarray_by_low_set = [
             self.subarrays[(low & self._bank_mask) * self._bps_per_bank + (low >> self._bp_shift)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..energy.tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ
+from ..energy.tables import CACHE_IC_ENERGY_PJ
 
 
 @dataclass
@@ -50,8 +50,3 @@ class HTree:
     def command_issue_cycles(self, n_commands: int) -> int:
         """Cycles to stream ``n_commands`` block-ops down the shared bus."""
         return (n_commands + self.commands_per_cycle - 1) // self.commands_per_cycle
-
-    def htree_fraction(self) -> float:
-        """Fraction of read energy spent on wires for this level."""
-        ic = CACHE_IC_ENERGY_PJ[self.level_name]
-        return ic / (ic + CACHE_ACCESS_ENERGY_PJ[self.level_name])

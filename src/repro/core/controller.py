@@ -23,13 +23,23 @@ One controller sits at each core's L1 and orchestrates CC instructions:
 6. **Completion** - per-op results merge into the instruction entry; the
    L1 controller notifies the core when the count completes.
 
-Every block op runs through one pipeline: *stage* (steps 4-5: fetch and
-pin; run near-place or as RISC ops, or locate its rows and queue it),
-*account* (Table V energy, stats, events), *kernel* (one
-:meth:`~repro.sram.ComputeSubarray.op_batch` call per target sub-array),
-*complete* (step 6).  The dispatch modes differ only in when the queued
-kernels drain: after each op (``cc.dispatch`` outcome ``sequential``) or
-after the whole instruction (``batched``).
+Every page-local piece of an instruction is *planned* once: the operand
+template of its first block op, each operand stream's compute-level cache
+(one L3 home slice per page), whether destinations skip their fetch, the
+locality verdict (the same for every op, since operands are block-aligned
+and page-local) and which operand rows the kernel reads and writes.  Every
+block op then runs through one pipeline: *stage* (steps 4-5: fetch and
+pin; run near-place or as RISC ops, or take its rows from where its
+operands were pinned and queue it), *account* (Table V energy, stats,
+events; one call per target sub-array), *kernel* (one
+:meth:`~repro.core.inplace.InPlaceExecutor.kernel_batch` call for all
+queued ops: one gather/compute/scatter over the level's shared packed
+block, or one bit-exact ``op_batch`` per sub-array; the two together are
+one :meth:`~repro.core.inplace.InPlaceExecutor.execute_batch` call),
+*complete* (step 6).
+The dispatch modes differ only in when the queued kernels drain: after
+each op (``cc.dispatch`` outcome ``sequential``) or after the whole
+instruction (``batched``).
 
 Timing model: operand fetches overlap up to a fetch-MLP; in-place block
 commands stream over the unreplicated H-tree address bus at
@@ -43,15 +53,17 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..bitops import chunk_range
+from ..cache.cache import CacheLevel
 from ..cache.hierarchy import L1, L2, L3, CacheHierarchy
 from ..energy.accounting import Component
 from ..energy.mcpat import charge_key_broadcast, charge_key_row_write, charge_transpose
 from ..errors import PinnedLineError, ReproError
 from ..params import BLOCK_SIZE, MachineConfig
 from .exceptions import split_by_pages
-from .inplace import InPlaceExecutor, operand_rows
+from .inplace import InPlaceExecutor, row_slots
 from .instruction_table import InstructionEntry, InstructionTable
 from .isa import CCInstruction, Opcode
 from .key_table import KeyTable
@@ -125,6 +137,30 @@ class CCResult:
         return self.inplace_ops > 0 and self.nearplace_ops == 0 and self.risc_ops == 0
 
 
+class _Plan(NamedTuple):
+    """What every block op of a page-local piece shares, worked out once.
+
+    Operands are block-aligned and each operand stream stays inside one
+    page, so block op ``k`` has the operands of block op 0 moved by ``k``
+    blocks, each stream has one compute-level cache (one L3 home slice),
+    and the locality verdict is the same for every op.
+    """
+
+    operands: tuple[tuple[int, bool], ...]
+    """``(address, is_dest)`` of each operand of block op 0."""
+    caches: tuple[CacheLevel, ...]
+    """The compute-level cache of each operand stream."""
+    skip_fetch: bool
+    """Destination operands are fully overwritten and skip their fetch."""
+    inplace: bool
+    """Operand locality holds: the ops can run in place."""
+    slots: tuple[int, int, int]
+    """:func:`~repro.core.inplace.row_slots` of the ops."""
+    key_slice: int | None
+    """L3 home slice of the data (operand 0) stream, which the key table
+    pairs with each partition id; None at L1 and L2."""
+
+
 @dataclass
 class _Piece:
     """One page-local piece of a CC instruction in the block-op pipeline."""
@@ -135,17 +171,18 @@ class _Piece:
     subop: str
     """The sub-array operation of every block op (``instr.opcode.subarray_op``)."""
     key_writes_before: int
+    plan: _Plan
     key_data: bytes | None = None
     transpose_cycles: float = 0.0
     ops: list[BlockOperation] = field(default_factory=list)
     fetch_latencies: list[int] = field(default_factory=list)
     partition_load: dict[int, int] = field(default_factory=dict)
     queued: dict = field(default_factory=dict)
-    """``(id(cache), partition)`` -> ``[cache, subarray, partition, items]``:
-    located in-place ops whose kernel has not run yet."""
+    """partition -> ``(subarray, partition, items)``: located in-place ops
+    whose kernel has not run yet (all in ``plan.caches[0]``)."""
     located: list = field(default_factory=list)
-    """``(op, cache, [(addr, row), ...], queue key)`` per queued op, for
-    the drain's row check."""
+    """``(op, [(addr, way), ...], partition)`` per queued op: where each
+    operand was pinned, for the drain's row check."""
 
 
 class ComputeCacheController:
@@ -315,9 +352,10 @@ class ComputeCacheController:
                        force_nearplace: bool) -> CCResult:
         """Run one page-local piece through the block-op pipeline.
 
-        Each block op is staged (fetched and pinned, then run near-place
-        or as RISC ops, or located and queued); queued ops drain as one
-        account + kernel call per target sub-array.  They drain once
+        The piece's :class:`_Plan` is worked out once; then each block op
+        is staged (fetched and pinned, then run near-place or as RISC
+        ops, or located and queued).  Queued ops drain as one account
+        call per target sub-array and one kernel call.  They drain once
         after the whole instruction (batched dispatch) whenever that is
         provably equivalent to draining after each op; otherwise after
         each op.  The ``cc.dispatch`` event reports which, and why.
@@ -325,12 +363,14 @@ class ComputeCacheController:
         level = self._select_level(instr, force_level)
         hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
         piece = self._begin(instr, level, hazard)
+        entry, operands = piece.entry, piece.plan.operands
         for idx in range(instr.num_blocks):
+            off = idx * BLOCK_SIZE
             op = BlockOperation(
-                instr_id=piece.entry.instr_id,
-                op_index=piece.entry.generate_next(),
+                instr_id=entry.instr_id,
+                op_index=entry.generate_next(),
                 subarray_op=piece.subop,
-                operands=self._block_operands(instr, idx),
+                operands=[BlockOperand(addr + off, is_dest) for addr, is_dest in operands],
                 lane_bits=instr.lane_bits,
                 elem_bits=instr.elem_bits,
             )
@@ -342,14 +382,28 @@ class ComputeCacheController:
         self._drain(piece)
         return self._finish(piece)
 
+    def _plan(self, instr: CCInstruction, level: str) -> _Plan:
+        """The facts every block op of a page-local piece shares."""
+        operands = self._block_operands(instr, 0)
+        addrs = [o.addr for o in operands]
+        return _Plan(
+            operands=tuple((o.addr, o.is_dest) for o in operands),
+            caches=tuple(self.hierarchy.level_cache(level, self.core_id, a) for a in addrs),
+            skip_fetch=self._overwrites_dest(instr),
+            inplace=self._locality_holds(addrs, level),
+            slots=row_slots(instr.opcode.subarray_op, [o.is_dest for o in operands]),
+            key_slice=self.hierarchy.home_slice(addrs[0], self.core_id) if level == L3 else None,
+        )
+
     def _begin(self, instr: CCInstruction, level: str, hazard: str | None) -> _Piece:
-        """Open a piece: allocate its instruction-table entry, convert
-        arithmetic sources to bit-serial, stage a search/broadcast key,
-        and emit ``cc.dispatch`` (``hazard`` is why its ops drain one at a
-        time; ``None`` means batched)."""
+        """Open a piece: allocate its instruction-table entry, plan it,
+        convert arithmetic sources to bit-serial, stage a search/broadcast
+        key, and emit ``cc.dispatch`` (``hazard`` is why its ops drain one
+        at a time; ``None`` means batched)."""
         entry = self.instruction_table.allocate(instr, total_ops=instr.num_blocks)
         piece = _Piece(instr, level, entry, instr.opcode.subarray_op,
-                       key_writes_before=self.stats.key_replications)
+                       key_writes_before=self.stats.key_replications,
+                       plan=self._plan(instr, level))
 
         # Bit-serial layout conversion (arithmetic tier): every source
         # block not already transposed goes through the transpose unit
@@ -393,18 +447,19 @@ class ComputeCacheController:
                         force_nearplace: bool = False) -> None:
         """Stage one block op: fetch and pin its operands (a lost pin
         retries, then falls back to RISC ops), then run it near-place if
-        forced or if its operands lack locality, else locate its rows and
-        queue it for the next :meth:`_drain`.  The operands are unpinned
-        again before this returns."""
-        instr, level = piece.instr, piece.level
-        if not self._acquire_operands(op, instr, level, piece.key_data,
-                                      self._overwrites_dest(instr),
-                                      piece.fetch_latencies):
+        forced or if its operands lack locality, else take its rows from
+        where its operands were pinned and queue it for the next
+        :meth:`_drain`.  The operands are unpinned again before this
+        returns."""
+        plan = piece.plan
+        lines = self._acquire_operands(op, piece)
+        if lines is None:
             return
         try:
-            if force_nearplace or not self._locality_holds(op, level):
+            if force_nearplace or not plan.inplace:
                 # Near-place handles any operand placement, including L3
                 # operands homed on different NUCA slices.
+                level = piece.level
                 op.fallback_reason = "forced" if force_nearplace else "locality-miss"
                 outcome = self.nearplace.execute(
                     lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
@@ -415,54 +470,56 @@ class ComputeCacheController:
                 op.result_bit_count = outcome.result_bit_count
                 op.status = OpStatus.ISSUED
                 return
-            cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-            if instr.key_is_fixed_block:
-                self._replicate_key(op, instr, level, piece.key_data)
-            locs = [cache.locate(o.addr) for o in op.operands]
-            rows = [row for _, row in locs]
-            partition = cache.geometry.partition_of(op.operands[0].addr)
+            # Locality holds, so every operand lives in operand 0's cache.
+            geometry = plan.caches[0].geometry
+            partition = geometry.partition_of(op.operands[0].addr)
+            if piece.key_data is not None:
+                self._replicate_key(op, piece, partition)
+            places = [geometry.slot(set_index, way) for set_index, way in lines]
+            rows = [row for _, row in places]
+            rows += (geometry.key_row, None)
+            a, b, dest = plan.slots
             piece.partition_load[partition] = piece.partition_load.get(partition, 0) + 1
-            key = (id(cache), partition)
-            batch = piece.queued.setdefault(key, [cache, locs[0][0], partition, []])
-            batch[3].append((op, operand_rows(op, rows, cache.geometry.key_row)))
-            piece.located.append((op, cache, list(zip(op.addresses, rows)), key))
+            batch = piece.queued.get(partition)
+            if batch is None:
+                batch = piece.queued[partition] = (places[0][0], partition, [])
+            batch[2].append((op, (rows[a], rows[b], rows[dest])))
+            piece.located.append((op, [(o.addr, way) for o, (_, way)
+                                       in zip(op.operands, lines)], partition))
         finally:
-            self._unpin_all(op, level)
+            self._unpin_all(op, plan.caches)
 
     def _drain(self, piece: _Piece) -> None:
-        """Account and run every queued op: one
-        :meth:`InPlaceExecutor.execute_batch` call per target sub-array.
+        """Account and run every queued op in one
+        :meth:`InPlaceExecutor.execute_batch` call: one account call per
+        target sub-array, then one kernel call for them all.
 
         A row check comes first, as a backstop: ``_batch_hazard``
         guarantees that no staging fetch displaced a block an earlier op
-        located, but an op whose rows did move is taken out of its batch
-        and staged and drained again on its own.
+        pinned, but an op whose operands did move (the index no longer
+        maps a block to the way it was pinned in) is taken out of its
+        batch and staged and drained again on its own.
         """
         queued, piece.queued = piece.queued, {}
         located, piece.located = piece.located, []
+        cache = piece.plan.caches[0]
         while True:
             moved = next((item for item in located if not all(
-                self._row_intact(item[1], addr, row) for addr, row in item[2])), None)
+                cache.probe(addr) == way for addr, way in item[1])), None)
             if moved is None:
                 break
             located.remove(moved)
-            op, key = moved[0], moved[3]
-            batch = queued[key]
-            batch[3] = [(o, r) for o, r in batch[3] if o is not op]
-            piece.partition_load[batch[2]] -= 1
-            if not piece.partition_load[batch[2]]:
-                del piece.partition_load[batch[2]]
+            op, partition = moved[0], moved[2]
+            items = queued[partition][2]
+            items[:] = [(o, r) for o, r in items if o is not op]
+            piece.partition_load[partition] -= 1
+            if not piece.partition_load[partition]:
+                del piece.partition_load[partition]
             self._stage_block_op(piece, op)
             self._drain(piece)
-        for cache, subarray, partition, items in queued.values():
-            if items:
-                self.inplace.execute_batch(cache, subarray, partition, items)
-
-    def _row_intact(self, cache, addr: int, row: int) -> bool:
-        """Uncounted check that a block still occupies its located row."""
-        parts = cache.geometry.decode(addr)
-        way = cache.tags.probe(parts.set_index, parts.tag)
-        return way is not None and cache.geometry.row_of(parts.set_index, way) == row
+        groups = [batch for batch in queued.values() if batch[2]]
+        if groups:
+            self.inplace.execute_batch(cache, groups)
 
     def _finish(self, piece: _Piece) -> CCResult:
         """Complete a drained piece: classify each op's outcome, emit
@@ -592,21 +649,21 @@ class ComputeCacheController:
 
     # -- block-op lifecycle -------------------------------------------------------------------
 
-    def _acquire_operands(self, op: BlockOperation, instr: CCInstruction, level: str,
-                          key_data: bytes | None, skip_fetch: bool,
-                          fetch_latencies: list[int]) -> bool:
+    def _acquire_operands(self, op: BlockOperation,
+                          piece: _Piece) -> list[tuple[int, int]] | None:
         """Fetch and pin every operand, retrying when a pin is lost.
 
-        Returns True once all operands are pinned.  After exactly
-        ``pin_retry_limit`` failed attempts the op is handed to the RISC
-        fallback (starvation avoidance, Section IV-E) and False is
-        returned.
+        Returns the ``(set_index, way)`` each operand is pinned in, once
+        all are pinned.  After exactly ``pin_retry_limit`` failed attempts
+        the op is handed to the RISC fallback (starvation avoidance,
+        Section IV-E) and None is returned.
         """
+        instr, level = piece.instr, piece.level
         attempts = 0
         while True:
             attempts += 1
-            lost = self._prepare_and_pin(op, level, skip_fetch, fetch_latencies)
-            if not lost:
+            lines = self._prepare_and_pin(op, piece)
+            if lines is not None:
                 if attempts > 1 and self.tracer is not None:
                     self.tracer.emit(
                         "fault.recover", core=self.core_id, level=level,
@@ -614,7 +671,7 @@ class ComputeCacheController:
                         addr=op.operands[0].addr, outcome="retried",
                         reason="pin-loss", span=float(attempts - 1),
                     )
-                return True
+                return lines
             self.stats.pin_retries += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -623,9 +680,9 @@ class ComputeCacheController:
                     addr=op.operands[0].addr,
                 )
             if attempts >= self.config.cc.pin_retry_limit:
-                self._unpin_all(op, level)
+                self._unpin_all(op, piece.plan.caches)
                 op.fallback_reason = "pin-loss"
-                self._risc_fallback(op, instr, key_data)
+                self._risc_fallback(op, instr, piece.key_data)
                 if self.tracer is not None:
                     self.tracer.emit(
                         "fault.recover", core=self.core_id, level=level,
@@ -633,7 +690,7 @@ class ComputeCacheController:
                         addr=op.operands[0].addr, outcome="degraded-risc",
                         reason="pin-loss", span=float(attempts),
                     )
-                return False
+                return None
 
     # -- dispatch hazards ----------------------------------------------------------------------
 
@@ -699,10 +756,14 @@ class ComputeCacheController:
                     return "occupancy"
         return None
 
-    def _prepare_and_pin(self, op: BlockOperation, level: str, skip_fetch: bool,
-                         fetch_latencies: list[int]) -> bool:
-        """Fetch and pin every operand; True if a pin was lost (retry)."""
-        for operand in op.operands:
+    def _prepare_and_pin(self, op: BlockOperation,
+                         piece: _Piece) -> list[tuple[int, int]] | None:
+        """Fetch and pin every operand; returns the ``(set_index, way)``
+        of each pinned operand, or None if a pin was lost (retry)."""
+        level, caches = piece.level, piece.plan.caches
+        skip_fetch = piece.plan.skip_fetch
+        lines = []
+        for operand, cache in zip(op.operands, caches):
             try:
                 latency = self.hierarchy.cc_prepare(
                     self.core_id, level, operand.addr, operand.is_dest,
@@ -711,10 +772,10 @@ class ComputeCacheController:
             except PinnedLineError:
                 # The fill found every way of its set pinned (the op's own
                 # operands can fill a low-associativity set): a lost pin.
-                self._unpin_all(op, level)
-                return True
+                self._unpin_all(op, caches)
+                return None
             if latency:
-                fetch_latencies.append(latency)
+                piece.fetch_latencies.append(latency)
                 if self.tracer is not None:
                     self.tracer.emit(
                         "cc.fetch", core=self.core_id, level=level,
@@ -725,40 +786,43 @@ class ComputeCacheController:
                     self.fetch_fault_hook(operand.addr):
                 # Injected operand-fetch timeout: drop any partial pin set
                 # and go back through the starvation-avoidance retry path.
-                self._unpin_all(op, level)
-                return True
-            cache = self.hierarchy.level_cache(level, self.core_id, operand.addr)
+                self._unpin_all(op, caches)
+                return None
             try:
-                cache.pin(operand.addr, op.instr_id)
+                lines.append(cache.pin(operand.addr, op.instr_id))
             except PinnedLineError:
-                self._unpin_all(op, level)
-                return True
+                self._unpin_all(op, caches)
+                return None
             operand.pinned = True
         if self.contention_hook is not None:
             for operand in op.operands:
                 if self.contention_hook(operand.addr):
                     # A forwarded coherence request: release the lock and
                     # respond (Section IV-F), then retry the fetch.
-                    self._unpin_all(op, level)
-                    return True
-        return False
+                    self._unpin_all(op, caches)
+                    return None
+        return lines
 
-    def _unpin_all(self, op: BlockOperation, level: str) -> None:
-        for operand in op.operands:
+    @staticmethod
+    def _unpin_all(op: BlockOperation, caches: tuple[CacheLevel, ...]) -> None:
+        """Unpin each pinned operand in its stream's compute-level cache."""
+        for operand, cache in zip(op.operands, caches):
             if operand.pinned:
-                self.hierarchy.cc_release(self.core_id, level, operand.addr)
+                cache.unpin(operand.addr)
                 operand.pinned = False
 
-    def _locality_holds(self, op: BlockOperation, level: str) -> bool:
-        if len(op.operands) < 2:
+    def _locality_holds(self, addrs: list[int], level: str) -> bool:
+        """Whether one block op's operands (``addrs``) can compute in
+        place: one block partition, and at L3 one home slice."""
+        if len(addrs) < 2:
             return True
-        cache = self.hierarchy.level_cache(level, self.core_id, op.operands[0].addr)
-        parts = {cache.geometry.partition_of(o.addr) for o in op.operands}
+        cache = self.hierarchy.level_cache(level, self.core_id, addrs[0])
+        parts = {cache.geometry.partition_of(a) for a in addrs}
         if len(parts) != 1:
             return False
         # Multi-slice L3: operands must also be homed on the same slice.
         if level == L3:
-            slices = {self.hierarchy.home_slice(o.addr, self.core_id) for o in op.operands}
+            slices = {self.hierarchy.home_slice(a, self.core_id) for a in addrs}
             return len(slices) == 1
         return True
 
@@ -774,20 +838,14 @@ class ComputeCacheController:
         cache = self.hierarchy.level_cache(level, self.core_id, key_addr)
         return cache.read_block(key_addr, charge=False), latency
 
-    def _replicate_key(self, op: BlockOperation, instr: CCInstruction, level: str,
-                       key_data: bytes | None) -> None:
+    def _replicate_key(self, op: BlockOperation, piece: _Piece, partition: int) -> None:
         """Write the key into the data block's partition key row (once per
         partition per instruction, tracked by the key table)."""
-        if key_data is None:
-            raise ReproError("search with no staged key")
-        data_addr = op.operands[0].addr
-        cache = self.hierarchy.level_cache(level, self.core_id, data_addr)
-        partition = cache.geometry.partition_of(data_addr)
-        if level == L3:
-            partition = (self.hierarchy.home_slice(data_addr, self.core_id), partition)
-        if self.key_table.needs_replication(op.instr_id, instr.src2, level, partition):
-            real_partition = partition[1] if isinstance(partition, tuple) else partition
-            cache.geometry.write_key(real_partition, key_data)
+        instr, level, plan = piece.instr, piece.level, piece.plan
+        slot = partition if plan.key_slice is None else (plan.key_slice, partition)
+        if self.key_table.needs_replication(op.instr_id, instr.src2, level, slot):
+            cache = plan.caches[0]
+            cache.geometry.write_key(partition, piece.key_data)
             # The H-tree fans the key out to every target sub-array at
             # once: wire energy is charged per instruction, array writes
             # per partition.
@@ -798,7 +856,7 @@ class ComputeCacheController:
             if self.tracer is not None:
                 self.tracer.emit(
                     "cc.key_replicate", core=self.core_id, level=level,
-                    partition=partition, addr=data_addr, instr_id=op.instr_id,
+                    partition=slot, addr=op.operands[0].addr, instr_id=op.instr_id,
                 )
 
     # -- clmul result packing ----------------------------------------------------------------------

@@ -4,11 +4,13 @@ Block operations reach the executor located: each
 :class:`~repro.core.operation_table.BlockOperation` comes with the
 ``(row_a, row_b, row_dest)`` its operands occupy at the compute level
 (:func:`operand_rows`).  :meth:`InPlaceExecutor.account_batch` charges the
-Table V energy and emits the ``subarray.op`` events;
-:meth:`InPlaceExecutor.kernel_batch` runs the bit-line operations as one
-:meth:`~repro.sram.ComputeSubarray.op_batch` call per sub-array and leaves
-any result bits (for CC-R operations) on each op.  A single op is a
-one-item batch.
+Table V energy and emits the ``subarray.op`` events of one partition's
+ops; :meth:`InPlaceExecutor.kernel_batch` runs the bit-line operations of
+any number of partitions' ops as one ``op_groups`` call of their
+sub-array class (one kernel call for a whole page-local piece under the
+packed backend, one ``op_batch`` per sub-array under bit-exact) and
+leaves any result bits (for CC-R operations) on each op.  A single op is
+a one-item batch.
 
 In-place execution requires all operands in the same block partition;
 :meth:`InPlaceExecutor.execute` asserts this (the controller only routes
@@ -26,20 +28,33 @@ from ..sram.timing import ARITH_OPS, arith_steps
 from .operation_table import BlockOperation, OpStatus
 
 
+def row_slots(subop: str, dests: list[bool]) -> tuple[int, int, int]:
+    """Where a block op's kernel finds its ``(row_a, row_b, row_dest)``,
+    given which of its operands are destinations: each slot indexes the
+    operands' rows followed by the partition's key row (index
+    ``len(dests)``) and ``None`` (index ``len(dests) + 1``, an unused
+    slot).  ``search`` and broadcast ``clmul`` read their second operand
+    from the key row.  The slots depend only on the opcode and operand
+    roles, so every block op of an instruction shares them."""
+    key, unused = len(dests), len(dests) + 1
+    sources = [i for i, is_dest in enumerate(dests) if not is_dest]
+    dest = next((i for i, is_dest in enumerate(dests) if is_dest), unused)
+    if subop == "buz":
+        return dest, unused, dest
+    if len(sources) > 1:
+        return sources[0], sources[1], dest
+    if subop in ("search", "clmul"):
+        return sources[0], key, unused
+    return sources[0], unused, dest
+
+
 def operand_rows(op: BlockOperation, rows: list[int], key_row: int) -> tuple:
     """The ``(row_a, row_b, row_dest)`` a block op's kernel reads and
     writes, from the rows its operands occupy (``rows`` parallels
-    ``op.operands``); unused slots are ``None``.  ``search`` and broadcast
-    ``clmul`` read their second operand from the partition's key row."""
-    sources = [row for o, row in zip(op.operands, rows) if not o.is_dest]
-    dest = next((row for o, row in zip(op.operands, rows) if o.is_dest), None)
-    if op.subarray_op == "buz":
-        return dest, None, dest
-    if len(sources) > 1:
-        return sources[0], sources[1], dest
-    if op.subarray_op in ("search", "clmul"):
-        return sources[0], key_row, None
-    return sources[0], None, dest
+    ``op.operands``); unused slots are ``None`` (see :func:`row_slots`)."""
+    slots = row_slots(op.subarray_op, [o.is_dest for o in op.operands])
+    rows = [*rows, key_row, None]
+    return tuple(rows[i] for i in slots)
 
 
 class InPlaceExecutor:
@@ -88,23 +103,26 @@ class InPlaceExecutor:
             )
         locs = [level.locate(a) for a in addrs]
         rows = operand_rows(op, [row for _, row in locs], level.geometry.key_row)
-        self.execute_batch(level, locs[0][0], partitions.pop(), [(op, rows)])
+        self.execute_batch(level, [(locs[0][0], partitions.pop(), [(op, rows)])])
 
-    def execute_batch(self, level: CacheLevel, subarray, partition: int,
-                      items: list[tuple[BlockOperation, tuple]]) -> None:
-        """Run one sub-array's worth of simple vector operations at once.
+    def execute_batch(self, level: CacheLevel, groups: list[tuple]) -> None:
+        """Run located simple vector operations of one cache level at once.
 
-        ``items`` pairs each :class:`BlockOperation` with its located
-        ``(row_a, row_b, row_dest)`` triple (see :func:`operand_rows`):
-        :meth:`account_batch` then :meth:`kernel_batch`.
+        ``groups`` holds one ``(subarray, partition, items)`` per target
+        sub-array; ``items`` pairs each :class:`BlockOperation` with its
+        located ``(row_a, row_b, row_dest)`` triple (see
+        :func:`operand_rows`).  Each group is accounted in turn
+        (:meth:`account_batch`), then one :meth:`kernel_batch` call runs
+        them all.
         """
-        self.account_batch(level, partition, items)
-        self.kernel_batch(subarray, items)
+        for _subarray, partition, items in groups:
+            self.account_batch(level, partition, items)
+        self.kernel_batch([(subarray, items) for subarray, _, items in groups])
 
     def account_batch(self, level: CacheLevel, partition: int,
                       items: list[tuple[BlockOperation, tuple]]) -> None:
-        """Table-V charges, level stats, and ``subarray.op`` events for a
-        group of located ops, without running the kernel (the *account*
+        """Table-V charges, level stats, and ``subarray.op`` events for one
+        partition's located ops, without running the kernel (the *account*
         stage of :meth:`execute_batch`)."""
         if not items:
             return
@@ -124,42 +142,49 @@ class InPlaceExecutor:
                     span=span,
                 )
 
-    def kernel_batch(self, subarray,
-                     items: list[tuple[BlockOperation, tuple]]) -> None:
-        """One :meth:`~repro.sram.ComputeSubarray.op_batch` call over a
-        sub-array's located ops (the *kernel* stage of
-        :meth:`execute_batch`), assigning result bits per op: one
-        vectorized kernel under the packed backend, the per-row circuit
-        ops under bit-exact.
+    def kernel_batch(self, groups: list[tuple[object, list[tuple[BlockOperation, tuple]]]]) -> None:
+        """The *kernel* stage: run the located ops of one or more
+        sub-arrays, given as ``(sub-array, items)`` groups, through one
+        ``op_groups`` call of their sub-array class, and assign each op
+        its result bits.  The class decides how the groups run: one
+        gather, kernel and scatter over the level's shared block for
+        :class:`~repro.sram.PackedSubarray`, one ``op_batch`` per
+        sub-array for the bit-exact :class:`~repro.sram.ComputeSubarray`.
 
-        Sub-array accounting happens inside ``op_batch`` in item order, so
-        items must keep the order in which their ops were staged.
+        Sub-array accounting happens in item order within each sub-array,
+        so items must keep the order in which their ops were staged.
         """
-        if not items:
+        groups = [(subarray, items) for subarray, items in groups if items]
+        if not groups:
             return
-        subop = items[0][0].subarray_op
-        lane_bits = items[0][0].lane_bits
-        elem_bits = items[0][0].elem_bits
-        rows_a = [rows[0] for _, rows in items]
-        rows_b = [rows[1] for _, rows in items] if items[0][1][1] is not None else None
-        rows_dest = [rows[2] for _, rows in items] if items[0][1][2] is not None else None
-        results = subarray.op_batch(
-            subop, rows_a, rows_b, rows_dest,
-            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=elem_bits,
+        first, (_row_a, row_b, row_dest) = groups[0][1][0]
+        subop, lane_bits = first.subarray_op, first.lane_bits
+        results = type(groups[0][0]).op_groups(
+            subop,
+            [(subarray, [rows[0] for _, rows in items],
+              [rows[1] for _, rows in items] if row_b is not None else None,
+              [rows[2] for _, rows in items] if row_dest is not None else None)
+             for subarray, items in groups],
+            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=first.elem_bits,
         )
-        for (op, _rows), result in zip(items, results):
-            if subop == "cmp":
+        ops = [op for _, items in groups for op, _rows in items]
+        if subop == "cmp":
+            for op, result in zip(ops, results):
                 op.result_bits, op.result_bit_count = result, BLOCK_SIZE // 8
-            elif subop == "search":
+        elif subop == "search":
+            for op, result in zip(ops, results):
                 op.result_bits, op.result_bit_count = result & 1, 1
-            elif subop == "clmul":
-                lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
+        elif subop == "clmul":
+            lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
+            for op, result in zip(ops, results):
                 bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
                 op.result_bits, op.result_bit_count = bits, lanes
-            elif subop == "reduce":
-                # The block-wide sum can exceed 64 result bits' packing
-                # contract, so it rides result_bits raw (bit_count 0) and
-                # the controller accumulates it.
+        elif subop == "reduce":
+            # The block-wide sum can exceed 64 result bits' packing
+            # contract, so it rides result_bits raw (bit_count 0) and
+            # the controller accumulates it.
+            for op, result in zip(ops, results):
                 op.result_bits, op.result_bit_count = result, 0
-            else:
+        else:
+            for op in ops:
                 op.result_bits, op.result_bit_count = 0, 0

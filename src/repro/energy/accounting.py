@@ -109,6 +109,3 @@ class EnergyLedger:
     def merge(self, other: "EnergyLedger") -> None:
         for component, pj in other.pj.items():
             self.add(component, pj)
-
-    def reset(self) -> None:
-        self.pj.clear()

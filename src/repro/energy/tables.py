@@ -148,13 +148,3 @@ def transpose_energy(level: str) -> float:
     ic = CACHE_IC_ENERGY_PJ[level]
     table = _level_table(level)
     return max(table["read"] - ic, 0.0) + max(table["write"] - ic, 0.0)
-
-
-def htree_fraction(level: str) -> float:
-    """Fraction of a read access spent in the H-tree (Table I).
-
-    Roughly 60% for L1 and 80% for L2/L3 - the share of data-movement
-    energy that *only* in-place computation (not near-place) can eliminate.
-    """
-    ic = CACHE_IC_ENERGY_PJ[level]
-    return ic / (ic + CACHE_ACCESS_ENERGY_PJ[level])

@@ -57,6 +57,14 @@ FAULT_KINDS = (
 )
 
 PLAN_SCHEMA = "repro.fault-plan/1"
+PLAN_KEYS = frozenset({"schema", "seed", "faults"})
+ENTRY_KEYS = frozenset({"kind", "probability", "max_injections", "params"})
+"""The fields of a plan document and of each of its fault entries."""
+
+
+def _is_count(value: object) -> bool:
+    """A JSON integer >= 0 (``true`` is not an integer)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -80,14 +88,23 @@ class FaultSpec:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if not 0.0 <= self.probability <= 1.0:
+        p = self.probability
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise FaultPlanError(
-                f"fault probability must be in [0, 1], got {self.probability!r}"
+                f"{self.kind}: fault probability must be a number in [0, 1], got {p!r}"
             )
-        if self.max_injections < 0:
+        if not _is_count(self.max_injections):
             raise FaultPlanError(
-                f"max_injections must be >= 0, got {self.max_injections!r}"
+                f"{self.kind}: max_injections must be an integer >= 0, "
+                f"got {self.max_injections!r}"
             )
+        if not isinstance(self.params, dict):
+            raise FaultPlanError(
+                f"{self.kind}: params must be an object, got {self.params!r}")
+        delay = self.params.get("delay_cycles", 0)
+        if self.kind == "directory.delay" and not _is_count(delay):
+            raise FaultPlanError(
+                f"{self.kind}: params.delay_cycles must be an integer >= 0, got {delay!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,8 @@ class FaultPlan:
     specs: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise FaultPlanError(f"fault-plan seed must be an integer, got {self.seed!r}")
         kinds = [s.kind for s in self.specs]
         dupes = {k for k in kinds if kinds.count(k) > 1}
         if dupes:
@@ -138,17 +157,27 @@ class FaultPlan:
         schema = doc.get("schema")
         if schema != PLAN_SCHEMA:
             raise FaultPlanError(f"unsupported fault-plan schema {schema!r}")
+        unknown = sorted(set(doc) - PLAN_KEYS, key=str)
+        if unknown:
+            raise FaultPlanError(f"unknown fault-plan field {unknown[0]!r}")
         try:
-            specs = tuple(
-                FaultSpec(
+            entries = doc["faults"]
+            if not isinstance(entries, list):
+                raise FaultPlanError(f"fault-plan faults must be a list, got {entries!r}")
+            specs = []
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    raise FaultPlanError(f"fault entry must be an object, got {entry!r}")
+                unknown = sorted(set(entry) - ENTRY_KEYS, key=str)
+                if unknown:
+                    raise FaultPlanError(f"unknown fault-entry field {unknown[0]!r}")
+                specs.append(FaultSpec(
                     kind=entry["kind"],
                     probability=entry.get("probability", 1.0),
                     max_injections=entry.get("max_injections", 0),
-                    params=dict(entry.get("params", {})),
-                )
-                for entry in doc["faults"]
-            )
-            return cls(seed=doc["seed"], specs=specs)
+                    params=entry.get("params", {}),
+                ))
+            return cls(seed=doc["seed"], specs=tuple(specs))
         except KeyError as exc:
             raise FaultPlanError(f"fault-plan document missing field {exc}") from None
         except TypeError as exc:

@@ -183,9 +183,12 @@ class PackedCellArray:
     Circuit physics (multi-row activation, write-disturb, sense amps) is
     *not* modeled here; circuit-level experiments use
     :class:`~repro.sram.bitcell.BitCellArray` directly.
+
+    ``data``, when given, is the ``(rows, cols // 8)`` uint8 array to store
+    into, e.g. one partition's view of a cache level's shared block.
     """
 
-    def __init__(self, rows: int, cols: int) -> None:
+    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None) -> None:
         if rows <= 0 or cols <= 0:
             raise AddressError(f"invalid cell array shape {rows}x{cols}")
         if cols % 8:
@@ -193,7 +196,12 @@ class PackedCellArray:
         self.rows = rows
         self.cols = cols
         self.row_bytes = cols // 8
-        self.data = np.zeros((rows, self.row_bytes), dtype=np.uint8)
+        if data is None:
+            data = np.zeros((rows, self.row_bytes), dtype=np.uint8)
+        elif data.shape != (rows, self.row_bytes) or data.dtype != np.uint8:
+            raise AddressError(f"backing array {data.shape} {data.dtype} does not hold "
+                               f"{rows} uint8 rows of {self.row_bytes} bytes")
+        self.data = data
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -205,14 +213,6 @@ class PackedCellArray:
         """Zero-copy uint8 view of one row."""
         self._check_row(row)
         return self.data[row]
-
-    def read_rows(self, rows) -> np.ndarray:
-        """Gather ``(k, row_bytes)`` packed rows (one batched kernel input)."""
-        return self.data[np.asarray(rows, dtype=np.intp)]
-
-    def write_rows(self, rows, values: np.ndarray) -> None:
-        """Scatter packed rows back (one batched kernel output)."""
-        self.data[np.asarray(rows, dtype=np.intp)] = values
 
     def read_row_bytes(self, row: int) -> bytes:
         self._check_row(row)

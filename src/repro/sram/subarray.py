@@ -49,6 +49,7 @@ limits, 8T cells) use :class:`~repro.sram.bitcell.BitCellArray` directly.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +143,11 @@ class _Subarray:
                 f"{self.cols}-bit row is not divisible into {elem_bits}-bit elements"
             )
 
+    @classmethod
+    def level(cls, count: int, rows: int, cols: int) -> list:
+        """The ``count`` sub-arrays (block partitions) of one cache level."""
+        return [cls(rows, cols) for _ in range(count)]
+
     def _account(self, op: str, steps: int = 1) -> None:
         """Record one operation; ``steps`` scales the per-step cost of the
         bit-serial arithmetic ops (1 for every single-step operation)."""
@@ -150,6 +156,25 @@ class _Subarray:
         except KeyError:
             raise ISAError(f"unknown sub-array operation {op!r}") from None
         self.stats.record(op, steps * energy, steps * delay)
+
+    @classmethod
+    def op_groups(cls, op: str, groups: list[tuple], word_bits: int = 64,
+                  key_bytes: int = 64, lane_bits: int | None = None,
+                  elem_bits: int | None = None) -> list:
+        """``op_batch`` over the row tuples of several sub-arrays at once.
+
+        ``groups`` holds one ``(sub-array, rows_a, rows_b, rows_dest)``
+        per sub-array; the results of all groups come back as one list,
+        in group order.  This is one ``op_batch`` call per group, the
+        circuit path; :meth:`PackedSubarray.op_groups` runs the groups of
+        one cache level as one kernel call.  Either way every sub-array
+        ends with the statistics of its own ``op_batch``.
+        """
+        results: list = []
+        for sub, rows_a, rows_b, rows_dest in groups:
+            results += sub.op_batch(op, rows_a, rows_b, rows_dest, word_bits,
+                                    key_bytes, lane_bits, elem_bits)
+        return results
 
 
 class ComputeSubarray(_Subarray):
@@ -460,11 +485,38 @@ class ComputeSubarray(_Subarray):
 class PackedSubarray(_Subarray, PackedCellArray):
     """The fast path: packed rows whose every batch is one vectorized kernel
     call (gather packed rows, compute, scatter), with the circuit's results
-    and accounting."""
+    and accounting.
 
-    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
+    The sub-arrays of one cache level (:meth:`level`) keep their rows in
+    one shared ``(partitions, rows, cols // 8)`` uint8 ``block``, each
+    storing into the view ``block[index]``, so :meth:`op_groups` runs a
+    batch spread over many partitions as one gather, kernel and scatter.
+    A sub-array built on its own has a one-partition block.
+    """
+
+    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None,
+                 block: np.ndarray | None = None, index: int = 0) -> None:
         _Subarray.__init__(self, rows, cols, timing)
-        PackedCellArray.__init__(self, rows, cols)
+        if block is None:
+            PackedCellArray.__init__(self, rows, cols)
+            block = self.data[None]
+        else:
+            PackedCellArray.__init__(self, rows, cols, block[index])
+        self.block = block
+        self.index = index
+
+    @classmethod
+    def level(cls, count: int, rows: int, cols: int) -> list:
+        """The ``count`` sub-arrays of one cache level, on one shared block.
+
+        The block is an anonymous memory map: its pages read as zero and
+        take memory only once written, so the rows a run never fills cost
+        neither set-up time nor memory (a Table IV L3 slice is 2 MB).
+        """
+        shape = (count, rows, cols // 8)
+        block = np.frombuffer(mmap.mmap(-1, count * rows * (cols // 8)),
+                              dtype=np.uint8).reshape(shape)
+        return [cls(rows, cols, block=block, index=i) for i in range(count)]
 
     def read_block(self, row: int) -> bytes:
         """Conventional read of one row (one cache block)."""
@@ -496,60 +548,84 @@ class PackedSubarray(_Subarray, PackedCellArray):
         lane_bits: int | None = None,
         elem_bits: int | None = None,
     ) -> list:
-        """:meth:`ComputeSubarray.op_batch` as one kernel call."""
+        """:meth:`ComputeSubarray.op_batch` as one kernel call: the
+        one-partition case of :meth:`op_groups`."""
+        return self.op_groups(op, [(self, rows_a, rows_b, rows_dest)], word_bits,
+                              key_bytes, lane_bits, elem_bits)
+
+    @classmethod
+    def op_groups(cls, op: str, groups: list[tuple], word_bits: int = 64,
+                  key_bytes: int = 64, lane_bits: int | None = None,
+                  elem_bits: int | None = None) -> list:
+        """:meth:`_Subarray.op_groups` as one gather, one kernel call and
+        one scatter over the level's shared block (groups from sub-arrays
+        of different blocks fall back to one call per group)."""
+        if not groups:
+            return []
+        first = groups[0][0]
+        block = first.block
+        if any(sub.block is not block for sub, *_ in groups):
+            return super().op_groups(op, groups, word_bits, key_bytes, lane_bits, elem_bits)
+        has_b, has_dest = groups[0][2] is not None, groups[0][3] is not None
+        parts: list[int] = []
+        rows_a: list[int] = []
+        rows_b: list[int] = []
+        rows_dest: list[int] = []
+        for sub, a, b, dest in groups:
+            parts += [sub.index] * len(a)
+            rows_a += a
+            if has_b:
+                rows_b += b
+            if has_dest:
+                rows_dest += dest
         if not rows_a:
             return []
-        for row in (*rows_a, *(rows_b or ()), *(rows_dest or ())):
-            self._check_row(row)
+        n_rows = block.shape[1]
+        for rows in (rows_a, rows_b, rows_dest):
+            if rows and not (min(rows) >= 0 and max(rows) < n_rows):
+                bad = next(r for r in rows if not 0 <= r < n_rows)
+                raise AddressError(f"row {bad} outside array of {n_rows} rows")
 
-        a = self.read_rows(rows_a)
-        b = self.read_rows(rows_b) if rows_b is not None else None
+        where = np.array(parts, dtype=np.intp)
+        a = block[where, np.array(rows_a, dtype=np.intp)]
+        b = block[where, np.array(rows_b, dtype=np.intp)] if has_b else None
+        steps = 1
 
         if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR,
                   SubarrayOp.NOT, SubarrayOp.COPY, SubarrayOp.BUZ):
             out = logical_rows(op, a, b)
-            if rows_dest is not None:
-                self.write_rows(rows_dest, out)
-            for _ in rows_a:
-                self._account(op)
-            if op == SubarrayOp.BUZ:
-                return [None] * len(rows_a)
-            return [row.tobytes() for row in out]
-        if op in (SubarrayOp.CMP, SubarrayOp.SEARCH):
+            results = ([None] * len(rows_a) if op == SubarrayOp.BUZ
+                       else [row.tobytes() for row in out])
+        elif op in (SubarrayOp.CMP, SubarrayOp.SEARCH):
             chunk_bytes = word_bits // 8 if op == SubarrayOp.CMP else key_bytes
-            masks = equality_mask(a, b, chunk_bytes)
-            for _ in rows_a:
-                self._account(op)
-            return [int(m) for m in masks]
-        if op == SubarrayOp.CLMUL:
+            out, results = None, equality_mask(a, b, chunk_bytes).tolist()
+        elif op == SubarrayOp.CLMUL:
             if lane_bits not in (64, 128, 256):
                 raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-            masks = clmul_mask(a, b, lane_bits)
-            nbytes = (self.cols // lane_bits + 7) // 8
-            for _ in rows_a:
-                self._account(op)
-            return [int(m).to_bytes(nbytes, "little") for m in masks]
-        if op in (SubarrayOp.ADD, SubarrayOp.MUL):
+            nbytes = (first.cols // lane_bits + 7) // 8
+            out, results = None, [m.to_bytes(nbytes, "little")
+                                  for m in clmul_mask(a, b, lane_bits).tolist()]
+        elif op in (SubarrayOp.ADD, SubarrayOp.MUL):
             if elem_bits is None:
                 raise ISAError(f"batched {op} needs an element width")
-            self._check_elem_width(elem_bits)
+            first._check_elem_width(elem_bits)
             out = arith_rows(op, a, b, elem_bits)
-            if rows_dest is not None:
-                self.write_rows(rows_dest, out)
+            results = [row.tobytes() for row in out]
             steps = arith_steps(op, elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [row.tobytes() for row in out]
-        if op == SubarrayOp.REDUCE:
+        elif op == SubarrayOp.REDUCE:
             if elem_bits is None:
                 raise ISAError("batched reduce needs an element width")
-            self._check_elem_width(elem_bits)
-            sums = reduce_rows(a, elem_bits)
-            steps = arith_steps(op, elem_bits, self.cols // elem_bits)
-            for _ in rows_a:
-                self._account(op, steps=steps)
-            return [int(s) for s in sums]
-        raise ISAError(f"unknown batched sub-array operation {op!r}")
+            first._check_elem_width(elem_bits)
+            out, results = None, reduce_rows(a, elem_bits).tolist()
+            steps = arith_steps(op, elem_bits, first.cols // elem_bits)
+        else:
+            raise ISAError(f"unknown batched sub-array operation {op!r}")
+        if out is not None and has_dest:
+            block[where, np.array(rows_dest, dtype=np.intp)] = out
+        for sub, rows, _rows_b, _rows_dest in groups:
+            for _ in rows:
+                sub._account(op, steps)
+        return results
 
 
 SUBARRAYS = {"bitexact": ComputeSubarray, "packed": PackedSubarray}

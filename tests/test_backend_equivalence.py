@@ -11,7 +11,8 @@ instruction stream.  Three layers of evidence:
    random payloads, odd (non-power-of-two) block counts, misaligned
    (block- but not page-aligned) starts, and page-spanning ranges;
 3. every sub-array operation, batched, on one sub-array of each backend
-   (including ``nor``, which no CC opcode issues).
+   (including ``nor``, which no CC opcode issues), and spread over the
+   partitions of one cache level as one ``op_groups`` call.
 """
 
 from __future__ import annotations
@@ -21,10 +22,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.sram.subarray as subarray_module
 from repro import ComputeCacheMachine, cc_ops
+from repro.cache.geometry import CacheGeometry
 from repro.core.isa import CLMUL_LANES, CMP_MAX_BYTES, SEARCH_MAX_BYTES
 from repro.errors import ConfigError
-from repro.params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, MachineConfig, small_test_machine
+from repro.params import (
+    BACKENDS,
+    BLOCK_SIZE,
+    PAGE_SIZE,
+    MachineConfig,
+    sandybridge_8core,
+    small_test_machine,
+)
 from repro.sram import SUBARRAYS
 
 REGION = 2 * PAGE_SIZE  # big enough that offsets can span a page boundary
@@ -393,6 +403,78 @@ class TestSubarrayBackends:
             assert images["bitexact"] == images["packed"], f"batch of {n}"
         assert subs["bitexact"].stats == subs["packed"].stats
         assert subs["packed"].stats.compute_ops == {op: 36}
+
+    @pytest.mark.parametrize("op, widths", SUBARRAY_CASES,
+                             ids=[op + "".join(f"-{v}" for v in w.values())
+                                  for op, w in SUBARRAY_CASES])
+    def test_one_call_over_partitions_matches_op_batch_each(self, op, widths):
+        """Batches spread over four partitions of one cache level, in no
+        particular partition order: one ``op_groups`` call gives the
+        results, row images and per-sub-array statistics of one
+        ``op_batch`` per partition, on both backends alike."""
+        config = small_test_machine().l2
+        partitions = (5, 0, 6, 3)
+        seen = {}
+        for be in BACKENDS:
+            rng = np.random.default_rng(len(op) * 1000 + sum(widths.values()))
+            one, each = (CacheGeometry(config, be).subarrays for _ in range(2))
+            for subs in (one, each):
+                for part in partitions:
+                    image = _row_image(np.random.default_rng(part))
+                    for row, data in enumerate(image):
+                        subs[part].write_block(row, data.tobytes())
+            results = []
+            for n in range(1, 5):
+                batches = [(part, _row_tuples(op, n + i % 2, rng))
+                           for i, part in enumerate(partitions)]
+                got = type(one[0]).op_groups(
+                    op, [(one[part], *rows) for part, rows in batches], **widths)
+                want = [result for part, rows in batches
+                        for result in each[part].op_batch(op, *rows, **widths)]
+                assert got == want, f"round {n}"
+                results += got
+            images = [[subs[part].peek_block(row) for part in partitions
+                       for row in range(SUB_ROWS)] for subs in (one, each)]
+            assert images[0] == images[1]
+            stats = [[sub.stats for sub in subs] for subs in (one, each)]
+            assert stats[0] == stats[1]
+            seen[be] = results, images[0], stats[0]
+        assert seen["bitexact"] == seen["packed"]
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batched_search_is_one_kernel_call_per_piece(self, backend, monkeypatch):
+        """A batched 4 KB in-place ``cc_search`` at L3 of the Table IV
+        machine puts each of its 64 blocks in its own partition.  The
+        packed backend runs them as one kernel call; the bit-exact one
+        as one ``op_batch`` per partition."""
+        m = ComputeCacheMachine(sandybridge_8core(), backend=backend, trace_events=True)
+        data, key = m.arena.alloc_page_aligned(PAGE_SIZE), m.arena.alloc_page_aligned(PAGE_SIZE)
+        rng = np.random.default_rng(11)
+        m.load(data, rng.integers(0, 256, PAGE_SIZE, dtype=np.uint8).tobytes())
+        m.load(key, m.peek(data + 5 * BLOCK_SIZE, BLOCK_SIZE))
+        m.warm_l3(data, PAGE_SIZE)
+        m.warm_l3(key, BLOCK_SIZE)
+        calls = {"kernel": 0, "op_batch": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(subarray_module, "equality_mask",
+                            counted("kernel", subarray_module.equality_mask))
+        sub_class = SUBARRAYS[backend]
+        monkeypatch.setattr(sub_class, "op_batch", counted("op_batch", sub_class.op_batch))
+        res = m.cc(cc_ops.cc_search(data, key, PAGE_SIZE))
+        assert (res.level, res.inplace_ops, res.result) == ("L3", 64, 1 << 5)
+        assert [e.outcome for e in m.tracer.by_kind("cc.dispatch")] == ["batched"]
+        if backend == "packed":
+            assert calls == {"kernel": 1, "op_batch": 0}
+        else:
+            assert calls == {"kernel": 0, "op_batch": 64}
 
 
 class TestBackendSelection:

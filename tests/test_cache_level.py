@@ -113,7 +113,7 @@ class TestPinning:
 class TestEnergyCharging:
     def test_read_charges_access_and_ic(self, level, make_bytes):
         level.fill(0x1000, make_bytes(64), MESIState.EXCLUSIVE)
-        level.ledger.reset()
+        level.ledger = EnergyLedger()
         level.read_block(0x1000)
         from repro.energy.tables import read_energy
 
@@ -123,7 +123,7 @@ class TestEnergyCharging:
 
     def test_uncharged_read(self, level, make_bytes):
         level.fill(0x1000, make_bytes(64), MESIState.EXCLUSIVE)
-        level.ledger.reset()
+        level.ledger = EnergyLedger()
         level.read_block(0x1000, charge=False)
         assert level.ledger.total() == 0.0
 

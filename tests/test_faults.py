@@ -60,6 +60,37 @@ class TestFaultPlan:
     def test_plan_error_is_a_config_error(self):
         assert issubclass(FaultPlanError, ConfigError)
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("seed",), True, "seed"),
+        (("seed",), "x", "seed"),
+        (("seed",), 1.5, "seed"),
+        (("seed",), None, "seed"),
+        (("faults", 0, "probability"), float("nan"), "probability"),
+        (("faults", 0, "probability"), float("inf"), "probability"),
+        (("faults", 0, "probability"), "0.5", "probability"),
+        (("faults", 0, "probability"), True, "probability"),
+        (("faults", 0, "max_injections"), 1.5, "max_injections"),
+        (("faults", 0, "max_injections"), True, "max_injections"),
+        (("faults", 0, "params"), "x", "params"),
+        (("faults", 0, "params"), [], "params"),
+        (("faults", 5, "params", "delay_cycles"), -5, "delay_cycles"),
+        (("faults", 5, "params", "delay_cycles"), "x", "delay_cycles"),
+        (("faults", 5, "params", "delay_cycles"), 2.5, "delay_cycles"),
+        (("faults", 0, "bogus"), 1, "bogus"),
+        (("bogus",), 1, "bogus"),
+    ])
+    def test_from_dict_names_the_bad_field(self, path, value, field):
+        """An ill-typed value or an unknown key fails at load with a
+        FaultPlanError that names the field, not later in a campaign."""
+        doc = default_plan(5).to_dict()
+        assert doc["faults"][5]["kind"] == "directory.delay"
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(FaultPlanError, match=field):
+            FaultPlan.from_dict(doc)
+
 
 class TestBackendValidation:
     def test_unknown_backend_rejected_eagerly(self):

@@ -3,7 +3,8 @@
 The assembler and trace parser accept untrusted text: any input must
 either parse or raise :class:`ISAError` - never crash with anything else.
 A config document is untrusted too: it must load into a machine that runs,
-or fail with a :class:`ReproError`.
+or fail with a :class:`ReproError`; so is a fault plan, which must load
+into a plan whose campaign runs, or fail with a :class:`FaultPlanError`.
 The ECC path must repair a strike at *any* bit position of any block.
 """
 
@@ -19,7 +20,8 @@ from repro import ComputeCacheMachine
 from repro.asm import parse
 from repro.config_io import config_from_dict, config_to_dict
 from repro.core.scrub import ScrubService
-from repro.errors import ISAError, ReproError
+from repro.errors import FaultPlanError, ISAError, ReproError
+from repro.faults import FaultPlan, default_plan, run_campaign
 from repro.params import small_test_machine
 from repro.trace import TraceReader, run_trace
 
@@ -115,6 +117,37 @@ class TestConfigFuzz:
             return
         assert result.cycles > 0
         assert math.isfinite(result.dynamic_nj) and result.dynamic_nj >= 0
+
+
+PLAN_DOC = default_plan(5).to_dict()
+PLAN_FIELDS = [(name,) for name in PLAN_DOC] + [
+    ("faults", i, name)
+    for i, entry in enumerate(PLAN_DOC["faults"]) for name in entry
+] + [
+    ("faults", i, "params", name)
+    for i, entry in enumerate(PLAN_DOC["faults"]) for name in entry["params"]
+]
+
+
+class TestFaultPlanFuzz:
+    @given(st.sampled_from(PLAN_FIELDS),
+           JSON_SCALARS | st.just({}) | st.just([]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_changed_value_runs_or_fails_cleanly(self, path, value):
+        """The default plan with one value (seed, schema, or any field of
+        a fault entry or of its params) replaced either loads into a plan
+        whose campaign runs with no silent corruption, or fails with a
+        FaultPlanError."""
+        doc = copy.deepcopy(PLAN_DOC)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            plan = FaultPlan.from_dict(doc)
+        except FaultPlanError:
+            return
+        assert run_campaign(plan, include_runner=False).silent == 0
 
 
 class TestECCStrikeSweep:

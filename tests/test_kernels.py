@@ -173,8 +173,13 @@ class TestPackedCellArray:
         with pytest.raises(AddressError):
             arr.write_row_bytes(-1, bytes(8))
 
-    def test_bulk_read_write(self):
-        arr = PackedCellArray(4, 64)
-        values = _rand_rows(9, 2)[:, :8]
-        arr.write_rows([1, 3], values)
-        assert (arr.read_rows([3, 1]) == values[::-1]).all()
+    def test_stores_into_the_given_array(self):
+        """Rows written through the array land in the backing array it was
+        given (one partition's view of a level's shared block)."""
+        block = np.zeros((3, 4, 8), dtype=np.uint8)
+        arr = PackedCellArray(4, 64, block[1])
+        arr.write_row_bytes(2, bytes(range(8)))
+        assert block[1, 2].tobytes() == bytes(range(8))
+        assert not block[0].any() and not block[2].any()
+        with pytest.raises(AddressError):
+            PackedCellArray(4, 64, block)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ComputeCacheMachine, cc_ops
 from repro.cache.geometry import CacheGeometry
 from repro.cache.locality import (
     alignment_satisfies,
@@ -12,8 +13,9 @@ from repro.cache.locality import (
     partitions_match,
     required_alignment_bits,
 )
-from repro.errors import OperandLocalityError
-from repro.params import PAGE_SIZE, sandybridge_8core
+from repro.core.exceptions import split_by_pages
+from repro.errors import ISAError, OperandLocalityError
+from repro.params import BLOCK_SIZE, PAGE_SIZE, multi_cluster, sandybridge_8core, small_test_machine
 
 
 @pytest.fixture
@@ -85,3 +87,41 @@ class TestAlignmentRules:
     def test_page_aligned_pair(self):
         assert page_aligned_pair(0x1100, 0x5100)
         assert not page_aligned_pair(0x1100, 0x5140)
+
+
+MACHINES = {"small": small_test_machine, "sandybridge": sandybridge_8core,
+            "multi_cluster": lambda: multi_cluster(2, 2)}
+OPCODES = {
+    "xor": lambda a, b, d, n: cc_ops.cc_xor(a, b, d, n),
+    "copy": lambda a, b, d, n: cc_ops.cc_copy(a, d, n),
+    "cmp": lambda a, b, d, n: cc_ops.cc_cmp(a, b, n),
+    "clmul": lambda a, b, d, n: cc_ops.cc_clmul(a, b, d, n),
+    "search": lambda a, b, d, n: cc_ops.cc_search(a, b, n),
+}
+BLOCK_ADDRS = st.integers(0, 6 * PAGE_SIZE // BLOCK_SIZE - 1).map(lambda i: i * BLOCK_SIZE)
+
+
+class TestPlanLocality:
+    @given(st.sampled_from(sorted(MACHINES)), st.sampled_from(sorted(OPCODES)),
+           BLOCK_ADDRS, BLOCK_ADDRS, BLOCK_ADDRS, st.integers(1, 64),
+           st.lists(st.integers(0, 7), min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_verdict_holds_for_every_block_op(self, machine, opcode, a, b, dest,
+                                                   blocks, slices):
+        """A page-local piece's one locality verdict equals the per-op
+        check for each of its block ops, at every level, with the pages
+        homed on random L3 slices."""
+        m = ComputeCacheMachine(MACHINES[machine]())
+        try:
+            instr = OPCODES[opcode](a, b, dest, blocks * BLOCK_SIZE)
+        except ISAError:
+            return
+        for page, slice_id in enumerate(slices):
+            m.hierarchy.place_page(page * PAGE_SIZE, slice_id % m.config.l3_slices)
+        ctrl = m.controllers[0]
+        for piece in split_by_pages(instr):
+            for level in ("L1", "L2", "L3"):
+                verdict = ctrl._plan(piece, level).inplace
+                for k in range(piece.num_blocks):
+                    addrs = [o.addr for o in ctrl._block_operands(piece, k)]
+                    assert ctrl._locality_holds(addrs, level) == verdict, (piece, level, k)
