@@ -80,7 +80,6 @@ from .errors import (
     FaultPlanError,
     ISAError,
     OperandLocalityError,
-    PageSpanError,
     PinnedLineError,
     ReproError,
     RunnerError,
@@ -254,7 +253,6 @@ __all__ = [
     "OperandLocalityError",
     "ActivationLimitError",
     "DataCorruptionError",
-    "PageSpanError",
     "PinnedLineError",
     "CoherenceError",
     "ECCError",

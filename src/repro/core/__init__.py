@@ -4,8 +4,10 @@ This package implements everything Section IV describes on top of the
 :mod:`repro.cache` and :mod:`repro.sram` substrates:
 
 * the CC ISA (Table II) with its operand-size and alignment rules;
-* the CC controller with its instruction, operation, and key tables
-  (Section IV-D), level selection and operand fetching (IV-E), pinning with
+* the CC controller, whose instruction, operation and key tables (Section
+  IV-D) are fields of the page-local piece in flight (their capacities are
+  not modelled: one piece of at most 64 block ops is in flight per
+  controller), level selection and operand fetching (IV-E), pinning with
   coherence-driven release and RISC fallback (IV-E/IV-F);
 * in-place execution in sub-arrays and the near-place logic unit (IV-J);
 * page-span exception splitting (IV-D);

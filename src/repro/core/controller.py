@@ -3,11 +3,15 @@
 One controller sits at each core's L1 and orchestrates CC instructions:
 
 1. **Page-span check** - operands crossing a page raise a pipeline
-   exception; the handler splits the instruction per page (IV-D).
+   exception; the handler splits the instruction per page (IV-D).  An
+   operand that ends beyond memory raises :class:`~repro.errors.AddressError`
+   before anything runs.
 2. **Decomposition** - the instruction is broken into *simple vector
-   operations* whose operands span at most one cache block, tracked in the
-   operation table; instruction-level metadata (result register, completion
-   count) lives in the instruction table.
+   operations* whose operands span at most one cache block.  The paper's
+   instruction, operation and key tables (IV-D) are fields of the piece
+   being run: its id, its block ops and the key rows it wrote.  Their
+   capacities are not modelled, because one piece of at most 64 block
+   ops is in flight per controller.
 3. **Level selection** - compute at the highest cache level where *all*
    operands are resident; if any operand is uncached, compute at L3 (IV-E).
 4. **Operand fetch + pinning** - missing operands are fetched to the
@@ -19,9 +23,10 @@ One controller sits at each core's L1 and orchestrates CC instructions:
 5. **Execution** - in place when operand locality holds (the geometry
    guarantees it for page-aligned operands), else near-place at the
    controller's logic unit.  Search keys are replicated into each data
-   partition's key row, tracked by the key table so repeats are free.
-6. **Completion** - per-op results merge into the instruction entry; the
-   L1 controller notifies the core when the count completes.
+   partition's key row once per piece, so repeats are free.
+6. **Completion** - the result bits of every block op are packed once, in
+   block order, into the result register (or clmul's result bytes); the
+   L1 controller notifies the core.
 
 Every page-local piece of an instruction is *planned* once: the operand
 template of its first block op, each operand stream's compute-level cache
@@ -50,25 +55,23 @@ operations serialize through the single per-controller logic unit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..bitops import chunk_range
 from ..cache.cache import CacheLevel
 from ..cache.hierarchy import L1, L2, L3, CacheHierarchy
 from ..energy.accounting import Component
 from ..energy.mcpat import charge_key_broadcast, charge_key_row_write, charge_transpose
-from ..errors import PinnedLineError, ReproError
+from ..errors import AddressError, PinnedLineError, ReproError
 from ..params import BLOCK_SIZE, MachineConfig
 from .exceptions import split_by_pages
 from .inplace import InPlaceExecutor, row_slots
-from .instruction_table import InstructionEntry, InstructionTable
 from .isa import CCInstruction, Opcode
-from .key_table import KeyTable
 from .nearplace import NearPlaceUnit, block_result
-from .operation_table import BlockOperand, BlockOperation, OperationTable, OpStatus
+from .operation_table import BlockOperand, BlockOperation
 from .transpose import TransposeUnit
 
 LEVEL_ORDER = (L1, L2, L3)
@@ -157,7 +160,7 @@ class _Plan(NamedTuple):
     slots: tuple[int, int, int]
     """:func:`~repro.core.inplace.row_slots` of the ops."""
     key_slice: int | None
-    """L3 home slice of the data (operand 0) stream, which the key table
+    """L3 home slice of the data (operand 0) stream, which a key slot
     pairs with each partition id; None at L1 and L2."""
 
 
@@ -167,14 +170,18 @@ class _Piece:
 
     instr: CCInstruction
     level: str
-    entry: InstructionEntry
+    instr_id: int
     subop: str
     """The sub-array operation of every block op (``instr.opcode.subarray_op``)."""
-    key_writes_before: int
     plan: _Plan
     key_data: bytes | None = None
+    key_slots: set = field(default_factory=set)
+    """Key rows this piece has written: partition ids, paired with the
+    L3 home slice at L3 (the paper's key table)."""
     transpose_cycles: float = 0.0
     ops: list[BlockOperation] = field(default_factory=list)
+    """The piece's block ops in block order (the paper's operation
+    table)."""
     fetch_latencies: list[int] = field(default_factory=list)
     partition_load: dict[int, int] = field(default_factory=dict)
     queued: dict = field(default_factory=dict)
@@ -194,9 +201,8 @@ class ComputeCacheController:
         self.core_id = core_id
         self.config = config or hierarchy.config
         cc = self.config.cc
-        self.instruction_table = InstructionTable(capacity=8)
-        self.operation_table = OperationTable(capacity=64)
-        self.key_table = KeyTable(capacity=8)
+        self._instr_ids = itertools.count()
+        """The id of each piece, in issue order (``instr_id`` of its events)."""
         self.inplace = InPlaceExecutor(cc.inplace_latency)
         self.nearplace = NearPlaceUnit(cc.nearplace_latency)
         self.transpose = TransposeUnit(cc.transpose_latency)
@@ -226,6 +232,7 @@ class ComputeCacheController:
     def execute(self, instr: CCInstruction, force_level: str | None = None,
                 force_nearplace: bool = False) -> CCResult:
         """Run one CC instruction to completion; returns its result."""
+        self._check_bounds(instr)
         pieces = split_by_pages(instr)
         if len(pieces) > 1:
             self.stats.page_splits += 1
@@ -233,14 +240,32 @@ class ComputeCacheController:
             self._execute_piece(piece, force_level, force_nearplace) for piece in pieces
         ])
 
-    def _complete(self, instr: CCInstruction, results: list[CCResult]) -> CCResult:
+    def _check_bounds(self, instr: CCInstruction) -> None:
+        """Raise :class:`AddressError` if a range the instruction touches
+        (a vector operand, the key, or clmul's result bytes) ends beyond
+        memory."""
+        ranges = list(instr.vector_ranges())
+        if instr.opcode is Opcode.CLMUL:
+            ranges.append(("dest", instr.dest, instr.clmul_result_bytes))
+        limit = self.config.memory_size
+        for role, base, length in ranges:
+            if base + length > limit:
+                raise AddressError(
+                    f"{instr.opcode.value}: operand {role} [{base:#x}, {base + length:#x})"
+                    f" ends beyond memory of {limit:#x} bytes"
+                )
+
+    def _complete(self, instr: CCInstruction,
+                  pieces: list[tuple[CCResult, list[BlockOperation]]]) -> CCResult:
         """Per-instruction completion: merge the results of the
-        instruction's page-local pieces, store a clmul's packed result
-        bits, and count the instruction."""
-        total = CCResult(instr=instr, result=0, cycles=0.0, level="", pieces=len(results))
-        bits_filled = 0
-        result_bytes = bytearray()
-        for res in results:
+        instruction's page-local pieces, pack the result bits of all
+        their block ops in block order (the result register of cmp and
+        search; clmul's result bytes, stored once, contiguously, at the
+        architectural destination; reduce's sum modulo 2^64), and count
+        the instruction."""
+        total = CCResult(instr=instr, result=0, cycles=0.0, level="", pieces=len(pieces))
+        ops = []
+        for res, piece_ops in pieces:
             total.cycles += res.cycles
             # Pieces of a page-split instruction may compute at different
             # levels; report "mixed" rather than whichever piece ran last.
@@ -254,32 +279,24 @@ class ComputeCacheController:
             total.fetch_cycles += res.fetch_cycles
             total.compute_cycles += res.compute_cycles
             total.occupancy_cycles += res.occupancy_cycles
-            if instr.opcode is Opcode.REDUCE:
-                # Partial sums of a page-split reduce accumulate modulo
-                # 2^64 — a shift-OR merge would corrupt them.
-                total.result = (total.result + res.result) & ((1 << 64) - 1)
-            elif instr.opcode.reads_only:
-                width = res.instr.num_blocks * self._bits_per_block(instr)
-                total.result |= res.result << bits_filled
-                bits_filled += width
-            result_bytes += res.result_bytes
-        total.result_bytes = bytes(result_bytes)
-        if instr.opcode is Opcode.CLMUL and total.result_bytes:
-            # The packed inner-product bits are written once, contiguously,
-            # at the architectural destination (pieces merely partition the
-            # source blocks, not the result layout).
-            self.hierarchy.write(self.core_id, instr.dest, total.result_bytes)
+            ops += piece_ops
+        if instr.opcode is Opcode.REDUCE:
+            total.result = sum(op.result_bits for op in ops) & ((1 << 64) - 1)
+        else:
+            packed = filled = 0
+            for op in ops:
+                packed |= op.result_bits << filled
+                filled += op.result_bit_count
+            if instr.opcode is Opcode.CLMUL:
+                total.result_bytes = packed.to_bytes(instr.clmul_result_bytes, "little")
+                self.hierarchy.write(self.core_id, instr.dest, total.result_bytes)
+                self.transpose.invalidate(instr.dest, len(total.result_bytes))
+            else:
+                total.result = packed
         self.stats.instructions += 1
         return total
 
     # -- decomposition ------------------------------------------------------------------
-
-    def _bits_per_block(self, instr: CCInstruction) -> int:
-        if instr.opcode is Opcode.CMP:
-            return BLOCK_SIZE // 8
-        if instr.opcode is Opcode.SEARCH:
-            return 1
-        return 0
 
     def _block_operands(self, instr: CCInstruction, block_idx: int) -> list[BlockOperand]:
         """Operands of the ``block_idx``-th simple vector operation."""
@@ -319,6 +336,12 @@ class ComputeCacheController:
                                 Opcode.AND, Opcode.OR, Opcode.XOR,
                                 Opcode.ADD, Opcode.MUL)
 
+    @staticmethod
+    def _operand_blocks(instr: CCInstruction) -> list[int]:
+        """Every block of the instruction's vector operands, key included."""
+        return [addr for _, base, length in instr.vector_ranges()
+                for addr in range(base, base + length, BLOCK_SIZE)]
+
     def _select_level(self, instr: CCInstruction, force_level: str | None) -> str:
         if force_level is not None:
             if force_level not in LEVEL_ORDER:
@@ -329,12 +352,7 @@ class ComputeCacheController:
         if hit is not None and hit[0] == epoch:
             self.stats.level_memo_hits += 1
             return hit[1]
-        addrs = []
-        for name, base in instr.operands().items():
-            if name == "dest" and instr.opcode is Opcode.CLMUL:
-                continue  # clmul's dest receives a scalar store, not blocks
-            length = BLOCK_SIZE if (name == "src2" and instr.key_is_fixed_block) else instr.size
-            addrs.extend(a for a, _ in chunk_range(base, length, BLOCK_SIZE))
+        addrs = self._operand_blocks(instr)
         residency = self.hierarchy.probe_residency(self.core_id, addrs)
         chosen = L3
         for level in LEVEL_ORDER:
@@ -349,7 +367,7 @@ class ComputeCacheController:
     # -- the block-op pipeline: stage -> account -> kernel -> complete ----------------------
 
     def _execute_piece(self, instr: CCInstruction, force_level: str | None,
-                       force_nearplace: bool) -> CCResult:
+                       force_nearplace: bool) -> tuple[CCResult, list[BlockOperation]]:
         """Run one page-local piece through the block-op pipeline.
 
         The piece's :class:`_Plan` is worked out once; then each block op
@@ -359,28 +377,28 @@ class ComputeCacheController:
         after the whole instruction (batched dispatch) whenever that is
         provably equivalent to draining after each op; otherwise after
         each op.  The ``cc.dispatch`` event reports which, and why.
+        Returns the piece's result and its block ops, whose result bits
+        :meth:`_complete` packs.
         """
         level = self._select_level(instr, force_level)
         hazard = "forced-nearplace" if force_nearplace else self._batch_hazard(instr, level)
         piece = self._begin(instr, level, hazard)
-        entry, operands = piece.entry, piece.plan.operands
+        operands = piece.plan.operands
         for idx in range(instr.num_blocks):
             off = idx * BLOCK_SIZE
             op = BlockOperation(
-                instr_id=entry.instr_id,
-                op_index=entry.generate_next(),
+                instr_id=piece.instr_id,
                 subarray_op=piece.subop,
                 operands=[BlockOperand(addr + off, is_dest) for addr, is_dest in operands],
                 lane_bits=instr.lane_bits,
                 elem_bits=instr.elem_bits,
             )
-            self.operation_table.allocate(op)
             piece.ops.append(op)
             self._stage_block_op(piece, op, force_nearplace)
             if hazard is not None:
                 self._drain(piece)
         self._drain(piece)
-        return self._finish(piece)
+        return self._finish(piece), piece.ops
 
     def _plan(self, instr: CCInstruction, level: str) -> _Plan:
         """The facts every block op of a page-local piece shares."""
@@ -396,13 +414,11 @@ class ComputeCacheController:
         )
 
     def _begin(self, instr: CCInstruction, level: str, hazard: str | None) -> _Piece:
-        """Open a piece: allocate its instruction-table entry, plan it,
-        convert arithmetic sources to bit-serial, stage a search/broadcast
-        key, and emit ``cc.dispatch`` (``hazard`` is why its ops drain one
-        at a time; ``None`` means batched)."""
-        entry = self.instruction_table.allocate(instr, total_ops=instr.num_blocks)
-        piece = _Piece(instr, level, entry, instr.opcode.subarray_op,
-                       key_writes_before=self.stats.key_replications,
+        """Open a piece: give it the next id, plan it, convert arithmetic
+        sources to bit-serial, stage a search/broadcast key, and emit
+        ``cc.dispatch`` (``hazard`` is why its ops drain one at a time;
+        ``None`` means batched)."""
+        piece = _Piece(instr, level, next(self._instr_ids), instr.opcode.subarray_op,
                        plan=self._plan(instr, level))
 
         # Bit-serial layout conversion (arithmetic tier): every source
@@ -424,12 +440,12 @@ class ComputeCacheController:
                 if self.tracer is not None:
                     self.tracer.emit(
                         "cc.transpose", core=self.core_id, level=level,
-                        opcode=instr.opcode.value, instr_id=entry.instr_id,
+                        opcode=instr.opcode.value, instr_id=piece.instr_id,
                         blocks=blocks, span=float(piece.transpose_cycles),
                     )
 
         # Key staging for cc_search and broadcast cc_clmul: read the key
-        # block once; replicate it per partition through the key table.
+        # block once; replicate it into each partition's key row.
         if instr.key_is_fixed_block:
             piece.key_data, key_latency = self._stage_key(instr, level)
             if key_latency:
@@ -438,7 +454,7 @@ class ComputeCacheController:
         if self.tracer is not None:
             self.tracer.emit(
                 "cc.dispatch", core=self.core_id, level=level,
-                opcode=instr.opcode.value, instr_id=entry.instr_id,
+                opcode=instr.opcode.value, instr_id=piece.instr_id,
                 outcome="batched" if hazard is None else "sequential", reason=hazard,
             )
         return piece
@@ -450,25 +466,24 @@ class ComputeCacheController:
         forced or if its operands lack locality, else take its rows from
         where its operands were pinned and queue it for the next
         :meth:`_drain`.  The operands are unpinned again before this
-        returns."""
+        returns or raises."""
         plan = piece.plan
-        lines = self._acquire_operands(op, piece)
-        if lines is None:
-            return
         try:
+            lines = self._acquire_operands(op, piece)
+            if lines is None:
+                return
             if force_nearplace or not plan.inplace:
                 # Near-place handles any operand placement, including L3
                 # operands homed on different NUCA slices.
                 level = piece.level
                 op.fallback_reason = "forced" if force_nearplace else "locality-miss"
-                outcome = self.nearplace.execute(
+                done = self.nearplace.execute(
                     lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
                     op, key_data=piece.key_data,
                 )
-                op.inplace = False
-                op.result_bits = outcome.result_bits
-                op.result_bit_count = outcome.result_bit_count
-                op.status = OpStatus.ISSUED
+                op.outcome = "near-place"
+                op.result_bits = done.result_bits
+                op.result_bit_count = done.result_bit_count
                 return
             # Locality holds, so every operand lives in operand 0's cache.
             geometry = plan.caches[0].geometry
@@ -522,29 +537,21 @@ class ComputeCacheController:
             self.inplace.execute_batch(cache, groups)
 
     def _finish(self, piece: _Piece) -> CCResult:
-        """Complete a drained piece: classify each op's outcome, emit
+        """Complete a drained piece: count each op's outcome, emit
         ``cc.block_op``, ``cc.attr`` and ``cc.instruction``, update stats,
-        makespans and occupancy, release the piece's keys, track the
-        transpose layout, retire its ops, and assemble its result."""
-        instr, level, entry = piece.instr, piece.level, piece.entry
+        makespans and occupancy, and track the transpose layout."""
+        instr, level, instr_id = piece.instr, piece.level, piece.instr_id
         tracer = self.tracer
-        inplace_span = float(self.inplace.op_latency(piece.subop, instr.elem_bits))
-        nearplace_span = float(self.nearplace.nearplace_latency)
-        inplace_ops = nearplace_ops = risc_ops = 0
+        spans = {"in-place": float(self.inplace.op_latency(piece.subop, instr.elem_bits)),
+                 "near-place": float(self.nearplace.nearplace_latency),
+                 "risc-fallback": 0.0}
+        counts = dict.fromkeys(spans, 0)
         nearplace_cycles = 0.0
         for op in piece.ops:
-            if op.status is OpStatus.FAILED:
-                risc_ops += 1
-                outcome, span = "risc-fallback", 0.0
-            else:
-                op.status = OpStatus.DONE
-                if op.inplace:
-                    inplace_ops += 1
-                    outcome, span = "in-place", inplace_span
-                else:
-                    nearplace_ops += 1
-                    nearplace_cycles += self.nearplace.nearplace_latency
-                    outcome, span = "near-place", nearplace_span
+            outcome = op.outcome
+            counts[outcome] += 1
+            if outcome == "near-place":
+                nearplace_cycles += self.nearplace.nearplace_latency
             if op.fallback_reason is not None:
                 self.stats.fallback_reasons[op.fallback_reason] = (
                     self.stats.fallback_reasons.get(op.fallback_reason, 0) + 1
@@ -553,10 +560,11 @@ class ComputeCacheController:
                 tracer.emit(
                     "cc.block_op", core=self.core_id, level=level,
                     opcode=instr.opcode.value, partition=op.partition,
-                    addr=op.operands[0].addr, instr_id=entry.instr_id,
-                    span=span, outcome=outcome, reason=op.fallback_reason,
+                    addr=op.operands[0].addr, instr_id=instr_id,
+                    span=spans[outcome], outcome=outcome, reason=op.fallback_reason,
                 )
-            self.operation_table.retire(entry.instr_id, op.op_index)
+        inplace_ops, nearplace_ops, risc_ops = counts.values()
+        inplace_span = spans["in-place"]
 
         fetch_cycles = self._fetch_makespan(piece.fetch_latencies)
         compute_cycles = self._compute_makespan(level, piece.partition_load,
@@ -569,8 +577,7 @@ class ComputeCacheController:
         # time.  Key replication is a single broadcast command (the H-tree
         # fans it out to all target sub-arrays at once).  Sub-array
         # execution itself overlaps with later instructions.
-        key_writes = self.stats.key_replications - piece.key_writes_before
-        commands = sum(piece.partition_load.values()) + (1 if key_writes else 0) + risc_ops
+        commands = sum(piece.partition_load.values()) + (1 if piece.key_slots else 0) + risc_ops
         occupancy = (
             INSTRUCTION_OVERHEAD_CYCLES
             + self._issue_cycles(level, commands)
@@ -585,17 +592,18 @@ class ComputeCacheController:
         self.stats.level_compute_cycles[level] = (
             self.stats.level_compute_cycles.get(level, 0.0) + compute_cycles
         )
-        self.key_table.release(entry.instr_id)
         # Layout tracking: arithmetic destinations come out bit-serial
         # (free); any other destination write reverts its blocks to
-        # row-major, so the next arithmetic use pays the conversion again.
+        # row-major, so the next arithmetic use pays the conversion again
+        # (clmul's result bytes are invalidated where _complete stores
+        # them).
         if instr.opcode.is_arith:
             if instr.dest is not None:
                 self.transpose.mark_bit_serial(instr.dest, instr.size)
         elif instr.opcode is Opcode.BUZ:
             self.transpose.invalidate(instr.src1, instr.size)
-        elif instr.dest is not None:
-            self.transpose.invalidate(instr.dest, instr.operand_length("dest"))
+        elif instr.dest is not None and instr.opcode is not Opcode.CLMUL:
+            self.transpose.invalidate(instr.dest, instr.size)
         if tracer is not None:
             # Per-piece cycle attribution: the emitted phase spans sum
             # exactly to this piece's latency (the profiler asserts it).
@@ -610,7 +618,7 @@ class ComputeCacheController:
                 if span:
                     tracer.emit(
                         "cc.attr", core=self.core_id, level=level,
-                        opcode=instr.opcode.value, instr_id=entry.instr_id,
+                        opcode=instr.opcode.value, instr_id=instr_id,
                         phase=phase, span=span,
                     )
             if risc_ops == 0:
@@ -619,33 +627,15 @@ class ComputeCacheController:
                 instr_outcome = "risc-fallback" if inplace_ops == nearplace_ops == 0 else "mixed"
             tracer.emit(
                 "cc.instruction", core=self.core_id, level=level,
-                opcode=instr.opcode.value, instr_id=entry.instr_id,
+                opcode=instr.opcode.value, instr_id=instr_id,
                 span=float(cycles), outcome=instr_outcome,
             )
-        res = CCResult(
+        return CCResult(
             instr=instr, result=0, cycles=cycles, level=level,
             inplace_ops=inplace_ops, nearplace_ops=nearplace_ops, risc_ops=risc_ops,
             fetch_cycles=fetch_cycles, compute_cycles=compute_cycles,
             occupancy_cycles=occupancy,
         )
-        opcode = instr.opcode
-        for op in piece.ops:
-            if opcode is Opcode.CLMUL or opcode is Opcode.REDUCE:
-                # Packed clmul bits and 64-bit reduce partial sums bypass
-                # complete_op's bit-packing contract (shift-OR of
-                # fixed-width fields), which can express neither.
-                entry.complete_op()
-            else:
-                entry.complete_op(op.result_bits, op.result_bit_count)
-        if opcode is Opcode.CLMUL:
-            res.result_bytes = self._pack_clmul_result(
-                [(op.result_bits, op.result_bit_count) for op in piece.ops])
-        if opcode is Opcode.REDUCE:
-            res.result = sum(op.result_bits for op in piece.ops) & ((1 << 64) - 1)
-        else:
-            res.result = entry.result_mask
-        self.instruction_table.retire(entry.instr_id)
-        return res
 
     # -- block-op lifecycle -------------------------------------------------------------------
 
@@ -739,12 +729,7 @@ class ComputeCacheController:
             for src in srcs:
                 if src != dest and src < dest + instr.size and dest < src + instr.size:
                     return "data-hazard"
-        blocks: set[int] = set()
-        for name, base in instr.operands().items():
-            if name == "dest" and instr.opcode is Opcode.CLMUL:
-                continue  # clmul's dest receives a scalar store after the kernels
-            length = BLOCK_SIZE if (name == "src2" and instr.key_is_fixed_block) else instr.size
-            blocks.update(a for a, _ in chunk_range(base, length, BLOCK_SIZE))
+        blocks = set(self._operand_blocks(instr))
         chain = {L1: (L1, L2, L3), L2: (L2, L3), L3: (L3,)}[level]
         for check_level in chain:
             occupancy: dict[tuple[int, int], int] = {}
@@ -839,37 +824,27 @@ class ComputeCacheController:
         return cache.read_block(key_addr, charge=False), latency
 
     def _replicate_key(self, op: BlockOperation, piece: _Piece, partition: int) -> None:
-        """Write the key into the data block's partition key row (once per
-        partition per instruction, tracked by the key table)."""
-        instr, level, plan = piece.instr, piece.level, piece.plan
+        """Write the key into the data block's partition key row, once per
+        partition per piece (``piece.key_slots``)."""
+        plan = piece.plan
         slot = partition if plan.key_slice is None else (plan.key_slice, partition)
-        if self.key_table.needs_replication(op.instr_id, instr.src2, level, slot):
-            cache = plan.caches[0]
-            cache.geometry.write_key(partition, piece.key_data)
-            # The H-tree fans the key out to every target sub-array at
-            # once: wire energy is charged per instruction, array writes
-            # per partition.
-            if self.key_table.needs_broadcast(op.instr_id, instr.src2, level):
-                charge_key_broadcast(cache.ledger, cache.name)
-            charge_key_row_write(cache.ledger, cache.name)
-            self.stats.key_replications += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "cc.key_replicate", core=self.core_id, level=level,
-                    partition=slot, addr=op.operands[0].addr, instr_id=op.instr_id,
-                )
-
-    # -- clmul result packing ----------------------------------------------------------------------
-
-    @staticmethod
-    def _pack_clmul_result(bits: list[tuple[int, int]]) -> bytes:
-        packed = 0
-        filled = 0
-        for value, count in bits:
-            packed |= value << filled
-            filled += count
-        nbytes = (filled + 7) // 8
-        return packed.to_bytes(max(nbytes, 1), "little")
+        if slot in piece.key_slots:
+            return
+        cache = plan.caches[0]
+        cache.geometry.write_key(partition, piece.key_data)
+        # The H-tree fans the key out to every target sub-array at once:
+        # wire energy is charged with the piece's first key write, array
+        # writes per partition.
+        if not piece.key_slots:
+            charge_key_broadcast(cache.ledger, cache.name)
+        piece.key_slots.add(slot)
+        charge_key_row_write(cache.ledger, cache.name)
+        self.stats.key_replications += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "cc.key_replicate", core=self.core_id, level=piece.level,
+                partition=slot, addr=op.operands[0].addr, instr_id=op.instr_id,
+            )
 
     # -- RISC fallback (Section IV-E) -----------------------------------------------------------------
 
@@ -892,7 +867,7 @@ class ComputeCacheController:
         self.hierarchy.ledger.add(
             Component.CORE, 3 * words * self.config.core.epi_scalar
         )
-        op.status = OpStatus.FAILED
+        op.outcome = "risc-fallback"
 
     # -- timing ------------------------------------------------------------------------------
 

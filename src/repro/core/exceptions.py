@@ -6,14 +6,13 @@ instruction into multiple CC operations such that each of its operands are
 within a page."
 
 :func:`split_by_pages` is that handler: it cuts the instruction at every
-operand's page-crossing offsets so each fragment's operands each stay
-inside one page.  The search key is a single 64-byte block and is never
-split (it cannot span a page when block-aligned).
+vector operand's page-crossing offsets so each fragment's operands each
+stay inside one page.  The search key is a single block-aligned 64-byte
+block, so it never crosses a page and never forces a cut.
 """
 
 from __future__ import annotations
 
-from ..errors import PageSpanError
 from ..params import PAGE_SIZE
 from .isa import CCInstruction
 
@@ -29,26 +28,13 @@ def _crossing_offsets(addr: int, size: int) -> set[int]:
     return offsets
 
 
-def split_by_pages(instr: CCInstruction, allow_split: bool = True) -> list[CCInstruction]:
-    """Split a CC instruction so no operand crosses a page boundary.
-
-    With ``allow_split=False`` a spanning instruction raises
-    :class:`PageSpanError` instead (modeling a program that masked the
-    exception).
-    """
+def split_by_pages(instr: CCInstruction) -> list[CCInstruction]:
+    """Split a CC instruction so no vector operand crosses a page boundary."""
     if not instr.spans_page_boundary():
         return [instr]
-    if not allow_split:
-        raise PageSpanError(
-            f"{instr.opcode.value} operand spans a page boundary and splitting is disabled"
-        )
     cuts: set[int] = set()
-    for name, addr in instr.operands().items():
-        if name == "src2" and instr.key_is_fixed_block:
-            continue
-        if name == "dest" and instr.opcode.value == "cc_clmul":
-            continue  # scalar result store; never forces a split
-        cuts |= _crossing_offsets(addr, instr.size)
+    for _, base, length in instr.vector_ranges():
+        cuts |= _crossing_offsets(base, length)
     pieces: list[CCInstruction] = []
     remaining = instr
     consumed = 0

@@ -25,7 +25,7 @@ from ..energy.mcpat import charge_cc_arith, charge_cc_op
 from ..errors import OperandLocalityError, ReproError
 from ..params import BLOCK_SIZE
 from ..sram.timing import ARITH_OPS, arith_steps
-from .operation_table import BlockOperation, OpStatus
+from .operation_table import BlockOperation
 
 
 def row_slots(subop: str, dests: list[bool]) -> tuple[int, int, int]:
@@ -87,8 +87,8 @@ class InPlaceExecutor:
             return
         # Search's Table V energy (cmp + key write) is charged in two
         # parts: the compare here, the key-replication write by the
-        # controller's key table (amortized across blocks sharing a
-        # partition).
+        # controller once per partition of a piece (amortized across
+        # blocks sharing a partition).
         charge_cc_op(level.ledger, level.name,
                      "cmp" if subop == "search" else subop)
 
@@ -130,8 +130,7 @@ class InPlaceExecutor:
         span = float(self.op_latency(subop, items[0][0].elem_bits))
         for op, _rows in items:
             op.partition = partition
-            op.inplace = True
-            op.status = OpStatus.ISSUED
+            op.outcome = "in-place"
             self._charge(level, subop, op.elem_bits)
             level.stats.cc_inplace_ops += 1
             if level.tracer is not None:

@@ -43,6 +43,7 @@ charged by the controller's transpose unit (:mod:`repro.core.transpose`).
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from ..errors import ISAError
@@ -220,12 +221,6 @@ class CCInstruction:
             ops["dest"] = self.dest
         return ops
 
-    def source_addresses(self) -> list[int]:
-        out = [self.src1]
-        if self.src2 is not None:
-            out.append(self.src2)
-        return out
-
     @property
     def num_blocks(self) -> int:
         """Cache blocks covered by each full-size operand."""
@@ -237,25 +232,28 @@ class CCInstruction:
         always true for cc_search, opt-in for cc_clmul (BMM)."""
         return self.opcode is Opcode.SEARCH or self.broadcast_src2
 
-    def operand_length(self, name: str) -> int:
-        """Byte extent of one operand: full-size vectors except the fixed
-        64-byte broadcast key and cc_clmul's packed-bits destination."""
-        if name == "src2" and self.key_is_fixed_block:
-            return SEARCH_KEY_BYTES
-        if name == "dest" and self.opcode is Opcode.CLMUL:
-            lanes_per_byte = 8 * (self.lane_bits or 64)
-            return max(self.size * 8 // lanes_per_byte // 8, 1)
-        return self.size
+    @property
+    def clmul_result_bytes(self) -> int:
+        """Bytes of packed inner-product bits cc_clmul stores at ``dest``:
+        one bit per ``lane_bits`` lane of ``src1``, lane 0 in bit 0."""
+        lanes = self.size * 8 // self.lane_bits
+        return (lanes + 7) // 8
+
+    def vector_ranges(self) -> Iterator[tuple[str, int, int]]:
+        """``(role, base, length)`` of each vector operand, in operand
+        order: ``size`` bytes each, except the fixed 64-byte key of
+        cc_search and broadcast cc_clmul.  cc_clmul's destination receives
+        packed result bits through a plain store and is not one of them."""
+        yield "src1", self.src1, self.size
+        if self.src2 is not None:
+            yield "src2", self.src2, SEARCH_KEY_BYTES if self.key_is_fixed_block else self.size
+        if self.dest is not None and self.opcode is not Opcode.CLMUL:
+            yield "dest", self.dest, self.size
 
     def spans_page_boundary(self) -> bool:
         """True if any vector operand crosses a page (Section IV-D)."""
-        for name, addr in self.operands().items():
-            if name == "dest" and self.opcode is Opcode.CLMUL:
-                continue  # a scalar result store, not a vector operand
-            length = self.operand_length(name)
-            if addr // PAGE_SIZE != (addr + length - 1) // PAGE_SIZE:
-                return True
-        return False
+        return any(base // PAGE_SIZE != (base + length - 1) // PAGE_SIZE
+                   for _, base, length in self.vector_ranges())
 
     def split_at(self, offset: int) -> tuple["CCInstruction", "CCInstruction"]:
         """Split into two instructions at a byte offset (exception handler)."""

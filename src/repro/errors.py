@@ -53,15 +53,6 @@ class DataCorruptionError(ReproError):
     """
 
 
-class PageSpanError(ReproError):
-    """A CC operand crosses a page boundary (Section IV-D).
-
-    In hardware this raises a pipeline exception whose handler splits the
-    instruction; the library's controller performs the same split, and only
-    raises when splitting is disabled.
-    """
-
-
 class PinnedLineError(ReproError):
     """A cache line needed by a CC operation could not be pinned."""
 

@@ -20,7 +20,6 @@ from .packed import (
     logical_rows,
     pack_flags,
     reduce_rows,
-    search_mask,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "logical_rows",
     "pack_flags",
     "reduce_rows",
-    "search_mask",
 ]

@@ -100,13 +100,6 @@ def equality_mask(a: np.ndarray, b: np.ndarray, chunk_bytes: int) -> np.ndarray:
     return pack_flags(~differs)
 
 
-def search_mask(data: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Whole-row equality of each packed data row against one key row."""
-    data = _as_matrix(data)
-    key = _as_matrix(key)
-    return equality_mask(data, np.broadcast_to(key, data.shape), data.shape[1])
-
-
 def clmul_mask(a: np.ndarray, b: np.ndarray, lane_bits: int) -> np.ndarray:
     """Carry-less multiply: per-lane parity of popcount(a & b).
 
@@ -208,11 +201,6 @@ class PackedCellArray:
             raise AddressError(f"row {row} outside array of {self.rows} rows")
 
     # -- packed fast path -----------------------------------------------------
-
-    def row(self, row: int) -> np.ndarray:
-        """Zero-copy uint8 view of one row."""
-        self._check_row(row)
-        return self.data[row]
 
     def read_row_bytes(self, row: int) -> bytes:
         self._check_row(row)

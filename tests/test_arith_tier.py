@@ -102,6 +102,22 @@ class TestTransposeAccounting:
         self.m.cc(cc_ops.cc_reduce(self.a, self.size, elem_bits=32))
         assert self.stats() == (5, 16.0)
 
+    def test_clmul_result_store_recharges_every_written_block(self):
+        """A 16 KB cc_clmul in 64-bit lanes stores 256 result bytes (4
+        blocks) over a bit-serial cc_add destination: all 4 blocks revert
+        to row-major, so the next cc_add over them converts 4 blocks."""
+        self.m.cc(cc_ops.cc_add(self.a, self.b, self.c, self.size,
+                                elem_bits=8))
+        x, y = self.m.arena.alloc_colocated(16 * 1024, 2)
+        self.m.load(x, payload(3, 16 * 1024))
+        self.m.load(y, payload(4, 16 * 1024))
+        res = self.m.cc(cc_ops.cc_clmul(x, y, self.c, 16 * 1024, lane_bits=64))
+        assert len(res.result_bytes) == self.size
+        blocks_before, _ = self.stats()
+        self.m.cc(cc_ops.cc_add(self.c, self.b, self.a, self.size,
+                                elem_bits=8))
+        assert self.stats()[0] - blocks_before == 4
+
     def test_transpose_energy_hits_ledger(self):
         before = self.m.ledger.copy()
         self.m.cc(cc_ops.cc_add(self.a, self.b, self.c, self.size,

@@ -8,7 +8,7 @@ instructions, and random multi-core interleavings of CC ops and stores.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
@@ -172,20 +172,94 @@ def test_multicore_cc_store_interleavings(ops):
     m.hierarchy.check_single_writer()
 
 
-@given(st.integers(1, 6), st.integers(0, 5))
-@settings(max_examples=20, deadline=None,
+SPANNING_OPS = ["copy", "not", "and", "or", "xor", "cmp", "search",
+                "clmul", "clmul-bcast", "add", "mul", "reduce"]
+ELEM_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
+
+
+def np_clmul(a: np.ndarray, b: np.ndarray, lane_bits: int) -> bytes:
+    """Per-lane parity of popcount(a & b), lane 0 in bit 0 of byte 0."""
+    parity = np.unpackbits(a & b).reshape(-1, lane_bits).sum(axis=1) & 1
+    return np.packbits(parity.astype(np.uint8), bitorder="little").tobytes()
+
+
+def mask_of(flags) -> int:
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 5),
+    st.sampled_from(SPANNING_OPS),
+    st.sampled_from([64, 128, 256]),
+    st.sampled_from(sorted(ELEM_DTYPES)),
+    st.sampled_from(["packed", "bitexact"]),
+    st.integers(0, 2**32 - 1),
+)
+# 5 blocks, 3 before the boundary: the first piece's clmul bits end
+# mid-byte in 128- and 256-bit lanes.
+@example(3, 1, "clmul", 128, 8, "packed", 0)
+@example(3, 1, "clmul-bcast", 256, 8, "bitexact", 1)
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_page_spanning_operands_exact(blocks_before_boundary, extra_blocks):
-    """Operands straddling page boundaries split and still compute exactly."""
-    m = ComputeCacheMachine(small_test_machine())
-    size = (blocks_before_boundary + extra_blocks + 1) * BLOCK_SIZE
-    region = m.arena.alloc(4 * PAGE_SIZE, align=PAGE_SIZE)
-    a = region + PAGE_SIZE - blocks_before_boundary * BLOCK_SIZE
-    dest_region = m.arena.alloc(4 * PAGE_SIZE, align=PAGE_SIZE)
-    c = dest_region + PAGE_SIZE - blocks_before_boundary * BLOCK_SIZE
-    data = bytes(range(256)) * ((size // 256) + 1)
-    data = data[:size]
-    m.load(a, data)
-    res = m.cc(cc_ops.cc_copy(a, c, size))
-    assert m.peek(c, size) == data
+def test_page_spanning_operands_exact(blocks_before_boundary, extra_blocks, op,
+                                      lane_bits, elem_bits, backend, seed):
+    """Operands straddling page boundaries split and still compute exactly:
+    memory, ``result`` and ``result_bytes`` match numpy for every opcode,
+    including clmul results whose pieces end mid-byte."""
+    m = ComputeCacheMachine(small_test_machine(), backend=backend)
+    blocks = blocks_before_boundary + extra_blocks + 1
+    if op == "cmp":
+        blocks = min(blocks, 8)  # the 64-bit result register
+    size = blocks * BLOCK_SIZE
+    offset = PAGE_SIZE - blocks_before_boundary * BLOCK_SIZE
+    a, b, c, key = (m.arena.alloc(4 * PAGE_SIZE, align=PAGE_SIZE) + offset
+                    for _ in range(4))
+    rng = np.random.default_rng(seed)
+    da = rng.integers(0, 256, size, dtype=np.uint8)
+    db = rng.integers(0, 256, size, dtype=np.uint8)
+    same = rng.random(size // 8) < 0.5  # equal words for cmp to find
+    db.reshape(-1, 8)[same] = da.reshape(-1, 8)[same]
+    dk = da[:BLOCK_SIZE].copy() if rng.random() < 0.5 else db[:BLOCK_SIZE].copy()
+    m.load(a, da.tobytes())
+    m.load(b, db.tobytes())
+    m.load(key, dk.tobytes())
+
+    dt = ELEM_DTYPES[elem_bits]
+    dest_bytes = result = result_bytes = None
+    if op == "copy":
+        instr, dest_bytes = cc_ops.cc_copy(a, c, size), da
+    elif op == "not":
+        instr, dest_bytes = cc_ops.cc_not(a, c, size), ~da
+    elif op in ("and", "or", "xor"):
+        instr = getattr(cc_ops, f"cc_{op}")(a, b, c, size)
+        dest_bytes = {"and": da & db, "or": da | db, "xor": da ^ db}[op]
+    elif op == "cmp":
+        instr = cc_ops.cc_cmp(a, b, size)
+        result = mask_of((da.reshape(-1, 8) == db.reshape(-1, 8)).all(axis=1))
+    elif op == "search":
+        instr = cc_ops.cc_search(a, key, size)
+        result = mask_of((da.reshape(-1, BLOCK_SIZE) == dk).all(axis=1))
+    elif op == "clmul":
+        instr = cc_ops.cc_clmul(a, b, c, size, lane_bits=lane_bits)
+        result_bytes = np_clmul(da, db, lane_bits)
+    elif op == "clmul-bcast":
+        instr = cc_ops.cc_clmul_bcast(a, key, c, size, lane_bits=lane_bits)
+        result_bytes = np_clmul(da, np.tile(dk, blocks), lane_bits)
+    elif op in ("add", "mul"):
+        instr = getattr(cc_ops, f"cc_{op}")(a, b, c, size, elem_bits=elem_bits)
+        x, y = da.view(dt), db.view(dt)
+        dest_bytes = (x + y if op == "add" else x * y).view(np.uint8)
+    else:
+        instr = cc_ops.cc_reduce(a, size, elem_bits=elem_bits)
+        result = int(da.view(dt).astype(np.uint64).sum()) & ((1 << 64) - 1)
+
+    res = m.cc(instr)
     assert res.pieces >= 2
+    if dest_bytes is not None:
+        assert m.peek(c, size) == dest_bytes.tobytes()
+    if result_bytes is not None:
+        assert res.result_bytes == result_bytes
+        assert m.peek(c, len(result_bytes)) == result_bytes
+    assert res.result == (result or 0)
+    assert m.peek(a, size) == da.tobytes()  # sources intact

@@ -223,11 +223,27 @@ class TestKeyReplication:
         """Data spanning > num_partitions blocks reuses replicated keys."""
         cfg = machine.config.l3_slice
         assert cfg.num_partitions == 8
+        data_addr, key_addr = machine.arena.alloc_colocated(1024, 2)
+        machine.load(data_addr, make_bytes(1024))
+        machine.load(key_addr, make_bytes(64))
+        machine.cc(cc_ops.cc_search(data_addr, key_addr, 1024))
+        stats = machine.controllers[0].stats
+        # 16 in-place blocks over 8 partitions: one key write each.
+        assert stats.block_ops_inplace == 16
+        assert stats.key_replications == 8
+
+    def test_each_instruction_replicates_its_key(self, machine, make_bytes):
+        """Key rows are tracked per instruction: a repeated search writes
+        every partition's key again (Section IV-D)."""
         data_addr, key_addr = machine.arena.alloc_colocated(512, 2)
         machine.load(data_addr, make_bytes(512))
         machine.load(key_addr, make_bytes(64))
+        stats = machine.controllers[0].stats
         machine.cc(cc_ops.cc_search(data_addr, key_addr, 512))
-        assert machine.controllers[0].key_table.replications_avoided == 0
+        first = stats.key_replications
+        machine.cc(cc_ops.cc_search(data_addr, key_addr, 512))
+        assert first == 8
+        assert stats.key_replications == 2 * first
 
 
 class TestInstructionStats:

@@ -1,5 +1,6 @@
-"""Controller corner cases: splits, occupancy, table pressure, aliasing."""
+"""Controller corner cases: splits, occupancy, failures, aliasing, bounds."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.cache.hierarchy import L3
+from repro.errors import AddressError, ReproError
 from repro.params import BLOCK_SIZE, PAGE_SIZE, small_test_machine
 
 
@@ -230,3 +232,63 @@ class TestLowAssociativityL3:
         assert stats.fallback_reasons == {"pin-loss": 64}
         m.hierarchy.check_inclusion()
         m.hierarchy.check_single_writer()
+
+
+class TestFailedInstructions:
+    """An exception raised mid-piece (here by the fetch hook) propagates
+    to the caller, unpins every operand the op had pinned, and leaves no
+    state behind: later instructions run as if it had never been issued."""
+
+    def test_raising_fetch_leaves_no_pin_and_no_wedge(self, m, make_bytes):
+        a, b, c, d, e, f = m.arena.alloc_colocated(512, 6)
+        for addr in (a, b, d, e):
+            m.load(addr, make_bytes(512))
+        ctrl = m.controllers[0]
+
+        def fault(addr):
+            if b <= addr < b + 512:
+                raise ReproError("injected fetch fault")
+            return False
+
+        ctrl.fetch_fault_hook = fault
+        for _ in range(9):
+            with pytest.raises(ReproError, match="injected fetch fault"):
+                m.cc(cc_ops.cc_and(a, b, c, 512))
+        ctrl.fetch_fault_hook = None
+        caches = [m.hierarchy.l1[0], m.hierarchy.l2[0], *m.hierarchy.l3]
+        for addr in (a, b, c):
+            for blk in range(addr, addr + 512, BLOCK_SIZE):
+                assert not any(cache.is_pinned(blk) for cache in caches)
+        again = m.cc(cc_ops.cc_and(a, b, c, 512))
+        other = m.cc(cc_ops.cc_xor(d, e, f, 512))
+        assert (again.inplace_ops, again.risc_ops) == (8, 0)
+        assert (other.inplace_ops, other.risc_ops) == (8, 0)
+        assert m.peek(c, 512) == bytes(
+            x & y for x, y in zip(m.peek(a, 512), m.peek(b, 512)))
+
+
+class TestMemoryBounds:
+    """An operand that ends beyond memory fails at the boundary, before
+    any fetch, pin, charge or event."""
+
+    @pytest.mark.parametrize("role, make", [
+        ("dest", lambda a, b, c, end: cc_ops.cc_and(a, b, end, 512)),
+        ("src2", lambda a, b, c, end: cc_ops.cc_and(a, end - 256, c, 512)),
+        ("src2", lambda a, b, c, end: cc_ops.cc_search(a, end, 512)),
+        # 1,024 B in 64-bit lanes store 16 result bytes.
+        ("dest", lambda a, b, c, end: cc_ops.cc_clmul(a, b, end - 8, 1024)),
+    ])
+    def test_operand_beyond_memory_raises_before_any_effect(self, make_bytes, role, make):
+        cfg = replace(small_test_machine(), trace_events=True)
+        m = ComputeCacheMachine(cfg)
+        a, b, c = m.arena.alloc_colocated(1024, 3)
+        m.load(a, make_bytes(1024))
+        m.load(b, make_bytes(1024))
+        instr = make(a, b, c, cfg.memory_size)
+        ctrl = m.controllers[0]
+        ledger, stats, events = m.ledger.copy(), copy.deepcopy(ctrl.stats), len(m.tracer)
+        with pytest.raises(AddressError, match=f"operand {role} "):
+            m.cc(instr)
+        assert m.ledger == ledger
+        assert ctrl.stats == stats
+        assert len(m.tracer) == events

@@ -14,7 +14,7 @@ class TestErrorHierarchy:
     ALL_ERRORS = [
         errors.ConfigError, errors.AddressError, errors.OperandLocalityError,
         errors.ActivationLimitError, errors.DataCorruptionError,
-        errors.PageSpanError, errors.PinnedLineError, errors.CoherenceError,
+        errors.PinnedLineError, errors.CoherenceError,
         errors.ECCError, errors.ISAError,
     ]
 

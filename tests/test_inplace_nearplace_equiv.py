@@ -124,8 +124,7 @@ def test_executor_single_op_is_a_one_item_batch(op, make_bytes):
     operands = [BlockOperand(addr, is_dest=False) for addr in srcs]
     if op != "cmp":
         operands.append(BlockOperand(c, is_dest=True))
-    block = BlockOperation(instr_id=0, op_index=0, subarray_op=op,
-                           operands=operands)
+    block = BlockOperation(instr_id=0, subarray_op=op, operands=operands)
     executor = m.controllers[0].inplace
     energy = m.ledger.total()
     executor.execute(level, block)
@@ -133,11 +132,11 @@ def test_executor_single_op_is_a_one_item_batch(op, make_bytes):
     assert (block.result_bits, block.result_bit_count) == (bits, count)
     if data is not None:
         assert level.read_block(c, charge=False) == data
-    assert block.inplace and level.stats.cc_inplace_ops == 1
+    assert block.outcome == "in-place" and level.stats.cc_inplace_ops == 1
     assert m.ledger.total() > energy
 
     misaligned = BlockOperation(
-        instr_id=0, op_index=1, subarray_op="xor",
+        instr_id=0, subarray_op="xor",
         operands=[BlockOperand(a, is_dest=False),
                   BlockOperand(b + 64, is_dest=False),
                   BlockOperand(c, is_dest=True)])

@@ -126,7 +126,13 @@ class TestStructure:
     def test_operands_roles(self):
         instr = cc_xor(0x1000, 0x2000, 0x3000, 64)
         assert instr.operands() == {"src1": 0x1000, "src2": 0x2000, "dest": 0x3000}
-        assert instr.source_addresses() == [0x1000, 0x2000]
+        assert list(instr.vector_ranges()) == [
+            ("src1", 0x1000, 64), ("src2", 0x2000, 64), ("dest", 0x3000, 64)]
+        # The key is one 64-byte block; clmul's result store is no vector.
+        assert list(cc_search(0x1000, 0x9000, 256).vector_ranges()) == [
+            ("src1", 0x1000, 256), ("src2", 0x9000, 64)]
+        assert list(cc_clmul(0x1000, 0x2000, 0x3000, 256).vector_ranges()) == [
+            ("src1", 0x1000, 256), ("src2", 0x2000, 256)]
 
     def test_num_blocks(self):
         assert cc_copy(0, 0x1000, 4096).num_blocks == 64

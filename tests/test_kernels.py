@@ -21,7 +21,6 @@ from repro.kernels import (
     equality_mask,
     logical_rows,
     pack_flags,
-    search_mask,
 )
 
 rows_st = st.integers(1, 4)
@@ -120,9 +119,10 @@ class TestEqualityMask:
 
 class TestSearchMask:
     def test_broadcast_key(self):
+        """Packed cc_search: whole-row equality against one key row."""
         data = _rand_rows(3, 4)
         key = data[2].copy()
-        mask = search_mask(data, key)
+        mask = equality_mask(data, np.broadcast_to(key, data.shape), data.shape[1])
         assert mask.tolist() == [0, 0, 1, 0]
 
 

@@ -26,8 +26,15 @@ def block_op(subop, srcs, dest=None, lane_bits=None):
     operands = [BlockOperand(a, is_dest=False) for a in srcs]
     if dest is not None:
         operands.append(BlockOperand(dest, is_dest=True))
-    return BlockOperation(instr_id=0, op_index=0, subarray_op=subop,
+    return BlockOperation(instr_id=0, subarray_op=subop,
                           operands=operands, lane_bits=lane_bits)
+
+
+def test_operand_views():
+    op = block_op("and", [0x0, 0x1000], dest=0x2000)
+    assert len(op.source_operands) == 2
+    assert op.dest_operand is not None and op.dest_operand.addr == 0x2000
+    assert op.addresses == [0x0, 0x1000, 0x2000]
 
 
 class TestOperandRegisters:

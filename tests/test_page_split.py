@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.controller import MIXED_LEVEL
 from repro.core.exceptions import split_by_pages
 from repro.core.isa import cc_and, cc_buz, cc_copy, cc_search
-from repro.errors import PageSpanError
 from repro.params import BLOCK_SIZE, PAGE_SIZE
 
 
@@ -31,11 +30,6 @@ class TestSplitByPages:
         assert sum(p.size for p in pieces) == 256
         for piece in pieces:
             assert not piece.spans_page_boundary()
-
-    def test_split_disabled_raises(self):
-        instr = cc_copy(PAGE_SIZE - 64, 3 * PAGE_SIZE - 64, 128)
-        with pytest.raises(PageSpanError):
-            split_by_pages(instr, allow_split=False)
 
     def test_search_key_kept_intact(self):
         instr = cc_search(PAGE_SIZE - 256, 8 * PAGE_SIZE, 512)
