@@ -30,7 +30,7 @@ def build_big_llc() -> MachineConfig:
         cores=base.cores,
         l1d=base.l1d, l2=base.l2,
         l3_slice=CacheLevelConfig(
-            name="L3-slice", size=4 * 1024 * 1024, ways=16,
+            size=4 * 1024 * 1024, ways=16,
             banks=32, bps_per_bank=4, hit_latency=13,
         ),
         l3_slices=8,

@@ -20,14 +20,14 @@ import numpy as np
 from ..core import isa
 from ..cpu import simd
 from ..cpu.program import Program
-from ..energy.accounting import EnergyLedger
+from ..energy.accounting import Component, EnergyLedger
 from ..energy.tables import (
     CACHE_ACCESS_ENERGY_PJ,
     CACHE_IC_ENERGY_PJ,
     CC_OP_ENERGY_PJ,
 )
 from ..machine import ComputeCacheMachine
-from ..params import MachineConfig, sandybridge_8core, validate_table3
+from ..params import BLOCK_SIZE, MachineConfig, sandybridge_8core, validate_table3
 from .points import measurement_from_point
 from .runner import Point, PointRunner
 
@@ -338,12 +338,12 @@ def table3_rows(config: MachineConfig | None = None) -> list[dict[str, int | str
     """Table III: geometry and operand-locality constraints."""
     cfg = config or sandybridge_8core()
     rows = []
-    for level in (cfg.l1d, cfg.l2, cfg.l3_slice):
+    for name, level in zip(Component.LEVELS, (cfg.l1d, cfg.l2, cfg.l3_slice)):
         rows.append({
-            "cache": level.name,
+            "cache": name,
             "banks": level.banks,
             "BP": level.bps_per_bank,
-            "block size": level.block_size,
+            "block size": BLOCK_SIZE,
             "min address bits match": level.min_locality_bits,
         })
     assert {r["cache"]: r["min address bits match"] for r in rows} == validate_table3(cfg)

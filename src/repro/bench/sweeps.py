@@ -25,7 +25,7 @@ import numpy as np
 
 from ..config_io import config_to_dict
 from ..errors import ActivationLimitError
-from ..params import CacheLevelConfig, MachineConfig, sandybridge_8core
+from ..params import MachineConfig, sandybridge_8core
 from ..sram import BitCellArray
 from .microbench import _resolve_runner, kernel_point_spec
 from .points import measurement_from_point
@@ -74,11 +74,7 @@ def partition_parallelism_sweep(
     variants = []
     for bps in bps_options:
         base_cfg = sandybridge_8core()
-        l3 = CacheLevelConfig(
-            name="L3-slice", size=base_cfg.l3_slice.size,
-            ways=base_cfg.l3_slice.ways, banks=base_cfg.l3_slice.banks,
-            bps_per_bank=bps, hit_latency=base_cfg.l3_slice.hit_latency,
-        )
+        l3 = replace(base_cfg.l3_slice, bps_per_bank=bps)
         variants.append((bps, l3, replace(base_cfg, l3_slice=l3)))
     docs = runner.run([
         kernel_point_spec(kernel, "cc", size, machine=config_to_dict(cfg),

@@ -9,14 +9,16 @@ operands always share bit-lines.
 
 Data is physically stored in compute sub-arrays of the machine's backend
 (:data:`~repro.sram.SUBARRAYS`, one per block partition), which is what
-lets the CC controller compute on cached data in place.  Tags, states, LRU
-stamps and pins sit in flat per-level lists with a block-number index
-(:mod:`repro.cache.set_assoc`).
+lets the CC controller compute on cached data in place.  Each
+:class:`CacheLevel` owns its lines - block numbers, states, LRU stamps and
+pins in flat lists with a block-number index - and the address split: the
+block number's low bits are the set index, whose low bits in turn pick the
+block partition (:class:`CacheGeometry`).
 """
 
 from .block import MESIState
 from .cache import CacheLevel
-from .geometry import AddressParts, CacheGeometry
+from .geometry import CacheGeometry
 from .hierarchy import CacheHierarchy
 from .locality import check_operand_locality, partitions_match
 from .memory import MainMemory
@@ -25,7 +27,6 @@ from .ring import RingInterconnect
 __all__ = [
     "MESIState",
     "CacheLevel",
-    "AddressParts",
     "CacheGeometry",
     "CacheHierarchy",
     "check_operand_locality",

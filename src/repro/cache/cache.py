@@ -1,10 +1,25 @@
-"""One cache level: tag array + compute sub-arrays + H-tree + accounting.
+"""One cache level: its lines, compute sub-arrays, H-tree and accounting.
 
 :class:`CacheLevel` is the mechanical container the coherence protocol and
-the CC controllers manipulate.  It stores block data physically in compute
-sub-arrays (one per block partition), charges Table-V energies to the
-machine's :class:`~repro.energy.EnergyLedger`, and exposes the
-``(sub-array, row)`` handles in-place computation needs.
+the CC controllers manipulate.  It owns the level's address split: a block
+address's block number is ``addr >> offset_bits``, and the block number's
+low ``set_index_bits`` are its set index.  It owns the level's lines too:
+the block number, MESI state, LRU stamp and pin owner (``None`` while
+unpinned) of every line sit in flat lists indexed by ``set_index * ways +
+way``, and one dict maps the block number of every valid line to its way,
+so a probe is one dict lookup.  Address entry points check a block address
+once (aligned, non-negative); the ``(set_index, way)`` lines they derive
+are used unchecked.
+
+Replacement is true LRU.  Lines pinned by the CC controller are excluded
+from victim selection and promoted to MRU while their operation waits for
+missing operands (Section IV-E).
+
+Block data sits in compute sub-arrays (one per block partition, see
+:class:`~repro.cache.geometry.CacheGeometry`); the level charges Table-V
+energies to the machine's :class:`~repro.energy.EnergyLedger` under its
+name and exposes the ``(sub-array, row)`` handles in-place computation
+needs.
 """
 
 from __future__ import annotations
@@ -13,13 +28,14 @@ from dataclasses import dataclass
 
 from ..energy.accounting import EnergyLedger
 from ..energy.mcpat import charge_cache_read, charge_cache_write
-from ..errors import AddressError, CoherenceError
+from ..errors import AddressError, CoherenceError, PinnedLineError
 from ..params import BLOCK_SIZE, CacheLevelConfig
 from ..sram import ComputeSubarray, PackedSubarray
 from .block import MESIState
 from .geometry import CacheGeometry
 from .htree import HTree
-from .set_assoc import SetAssociativeArray
+
+INVALID = MESIState.INVALID
 
 
 @dataclass
@@ -41,11 +57,30 @@ class CacheLevelStats:
     cc_nearplace_ops: int = 0
 
 
+@dataclass
+class TagStats:
+    """Tag-store counters: counted lookups, their hits, evictions of a
+    valid line, and pinned ways a victim choice passed over."""
+
+    lookups: int = 0
+    hits: int = 0
+    evictions: int = 0
+    pinned_evictions_avoided: int = 0
+
+    @property
+    def misses(self) -> int:
+        return self.lookups - self.hits
+
+
 class CacheLevel:
-    """A single cache (an L1, an L2, or one L3 NUCA slice)."""
+    """A single cache (an L1, an L2, or one L3 NUCA slice).
+
+    ``name`` is the level's key in the energy tables (``L1-D``, ``L2`` or
+    ``L3-slice``)."""
 
     def __init__(
         self,
+        name: str,
         config: CacheLevelConfig,
         ledger: EnergyLedger,
         commands_per_cycle: int = 1,
@@ -53,18 +88,26 @@ class CacheLevel:
         tracer=None,
         unit: int = 0,
     ) -> None:
+        self.name = name
         self.config = config
-        self.name = config.name
         self.ledger = ledger
         self.tracer = tracer
         self.unit = unit
-        self.tags = SetAssociativeArray(config)
-        self._way_of = self.tags.index.get
+        self.ways = config.ways
         self._offset_bits = config.offset_bits
-        self._set_bits = self.tags.set_index_bits
-        self._set_mask = self.tags.sets - 1
+        self._set_mask = config.sets - 1
+        lines = config.blocks
+        self._block_at = [0] * lines
+        self._state = [INVALID] * lines
+        self._lru = [0] * lines
+        self._owner: list[int | None] = [None] * lines
+        self._index: dict[int, int] = {}
+        """Block number -> way, for valid lines only."""
+        self._way_of = self._index.get
+        self._clock = 0
+        self.tag_stats = TagStats()
         self.geometry = CacheGeometry(config, backend)
-        self.htree = HTree(config.name, commands_per_cycle=commands_per_cycle,
+        self.htree = HTree(name, commands_per_cycle=commands_per_cycle,
                            tracer=tracer, unit=unit)
         self.stats = CacheLevelStats()
         self.epoch = 0
@@ -78,12 +121,16 @@ class CacheLevel:
     # -- presence -----------------------------------------------------------------
 
     def _block(self, addr: int) -> int:
-        """Block number (the tag store's index key) of a block address."""
+        """Block number (the line index's key) of a block address."""
         if addr % BLOCK_SIZE:
             raise AddressError(f"{self.name}: unaligned block address {addr:#x}")
         if addr < 0:
             raise AddressError(f"negative address {addr:#x}")
         return addr >> self._offset_bits
+
+    def set_of(self, addr: int) -> int:
+        """Set index of a block address."""
+        return self._block(addr) & self._set_mask
 
     def _line(self, addr: int) -> tuple[int, int | None]:
         """``(set_index, way)`` of a block address; way None if absent."""
@@ -99,18 +146,18 @@ class CacheLevel:
     def lookup(self, addr: int) -> tuple[int, int, MESIState] | None:
         """Tag lookup (counted); returns a hit line's ``(set_index, way,
         state)`` - the handle :meth:`read_line` takes - or None."""
-        block = self._block(addr)
-        set_index = block & self._set_mask
-        way = self.tags.lookup(set_index, block >> self._set_bits)
+        set_index, way = self._line(addr)
+        self.tag_stats.lookups += 1
         if self.tracer is not None:
             self.tracer.emit("cache.lookup", level=self.name, unit=self.unit,
                              addr=addr, outcome="hit" if way is not None else "miss")
         if way is None:
             return None
-        return set_index, way, self.tags.state(set_index, way)
+        self.tag_stats.hits += 1
+        return set_index, way, self._state[set_index * self.ways + way]
 
     def probe(self, addr: int) -> int | None:
-        """Uncounted presence check (coherence probes, CC level selection)."""
+        """Uncounted lookup: the way holding a block address, or None."""
         return self._way_of(self._block(addr))
 
     def contains(self, addr: int) -> bool:
@@ -118,10 +165,18 @@ class CacheLevel:
 
     def state_of(self, addr: int) -> MESIState:
         set_index, way = self._line(addr)
-        return MESIState.INVALID if way is None else self.tags.state(set_index, way)
+        return INVALID if way is None else self._state[set_index * self.ways + way]
 
     def set_state(self, addr: int, state: MESIState) -> None:
-        self.tags.set_state(*self._resident(addr, "state change on"), state)
+        self.set_line_state(*self._resident(addr, "state change on"), state)
+
+    def set_line_state(self, set_index: int, way: int, state: MESIState) -> None:
+        """:meth:`set_state` of the line a :meth:`lookup` found: a valid
+        line moves to another valid state (:meth:`invalidate` drops one)."""
+        if state is INVALID:
+            raise CoherenceError(f"{self.name}: set {set_index} way {way}: "
+                                 "invalidate a line instead of setting it INVALID")
+        self._state[set_index * self.ways + way] = state
 
     # -- data plane ----------------------------------------------------------------
 
@@ -133,7 +188,8 @@ class CacheLevel:
                   charge: bool = True) -> bytes:
         """:meth:`read_block` of the block at ``addr`` that a
         :meth:`lookup` found in ``(set_index, way)``."""
-        self.tags.touch(set_index, way)
+        self._clock += 1
+        self._lru[set_index * self.ways + way] = self._clock
         self.stats.reads += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -147,9 +203,11 @@ class CacheLevel:
     def write_block(self, addr: int, data: bytes, dirty: bool = True, charge: bool = True) -> None:
         """Write a resident block; marks it MODIFIED unless ``dirty=False``."""
         set_index, way = self._resident(addr, "write to")
+        slot = set_index * self.ways + way
         if dirty:
-            self.tags.set_state(set_index, way, MESIState.MODIFIED)
-        self.tags.touch(set_index, way)
+            self._state[slot] = MESIState.MODIFIED
+        self._clock += 1
+        self._lru[slot] = self._clock
         self.stats.writes += 1
         self.htree.record_transfer()
         if self.tracer is not None:
@@ -160,8 +218,23 @@ class CacheLevel:
         sub, row = self.geometry.slot(set_index, way)
         sub.write_block(row, data)
 
+    def _victim(self, set_index: int) -> int:
+        """LRU victim way among unpinned ways; an invalid way wins at once."""
+        base = set_index * self.ways
+        states = self._state[base:base + self.ways]
+        if INVALID in states:
+            return states.index(INVALID)
+        free = [(self._lru[slot], slot - base) for slot in range(base, base + self.ways)
+                if self._owner[slot] is None]
+        if not free:
+            raise PinnedLineError(f"{self.name}: all {self.ways} ways of set "
+                                  f"{set_index} are pinned by CC operations")
+        self.tag_stats.pinned_evictions_avoided += self.ways - len(free)
+        return min(free)[1]
+
     def fill(self, addr: int, data: bytes, state: MESIState) -> Eviction | None:
-        """Allocate a block, evicting the LRU victim if needed.
+        """Allocate a block in the valid ``state``, MRU, evicting the LRU
+        unpinned victim if needed.
 
         Returns the eviction (with its data and dirtiness) so the caller -
         the coherence engine - can write it back or drop it.
@@ -169,13 +242,16 @@ class CacheLevel:
         block = self._block(addr)
         if self._way_of(block) is not None:
             raise CoherenceError(f"{self.name}: double fill of block {addr:#x}")
-        tags, set_index = self.tags, block & self._set_mask
-        way = tags.victim_way(set_index)
+        set_index = block & self._set_mask
+        way = self._victim(set_index)
+        slot = set_index * self.ways + way
         sub, row = self.geometry.slot(set_index, way)
-        victim_state = tags.state(set_index, way)
+        victim_state = self._state[slot]
         eviction = None
-        if victim_state is not MESIState.INVALID:
-            victim_block = tags.tag(set_index, way) << self._set_bits | set_index
+        if victim_state is not INVALID:
+            self.tag_stats.evictions += 1
+            victim_block = self._block_at[slot]
+            del self._index[victim_block]
             victim_addr = victim_block << self._offset_bits
             eviction = Eviction(victim_addr, sub.read_block(row), victim_state.dirty)
             if eviction.dirty:
@@ -183,7 +259,11 @@ class CacheLevel:
                 if self.tracer is not None:
                     self.tracer.emit("cache.writeback", level=self.name,
                                      unit=self.unit, addr=victim_addr)
-        tags.install(set_index, way, block >> self._set_bits, state)
+        self._block_at[slot] = block
+        self._state[slot] = state
+        self._index[block] = way
+        self._clock += 1
+        self._lru[slot] = self._clock
         sub.write_block(row, data)
         self.stats.fills += 1
         self.epoch += 1
@@ -194,14 +274,18 @@ class CacheLevel:
         return eviction
 
     def invalidate(self, addr: int) -> tuple[bytes, bool] | None:
-        """Remove a block; returns ``(data, dirty)`` if it was present."""
+        """Remove a block (INVALID, unpinned); returns ``(data, dirty)`` if
+        it was present."""
         set_index, way = self._line(addr)
         if way is None:
             return None
+        slot = set_index * self.ways + way
         sub, row = self.geometry.slot(set_index, way)
         data = sub.read_block(row)
-        dirty = self.tags.state(set_index, way).dirty
-        self.tags.invalidate(set_index, way)
+        dirty = self._state[slot].dirty
+        del self._index[self._block_at[slot]]
+        self._state[slot] = INVALID
+        self._owner[slot] = None
         self.epoch += 1
         return data, dirty
 
@@ -211,35 +295,41 @@ class CacheLevel:
         sub, row = self.geometry.slot(*self._resident(addr, "peek of"))
         return sub.peek_block(row)
 
-    # -- CC support -------------------------------------------------------------
+    # -- CC support (Section IV-E) ------------------------------------------------
 
     def locate(self, addr: int) -> tuple[ComputeSubarray | PackedSubarray, int]:
         """``(sub-array, row)`` of a resident block for in-place compute."""
         return self.geometry.slot(*self._resident(addr, "locate of"))
 
     def pin(self, addr: int, owner: int) -> tuple[int, int]:
-        """Pin a resident block for CC instruction ``owner``; returns the
-        ``(set_index, way)`` it is pinned in (its row is
-        ``geometry.slot(set_index, way)``)."""
-        line = self._resident(addr, "pin of")
-        self.tags.pin(*line, owner)
-        return line
+        """Pin a resident block for CC instruction ``owner`` and promote it
+        to MRU; returns the ``(set_index, way)`` it is pinned in (its row
+        is ``geometry.slot(set_index, way)``)."""
+        set_index, way = self._resident(addr, "pin of")
+        slot = set_index * self.ways + way
+        held = self._owner[slot]
+        if held is not None and held != owner:
+            raise PinnedLineError(f"{self.name}: block {addr:#x} already pinned "
+                                  f"by CC instruction {held}")
+        self._owner[slot] = owner
+        self._clock += 1
+        self._lru[slot] = self._clock
+        return set_index, way
 
     def unpin(self, addr: int) -> None:
         set_index, way = self._line(addr)
         if way is not None:
-            self.tags.unpin(set_index, way)
+            self._owner[set_index * self.ways + way] = None
 
     def is_pinned(self, addr: int) -> bool:
         set_index, way = self._line(addr)
-        return way is not None and self.tags.pin_owner(set_index, way) is not None
+        return way is not None and self._owner[set_index * self.ways + way] is not None
 
     # -- debugging / inclusion audits ----------------------------------------------
 
     def resident_addresses(self) -> list[int]:
         """Addresses of all valid blocks, set-major and way-minor
         (inclusion-invariant checks, scrubbing, fault-strike selection)."""
-        return [
-            (tag << self._set_bits | set_index) << self._offset_bits
-            for set_index, _way, tag in self.tags.valid_entries()
-        ]
+        return [block << self._offset_bits
+                for block, state in zip(self._block_at, self._state)
+                if state is not INVALID]

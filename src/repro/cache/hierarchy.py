@@ -65,18 +65,19 @@ class CacheHierarchy:
         )
         cpc = config.cc.commands_per_cycle
         backend = config.backend
+        l1_name, l2_name, l3_name = Component.LEVELS
         self.l1 = [
-            CacheLevel(config.l1d, self.ledger, commands_per_cycle=cpc,
+            CacheLevel(l1_name, config.l1d, self.ledger, commands_per_cycle=cpc,
                        backend=backend, tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l2 = [
-            CacheLevel(config.l2, self.ledger, commands_per_cycle=cpc,
+            CacheLevel(l2_name, config.l2, self.ledger, commands_per_cycle=cpc,
                        backend=backend, tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l3 = [
-            CacheLevel(config.l3_slice, self.ledger, commands_per_cycle=cpc,
+            CacheLevel(l3_name, config.l3_slice, self.ledger, commands_per_cycle=cpc,
                        backend=backend, tracer=self.tracer, unit=slice_id)
             for slice_id in range(config.l3_slices)
         ]
@@ -152,6 +153,15 @@ class CacheHierarchy:
         if l1_res:
             return l1_res[0], False
         return None, False
+
+    def flush_private(self, core: int, addr: int) -> None:
+        """Drop a core's L1+L2 copies of a block, writing the freshest
+        dirty one back to the block's home L3 slice."""
+        slice_id = self.home_slice(addr, core)
+        data, dirty = self._invalidate_private(core, addr)
+        if dirty:
+            self.l3[slice_id].write_block(addr, data, dirty=True)
+        self.directory[slice_id].remove_sharer(addr, core)
 
     def _downgrade_private(self, core: int, addr: int) -> bytes | None:
         """Downgrade a core's copies to SHARED; returns dirty data if any."""
@@ -313,7 +323,7 @@ class CacheHierarchy:
             if not for_write:
                 return AccessResult(data, l1_lat, L1)
             if state.writable:
-                l1.tags.set_state(set_index, way, MESIState.MODIFIED)
+                l1.set_line_state(set_index, way, MESIState.MODIFIED)
                 return AccessResult(data, l1_lat, L1)
             # S -> M upgrade through the directory.
             _, up_lat = self._l3_get(core, addr, for_write=True)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..energy.tables import CACHE_IC_ENERGY_PJ
-
 
 @dataclass
 class HTree:
@@ -25,12 +23,10 @@ class HTree:
     commands_per_cycle: int = 1
     data_transfers: int = 0
     commands_issued: int = 0
+    """Stays 0: CC block commands are timed by :meth:`command_issue_cycles`
+    rather than counted one by one."""
     tracer: object = field(default=None, repr=False, compare=False)
     unit: int = field(default=0, repr=False, compare=False)
-
-    def transfer_energy_pj(self) -> float:
-        """Energy of moving one 64-byte block over the H-tree (Table I)."""
-        return CACHE_IC_ENERGY_PJ[self.level_name]
 
     def record_transfer(self) -> None:
         """Account one block transfer (its energy is charged with the
@@ -38,13 +34,6 @@ class HTree:
         self.data_transfers += 1
         if self.tracer is not None:
             self.tracer.emit("htree.transfer", level=self.level_name,
-                             unit=self.unit)
-
-    def record_command(self) -> None:
-        """Account one CC block-command broadcast over the address bus."""
-        self.commands_issued += 1
-        if self.tracer is not None:
-            self.tracer.emit("htree.command", level=self.level_name,
                              unit=self.unit)
 
     def command_issue_cycles(self, n_commands: int) -> int:

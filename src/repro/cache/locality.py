@@ -44,8 +44,8 @@ def check_operand_locality(
                 mask = (1 << config.min_locality_bits) - 1
                 raise OperandLocalityError(
                     f"operand {addr:#x} (low bits {addr & mask:#x}) does not share a "
-                    f"block partition with {base:#x} (low bits {base & mask:#x}) in "
-                    f"{config.name}: {config.min_locality_bits} low address bits must match"
+                    f"block partition with {base:#x} (low bits {base & mask:#x}): "
+                    f"{config.min_locality_bits} low address bits must match"
                 )
             return False
     return True

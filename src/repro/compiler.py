@@ -27,6 +27,7 @@ from .alloc import Arena
 from .cache.locality import check_operand_locality
 from .core import isa
 from .core.isa import CCInstruction, Opcode
+from .energy.accounting import Component
 from .errors import ISAError
 from .machine import ComputeCacheMachine
 from .params import BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
@@ -102,13 +103,14 @@ class VectorCompiler:
         """Check every corresponding block tuple at every cache level."""
         diagnostics: list[str] = []
         ok = True
-        for level in (self.config.l1d, self.config.l2, self.config.l3_slice):
+        levels = (self.config.l1d, self.config.l2, self.config.l3_slice)
+        for name, level in zip(Component.LEVELS, levels):
             for off in range(0, refs[0].size, BLOCK_SIZE):
                 addrs = [r.addr + off for r in refs]
                 if not check_operand_locality(addrs, level):
                     ok = False
                     diagnostics.append(
-                        f"{level.name}: blocks at +{off:#x} do not share a "
+                        f"{name}: blocks at +{off:#x} do not share a "
                         f"partition (low {level.min_locality_bits} bits differ)"
                     )
                     break  # one diagnosis per level suffices

@@ -108,6 +108,8 @@ def config_from_dict(doc: dict[str, Any]) -> MachineConfig:
                 value = section(**value)
             except TypeError as exc:
                 raise ConfigError(f"malformed {f.name} section: {exc}") from None
+            except ConfigError as exc:
+                raise ConfigError(f"{exc}{where}") from None
         kwargs[f.name] = value
     try:
         return MachineConfig(**kwargs)

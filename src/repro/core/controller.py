@@ -735,7 +735,7 @@ class ComputeCacheController:
             occupancy: dict[tuple[int, int], int] = {}
             for addr in blocks:
                 cache = self.hierarchy.level_cache(check_level, self.core_id, addr)
-                key = (id(cache), cache.geometry.decode(addr).set_index)
+                key = (id(cache), cache.set_of(addr))
                 occupancy[key] = occupancy.get(key, 0) + 1
                 if occupancy[key] > cache.config.ways:
                     return "occupancy"

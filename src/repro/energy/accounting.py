@@ -35,6 +35,9 @@ class Component:
         "L2": (L2_ACCESS, L2_IC),
         "L3-slice": (L3_ACCESS, L3_IC),
     }
+    LEVELS = tuple(_BY_LEVEL)
+    """The cache levels' names, L1 first: each level of a machine is named
+    by its position in the hierarchy."""
 
     @classmethod
     def for_level(cls, level_name: str) -> tuple[str, str]:

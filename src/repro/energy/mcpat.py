@@ -114,28 +114,27 @@ def _cc_arith(level_name: str, op: str, elem_bits: int,
             cc_arith_energy(level_name, op, elem_bits, n_elems))
 
 
-_LEVEL_NAMES = tuple(Component._BY_LEVEL)
 _READ = {name: _conventional(name, read_energy(name))
-         for name in _LEVEL_NAMES}
+         for name in Component.LEVELS}
 _WRITE = {name: _conventional(name, write_energy(name))
-          for name in _LEVEL_NAMES}
+          for name in Component.LEVELS}
 _TRANSPOSE = {name: (Component.for_level(name)[0],
                      transpose_energy(name))
-              for name in _LEVEL_NAMES}
+              for name in Component.LEVELS}
 _KEY_BROADCAST = {name: (Component.for_level(name)[1],
                          2.0 * CACHE_IC_ENERGY_PJ[name])
-                  for name in _LEVEL_NAMES}
+                  for name in Component.LEVELS}
 _KEY_ROW_WRITE = {name: (Component.for_level(name)[0],
                          write_energy(name)
                          - CACHE_IC_ENERGY_PJ[name])
-                  for name in _LEVEL_NAMES}
+                  for name in Component.LEVELS}
 _CC_OP = {(name, op): _cc_op(name, op)
-          for name in _LEVEL_NAMES for op in _OP_COLUMN}
+          for name in Component.LEVELS for op in _OP_COLUMN}
 # The element widths the ISA accepts (repro.core.isa.ARITH_ELEM_BITS), at
 # the element count of one block; any other call is computed on the spot.
 _CC_ARITH = {(name, op, bits, BLOCK_SIZE * 8 // bits):
              _cc_arith(name, op, bits, BLOCK_SIZE * 8 // bits)
-             for name in _LEVEL_NAMES for op in ARITH_OPS for bits in (8, 16, 32)}
+             for name in Component.LEVELS for op in ARITH_OPS for bits in (8, 16, 32)}
 
 
 def charge_cache_read(ledger: EnergyLedger, level_name: str) -> None:

@@ -61,7 +61,6 @@ Event kinds
 ``cache.fill``      Block allocation (fill).
 ``cache.writeback`` Dirty victim pushed out by a fill.
 ``htree.transfer``  One 64-byte block moved over a cache's H-tree.
-``htree.command``   One CC block command broadcast on the address bus.
 ``dir.grant``       Directory grant (``outcome``: ``owner`` / ``sharer``).
 ``dir.revoke``      Directory sharer removal (``reason``: ``redundant``
                     for an idempotent duplicate delivery).

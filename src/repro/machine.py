@@ -203,10 +203,4 @@ class ComputeCacheMachine:
         touch it, then flush the private copies down."""
         self.touch_range(addr, size, core=core)
         for block in range(block_of(addr), addr + size, BLOCK_SIZE):
-            slice_id = self.hierarchy.home_slice(block, core)
-            for level in ("L1", "L2"):
-                cache = self.hierarchy.level_cache(level, core, block)
-                res = cache.invalidate(block)
-                if res and res[1]:
-                    self.hierarchy.l3[slice_id].write_block(block, res[0], dirty=True)
-            self.hierarchy.directory[slice_id].remove_sharer(block, core)
+            self.hierarchy.flush_private(core, block)

@@ -75,20 +75,13 @@ class CacheLevelConfig:
     ``min_locality_bits`` address bits are equal (Table III).
     """
 
-    name: str
     size: int
     ways: int
     banks: int
     bps_per_bank: int
     hit_latency: int
-    block_size: int = BLOCK_SIZE
 
     def __post_init__(self) -> None:
-        if self.block_size != BLOCK_SIZE:
-            raise ConfigError(
-                f"{self.name}: block_size={self.block_size} is unsupported; the "
-                f"hierarchy, memory and ring move {BLOCK_SIZE}-byte blocks"
-            )
         _check_numbers(self)
         for label, value in (
             ("size", self.size),
@@ -97,19 +90,22 @@ class CacheLevelConfig:
             ("bps_per_bank", self.bps_per_bank),
         ):
             if not _is_pow2(value):
-                raise ConfigError(f"{self.name}: {label}={value} must be a power of two")
-        if self.size % (self.ways * self.block_size):
-            raise ConfigError(f"{self.name}: size not divisible by ways*block")
+                raise ConfigError(
+                    f"CacheLevelConfig.{label}={value} must be a power of two")
+        if self.size % (self.ways * BLOCK_SIZE):
+            raise ConfigError(
+                f"CacheLevelConfig.size={self.size} is not a multiple of "
+                f"ways * {BLOCK_SIZE}")
         if self.sets < self.banks * self.bps_per_bank:
             raise ConfigError(
-                f"{self.name}: fewer sets ({self.sets}) than block partitions "
+                f"CacheLevelConfig: fewer sets ({self.sets}) than block partitions "
                 f"({self.banks * self.bps_per_bank})"
             )
 
     @property
     def blocks(self) -> int:
         """Total cache blocks in this level."""
-        return self.size // self.block_size
+        return self.size // BLOCK_SIZE
 
     @property
     def sets(self) -> int:
@@ -121,7 +117,7 @@ class CacheLevelConfig:
 
     @property
     def offset_bits(self) -> int:
-        return log2i(self.block_size)
+        return log2i(BLOCK_SIZE)
 
     @property
     def bank_bits(self) -> int:
@@ -139,10 +135,6 @@ class CacheLevelConfig:
     @property
     def blocks_per_partition(self) -> int:
         return self.blocks // self.num_partitions
-
-    @property
-    def sets_per_partition(self) -> int:
-        return self.sets // self.num_partitions
 
     @property
     def min_locality_bits(self) -> int:
@@ -295,17 +287,16 @@ class MachineConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     l1d: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(
-            name="L1-D", size=32 * 1024, ways=8, banks=2, bps_per_bank=2, hit_latency=5
+            size=32 * 1024, ways=8, banks=2, bps_per_bank=2, hit_latency=5
         )
     )
     l2: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(
-            name="L2", size=256 * 1024, ways=8, banks=8, bps_per_bank=2, hit_latency=11
+            size=256 * 1024, ways=8, banks=8, bps_per_bank=2, hit_latency=11
         )
     )
     l3_slice: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig(
-            name="L3-slice",
             size=2 * 1024 * 1024,
             ways=16,
             banks=16,
@@ -379,13 +370,13 @@ def small_test_machine(memory_size: int = 1024 * 1024) -> MachineConfig:
     return MachineConfig(
         cores=2,
         l1d=CacheLevelConfig(
-            name="L1-D", size=4 * 1024, ways=4, banks=2, bps_per_bank=2, hit_latency=5
+            size=4 * 1024, ways=4, banks=2, bps_per_bank=2, hit_latency=5
         ),
         l2=CacheLevelConfig(
-            name="L2", size=16 * 1024, ways=4, banks=4, bps_per_bank=2, hit_latency=11
+            size=16 * 1024, ways=4, banks=4, bps_per_bank=2, hit_latency=11
         ),
         l3_slice=CacheLevelConfig(
-            name="L3-slice", size=64 * 1024, ways=8, banks=4, bps_per_bank=2, hit_latency=11
+            size=64 * 1024, ways=8, banks=4, bps_per_bank=2, hit_latency=11
         ),
         l3_slices=2,
         ring=RingConfig(stops=2),
@@ -432,12 +423,13 @@ def multi_cluster(
 
 
 def validate_table3(config: MachineConfig) -> dict[str, int]:
-    """Return the Table III min-address-bit constraint for each level."""
-    return {
-        config.l1d.name: config.l1d.min_locality_bits,
-        config.l2.name: config.l2.min_locality_bits,
-        config.l3_slice.name: config.l3_slice.min_locality_bits,
-    }
+    """Return the Table III min-address-bit constraint for each level, by
+    level name."""
+    from .energy.accounting import Component  # repro.energy imports params
+
+    levels = (config.l1d, config.l2, config.l3_slice)
+    return {name: level.min_locality_bits
+            for name, level in zip(Component.LEVELS, levels)}
 
 
 def ns_to_cycles(ns: float, core: CoreConfig) -> int:

@@ -81,11 +81,11 @@ def _level_snapshot(name: str, caches) -> CacheLevelSnapshot:
                evictions=0, inplace=0, nearplace=0, transfers=0, commands=0,
                sreads=0, swrites=0, sops=0)
     for cache in caches:
-        agg["lookups"] += cache.tags.stats.lookups
-        agg["hits"] += cache.tags.stats.hits
+        agg["lookups"] += cache.tag_stats.lookups
+        agg["hits"] += cache.tag_stats.hits
         agg["reads"] += cache.stats.reads
         agg["writes"] += cache.stats.writes
-        agg["evictions"] += cache.tags.stats.evictions
+        agg["evictions"] += cache.tag_stats.evictions
         agg["fills"] += cache.stats.fills
         agg["writebacks"] += cache.stats.writebacks_out
         agg["inplace"] += cache.stats.cc_inplace_ops

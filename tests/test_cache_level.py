@@ -6,14 +6,14 @@ from repro.cache.block import MESIState
 from repro.cache.cache import CacheLevel
 from repro.energy.accounting import EnergyLedger
 from repro.errors import AddressError, CoherenceError
-from repro.params import CacheLevelConfig
+from repro.params import BLOCK_SIZE, CacheLevelConfig
 
 
 @pytest.fixture
 def level():
-    cfg = CacheLevelConfig(name="L1-D", size=4 * 1024, ways=4, banks=2,
+    cfg = CacheLevelConfig(size=4 * 1024, ways=4, banks=2,
                            bps_per_bank=2, hit_latency=5)
-    return CacheLevel(cfg, EnergyLedger())
+    return CacheLevel("L1-D", cfg, EnergyLedger())
 
 
 class TestFillReadWrite:
@@ -55,7 +55,7 @@ class TestEviction:
     def _fill_set(self, level, base, n, state=MESIState.EXCLUSIVE):
         """Fill n conflicting blocks (same set)."""
         cfg = level.config
-        stride = cfg.sets * cfg.block_size
+        stride = cfg.sets * BLOCK_SIZE
         addrs = [base + i * stride for i in range(n)]
         evictions = [level.fill(a, a.to_bytes(8, "little") * 8, state) for a in addrs]
         return addrs, evictions
@@ -75,7 +75,7 @@ class TestEviction:
         dirty_data = make_bytes(64)
         level.write_block(addrs[1], dirty_data)  # way 1 is dirty and MRU
         # Fill more: victims evict in LRU order (0, 2, 3...), then 1.
-        stride = level.config.sets * level.config.block_size
+        stride = level.config.sets * BLOCK_SIZE
         ev = None
         for i in range(ways):
             ev = level.fill(0x40000 + i * stride, bytes(64), MESIState.SHARED)
@@ -134,10 +134,10 @@ class TestEnergyCharging:
         assert level.resident_addresses() == [0x1000]
 
     def test_resident_addresses_are_set_major_way_minor(self, level):
-        stride = level.config.sets * level.config.block_size
+        stride = level.config.sets * BLOCK_SIZE
 
         def addr(set_index, tag):
-            return tag * stride + set_index * level.config.block_size
+            return tag * stride + set_index * BLOCK_SIZE
 
         for set_index, tag in [(3, 0), (0, 0), (2, 1), (0, 1), (3, 2), (1, 0), (0, 2)]:
             level.fill(addr(set_index, tag), bytes(64), MESIState.SHARED)

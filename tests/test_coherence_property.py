@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.energy.accounting import EnergyLedger
-from repro.params import small_test_machine
+from repro.params import BLOCK_SIZE, small_test_machine
 
 N_BLOCKS = 64  # concentrated footprint to force sharing and eviction
 
@@ -101,7 +101,7 @@ class TestConflictHeavyWorkload:
         config = small_test_machine()
         hier = CacheHierarchy(config, EnergyLedger())
         l1 = config.l1d
-        stride = l1.sets * l1.block_size
+        stride = l1.sets * BLOCK_SIZE
         addrs = [i * stride for i in range(3 * l1.ways)]
         for i, addr in enumerate(addrs):
             hier.write(0, addr, bytes([i + 1]) * 64)
@@ -118,7 +118,7 @@ def test_directory_empty_blocks_cleaned(cores):
     hier = CacheHierarchy(config, EnergyLedger())
     l1, l2 = config.l1d, config.l2
     # Evict a block all the way out of the private hierarchy.
-    stride = l2.sets * l2.block_size
+    stride = l2.sets * BLOCK_SIZE
     victim = 0x0
     hier.read(0, victim, 8)
     for i in range(1, l2.ways + 2):

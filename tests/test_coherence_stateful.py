@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.params import small_test_machine
+from repro.params import BLOCK_SIZE, small_test_machine
 
 N_BUFFERS = 4
 BUF_BLOCKS = 4
@@ -77,7 +77,7 @@ class CoherenceMachine(RuleBasedStateMachine):
     def eviction_pressure(self, core):
         """Touch conflicting lines to force evictions through the stack."""
         l1 = self.m.config.l1d
-        stride = l1.sets * l1.block_size
+        stride = l1.sets * BLOCK_SIZE
         for i in range(l1.ways + 1):
             addr = self.pressure_cursor + i * stride
             if addr + 64 <= self.m.config.memory_size:

@@ -47,7 +47,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("size", 3000),        # not a power of two
-        ("block_size", 128),   # the hierarchy moves 64-byte blocks only
+        ("block_size", 128),   # not a field: blocks are BLOCK_SIZE bytes
     ])
     def test_invalid_geometry_rejected_on_load(self, field, value):
         doc = config_to_dict(small_test_machine())
@@ -66,10 +66,13 @@ class TestConfigSerialization:
         ("cc", "cmp_search_max_bytes", 512),
         ("cc", "search_key_bytes", 64),
         ("cc", "area_overhead_fraction", 0.08),
+        ("l1d", "name", "L1-D"),
+        ("l3_slice", "block_size", 64),
     ])
     def test_removed_field_rejected(self, section, field, value):
-        """A document that still carries a field removed in 5.0.0 or 7.0.0
-        (with its old default value) fails with a ConfigError naming it."""
+        """A document that still carries a field removed in 5.0.0, 7.0.0 or
+        10.0.0 (with its old default value) fails with a ConfigError naming
+        it."""
         doc = config_to_dict(small_test_machine())
         doc[section][field] = value
         with pytest.raises(ConfigError, match=field):

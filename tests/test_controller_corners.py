@@ -132,7 +132,7 @@ class TestL3EvictionUnderCC:
         m.cc(cc_ops.cc_copy(a, c, 256))
         # Thrash the L3 slice with conflicting traffic.
         cfg = m.config.l3_slice
-        stride = cfg.sets * cfg.block_size
+        stride = cfg.sets * BLOCK_SIZE
         slice_id = m.hierarchy.home_slice(c, 0)
         for i in range(1, 3 * cfg.ways):
             victim = c + i * stride

@@ -22,7 +22,7 @@ from repro.config_io import config_from_dict, config_to_dict
 from repro.core.scrub import ScrubService
 from repro.errors import FaultPlanError, ISAError, ReproError
 from repro.faults import FaultPlan, default_plan, run_campaign
-from repro.params import small_test_machine
+from repro.params import multi_cluster, small_test_machine
 from repro.trace import TraceReader, run_trace
 
 
@@ -81,13 +81,18 @@ class TestTraceFuzz:
         assert result.cycles >= len(events)
 
 
-CONFIG_DOC = config_to_dict(small_test_machine())
-NUMERIC_FIELDS = [
-    (section, name)
-    for section, fields in CONFIG_DOC.items() if isinstance(fields, dict)
-    for name, value in fields.items() if isinstance(value, (int, float))
-] + [(None, name) for name, value in CONFIG_DOC.items()
-     if isinstance(value, (int, float))]
+CONFIG_DOCS = (config_to_dict(small_test_machine()),
+               config_to_dict(multi_cluster(2, 2)))
+"""A flat machine's document and one carrying a ``topology`` section."""
+SCALAR_FIELDS = [
+    (doc, section, name)
+    for doc, config in enumerate(CONFIG_DOCS)
+    for section, fields in [(None, config), *config.items()] if isinstance(fields, dict)
+    for name, value in fields.items()
+    if name != "schema" and isinstance(value, (int, float, str))
+]
+"""``(document, section, field)`` of every number and string, ``backend``
+and ``topology.slice_interleave`` included."""
 CONFIG_TRACE = """init 0x0, zeros:4096
 init 0x1000, repeat:0xff*4096
 load 0x0, 8
@@ -102,14 +107,14 @@ JSON_SCALARS = (st.none() | st.booleans() | st.text(max_size=4)
 
 
 class TestConfigFuzz:
-    @given(st.sampled_from(NUMERIC_FIELDS), JSON_SCALARS)
+    @given(st.sampled_from(SCALAR_FIELDS), JSON_SCALARS)
     @settings(max_examples=300, deadline=None)
     def test_one_changed_value_runs_or_fails_cleanly(self, field, value):
-        """A document with one number replaced by any JSON scalar either
-        runs a trace to finite, non-negative totals or fails with a
-        ReproError; never with another exception or a NaN."""
-        doc = copy.deepcopy(CONFIG_DOC)
-        section, name = field
+        """A document with one number or string replaced by any JSON
+        scalar either runs a trace to finite, non-negative totals or fails
+        with a ReproError; never with another exception or a NaN."""
+        index, section, name = field
+        doc = copy.deepcopy(CONFIG_DOCS[index])
         (doc[section] if section else doc)[name] = value
         try:
             result = run_trace(CONFIG_TRACE, ComputeCacheMachine(config_from_dict(doc)))

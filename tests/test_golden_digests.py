@@ -377,7 +377,7 @@ class CoreCase(Case):
             "memory": [m.peek(addr, size) for addr, size in self.buffers],
             "ledger": m.ledger.pj,
             "stats": collect_stats(m),
-            "caches": [[c.stats, c.tags.stats] for c in (*h.l1, *h.l2, *h.l3)],
+            "caches": [[c.stats, c.tag_stats] for c in (*h.l1, *h.l2, *h.l3)],
         }
 
     def digests(self) -> dict[str, str]:

@@ -5,7 +5,7 @@ import pytest
 from repro.cache.block import MESIState
 from repro.cache.hierarchy import L1, L2, L3, CacheHierarchy
 from repro.energy.accounting import EnergyLedger
-from repro.params import small_test_machine
+from repro.params import BLOCK_SIZE, small_test_machine
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ class TestInclusionAndWriteback:
     def test_l1_capacity_eviction_writes_back(self, hier):
         """Dirty L1 victims land in L2 with their data."""
         cfg = hier.config.l1d
-        stride = cfg.sets * cfg.block_size
+        stride = cfg.sets * BLOCK_SIZE
         addrs = [i * stride for i in range(cfg.ways + 1)]
         for i, addr in enumerate(addrs):
             hier.write(0, addr, bytes([i]) * 64)

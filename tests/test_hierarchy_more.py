@@ -7,7 +7,7 @@ from repro.cache.block import MESIState
 from repro.cache.hierarchy import CacheHierarchy
 from repro.energy.accounting import EnergyLedger
 from repro.errors import AddressError
-from repro.params import small_test_machine
+from repro.params import BLOCK_SIZE, small_test_machine
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ class TestL3BackInvalidation:
     def _thrash_slice(self, hier, victim, core=0, extra=0):
         """Force the victim's L3 set to overflow."""
         cfg = hier.config.l3_slice
-        stride = cfg.sets * cfg.block_size
+        stride = cfg.sets * BLOCK_SIZE
         slice_id = hier.home_slice(victim, core)
         n = cfg.ways + 1 + extra
         for i in range(1, n + 1):
@@ -97,7 +97,7 @@ class TestUpgradePaths:
         """Block evicted from L1 but present in L2: a write refills L1
         with write permission."""
         cfg = hier.config.l1d
-        stride = cfg.sets * cfg.block_size
+        stride = cfg.sets * BLOCK_SIZE
         target = 0x0
         hier.read(0, target, 8)
         for i in range(1, cfg.ways + 1):  # evict target from L1 only

@@ -63,8 +63,8 @@ class TestHTree:
     def test_transfer_accounting(self):
         h = HTree("L2")
         h.record_transfer()
-        assert h.transfer_energy_pj() == pytest.approx(675.0)
         assert h.data_transfers == 1
+        assert h.commands_issued == 0
 
 
 class TestMemory:

@@ -4,10 +4,11 @@ import pytest
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.alloc import Arena
+from repro.cache.block import MESIState
 from repro.cache.locality import check_operand_locality
 from repro.cpu.program import Instr, Program
 from repro.errors import AddressError, ReproError
-from repro.params import PAGE_SIZE, sandybridge_8core
+from repro.params import BLOCK_SIZE, PAGE_SIZE, sandybridge_8core
 
 
 class TestArena:
@@ -125,6 +126,24 @@ class TestMachineFacade:
         assert not machine.hierarchy.l1[0].contains(addr)
         slice_id = machine.hierarchy.home_slice(addr, 0)
         assert machine.hierarchy.l3[slice_id].contains(addr)
+
+    def test_warm_l3_keeps_the_freshest_private_copy(self, machine):
+        """With the block dirty in both private levels, L1's newer data
+        (not L2's older copy) is what reaches L3."""
+        h = machine.hierarchy
+        block = machine.arena.alloc_page_aligned(PAGE_SIZE)
+        l1_stride = h.l1[0].config.sets * BLOCK_SIZE
+        machine.write(block, b"\x01" * BLOCK_SIZE)
+        for i in range(1, h.l1[0].config.ways + 1):  # push it out of the L1
+            machine.read(block + i * l1_stride, 8)
+        assert not h.l1[0].contains(block)
+        assert h.l2[0].state_of(block) is MESIState.MODIFIED
+        assert machine.read(block, 8) == b"\x01" * 8
+        assert h.l1[0].state_of(block) is MESIState.MODIFIED
+        machine.write(block, b"\x02" * BLOCK_SIZE)
+        machine.warm_l3(block, BLOCK_SIZE)
+        assert not h.l1[0].contains(block) and not h.l2[0].contains(block)
+        assert machine.peek(block, BLOCK_SIZE) == b"\x02" * BLOCK_SIZE
 
     def test_quickstart_docstring_example(self):
         """The module-docstring example must actually work."""

@@ -14,9 +14,9 @@ from repro.params import CacheLevelConfig, small_test_machine
 
 @pytest.fixture
 def level(make_bytes):
-    cfg = CacheLevelConfig(name="L2", size=16 * 1024, ways=4, banks=4,
+    cfg = CacheLevelConfig(size=16 * 1024, ways=4, banks=4,
                            bps_per_bank=2, hit_latency=11)
-    lvl = CacheLevel(cfg, EnergyLedger())
+    lvl = CacheLevel("L2", cfg, EnergyLedger())
     for i in range(4):
         lvl.fill(i * 64, make_bytes(64), MESIState.EXCLUSIVE)
     return lvl

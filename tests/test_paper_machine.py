@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.params import sandybridge_8core
+from repro.params import BLOCK_SIZE, sandybridge_8core
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestPaperMachineGeometry:
             data_rows = sum(
                 sub.rows - 1 for sub in level.geometry.subarrays  # minus key row
             )
-            assert data_rows * cfg.block_size == cfg.size
+            assert data_rows * BLOCK_SIZE == cfg.size
 
 
 class TestPaperMachineEndToEnd:

@@ -84,7 +84,7 @@ class TestTable3Geometry:
                 assert (
                     level.blocks_per_partition * level.num_partitions == level.blocks
                 )
-                assert level.sets_per_partition * level.num_partitions == level.sets
+                assert level.sets % level.num_partitions == 0
                 assert level.min_locality_bits == (
                     level.offset_bits + level.bank_bits + level.bp_bits
                 )
@@ -93,12 +93,12 @@ class TestTable3Geometry:
 class TestValidation:
     def test_non_power_of_two_size(self):
         with pytest.raises(ConfigError):
-            CacheLevelConfig(name="X", size=3000, ways=2, banks=2,
+            CacheLevelConfig(size=3000, ways=2, banks=2,
                              bps_per_bank=2, hit_latency=1)
 
     def test_too_many_partitions(self):
         with pytest.raises(ConfigError):
-            CacheLevelConfig(name="X", size=1024, ways=8, banks=8,
+            CacheLevelConfig(size=1024, ways=8, banks=8,
                              bps_per_bank=8, hit_latency=1)
 
     def test_memory_size_page_multiple(self):

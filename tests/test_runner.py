@@ -25,8 +25,8 @@ from repro.config_io import (
     config_to_dict,
     config_to_json,
 )
-from repro.errors import ConfigError, RunnerError
-from repro.params import TopologyConfig, sandybridge_8core, small_test_machine
+from repro.errors import RunnerError
+from repro.params import BLOCK_SIZE, TopologyConfig, sandybridge_8core, small_test_machine
 
 SMALL = lambda: config_to_dict(small_test_machine())  # noqa: E731
 
@@ -40,7 +40,7 @@ CHANGED = {
     "static_power_uncore_mw": 1500.0,
     "frequency_ghz": 3.0, "epi_scalar": 900.0, "epi_simd": 1100.0,
     "epi_cc": 1200.0, "static_power_core_mw": 500.0,
-    "name": "X", "size": 1 << 23, "ways": 4, "banks": 4, "bps_per_bank": 1,
+    "size": 1 << 23, "ways": 4, "banks": 4, "bps_per_bank": 1,
     "hit_latency": 40,
     "hop_latency": 4, "link_width_bits": 128, "stops": 4,
     "energy_per_hop_per_flit": 60.0,
@@ -61,8 +61,7 @@ def _leaf_fields(config) -> list[str]:
             continue
         value = getattr(config, f.name)
         if is_dataclass(value):
-            out += [f"{f.name}.{g.name}" for g in fields(value)
-                    if g.name != "block_size"]
+            out += [f"{f.name}.{g.name}" for g in fields(value)]
         else:
             out.append(f.name)
     return out
@@ -126,10 +125,11 @@ class TestCacheKeys:
         assert config_from_json(config_to_json(changed)) == changed
 
     def test_only_block_size_is_fixed(self):
-        """``block_size`` is the one serialized field with a single legal
-        value, so no digest test above can change it."""
-        with pytest.raises(ConfigError, match="block_size"):
+        """The block size is the constant ``BLOCK_SIZE``, not a field of a
+        level, so every serialized field has a value to change."""
+        with pytest.raises(TypeError, match="block_size"):
             replace(DIGEST_BASE.l1d, block_size=128)
+        assert DIGEST_BASE.l1d.blocks * BLOCK_SIZE == DIGEST_BASE.l1d.size
 
     def test_config_roundtrip_preserves_backend(self):
         from dataclasses import replace

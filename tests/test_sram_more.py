@@ -94,7 +94,7 @@ class TestKeyRowIndependence:
         geo = CacheGeometry(small_test_machine().l1d)
         data = make_bytes(64)
         key = make_bytes(64)
-        sub, row = geo.locate(0x0, 0)
+        sub, row = geo.slot(0, 0)
         sub.write_block(row, data)
         partition = geo.partition_of(0x0)
         geo.write_key(partition, key)
