@@ -22,6 +22,11 @@ case is hashed per observable: the ``RunResult``s (with every loaded
 value), the final bytes, the ledger, ``collect_stats``, the per-cache
 statistics and the event stream.
 
+``microbench``: the returns of the Figure 3, 7, 8(a) and 8(b) suites of
+:mod:`repro.bench.microbench` at 1 KB operands, each hashed whole: every
+cycle count and energy ledger of each (kernel, configuration) cell,
+in-place against near-place included.
+
 Both backends must reproduce the same committed digests.  After a
 deliberate model change, regenerate the file with
 ``python tests/test_golden_digests.py`` and say why in CHANGES.md.
@@ -40,6 +45,7 @@ from pathlib import Path
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
+from repro.bench import microbench
 from repro.api import (
     BLOCK_SIZE,
     PAGE_SIZE,
@@ -115,7 +121,8 @@ class Case:
             "ledger": _sha(m.ledger.pj),
             "controller": _sha([c.stats for c in m.controllers]),
             "caches": _sha([c.stats for c in caches]),
-            "subarrays": _sha([[s.stats for s in c.geometry.subarrays] for c in caches]),
+            "subarrays": _sha([[(s.stats.reads, s.stats.writes, s.stats.compute_ops)
+                                for s in c.geometry.subarrays] for c in caches]),
             "events": _sha(m.tracer.snapshot()),
         }
 
@@ -592,11 +599,46 @@ def test_core_mix_reaches_every_path():
     assert multicore
 
 
+# -- the micro-benchmark suites ------------------------------------------------------------
+
+MICROBENCH = {
+    "fig3": microbench.figure3_energy_proportions,
+    "fig7": microbench.figure7,
+    "fig8a": microbench.figure8a_inplace_vs_nearplace,
+    "fig8b": microbench.figure8b_levels,
+}
+MICROBENCH_SIZE = 1024
+
+
+def microbench_digest(name: str, backend: str) -> str:
+    return _sha(MICROBENCH[name](size=MICROBENCH_SIZE, backend=backend))
+
+
+def compute_microbench_digests(backend: str) -> dict[str, str]:
+    return {name: microbench_digest(name, backend) for name in MICROBENCH}
+
+
+@pytest.fixture(scope="module")
+def golden_microbench() -> dict:
+    return json.loads(GOLDEN.read_text())["microbench"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(MICROBENCH))
+def test_microbench_digest(golden_microbench, name, backend):
+    assert microbench_digest(name, backend) == golden_microbench[name]
+
+
+def test_golden_file_covers_every_microbench_suite(golden_microbench):
+    assert sorted(golden_microbench) == sorted(MICROBENCH)
+
+
 def main() -> None:
     """Regenerate the golden file (both backends must agree)."""
     doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for section, compute in (("cc_dispatch", compute_digests),
-                             ("core_run", compute_core_digests)):
+                             ("core_run", compute_core_digests),
+                             ("microbench", compute_microbench_digests)):
         digests = {backend: compute(backend) for backend in BACKENDS}
         if digests["packed"] != digests["bitexact"]:
             raise SystemExit(f"packed and bitexact {section} digests differ; not writing")
