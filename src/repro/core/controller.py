@@ -29,8 +29,8 @@ One controller sits at each core's L1 and orchestrates CC instructions:
    L1 controller notifies the core.
 
 Every page-local piece of an instruction is *planned* once: the operand
-template of its first block op, each operand stream's compute-level cache
-(one L3 home slice per page), whether destinations skip their fetch, the
+template of its first block op (``CCInstruction.block_operands``), each
+operand stream's compute-level cache (one L3 home slice per page), the
 locality verdict (the same for every op, since operands are block-aligned
 and page-local) and which operand rows the kernel reads and writes.  Every
 block op then runs through one pipeline: *stage* (steps 4-5: fetch and
@@ -153,8 +153,6 @@ class _Plan(NamedTuple):
     """``(address, is_dest)`` of each operand of block op 0."""
     caches: tuple[CacheLevel, ...]
     """The compute-level cache of each operand stream."""
-    skip_fetch: bool
-    """Destination operands are fully overwritten and skip their fetch."""
     inplace: bool
     """Operand locality holds: the ops can run in place."""
     slots: tuple[int, int, int]
@@ -298,44 +296,6 @@ class ComputeCacheController:
 
     # -- decomposition ------------------------------------------------------------------
 
-    def _block_operands(self, instr: CCInstruction, block_idx: int) -> list[BlockOperand]:
-        """Operands of the ``block_idx``-th simple vector operation."""
-        off = block_idx * BLOCK_SIZE
-        op = instr.opcode
-        if op is Opcode.BUZ:
-            return [BlockOperand(instr.src1 + off, is_dest=True)]
-        if op in (Opcode.COPY, Opcode.NOT):
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.dest + off, is_dest=True),
-            ]
-        if op is Opcode.CMP:
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.src2 + off, is_dest=False),
-            ]
-        if op in (Opcode.SEARCH, Opcode.REDUCE):
-            return [BlockOperand(instr.src1 + off, is_dest=False)]
-        if op is Opcode.CLMUL:
-            if instr.broadcast_src2:
-                return [BlockOperand(instr.src1 + off, is_dest=False)]
-            return [
-                BlockOperand(instr.src1 + off, is_dest=False),
-                BlockOperand(instr.src2 + off, is_dest=False),
-            ]
-        # and / or / xor / add / mul
-        return [
-            BlockOperand(instr.src1 + off, is_dest=False),
-            BlockOperand(instr.src2 + off, is_dest=False),
-            BlockOperand(instr.dest + off, is_dest=True),
-        ]
-
-    def _overwrites_dest(self, instr: CCInstruction) -> bool:
-        """Destination blocks that are fully overwritten skip their fetch."""
-        return instr.opcode in (Opcode.COPY, Opcode.BUZ, Opcode.NOT,
-                                Opcode.AND, Opcode.OR, Opcode.XOR,
-                                Opcode.ADD, Opcode.MUL)
-
     @staticmethod
     def _operand_blocks(instr: CCInstruction) -> list[int]:
         """Every block of the instruction's vector operands, key included."""
@@ -402,14 +362,13 @@ class ComputeCacheController:
 
     def _plan(self, instr: CCInstruction, level: str) -> _Plan:
         """The facts every block op of a page-local piece shares."""
-        operands = self._block_operands(instr, 0)
-        addrs = [o.addr for o in operands]
+        operands = instr.block_operands()
+        addrs = [addr for addr, _ in operands]
         return _Plan(
-            operands=tuple((o.addr, o.is_dest) for o in operands),
+            operands=tuple(operands),
             caches=tuple(self.hierarchy.level_cache(level, self.core_id, a) for a in addrs),
-            skip_fetch=self._overwrites_dest(instr),
             inplace=self._locality_holds(addrs, level),
-            slots=row_slots(instr.opcode.subarray_op, [o.is_dest for o in operands]),
+            slots=row_slots(instr.opcode.subarray_op, [is_dest for _, is_dest in operands]),
             key_slice=self.hierarchy.home_slice(addrs[0], self.core_id) if level == L3 else None,
         )
 
@@ -428,10 +387,9 @@ class ComputeCacheController:
         # outcome, so accounting is a pure function of the instruction
         # stream (backend- and dispatch-invariant).
         if instr.opcode.is_arith:
-            ranges = [(instr.src1, instr.size)]
-            if instr.src2 is not None:
-                ranges.append((instr.src2, instr.size))
-            blocks, piece.transpose_cycles = self.transpose.convert(ranges)
+            blocks, piece.transpose_cycles = self.transpose.convert(
+                [(base, length) for role, base, length in instr.vector_ranges()
+                 if role != "dest"])
             if blocks:
                 cache = self.hierarchy.level_cache(level, self.core_id, instr.src1)
                 charge_transpose(cache.ledger, cache.name, blocks)
@@ -477,13 +435,10 @@ class ComputeCacheController:
                 # operands homed on different NUCA slices.
                 level = piece.level
                 op.fallback_reason = "forced" if force_nearplace else "locality-miss"
-                done = self.nearplace.execute(
+                self.nearplace.execute(
                     lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
                     op, key_data=piece.key_data,
                 )
-                op.outcome = "near-place"
-                op.result_bits = done.result_bits
-                op.result_bit_count = done.result_bit_count
                 return
             # Locality holds, so every operand lives in operand 0's cache.
             geometry = plan.caches[0].geometry
@@ -719,14 +674,10 @@ class ComputeCacheController:
         below it, so no staging fetch can evict a block an earlier op
         already located.
         """
-        op = instr.opcode
-        if op in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOT, Opcode.COPY,
-                  Opcode.ADD, Opcode.MUL):
-            dest = instr.dest
-            srcs = [instr.src1]
-            if op in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.ADD, Opcode.MUL):
-                srcs.append(instr.src2)
-            for src in srcs:
+        operands = instr.block_operands()
+        sources = [addr for addr, is_dest in operands if not is_dest]
+        for dest in (addr for addr, is_dest in operands if is_dest):
+            for src in sources:
                 if src != dest and src < dest + instr.size and dest < src + instr.size:
                     return "data-hazard"
         blocks = set(self._operand_blocks(instr))
@@ -746,13 +697,13 @@ class ComputeCacheController:
         """Fetch and pin every operand; returns the ``(set_index, way)``
         of each pinned operand, or None if a pin was lost (retry)."""
         level, caches = piece.level, piece.plan.caches
-        skip_fetch = piece.plan.skip_fetch
         lines = []
         for operand, cache in zip(op.operands, caches):
             try:
+                # Every destination block is fully overwritten: no fetch.
                 latency = self.hierarchy.cc_prepare(
                     self.core_id, level, operand.addr, operand.is_dest,
-                    skip_fetch=skip_fetch and operand.is_dest,
+                    skip_fetch=operand.is_dest,
                 )
             except PinnedLineError:
                 # The fill found every way of its set pinned (the op's own
@@ -857,8 +808,7 @@ class ComputeCacheController:
             self.hierarchy.read(self.core_id, o.addr, BLOCK_SIZE)[0]
             for o in op.source_operands
         ]
-        result_data, op.result_bits, op.result_bit_count = block_result(
-            op, sources, key_data)
+        result_data = block_result(op, sources, key_data)
         dest = op.dest_operand
         if dest is not None and result_data is not None:
             self.hierarchy.write(self.core_id, dest.addr, result_data)

@@ -9,8 +9,9 @@ ops; :meth:`InPlaceExecutor.kernel_batch` runs the bit-line operations of
 any number of partitions' ops as one ``op_groups`` call of their
 sub-array class (one kernel call for a whole page-local piece under the
 packed backend, one ``op_batch`` per sub-array under bit-exact) and
-leaves any result bits (for CC-R operations) on each op.  A single op is
-a one-item batch.
+leaves any result bits (for CC-R operations) on each op, by the same
+rule as near-place (``BlockOperation.take_result``).  A single op is a
+one-item batch.
 
 In-place execution requires all operands in the same block partition;
 :meth:`InPlaceExecutor.execute` asserts this (the controller only routes
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from ..cache.cache import CacheLevel
 from ..energy.mcpat import charge_cc_arith, charge_cc_op
-from ..errors import OperandLocalityError, ReproError
+from ..errors import ISAError, OperandLocalityError
 from ..params import BLOCK_SIZE
 from ..sram.timing import ARITH_OPS, arith_steps
 from .operation_table import BlockOperation
@@ -71,7 +72,7 @@ class InPlaceExecutor:
         of the same decode/sequencing overhead."""
         if subop in ARITH_OPS:
             if elem_bits is None:
-                raise ReproError(f"{subop} needs an element width")
+                raise ISAError(f"{subop} needs an element width")
             n_elems = (BLOCK_SIZE * 8) // elem_bits
             return self.inplace_latency + arith_steps(subop, elem_bits, n_elems)
         return self.inplace_latency
@@ -81,9 +82,8 @@ class InPlaceExecutor:
         """Table-V ledger charge for one in-place block op (step-scaled
         for the arithmetic tier)."""
         if subop in ARITH_OPS:
-            n_elems = (BLOCK_SIZE * 8) // (elem_bits or 8)
-            charge_cc_arith(level.ledger, level.name, subop, elem_bits or 8,
-                            n_elems)
+            charge_cc_arith(level.ledger, level.name, subop, elem_bits,
+                            (BLOCK_SIZE * 8) // elem_bits)
             return
         # Search's Table V energy (cmp + key write) is charged in two
         # parts: the compare here, the key-replication write by the
@@ -144,46 +144,29 @@ class InPlaceExecutor:
     def kernel_batch(self, groups: list[tuple[object, list[tuple[BlockOperation, tuple]]]]) -> None:
         """The *kernel* stage: run the located ops of one or more
         sub-arrays, given as ``(sub-array, items)`` groups, through one
-        ``op_groups`` call of their sub-array class, and assign each op
-        its result bits.  The class decides how the groups run: one
-        gather, kernel and scatter over the level's shared block for
-        :class:`~repro.sram.PackedSubarray`, one ``op_batch`` per
-        sub-array for the bit-exact :class:`~repro.sram.ComputeSubarray`.
+        ``op_groups`` call of their sub-array class, and give each op its
+        result bits (:meth:`BlockOperation.take_result`).  The class
+        decides how the groups run: one gather, kernel and scatter over
+        the level's shared block for :class:`~repro.sram.PackedSubarray`,
+        one ``op_batch`` per sub-array for the bit-exact
+        :class:`~repro.sram.ComputeSubarray`.
 
-        Sub-array accounting happens in item order within each sub-array,
-        so items must keep the order in which their ops were staged.
+        Sub-array statistics are counted in item order within each
+        sub-array, so items must keep the order in which their ops were
+        staged.
         """
         groups = [(subarray, items) for subarray, items in groups if items]
         if not groups:
             return
         first, (_row_a, row_b, row_dest) = groups[0][1][0]
-        subop, lane_bits = first.subarray_op, first.lane_bits
         results = type(groups[0][0]).op_groups(
-            subop,
+            first.subarray_op,
             [(subarray, [rows[0] for _, rows in items],
               [rows[1] for _, rows in items] if row_b is not None else None,
               [rows[2] for _, rows in items] if row_dest is not None else None)
              for subarray, items in groups],
-            key_bytes=BLOCK_SIZE, lane_bits=lane_bits, elem_bits=first.elem_bits,
+            lane_bits=first.lane_bits, elem_bits=first.elem_bits,
         )
-        ops = [op for _, items in groups for op, _rows in items]
-        if subop == "cmp":
-            for op, result in zip(ops, results):
-                op.result_bits, op.result_bit_count = result, BLOCK_SIZE // 8
-        elif subop == "search":
-            for op, result in zip(ops, results):
-                op.result_bits, op.result_bit_count = result & 1, 1
-        elif subop == "clmul":
-            lanes = (BLOCK_SIZE * 8) // (lane_bits or 64)
-            for op, result in zip(ops, results):
-                bits = int.from_bytes(result, "little") & ((1 << lanes) - 1)
-                op.result_bits, op.result_bit_count = bits, lanes
-        elif subop == "reduce":
-            # The block-wide sum can exceed 64 result bits' packing
-            # contract, so it rides result_bits raw (bit_count 0) and
-            # the controller accumulates it.
-            for op, result in zip(ops, results):
-                op.result_bits, op.result_bit_count = result, 0
-        else:
-            for op in ops:
-                op.result_bits, op.result_bit_count = 0, 0
+        ops = (op for _, items in groups for op, _rows in items)
+        for op, result in zip(ops, results):
+            op.take_result(result)

@@ -87,21 +87,9 @@ class Opcode(enum.Enum):
 
     @property
     def subarray_op(self) -> str:
-        """The sub-array operation implementing this opcode."""
-        return {
-            Opcode.COPY: "copy",
-            Opcode.BUZ: "buz",
-            Opcode.CMP: "cmp",
-            Opcode.SEARCH: "search",
-            Opcode.AND: "and",
-            Opcode.OR: "or",
-            Opcode.XOR: "xor",
-            Opcode.CLMUL: "clmul",
-            Opcode.NOT: "not",
-            Opcode.ADD: "add",
-            Opcode.MUL: "mul",
-            Opcode.REDUCE: "reduce",
-        }[self]
+        """The sub-array operation implementing this opcode: its mnemonic
+        without ``cc_``."""
+        return self.value.removeprefix("cc_")
 
 
 MAX_OPERAND_BYTES = 16 * 1024
@@ -249,6 +237,16 @@ class CCInstruction:
             yield "src2", self.src2, SEARCH_KEY_BYTES if self.key_is_fixed_block else self.size
         if self.dest is not None and self.opcode is not Opcode.CLMUL:
             yield "dest", self.dest, self.size
+
+    def block_operands(self) -> list[tuple[int, bool]]:
+        """``(address, is_dest)`` of each operand of the instruction's
+        first block op, from :meth:`vector_ranges`; block op ``k`` has
+        them moved by ``k`` blocks.  The fixed key of cc_search and
+        broadcast cc_clmul is staged once per piece, not an operand, and
+        cc_buz's one operand is its destination."""
+        return [(base, role == "dest" or self.opcode is Opcode.BUZ)
+                for role, base, _length in self.vector_ranges()
+                if not (role == "src2" and self.key_is_fixed_block)]
 
     def spans_page_boundary(self) -> bool:
         """True if any vector operand crosses a page (Section IV-D)."""

@@ -3,7 +3,9 @@
 When operands lack locality (or the caller asks for it explicitly), the
 operation runs "near" the cache: the controller's logic unit reads the
 source blocks out of the sub-arrays *over the H-tree*, computes, and writes
-any result back.  Compared to in-place execution this:
+any result back.  It computes exactly what the in-place sub-arrays
+compute, with the same kernel (:func:`repro.kernels.block_op`); only where
+the op runs and what it costs differ.  Compared to in-place execution it:
 
 * pays conventional read/write energy (including the 60-80% H-tree share);
 * serializes through the single per-controller logic unit (one 64-byte
@@ -17,28 +19,16 @@ so it remains much better than the baseline.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..bitops import bytes_and, bytes_not, bytes_or, bytes_xor
 from ..cache.cache import CacheLevel
 from ..errors import ReproError
-from ..kernels import arith_rows, clmul_mask, equality_mask, reduce_rows
+from ..kernels import block_op
 from ..params import BLOCK_SIZE
 from .operation_table import BlockOperation
 
 CacheResolver = Callable[[int], CacheLevel]
-
-
-@dataclass(frozen=True)
-class NearPlaceOutcome:
-    """Result of one near-place block operation."""
-
-    result_bits: int
-    result_bit_count: int
-    latency: float
-    result_data: bytes | None = None
 
 
 class OperandRegisters:
@@ -80,56 +70,26 @@ class OperandRegisters:
 
 
 def block_result(op: BlockOperation, sources: list[bytes],
-                 key_data: bytes | None = None) -> tuple[bytes | None, int, int]:
-    """What one block op computes outside the sub-arrays.
+                 key_data: bytes | None = None) -> bytes | None:
+    """What one block op computes outside the sub-arrays: the kernel of
+    the packed sub-arrays on the op's source blocks.
 
     ``sources`` holds the bytes of the op's source blocks in operand
-    order; ``key_data`` is the staged key block of ``search`` and
-    broadcast ``clmul``.  Returns ``(dest_data, result_bits,
-    result_bit_count)``: ``dest_data`` is ``None`` for ops that write no
-    destination, and ``reduce`` carries its 64-bit sum raw in
-    ``result_bits`` with a bit count of 0.  The near-place logic unit and
-    the core's RISC fallback both compute through this one function.
+    order; ``key_data`` is the staged key block, the second operand of
+    ``search`` and broadcast ``clmul``.  Sets the op's result bits
+    (:meth:`~repro.core.operation_table.BlockOperation.take_result`) and
+    returns the bytes its destination receives, or ``None`` for ops that
+    write none.  The near-place logic unit and the core's RISC fallback
+    both compute through this one function.
     """
-    subop = op.subarray_op
-    if subop == "copy":
-        return sources[0], 0, 0
-    if subop == "buz":
-        return bytes(BLOCK_SIZE), 0, 0
-    if subop == "not":
-        return bytes_not(sources[0]), 0, 0
-    if subop == "and":
-        return bytes_and(sources[0], sources[1]), 0, 0
-    if subop == "or":
-        return bytes_or(sources[0], sources[1]), 0, 0
-    if subop == "xor":
-        return bytes_xor(sources[0], sources[1]), 0, 0
     rows = [np.frombuffer(src, dtype=np.uint8) for src in sources]
-    if subop == "cmp":
-        words = BLOCK_SIZE // 8
-        return None, int(equality_mask(rows[0], rows[1], 8)[0]), words
-    if subop == "search":
-        if key_data is None:
-            raise ReproError("search needs the staged key block")
-        return None, int(sources[0] == key_data), 1
-    if subop == "clmul":
-        if op.lane_bits is None:
-            raise ReproError("clmul needs a lane width")
-        if len(rows) < 2:
-            if key_data is None:
-                raise ReproError("broadcast clmul needs the staged key block")
-            rows.append(np.frombuffer(key_data, dtype=np.uint8))
-        lanes = (BLOCK_SIZE * 8) // op.lane_bits
-        return None, int(clmul_mask(rows[0], rows[1], op.lane_bits)[0]), lanes
-    if subop in ("add", "mul", "reduce") and op.elem_bits is None:
-        raise ReproError(f"{subop} needs an element width")
-    if subop in ("add", "mul"):
-        # Word-parallel on row-major blocks: no bit-serial step penalty,
-        # but none of the in-place energy advantage either.
-        return arith_rows(subop, rows[0], rows[1], op.elem_bits)[0].tobytes(), 0, 0
-    if subop == "reduce":
-        return None, int(reduce_rows(rows[0], op.elem_bits)[0]), 0
-    raise ReproError(f"unknown block operation {subop!r}")
+    if len(rows) < 2 and key_data is not None:
+        rows.append(np.frombuffer(key_data, dtype=np.uint8))
+    a = rows[0] if rows else np.zeros(BLOCK_SIZE, dtype=np.uint8)  # buz reads nothing
+    out, results = block_op(op.subarray_op, a, rows[1] if len(rows) > 1 else None,
+                            op.lane_bits, op.elem_bits)
+    op.take_result(results[0])
+    return None if out is None else out[0].tobytes()
 
 
 class NearPlaceUnit:
@@ -141,11 +101,12 @@ class NearPlaceUnit:
         self.registers = OperandRegisters(register_capacity)
 
     def execute(self, level: CacheLevel | CacheResolver, op: BlockOperation,
-                key_data: bytes | None = None) -> NearPlaceOutcome:
+                key_data: bytes | None = None) -> None:
         """Run one block operation at the controller's logic unit.
 
         Sources are read conventionally (charging H-tree energy), the
-        result is computed in the logic unit, and destinations are written
+        result is computed in the logic unit (:func:`block_result`, which
+        leaves the op's result bits on it), and destinations are written
         back conventionally.  ``level`` may be a single cache or a
         per-address resolver - near-place is exactly what handles operands
         that do not share a partition, including ones homed on *different
@@ -162,7 +123,7 @@ class NearPlaceUnit:
             sources.append(
                 cache_for(operand.addr).read_block(operand.addr, charge=not hit)
             )
-        result_data, bits, bit_count = block_result(op, sources, key_data)
+        result_data = block_result(op, sources, key_data)
         dest = op.dest_operand
         if dest is not None:
             if result_data is None:
@@ -170,6 +131,7 @@ class NearPlaceUnit:
                     f"{op.subarray_op} produced no data for its destination")
             cache_for(dest.addr).write_block(dest.addr, result_data, dirty=True)
             self.registers.invalidate(dest.addr)
+        op.outcome = "near-place"
         stats_home = op.operands[0].addr
         home = cache_for(stats_home)
         home.stats.cc_nearplace_ops += 1
@@ -179,4 +141,3 @@ class NearPlaceUnit:
                 opcode=op.subarray_op, addr=stats_home, instr_id=op.instr_id,
                 span=float(self.nearplace_latency),
             )
-        return NearPlaceOutcome(bits, bit_count, self.nearplace_latency, result_data)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import BLOCK_SIZE, WORD_SIZE
+
 
 @dataclass
 class BlockOperand:
@@ -43,6 +45,26 @@ class BlockOperation:
     fallback_reason: str | None = None
     """Why the op missed in-place execution (``locality-miss``,
     ``pin-loss``, ``forced``); ``None`` when it ran in place."""
+
+    def take_result(self, raw) -> None:
+        """Set :attr:`result_bits` and :attr:`result_bit_count` from what
+        the op's kernel returned for its block (one entry of a sub-array
+        ``op_batch``), wherever the op ran: ``cmp``'s word mask (8 bits),
+        ``search``'s key match (1 bit), ``clmul``'s packed lane parities
+        (one bit per lane), and ``reduce``'s 64-bit element sum, which
+        can exceed the packing contract and so rides ``result_bits`` raw
+        with a bit count of 0 (the controller adds the sums up).  The
+        other ops return no result bits."""
+        subop = self.subarray_op
+        if subop == "cmp":
+            self.result_bits, self.result_bit_count = raw, BLOCK_SIZE // WORD_SIZE
+        elif subop == "search":
+            self.result_bits, self.result_bit_count = raw, 1
+        elif subop == "clmul":
+            lanes = BLOCK_SIZE * 8 // self.lane_bits
+            self.result_bits, self.result_bit_count = int.from_bytes(raw, "little"), lanes
+        elif subop == "reduce":
+            self.result_bits, self.result_bit_count = raw, 0
 
     @property
     def addresses(self) -> list[int]:

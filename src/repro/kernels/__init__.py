@@ -9,12 +9,17 @@ sub-array operation expressed as a vectorized numpy kernel over packed
 ``uint8`` rows — no bit unpacking anywhere — proven bit-exact against the
 circuit model by the differential-equivalence harness
 (``tests/test_backend_equivalence.py`` and the ``validate`` battery).
+:func:`~repro.kernels.packed.block_op` is what every sub-array operation
+computes, wherever it runs: in the packed sub-arrays, at the near-place
+logic unit, or as the core's RISC fallback.
 """
 
 from .packed import (
     POPCOUNT8,
     PackedCellArray,
     arith_rows,
+    block_op,
+    check_block_op,
     clmul_mask,
     equality_mask,
     logical_rows,
@@ -26,6 +31,8 @@ __all__ = [
     "POPCOUNT8",
     "PackedCellArray",
     "arith_rows",
+    "block_op",
+    "check_block_op",
     "clmul_mask",
     "equality_mask",
     "logical_rows",

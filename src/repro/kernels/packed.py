@@ -5,6 +5,11 @@ All kernels operate on 2-D ``uint8`` arrays of shape ``(n_ops, row_bytes)``
 block operations is one numpy call, not a Python loop.  1-D inputs are
 treated as a single row.
 
+:func:`block_op` is the one definition of what each sub-array operation
+computes: the packed sub-arrays, the near-place logic unit and the core's
+RISC fallback all run it; :func:`check_block_op` is the one check of its
+arguments, which the bit-exact circuit model shares.
+
 Conventions (shared with the bit-exact circuit model):
 
 * equality masks put word 0 (the lowest-addressed word) in bit 0
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AddressError
+from ..errors import AddressError, ISAError
+from ..params import BLOCK_SIZE, WORD_SIZE
 
 POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 """Per-byte popcount lookup table (clmul's XOR-reduction tree)."""
@@ -32,6 +38,13 @@ LOGICAL_KERNELS = {
 ARITH_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
 """Little-endian unsigned element views for the bit-serial arithmetic tier:
 element 0 occupies the lowest-addressed bytes of the row."""
+
+ROW_OPS = frozenset({"and", "or", "nor", "xor", "not", "copy", "buz", "add", "mul"})
+"""Operations that produce one row per operand row (written to a destination)."""
+TWO_OPERAND_OPS = frozenset({"and", "or", "nor", "xor", "cmp", "search", "clmul",
+                             "add", "mul"})
+BLOCK_OPS = ROW_OPS | {"cmp", "search", "clmul", "reduce"}
+"""Every compute operation of a sub-array."""
 
 
 def _as_matrix(arr: np.ndarray) -> np.ndarray:
@@ -161,6 +174,60 @@ def reduce_rows(a: np.ndarray, elem_bits: int) -> np.ndarray:
     """
     ea = _elem_view(a, elem_bits)
     return ea.astype(np.uint64).sum(axis=1, dtype=np.uint64)
+
+
+def check_block_op(op: str, row_bits: int, has_b: bool,
+                   lane_bits: int | None = None, elem_bits: int | None = None) -> None:
+    """Raise :class:`~repro.errors.ISAError` unless ``op`` is a sub-array
+    compute operation that can run on rows of ``row_bits``: a second
+    operand where it takes one, a clmul lane width of 64/128/256, and an
+    arithmetic element width of 8/16/32 that divides the row."""
+    if op not in BLOCK_OPS:
+        raise ISAError(f"unknown sub-array operation {op!r}")
+    if op in TWO_OPERAND_OPS and not has_b:
+        raise ISAError(f"{op} needs a second operand")
+    if op == "clmul" and lane_bits not in (64, 128, 256):
+        raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
+    if op in ("add", "mul", "reduce"):
+        if elem_bits not in ARITH_DTYPES:
+            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
+        if row_bits % elem_bits:
+            raise ISAError(f"{row_bits}-bit row is not divisible into {elem_bits}-bit elements")
+
+
+def block_op(op: str, a: np.ndarray, b: np.ndarray | None = None,
+             lane_bits: int | None = None,
+             elem_bits: int | None = None) -> tuple[np.ndarray | None, list]:
+    """One sub-array operation over packed rows: ``(out, results)``.
+
+    ``a`` and ``b`` are ``(n, row_bytes)`` (or 1-D single-row) uint8
+    arrays; ``b`` is the second operand row of each tuple (the key row of
+    ``search`` and broadcast ``clmul``).  ``out`` holds the ``(n,
+    row_bytes)`` rows a destination receives, or is None for the ops that
+    write none (``cmp``, ``search``, ``clmul``, ``reduce``).  ``results``
+    has one entry per row, as ``op_batch`` returns it: the result
+    ``bytes`` of a data-producing op, ``None`` for ``buz``, the word
+    (``cmp``) or key (``search``) equality mask, the packed lane
+    parities of ``clmul`` and the 64-bit element sum of ``reduce``.
+    """
+    a = _as_matrix(a)
+    check_block_op(op, a.shape[1] * 8, b is not None, lane_bits, elem_bits)
+    if op in ("add", "mul"):
+        out = arith_rows(op, a, b, elem_bits)
+    elif op in ROW_OPS:
+        out = logical_rows(op, a, b)
+        if op == "buz":
+            return out, [None] * len(out)
+    elif op in ("cmp", "search"):
+        chunk_bytes = WORD_SIZE if op == "cmp" else BLOCK_SIZE
+        return None, equality_mask(a, b, chunk_bytes).tolist()
+    elif op == "clmul":
+        nbytes = (a.shape[1] * 8 // lane_bits + 7) // 8
+        return None, [m.to_bytes(nbytes, "little")
+                      for m in clmul_mask(a, b, lane_bits).tolist()]
+    else:
+        return None, reduce_rows(a, elem_bits).tolist()
+    return out, [row.tobytes() for row in out]
 
 
 class PackedCellArray:

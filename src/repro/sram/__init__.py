@@ -17,20 +17,23 @@ Public surface:
 * :class:`~repro.sram.sense_amp.SenseAmpColumn` - differential sensing that
   reconfigures into two single-ended amps during compute.
 * :class:`~repro.sram.subarray.ComputeSubarray` - the full sub-array as a
-  circuit, with read/write/compute entry points and per-operation stats.
+  circuit, with read/write/compute entry points and per-operation counts;
+  the oracle for everything else that computes a block operation.
 * :class:`~repro.sram.subarray.PackedSubarray` - the ``packed`` fast path:
-  the same block access and batched compute over packed bytes, bit-exact
-  against the circuit.  :data:`~repro.sram.subarray.SUBARRAYS` maps each
-  backend name to its class.
-* :class:`~repro.sram.timing.SubarrayTiming` - delay/energy multipliers
-  (Section VI-C).
+  the same block access and batched compute over packed bytes, run by the
+  :func:`repro.kernels.block_op` kernel that the near-place unit and the
+  RISC fallback also run, bit-exact against the circuit.
+  :data:`~repro.sram.subarray.SUBARRAYS` maps each backend name to its
+  class.
+* :mod:`~repro.sram.timing` - the Section VI-C delay/energy multipliers
+  and the bit-serial step counts of the arithmetic tier.  A sub-array
+  keeps no cost of its own: an in-place op's energy is its Table V charge.
 """
 
 from .bitcell import BitCellArray, CellType
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
 from .subarray import SUBARRAYS, ComputeSubarray, PackedSubarray, SubarrayOp, SubarrayStats
-from .timing import SubarrayTiming
 
 __all__ = [
     "BitCellArray",
@@ -43,5 +46,4 @@ __all__ = [
     "SUBARRAYS",
     "SubarrayOp",
     "SubarrayStats",
-    "SubarrayTiming",
 ]

@@ -41,10 +41,14 @@ the cache geometry builds its sub-arrays from :data:`SUBARRAYS`:
   Proven bit-exact against the circuit model by the differential-equivalence
   harness.
 
-Both drive the same :class:`SubarrayStats` and Table-V/VI-C energy/delay
-accounting, so results, statistics, and energy totals are
-backend-invariant.  Circuit-level experiments (write disturb, activation
-limits, 8T cells) use :class:`~repro.sram.bitcell.BitCellArray` directly.
+Both check their arguments with one
+:func:`~repro.kernels.packed.check_block_op` and count operations in the
+same :class:`SubarrayStats`, so results and statistics are
+backend-invariant.  What an operation costs is not a sub-array's concern:
+the controller charges each in-place op its Table V energy
+(:mod:`repro.energy.mcpat`) and its in-place latency.  Circuit-level
+experiments (write disturb, activation limits, 8T cells) use
+:class:`~repro.sram.bitcell.BitCellArray` directly.
 """
 
 from __future__ import annotations
@@ -55,20 +59,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bitops import bits_to_bytes, bytes_to_bits, word_equality_mask, xor_reduce_lanes
-from ..errors import AddressError, ISAError
-from ..kernels import (
-    PackedCellArray,
-    arith_rows,
-    clmul_mask,
-    equality_mask,
-    logical_rows,
-    pack_flags,
-    reduce_rows,
-)
+from ..errors import AddressError
+from ..kernels import PackedCellArray, block_op, check_block_op, pack_flags
 from .bitcell import BitCellArray
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
-from .timing import DEFAULT_TIMING, SubarrayTiming, arith_steps
 
 
 class SubarrayOp:
@@ -100,23 +95,19 @@ class SubarrayOp:
 
 @dataclass
 class SubarrayStats:
-    """Cycle and energy accounting for one sub-array."""
+    """Operation counts of one sub-array."""
 
     reads: int = 0
     writes: int = 0
     compute_ops: dict[str, int] = field(default_factory=dict)
-    energy_pj: float = 0.0
-    busy_cycles: float = 0.0
 
-    def record(self, op: str, energy: float, delay: float) -> None:
+    def record(self, op: str) -> None:
         if op == SubarrayOp.READ:
             self.reads += 1
         elif op == SubarrayOp.WRITE:
             self.writes += 1
         else:
             self.compute_ops[op] = self.compute_ops.get(op, 0) + 1
-        self.energy_pj += energy
-        self.busy_cycles += delay
 
     @property
     def total_compute_ops(self) -> int:
@@ -124,42 +115,22 @@ class SubarrayStats:
 
 
 class _Subarray:
-    """What both backends share: shape, timing, statistics and accounting."""
+    """What both backends share: shape and statistics."""
 
-    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
+    def __init__(self, rows: int, cols: int) -> None:
         if cols % 8:
             raise AddressError(f"sub-array width {cols} is not a whole number of bytes")
         self.rows = rows
         self.cols = cols
-        self.timing = timing or DEFAULT_TIMING
-        self._costs = self.timing.op_costs
         self.stats = SubarrayStats()
-
-    def _check_elem_width(self, elem_bits: int) -> None:
-        if elem_bits not in (8, 16, 32):
-            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
-        if self.cols % elem_bits:
-            raise ISAError(
-                f"{self.cols}-bit row is not divisible into {elem_bits}-bit elements"
-            )
 
     @classmethod
     def level(cls, count: int, rows: int, cols: int) -> list:
         """The ``count`` sub-arrays (block partitions) of one cache level."""
         return [cls(rows, cols) for _ in range(count)]
 
-    def _account(self, op: str, steps: int = 1) -> None:
-        """Record one operation; ``steps`` scales the per-step cost of the
-        bit-serial arithmetic ops (1 for every single-step operation)."""
-        try:
-            energy, delay = self._costs[op]
-        except KeyError:
-            raise ISAError(f"unknown sub-array operation {op!r}") from None
-        self.stats.record(op, steps * energy, steps * delay)
-
     @classmethod
-    def op_groups(cls, op: str, groups: list[tuple], word_bits: int = 64,
-                  key_bytes: int = 64, lane_bits: int | None = None,
+    def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,
                   elem_bits: int | None = None) -> list:
         """``op_batch`` over the row tuples of several sub-arrays at once.
 
@@ -172,8 +143,7 @@ class _Subarray:
         """
         results: list = []
         for sub, rows_a, rows_b, rows_dest in groups:
-            results += sub.op_batch(op, rows_a, rows_b, rows_dest, word_bits,
-                                    key_bytes, lane_bits, elem_bits)
+            results += sub.op_batch(op, rows_a, rows_b, rows_dest, lane_bits, elem_bits)
         return results
 
 
@@ -181,8 +151,8 @@ class ComputeSubarray(_Subarray):
     """One sub-array as a circuit: ``rows`` cache blocks sharing ``cols``
     bit-lines, a dual row decoder and reconfigurable sense amps."""
 
-    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None) -> None:
-        super().__init__(rows, cols, timing)
+    def __init__(self, rows: int, cols: int) -> None:
+        super().__init__(rows, cols)
         self.cells = BitCellArray(rows, cols)
         self.decoder = DualRowDecoder(rows)
         self.sense = SenseAmpColumn(cols)
@@ -195,7 +165,7 @@ class ComputeSubarray(_Subarray):
         self.sense.configure(SenseMode.DIFFERENTIAL)
         bl, blb = self.cells.activate(wl)
         bits = self.sense.sense_differential(bl, blb)
-        self._account(SubarrayOp.READ)
+        self.stats.record(SubarrayOp.READ)
         return bits_to_bytes(bits)
 
     def write_block(self, row: int, data: bytes) -> None:
@@ -207,7 +177,7 @@ class ComputeSubarray(_Subarray):
         bits = bytes_to_bits(data)
         self.decoder.decode(row)
         self.cells.write_row(row, bits)
-        self._account(SubarrayOp.WRITE)
+        self.stats.record(SubarrayOp.WRITE)
 
     def peek_block(self, row: int) -> bytes:
         """One row's bytes without stats or energy (verification backdoor)."""
@@ -225,26 +195,26 @@ class ComputeSubarray(_Subarray):
     def op_and(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place AND of two rows; optionally written back to ``dest``."""
         and_bits, _ = self._compute_sense(row_a, row_b)
-        self._account(SubarrayOp.AND)
+        self.stats.record(SubarrayOp.AND)
         return self._finish(and_bits, dest)
 
     def op_nor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place NOR of two rows (sensed on bit-line-bar)."""
         _, nor_bits = self._compute_sense(row_a, row_b)
-        self._account(SubarrayOp.NOR)
+        self.stats.record(SubarrayOp.NOR)
         return self._finish(nor_bits, dest)
 
     def op_or(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place OR: complement of the NOR sense result."""
         _, nor_bits = self._compute_sense(row_a, row_b)
-        self._account(SubarrayOp.OR)
+        self.stats.record(SubarrayOp.OR)
         return self._finish(~nor_bits, dest)
 
     def op_xor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place XOR: NOR of the BL (AND) and BLB (NOR) sense results."""
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
-        self._account(SubarrayOp.XOR)
+        self.stats.record(SubarrayOp.XOR)
         return self._finish(xor_bits, dest)
 
     def op_not(self, row: int, dest: int | None = None) -> bytes:
@@ -253,7 +223,7 @@ class ComputeSubarray(_Subarray):
         self.sense.configure(SenseMode.SINGLE_ENDED)
         bl, blb = self.cells.activate(wl)
         _, not_bits = self.sense.sense_single_ended(bl, blb)
-        self._account(SubarrayOp.NOT)
+        self.stats.record(SubarrayOp.NOT)
         return self._finish(not_bits, dest)
 
     def op_copy(self, src: int, dest: int) -> bytes:
@@ -269,7 +239,7 @@ class ComputeSubarray(_Subarray):
         self.sense.sense_differential(bl, blb)
         bits = self.sense.drive_back()
         self.cells.write_row(dest, bits)
-        self._account(SubarrayOp.COPY)
+        self.stats.record(SubarrayOp.COPY)
         return bits_to_bytes(bits)
 
     def op_buz(self, dest: int) -> None:
@@ -278,7 +248,7 @@ class ComputeSubarray(_Subarray):
         bits = self.sense.drive_back()
         self.decoder.decode(dest)
         self.cells.write_row(dest, bits)
-        self._account(SubarrayOp.BUZ)
+        self.stats.record(SubarrayOp.BUZ)
 
     def op_cmp(self, row_a: int, row_b: int, word_bits: int = 64) -> int:
         """Word-granular equality of two rows.
@@ -288,7 +258,7 @@ class ComputeSubarray(_Subarray):
         """
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
-        self._account(SubarrayOp.CMP)
+        self.stats.record(SubarrayOp.CMP)
         return word_equality_mask(xor_bits, word_bits)
 
     def op_search(self, data_row: int, key_row: int, key_bytes: int = 64) -> int:
@@ -300,7 +270,7 @@ class ComputeSubarray(_Subarray):
         """
         and_bits, nor_bits = self._compute_sense(data_row, key_row)
         xor_bits = ~(and_bits | nor_bits)
-        self._account(SubarrayOp.SEARCH)
+        self.stats.record(SubarrayOp.SEARCH)
         return word_equality_mask(xor_bits, key_bytes * 8)
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
@@ -360,23 +330,21 @@ class ComputeSubarray(_Subarray):
     def op_add(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial addition of two rows (cc_add)."""
-        self._check_elem_width(elem_bits)
-        steps = arith_steps(SubarrayOp.ADD, elem_bits)
+        check_block_op(SubarrayOp.ADD, self.cols, True, elem_bits=elem_bits)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_add_planes(a, b)
-        self._account(SubarrayOp.ADD, steps=steps)
+        self.stats.record(SubarrayOp.ADD)
         return self._finish(self._planes_to_bits(out), dest)
 
     def op_mul(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial multiplication of two rows (cc_mul)."""
-        self._check_elem_width(elem_bits)
-        steps = arith_steps(SubarrayOp.MUL, elem_bits)
+        check_block_op(SubarrayOp.MUL, self.cols, True, elem_bits=elem_bits)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_mul_planes(a, b)
-        self._account(SubarrayOp.MUL, steps=steps)
+        self.stats.record(SubarrayOp.MUL)
         return self._finish(self._planes_to_bits(out), dest)
 
     def op_reduce(self, row: int, elem_bits: int = 8) -> int:
@@ -386,14 +354,12 @@ class ComputeSubarray(_Subarray):
         (``sum_i e_i = sum_k 2^k * popcount(plane k)``), which is exactly
         what the log-depth reduction tree computes.
         """
-        self._check_elem_width(elem_bits)
-        n_elems = self.cols // elem_bits
-        steps = arith_steps(SubarrayOp.REDUCE, elem_bits, n_elems)
+        check_block_op(SubarrayOp.REDUCE, self.cols, False, elem_bits=elem_bits)
         planes = self._row_bit_planes(row, elem_bits)
         total = 0
         for k in range(elem_bits):
             total += int(planes[:, k].sum()) << k
-        self._account(SubarrayOp.REDUCE, steps=steps)
+        self.stats.record(SubarrayOp.REDUCE)
         return total & 0xFFFFFFFFFFFFFFFF
 
     def op_clmul(self, row_a: int, row_b: int, lane_bits: int) -> bytes:
@@ -403,11 +369,10 @@ class ComputeSubarray(_Subarray):
         (Table II: ``c_i = XOR_j (a[j] & b[j])``); the result is returned
         as packed bytes, one bit per lane, zero-padded to a whole byte.
         """
-        if lane_bits not in (64, 128, 256):
-            raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
+        check_block_op(SubarrayOp.CLMUL, self.cols, True, lane_bits=lane_bits)
         and_bits, _ = self._compute_sense(row_a, row_b)
         lanes = xor_reduce_lanes(and_bits, lane_bits)
-        self._account(SubarrayOp.CLMUL)
+        self.stats.record(SubarrayOp.CLMUL)
         mask = int(pack_flags(lanes)[0])
         return mask.to_bytes((lanes.size + 7) // 8, "little")
 
@@ -419,31 +384,29 @@ class ComputeSubarray(_Subarray):
         rows_a: list[int],
         rows_b: list[int] | None = None,
         rows_dest: list[int] | None = None,
-        word_bits: int = 64,
-        key_bytes: int = 64,
         lane_bits: int | None = None,
         elem_bits: int | None = None,
     ) -> list:
         """Issue one operation over many row tuples of this sub-array, one
         tuple at a time through the per-row circuit operations
         (:meth:`PackedSubarray.op_batch` makes the batch one kernel call).
-        Either way the accounting (:class:`SubarrayStats`, Table-V energy)
-        equals that of issuing the rows one at a time.
+        Either way the :class:`SubarrayStats` equal those of issuing the
+        rows one at a time.  A batch with rows first passes
+        :func:`~repro.kernels.packed.check_block_op`.
 
         Returns a list with one entry per row tuple: result ``bytes`` for
-        data-producing ops, ``int`` masks for ``cmp``/``search``, packed
-        ``bytes`` for ``clmul``, ``int`` partial sums for ``reduce``, and
-        ``None`` for ``buz``.
+        data-producing ops, ``int`` masks for ``cmp`` (one bit per word)
+        and ``search`` (one bit per 64-byte key), packed ``bytes`` for
+        ``clmul``, ``int`` partial sums for ``reduce``, and ``None`` for
+        ``buz``.
         """
-        return [
-            self._one_op(op, i, rows_a, rows_b, rows_dest,
-                         word_bits, key_bytes, lane_bits, elem_bits)
-            for i in range(len(rows_a))
-        ]
+        if rows_a:
+            check_block_op(op, self.cols, rows_b is not None, lane_bits, elem_bits)
+        return [self._one_op(op, i, rows_a, rows_b, rows_dest, lane_bits, elem_bits)
+                for i in range(len(rows_a))]
 
     def _one_op(self, op: str, i: int, rows_a, rows_b, rows_dest,
-                word_bits: int, key_bytes: int, lane_bits: int | None,
-                elem_bits: int | None = None):
+                lane_bits: int | None, elem_bits: int | None):
         """One batch element via the per-row entry points (circuit path)."""
         a = rows_a[i]
         b = rows_b[i] if rows_b is not None else None
@@ -459,18 +422,16 @@ class ComputeSubarray(_Subarray):
         if op == SubarrayOp.BUZ:
             return self.op_buz(dest if dest is not None else a)
         if op == SubarrayOp.CMP:
-            return self.op_cmp(a, b, word_bits)
+            return self.op_cmp(a, b)
         if op == SubarrayOp.SEARCH:
-            return self.op_search(a, b, key_bytes)
+            return self.op_search(a, b)
         if op == SubarrayOp.CLMUL:
             return self.op_clmul(a, b, lane_bits)
         if op == SubarrayOp.ADD:
-            return self.op_add(a, b, dest=dest, elem_bits=elem_bits or 8)
+            return self.op_add(a, b, dest=dest, elem_bits=elem_bits)
         if op == SubarrayOp.MUL:
-            return self.op_mul(a, b, dest=dest, elem_bits=elem_bits or 8)
-        if op == SubarrayOp.REDUCE:
-            return self.op_reduce(a, elem_bits=elem_bits or 8)
-        raise ISAError(f"unknown batched sub-array operation {op!r}")
+            return self.op_mul(a, b, dest=dest, elem_bits=elem_bits)
+        return self.op_reduce(a, elem_bits=elem_bits)
 
     # -- helpers ------------------------------------------------------------
 
@@ -483,9 +444,9 @@ class ComputeSubarray(_Subarray):
 
 
 class PackedSubarray(_Subarray, PackedCellArray):
-    """The fast path: packed rows whose every batch is one vectorized kernel
-    call (gather packed rows, compute, scatter), with the circuit's results
-    and accounting.
+    """The fast path: packed rows whose every batch is one
+    :func:`~repro.kernels.packed.block_op` call (gather packed rows,
+    compute, scatter), with the circuit's results and statistics.
 
     The sub-arrays of one cache level (:meth:`level`) keep their rows in
     one shared ``(partitions, rows, cols // 8)`` uint8 ``block``, each
@@ -494,9 +455,9 @@ class PackedSubarray(_Subarray, PackedCellArray):
     A sub-array built on its own has a one-partition block.
     """
 
-    def __init__(self, rows: int, cols: int, timing: SubarrayTiming | None = None,
-                 block: np.ndarray | None = None, index: int = 0) -> None:
-        _Subarray.__init__(self, rows, cols, timing)
+    def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
+                 index: int = 0) -> None:
+        _Subarray.__init__(self, rows, cols)
         if block is None:
             PackedCellArray.__init__(self, rows, cols)
             block = self.data[None]
@@ -521,7 +482,7 @@ class PackedSubarray(_Subarray, PackedCellArray):
     def read_block(self, row: int) -> bytes:
         """Conventional read of one row (one cache block)."""
         data = self.read_row_bytes(row)
-        self._account(SubarrayOp.READ)
+        self.stats.record(SubarrayOp.READ)
         return data
 
     def write_block(self, row: int, data: bytes) -> None:
@@ -531,7 +492,7 @@ class PackedSubarray(_Subarray, PackedCellArray):
                 f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
             )
         self.write_row_bytes(row, data)
-        self._account(SubarrayOp.WRITE)
+        self.stats.record(SubarrayOp.WRITE)
 
     def peek_block(self, row: int) -> bytes:
         """One row's bytes without stats or energy (verification backdoor)."""
@@ -543,29 +504,24 @@ class PackedSubarray(_Subarray, PackedCellArray):
         rows_a: list[int],
         rows_b: list[int] | None = None,
         rows_dest: list[int] | None = None,
-        word_bits: int = 64,
-        key_bytes: int = 64,
         lane_bits: int | None = None,
         elem_bits: int | None = None,
     ) -> list:
         """:meth:`ComputeSubarray.op_batch` as one kernel call: the
         one-partition case of :meth:`op_groups`."""
-        return self.op_groups(op, [(self, rows_a, rows_b, rows_dest)], word_bits,
-                              key_bytes, lane_bits, elem_bits)
+        return self.op_groups(op, [(self, rows_a, rows_b, rows_dest)], lane_bits, elem_bits)
 
     @classmethod
-    def op_groups(cls, op: str, groups: list[tuple], word_bits: int = 64,
-                  key_bytes: int = 64, lane_bits: int | None = None,
+    def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,
                   elem_bits: int | None = None) -> list:
         """:meth:`_Subarray.op_groups` as one gather, one kernel call and
         one scatter over the level's shared block (groups from sub-arrays
         of different blocks fall back to one call per group)."""
         if not groups:
             return []
-        first = groups[0][0]
-        block = first.block
+        block = groups[0][0].block
         if any(sub.block is not block for sub, *_ in groups):
-            return super().op_groups(op, groups, word_bits, key_bytes, lane_bits, elem_bits)
+            return super().op_groups(op, groups, lane_bits, elem_bits)
         has_b, has_dest = groups[0][2] is not None, groups[0][3] is not None
         parts: list[int] = []
         rows_a: list[int] = []
@@ -589,42 +545,12 @@ class PackedSubarray(_Subarray, PackedCellArray):
         where = np.array(parts, dtype=np.intp)
         a = block[where, np.array(rows_a, dtype=np.intp)]
         b = block[where, np.array(rows_b, dtype=np.intp)] if has_b else None
-        steps = 1
-
-        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR,
-                  SubarrayOp.NOT, SubarrayOp.COPY, SubarrayOp.BUZ):
-            out = logical_rows(op, a, b)
-            results = ([None] * len(rows_a) if op == SubarrayOp.BUZ
-                       else [row.tobytes() for row in out])
-        elif op in (SubarrayOp.CMP, SubarrayOp.SEARCH):
-            chunk_bytes = word_bits // 8 if op == SubarrayOp.CMP else key_bytes
-            out, results = None, equality_mask(a, b, chunk_bytes).tolist()
-        elif op == SubarrayOp.CLMUL:
-            if lane_bits not in (64, 128, 256):
-                raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-            nbytes = (first.cols // lane_bits + 7) // 8
-            out, results = None, [m.to_bytes(nbytes, "little")
-                                  for m in clmul_mask(a, b, lane_bits).tolist()]
-        elif op in (SubarrayOp.ADD, SubarrayOp.MUL):
-            if elem_bits is None:
-                raise ISAError(f"batched {op} needs an element width")
-            first._check_elem_width(elem_bits)
-            out = arith_rows(op, a, b, elem_bits)
-            results = [row.tobytes() for row in out]
-            steps = arith_steps(op, elem_bits)
-        elif op == SubarrayOp.REDUCE:
-            if elem_bits is None:
-                raise ISAError("batched reduce needs an element width")
-            first._check_elem_width(elem_bits)
-            out, results = None, reduce_rows(a, elem_bits).tolist()
-            steps = arith_steps(op, elem_bits, first.cols // elem_bits)
-        else:
-            raise ISAError(f"unknown batched sub-array operation {op!r}")
+        out, results = block_op(op, a, b, lane_bits, elem_bits)
         if out is not None and has_dest:
             block[where, np.array(rows_dest, dtype=np.intp)] = out
         for sub, rows, _rows_b, _rows_dest in groups:
             for _ in rows:
-                sub._account(op, steps)
+                sub.stats.record(op)
         return results
 
 

@@ -11,16 +11,15 @@ sub-array access:
 * area: +8% for a 512x512 sub-array (second decoder, single-ended sense
   reconfiguration, XOR-reduction tree).
 
-These multipliers convert a level's baseline sub-array access delay/energy
-into per-CC-operation numbers.  Absolute per-block energies (Table V) live
-in :mod:`repro.energy.tables`; this module carries the relative circuit
-model so alternative cache geometries can be annotated consistently.
+The multiplier tables are the paper's relative circuit data, which the
+generated ISA reference (``docs/isa.md``) and the Section VI-C benchmark
+read.  What a simulated in-place op costs comes from elsewhere: its
+absolute per-block energy is Table V (:mod:`repro.energy.tables`), its
+latency the controller's in-place latency, and :func:`arith_steps` scales
+both for the bit-serial arithmetic tier.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from ..errors import ISAError
 
@@ -97,50 +96,3 @@ def arith_steps(op: str, elem_bits: int, n_elems: int | None = None) -> int:
         return sum(w + lvl + 1 for lvl in range(1, levels + 1))
     raise ISAError(f"unknown arithmetic sub-array operation {op!r}")
 
-AREA_OVERHEAD = 0.08
-"""Fractional sub-array area added by the compute extensions."""
-
-
-@dataclass(frozen=True)
-class SubarrayTiming:
-    """Per-sub-array delay/energy model.
-
-    Parameters
-    ----------
-    access_delay_cycles:
-        Delay of one conventional sub-array access, in core cycles.
-    access_energy_pj:
-        Energy of one conventional sub-array access (data array only,
-        excluding H-tree transfer), in pJ.
-    """
-
-    access_delay_cycles: float = 4.0
-    access_energy_pj: float = 100.0
-
-    def op_delay(self, op: str) -> float:
-        """Delay of a CC operation in core cycles."""
-        try:
-            return self.access_delay_cycles * DELAY_MULTIPLIER[op]
-        except KeyError:
-            raise ISAError(f"unknown sub-array operation {op!r}") from None
-
-    def op_energy(self, op: str) -> float:
-        """Energy of a CC operation in pJ (sub-array only)."""
-        try:
-            return self.access_energy_pj * ENERGY_MULTIPLIER[op]
-        except KeyError:
-            raise ISAError(f"unknown sub-array operation {op!r}") from None
-
-    @cached_property
-    def op_costs(self) -> dict[str, tuple[float, float]]:
-        """``op -> (energy pJ, delay cycles)`` of every sub-array operation,
-        equal to :meth:`op_energy` and :meth:`op_delay`; built on first use
-        and shared by every sub-array with this timing.  Read it, never
-        write it."""
-        return {op: (self.op_energy(op), self.op_delay(op))
-                for op in ENERGY_MULTIPLIER}
-
-
-DEFAULT_TIMING = SubarrayTiming()
-"""The timing of every sub-array built without one: a single shared
-instance, so its :attr:`~SubarrayTiming.op_costs` table is built once."""

@@ -170,8 +170,7 @@ def _stats_snapshot(m: ComputeCacheMachine) -> list[tuple]:
     for level in (*h.l1, *h.l2, *h.l3):
         for sub in level.geometry.subarrays:
             s = sub.stats
-            snap.append((level.name, s.reads, s.writes,
-                         dict(s.compute_ops), s.energy_pj, s.busy_cycles))
+            snap.append((level.name, s.reads, s.writes, dict(s.compute_ops)))
     return snap
 
 

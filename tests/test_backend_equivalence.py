@@ -17,6 +17,8 @@ instruction stream.  Three layers of evidence:
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +28,9 @@ import repro.sram.subarray as subarray_module
 from repro import ComputeCacheMachine, cc_ops
 from repro.cache.geometry import CacheGeometry
 from repro.core.isa import CLMUL_LANES, CMP_MAX_BYTES, SEARCH_MAX_BYTES
-from repro.errors import ConfigError
+from repro.core.nearplace import block_result
+from repro.core.operation_table import BlockOperand, BlockOperation
+from repro.errors import ConfigError, ISAError
 from repro.params import (
     BACKENDS,
     BLOCK_SIZE,
@@ -55,8 +59,7 @@ def stats_snapshot(m):
     for level in (*h.l1, *h.l2, *h.l3):
         for sub in level.geometry.subarrays:
             s = sub.stats
-            snap.append((level.name, s.reads, s.writes,
-                         dict(s.compute_ops), s.energy_pj, s.busy_cycles))
+            snap.append((level.name, s.reads, s.writes, dict(s.compute_ops)))
     return snap
 
 
@@ -404,6 +407,30 @@ class TestSubarrayBackends:
         assert subs["bitexact"].stats == subs["packed"].stats
         assert subs["packed"].stats.compute_ops == {op: 36}
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op, widths", [
+        ("add", {}), ("mul", {}), ("reduce", {}), ("add", {"elem_bits": 12}),
+        ("clmul", {}), ("clmul", {"lane_bits": 32}), ("nand", {}),
+    ], ids=["add", "mul", "reduce", "add-12", "clmul", "clmul-32", "nand"])
+    def test_bad_arguments_rejected(self, backend, op, widths):
+        """One argument check for every place a block op runs: a missing
+        or unsupported element or lane width, or an unknown op, raises
+        ``ISAError`` on either backend before a row or a statistic
+        changes, and at the near-place unit and the RISC fallback."""
+        sub = SUBARRAYS[backend](SUB_ROWS, BLOCK_SIZE * 8)
+        image = _row_image(np.random.default_rng(5))
+        for row, data in enumerate(image):
+            sub.write_block(row, data.tobytes())
+        before = [sub.peek_block(r) for r in range(SUB_ROWS)], copy.deepcopy(sub.stats)
+        rows = _row_tuples(op, 3, np.random.default_rng(1))
+        with pytest.raises(ISAError):
+            sub.op_batch(op, *rows, **widths)
+        assert ([sub.peek_block(r) for r in range(SUB_ROWS)], sub.stats) == before
+        near = BlockOperation(0, op, [BlockOperand(0, False), BlockOperand(64, False)],
+                              **widths)
+        with pytest.raises(ISAError):
+            block_result(near, [image[0].tobytes(), image[1].tobytes()])
+
     @pytest.mark.parametrize("op, widths", SUBARRAY_CASES,
                              ids=[op + "".join(f"-{v}" for v in w.values())
                                   for op, w in SUBARRAY_CASES])
@@ -464,8 +491,8 @@ class TestKernelCalls:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(subarray_module, "equality_mask",
-                            counted("kernel", subarray_module.equality_mask))
+        monkeypatch.setattr(subarray_module, "block_op",
+                            counted("kernel", subarray_module.block_op))
         sub_class = SUBARRAYS[backend]
         monkeypatch.setattr(sub_class, "op_batch", counted("op_batch", sub_class.op_batch))
         res = m.cc(cc_ops.cc_search(data, key, PAGE_SIZE))

@@ -72,12 +72,9 @@ def test_packed_5x_faster_at_backend_layer():
         f"packed backend only {ratio:.1f}x faster than bit-exact "
         f"({t_packed * 1e3:.2f} ms vs {t_bitexact * 1e3:.2f} ms)"
     )
-    # Timing must not have perturbed the accounting: same op counts,
-    # same energy, on both backends.
-    sa, sp = subs["bitexact"].stats, subs["packed"].stats
-    assert sa.compute_ops == sp.compute_ops
-    assert sa.energy_pj == sp.energy_pj
-    assert sa.busy_cycles == sp.busy_cycles
+    # Timing must not have perturbed the accounting: the same statistics
+    # on both backends.
+    assert subs["bitexact"].stats == subs["packed"].stats
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

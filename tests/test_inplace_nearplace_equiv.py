@@ -3,65 +3,95 @@ architecturally indistinguishable (same data, same result masks)."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.params import small_test_machine
+from repro.core.isa import CLMUL_LANES
+from repro.params import BACKENDS, BLOCK_SIZE, small_test_machine
 
-OPS = ["and", "or", "xor", "copy", "not", "buz", "cmp"]
-
-
-def build_instr(op, a, b, c, size):
-    if op == "and":
-        return cc_ops.cc_and(a, b, c, size)
-    if op == "or":
-        return cc_ops.cc_or(a, b, c, size)
-    if op == "xor":
-        return cc_ops.cc_xor(a, b, c, size)
-    if op == "copy":
-        return cc_ops.cc_copy(a, c, size)
-    if op == "not":
-        return cc_ops.cc_not(a, c, size)
-    if op == "buz":
-        return cc_ops.cc_buz(c, size)
-    if op == "cmp":
-        return cc_ops.cc_cmp(a, b, size)
-    raise AssertionError(op)
+CASES = (
+    [(op, {}) for op in ("and", "or", "xor", "copy", "not", "buz", "cmp", "search")]
+    + [(op, {"lane_bits": lanes}) for op in ("clmul", "clmul-bcast")
+       for lanes in CLMUL_LANES]
+    + [(op, {"elem_bits": bits}) for op in ("add", "mul", "reduce") for bits in (8, 16, 32)]
+)
+"""Every opcode: clmul in each lane width, plain and with a broadcast
+second operand, and the arithmetic tier in each element width."""
 
 
-def run_one(op, da, db, mode):
-    m = ComputeCacheMachine(small_test_machine())
+def build_instr(op, a, b, c, key, size, widths):
+    build = {
+        "and": lambda: cc_ops.cc_and(a, b, c, size),
+        "or": lambda: cc_ops.cc_or(a, b, c, size),
+        "xor": lambda: cc_ops.cc_xor(a, b, c, size),
+        "copy": lambda: cc_ops.cc_copy(a, c, size),
+        "not": lambda: cc_ops.cc_not(a, c, size),
+        "buz": lambda: cc_ops.cc_buz(c, size),
+        "cmp": lambda: cc_ops.cc_cmp(a, b, size),
+        "search": lambda: cc_ops.cc_search(a, key, size),
+        "clmul": lambda: cc_ops.cc_clmul(a, b, c, size, **widths),
+        "clmul-bcast": lambda: cc_ops.cc_clmul_bcast(a, key, c, size, **widths),
+        "add": lambda: cc_ops.cc_add(a, b, c, size, **widths),
+        "mul": lambda: cc_ops.cc_mul(a, b, c, size, **widths),
+        "reduce": lambda: cc_ops.cc_reduce(a, size, **widths),
+    }
+    return build[op]()
+
+
+def run_one(op, da, db, mode, backend="packed", widths=None, dk=None):
+    m = ComputeCacheMachine(small_test_machine(), backend=backend)
     a, b, c = m.arena.alloc_colocated(len(da), 3)
+    key = m.arena.alloc_page_aligned(BLOCK_SIZE)
     m.load(a, da)
     m.load(b, db)
     m.load(c, b"\xA5" * len(da))
+    m.load(key, dk if dk is not None else db[:BLOCK_SIZE])
     kwargs = {}
     if mode == "nearplace":
         kwargs["force_nearplace"] = True
     controller = m.controllers[0]
     if mode == "risc":
         controller.contention_hook = lambda addr: True
-    res = m.cc(build_instr(op, a, b, c, len(da)), **kwargs)
+    res = m.cc(build_instr(op, a, b, c, key, len(da), widths or {}), **kwargs)
     return m.peek(c, len(da)), res.result, res
 
 
+def every_case_on_both_backends(test):
+    """Besides the drawn examples, run each case once on each backend."""
+    for i, case in enumerate(CASES):
+        for backend in BACKENDS:
+            test = example(case, backend, 1 + i % 4, bytes(range(64)),
+                           bytes(range(64, 128)), i % 2 == 0)(test)
+    return test
+
+
+@every_case_on_both_backends
 @given(
-    st.sampled_from(OPS),
+    st.sampled_from(CASES),
+    st.sampled_from(BACKENDS),
     st.integers(1, 4),
     st.binary(min_size=64, max_size=64),
     st.binary(min_size=64, max_size=64),
+    st.booleans(),
 )
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_execution_modes_agree(op, blocks, seed_a, seed_b):
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_execution_modes_agree(case, backend, blocks, seed_a, seed_b, key_hits):
+    """In place, forced near-place and RISC fallback leave the same bytes
+    and return the same result and result bytes, for every opcode."""
+    op, widths = case
     size = blocks * 64
     da = (seed_a * blocks)[:size]
     db = (seed_b * blocks)[:size]
-    data_in, mask_in, res_in = run_one(op, da, db, "inplace")
-    data_near, mask_near, res_near = run_one(op, da, db, "nearplace")
-    data_risc, mask_risc, res_risc = run_one(op, da, db, "risc")
+    dk = seed_a if key_hits else seed_b
+    runs = {mode: run_one(op, da, db, mode, backend, widths, dk)
+            for mode in ("inplace", "nearplace", "risc")}
+    data_in, mask_in, res_in = runs["inplace"]
+    data_near, mask_near, res_near = runs["nearplace"]
+    data_risc, mask_risc, res_risc = runs["risc"]
     assert data_in == data_near == data_risc
     assert mask_in == mask_near == mask_risc
+    assert res_in.result_bytes == res_near.result_bytes == res_risc.result_bytes
     assert res_in.inplace_ops == blocks
     assert res_near.nearplace_ops == blocks
     assert res_risc.risc_ops == blocks
@@ -128,8 +158,10 @@ def test_executor_single_op_is_a_one_item_batch(op, make_bytes):
     executor = m.controllers[0].inplace
     energy = m.ledger.total()
     executor.execute(level, block)
-    data, bits, count = block_result(block, [da, db][:len(srcs)])
-    assert (block.result_bits, block.result_bit_count) == (bits, count)
+    near = BlockOperation(instr_id=0, subarray_op=op, operands=operands)
+    data = block_result(near, [da, db][:len(srcs)])
+    assert (block.result_bits, block.result_bit_count) == (
+        near.result_bits, near.result_bit_count)
     if data is not None:
         assert level.read_block(c, charge=False) == data
     assert block.outcome == "in-place" and level.stats.cc_inplace_ops == 1

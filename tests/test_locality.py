@@ -123,5 +123,5 @@ class TestPlanLocality:
             for level in ("L1", "L2", "L3"):
                 verdict = ctrl._plan(piece, level).inplace
                 for k in range(piece.num_blocks):
-                    addrs = [o.addr for o in ctrl._block_operands(piece, k)]
+                    addrs = [addr + k * BLOCK_SIZE for addr, _ in piece.block_operands()]
                     assert ctrl._locality_holds(addrs, level) == verdict, (piece, level, k)

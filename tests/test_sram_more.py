@@ -2,11 +2,10 @@
 independence, and cross-width property checks."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sram import ComputeSubarray, SubarrayTiming
+from repro.sram import ComputeSubarray
 from repro.sram.subarray import SubarrayOp
 
 
@@ -56,15 +55,6 @@ class TestOperationSequences:
 
 
 class TestStatsAccounting:
-    def test_busy_cycles_accumulate_by_multiplier(self):
-        timing = SubarrayTiming(access_delay_cycles=2.0)
-        sub = ComputeSubarray(rows=4, cols=512, timing=timing)
-        sub.write_block(0, bytes(64))   # 2.0
-        sub.write_block(1, bytes(64))   # 2.0
-        sub.op_and(0, 1)                # 6.0 (3x)
-        sub.op_copy(0, 2)               # 4.0 (2x)
-        assert sub.stats.busy_cycles == pytest.approx(14.0)
-
     def test_compute_op_histogram(self, make_bytes):
         sub = ComputeSubarray(rows=4, cols=512)
         sub.write_block(0, make_bytes(64))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AddressError, ISAError
-from repro.sram import ComputeSubarray, SubarrayTiming
+from repro.sram import ComputeSubarray, SubarrayStats
 from repro.sram.timing import DELAY_MULTIPLIER, ENERGY_MULTIPLIER
 
 BLOCK = 64
@@ -162,48 +162,42 @@ class TestClmul:
 
 
 class TestTimingAnnotation:
-    """Section VI-C: logic ops 3x delay, others 2x; energy 1.5/2/2.5x."""
+    """Section VI-C: logic ops 3x delay, others 2x; energy 1.5/2/2.5x.
+    A sub-array keeps no cost of its own; the tables are the paper's data."""
 
     def test_delay_multipliers(self):
-        t = SubarrayTiming(access_delay_cycles=4.0)
-        assert t.op_delay("and") == 12.0
-        assert t.op_delay("copy") == 8.0
-        assert t.op_delay("read") == 4.0
+        assert DELAY_MULTIPLIER["and"] == 3.0
+        assert DELAY_MULTIPLIER["copy"] == 2.0
+        assert DELAY_MULTIPLIER["read"] == 1.0
 
     def test_energy_multipliers(self):
-        t = SubarrayTiming(access_energy_pj=100.0)
-        assert t.op_energy("cmp") == 150.0
-        assert t.op_energy("buz") == 200.0
-        assert t.op_energy("xor") == 250.0
+        assert ENERGY_MULTIPLIER["cmp"] == 1.5
+        assert ENERGY_MULTIPLIER["buz"] == 2.0
+        assert ENERGY_MULTIPLIER["xor"] == 2.5
 
     def test_multiplier_tables_complete(self):
         for op in ("and", "or", "xor", "not", "copy", "buz", "cmp", "search", "clmul"):
             assert op in DELAY_MULTIPLIER
             assert op in ENERGY_MULTIPLIER
 
-    def test_unknown_op_rejected(self):
-        t = SubarrayTiming()
+    def test_unknown_op_rejected(self, sub):
         with pytest.raises(ISAError):
-            t.op_delay("frobnicate")
-        sub = ComputeSubarray(rows=4, cols=512, timing=t)
-        with pytest.raises(ISAError):
-            sub._account("frobnicate")
-        assert sub.stats.energy_pj == 0.0
+            sub.op_batch("frobnicate", [0])
+        assert sub.stats == SubarrayStats()
 
-    @pytest.mark.parametrize("timing", [SubarrayTiming(),
-                                        SubarrayTiming(2.0, 37.5),
-                                        SubarrayTiming(3, 80)])
-    def test_cost_table_equals_the_formulas(self, timing):
-        """The per-op table sub-arrays charge from holds exactly the
-        multiplier formulas, for every op and every timing."""
-        assert set(timing.op_costs) == set(ENERGY_MULTIPLIER)
-        for op, cost in timing.op_costs.items():
-            assert cost == (timing.access_energy_pj * ENERGY_MULTIPLIER[op],
-                            timing.access_delay_cycles * DELAY_MULTIPLIER[op])
+    def test_energy_accumulates(self):
+        """An in-place op's energy is its Table V charge to the compute
+        level's ledger: a sub-array accumulates operation counts only."""
+        from repro import ComputeCacheMachine, cc_ops
+        from repro.energy.tables import cc_op_energy
+        from repro.params import small_test_machine
 
-    def test_energy_accumulates(self, sub):
-        sub.write_block(0, bytes(BLOCK))
-        sub.write_block(1, bytes(BLOCK))
-        before = sub.stats.energy_pj
-        sub.op_and(0, 1)
-        assert sub.stats.energy_pj > before
+        m = ComputeCacheMachine(small_test_machine())
+        a, b, c = m.arena.alloc_colocated(BLOCK, 3)
+        for addr in (a, b, c):
+            m.warm_l3(addr, BLOCK)
+        before = m.ledger.get("l3-access")
+        for _ in range(2):
+            assert m.cc(cc_ops.cc_and(a, b, c, BLOCK)).inplace_ops == 1
+        assert m.ledger.get("l3-access") - before == pytest.approx(
+            2 * cc_op_energy("L3-slice", "and"))
