@@ -27,6 +27,13 @@ statistics and the event stream.
 cycle count and energy ledger of each (kernel, configuration) cell,
 in-place against near-place included.
 
+``faults``: the documents the fault campaigns return, each hashed whole:
+``run_campaign(default_plan(seed)).to_dict()`` for seeds 0 and 5 (without
+its ``backend`` field) and ``run_crypto_campaign`` for each crypto kernel.
+Every injection and recovery count, silent-corruption count and image
+digest is in them; the event stream is not, so a change in when a sweep
+emits its ``fault.recover`` and ``dir.drop`` events does not show.
+
 Both backends must reproduce the same committed digests.  After a
 deliberate model change, regenerate the file with
 ``python tests/test_golden_digests.py`` and say why in CHANGES.md.
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import random
@@ -45,6 +53,7 @@ from pathlib import Path
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
+from repro.apps.crypto import CRYPTO_KERNELS
 from repro.bench import microbench
 from repro.api import (
     BLOCK_SIZE,
@@ -54,6 +63,9 @@ from repro.api import (
     MulticoreRunner,
     Program,
     collect_stats,
+    default_plan,
+    run_campaign,
+    run_crypto_campaign,
     small_test_machine,
 )
 
@@ -633,12 +645,53 @@ def test_golden_file_covers_every_microbench_suite(golden_microbench):
     assert sorted(golden_microbench) == sorted(MICROBENCH)
 
 
+# -- the fault campaigns --------------------------------------------------------------
+
+
+def _campaign_doc(seed: int, backend: str) -> dict:
+    doc = run_campaign(default_plan(seed), backend=backend).to_dict()
+    del doc["backend"]
+    return doc
+
+
+FAULTS = {
+    **{f"campaign-seed{seed}": functools.partial(_campaign_doc, seed)
+       for seed in (0, 5)},
+    **{f"crypto-{kernel}": functools.partial(run_crypto_campaign, kernel)
+       for kernel in CRYPTO_KERNELS},
+}
+
+
+def fault_digest(name: str, backend: str) -> str:
+    return _sha(FAULTS[name](backend=backend))
+
+
+def compute_fault_digests(backend: str) -> dict[str, str]:
+    return {name: fault_digest(name, backend) for name in FAULTS}
+
+
+@pytest.fixture(scope="module")
+def golden_faults() -> dict:
+    return json.loads(GOLDEN.read_text())["faults"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_campaign_digest(golden_faults, name, backend):
+    assert fault_digest(name, backend) == golden_faults[name]
+
+
+def test_golden_file_covers_every_fault_campaign(golden_faults):
+    assert sorted(golden_faults) == sorted(FAULTS)
+
+
 def main() -> None:
     """Regenerate the golden file (both backends must agree)."""
     doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for section, compute in (("cc_dispatch", compute_digests),
                              ("core_run", compute_core_digests),
-                             ("microbench", compute_microbench_digests)):
+                             ("microbench", compute_microbench_digests),
+                             ("faults", compute_fault_digests)):
         digests = {backend: compute(backend) for backend in BACKENDS}
         if digests["packed"] != digests["bitexact"]:
             raise SystemExit(f"packed and bitexact {section} digests differ; not writing")
