@@ -695,7 +695,7 @@ def run_crypto_campaign(kernel: str,
       reference tag/CRC/coefficient recomputation, standing in for the
       protocol verifier) would have caught a divergent output anyway.
     """
-    from ..faults.injector import FaultInjector
+    from ..faults.injector import FaultInjector, recoveries
     from ..params import small_test_machine
 
     cfg = cfg or CryptoConfig(ghash_blocks=8, crc_bytes=128, ntt_n=32)
@@ -723,13 +723,10 @@ def run_crypto_campaign(kernel: str,
     faulty = run_crypto(kernel, "cc", m, cfg, pulse=pulse)
     injector.pulse()  # final scrub: no strike may outlive the campaign
 
-    def recoveries(outcome: str) -> int:
-        return sum(1 for e in m.tracer.by_kind("fault.recover")
-                   if e.outcome == outcome)
-
     output_diverged = output_digest(faulty) != output_digest(golden)
     silent = int(output_diverged)
-    detected = {o: recoveries(o) for o in
+    recovered = recoveries(m.tracer)
+    detected = {o: recovered[o] for o in
                 ("corrected", "refetched", "retried", "degraded-risc",
                  "absorbed", "surfaced")}
     injected = dict(injector.injected)

@@ -80,11 +80,6 @@ def parity(value: int) -> int:
     return bin(value).count("1") & 1
 
 
-def popcount_mask(mask: int) -> int:
-    """Number of set bits in an integer mask."""
-    return bin(mask).count("1")
-
-
 def bytes_xor(a: bytes, b: bytes) -> bytes:
     """Byte-wise XOR of two equal-length byte strings (``b"" ^ b"" == b""``)."""
     if len(a) != len(b):
@@ -116,27 +111,3 @@ def bytes_or(a: bytes, b: bytes) -> bytes:
     return (
         np.frombuffer(a, dtype=np.uint8) | np.frombuffer(b, dtype=np.uint8)
     ).tobytes()
-
-
-def bytes_not(a: bytes) -> bytes:
-    """Byte-wise complement of a byte string (empty in, empty out)."""
-    if not a:
-        return b""
-    return (~np.frombuffer(a, dtype=np.uint8)).astype(np.uint8).tobytes()
-
-
-def chunk_range(start: int, size: int, chunk: int):
-    """Yield ``(addr, length)`` pieces of ``[start, start+size)`` split on
-    ``chunk``-aligned boundaries.
-
-    Used to split CC operands on cache-block and page boundaries.
-    """
-    if size < 0:
-        raise AddressError("negative range size")
-    addr = start
-    end = start + size
-    while addr < end:
-        boundary = (addr // chunk + 1) * chunk
-        piece = min(end, boundary) - addr
-        yield addr, piece
-        addr += piece

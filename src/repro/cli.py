@@ -165,7 +165,7 @@ def _cmd_faults(args) -> None:
         plan = default_plan(args.seed or 0)
     backends = BACKENDS if args.backend == "both" else (args.backend,)
     reports = [run_campaign(plan, backend=backend) for backend in backends]
-    print(reports[0].format())
+    print("\n\n".join(report.format() for report in reports))
     ok = all(report.silent == 0 for report in reports)
     if len(reports) > 1:
         match = len({report.image_digest for report in reports}) == 1

@@ -12,19 +12,18 @@ This package implements everything Section IV describes on top of the
 * in-place execution in sub-arrays and the near-place logic unit (IV-J);
 * page-span exception splitting (IV-D);
 * RMO fence semantics (IV-G);
-* ECC schemes for every CC operation (IV-I), including a real SECDED
-  Hamming(72, 64) code whose linearity enables the XOR-check scheme.
+* ECC (IV-I): a real SECDED Hamming(72, 64) code whose linearity enables
+  the XOR-check scheme for logical ops (:mod:`~repro.core.ecc`), and the
+  idle-cycle scrub sweep the paper prefers (:mod:`~repro.core.scrub`).
+  The copy, zero and compare schemes are not modelled.
 """
 
 from .controller import CCResult, ComputeCacheController
-from .ecc import EccCodec, EccPolicy
 from .isa import CCInstruction, Opcode
 
 __all__ = [
     "CCResult",
     "ComputeCacheController",
-    "EccCodec",
-    "EccPolicy",
     "CCInstruction",
     "Opcode",
 ]

@@ -4,34 +4,33 @@ A real SECDED Hamming(72, 64) code protects each 64-bit word: 7 Hamming
 parity bits plus one overall parity bit give single-error correction and
 double-error detection.  The code is *linear* - ``ECC(a ^ b) = ECC(a) ^
 ECC(b)`` - which is exactly the property the paper's XOR-check scheme
-exploits for in-place logical operations:
+exploits for in-place logical operations.
 
-* ``cc_copy``   - copy the source's ECC to the destination;
-* ``cc_buz``    - install the precomputed ECC of the all-zero block;
-* ``cc_cmp``/``cc_search`` - compare the operands' ECCs alongside their
-  data: an error is flagged when data bits match but ECC bits do not, or
-  vice versa;
-* logical ops   - read out ``a XOR b`` (computable alongside any in-place
-  logical op) and its operands' ECCs, then verify
-  ``ECC(a XOR b) == ECC(a) XOR ECC(b)`` at the ECC logic unit, which also
-  computes the result's ECC; or
-* *scrubbing*   - periodically sweep the cache during idle cycles,
-  re-checking and correcting every protected block (soft errors are rare:
-  0.7-7 errors/year), keeping the common path untouched.
+The paper gives each CC operation an ECC scheme: ``cc_copy`` copies the
+source's ECC, ``cc_buz`` installs the ECC of the zero block, ``cc_cmp``/
+``cc_search`` compare the operands' ECCs alongside their data, and a
+logical op either reads out ``a XOR b`` and verifies ``ECC(a XOR b) ==
+ECC(a) XOR ECC(b)`` at the ECC logic unit (:func:`xor_check`) or leaves
+the common path untouched and relies on idle-cycle scrubbing, the
+paper's preference (soft errors are rare: 0.7-7 errors/year).  This
+module is the code and the XOR check; the scrub sweep is
+:class:`~repro.core.scrub.ScrubService`.  The copy, zero and compare
+schemes are not modelled.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 from ..bitops import bytes_xor, parity
 from ..errors import ECCError
-from ..params import BLOCK_SIZE, WORD_SIZE
+from ..params import WORD_SIZE
 
 _DATA_BITS = 64
 _HAMMING_PARITY_BITS = 7  # covers up to 120 data bits; 64 fits
-_CODE_BITS = 72
+_HAMMING_MASK = (1 << _HAMMING_PARITY_BITS) - 1
+_DATA_POSITIONS = [
+    pos for pos in range(1, 200) if pos & (pos - 1)
+][:_DATA_BITS]
+_POSITION_TO_DATA_BIT = {pos: i for i, pos in enumerate(_DATA_POSITIONS)}
 
 
 def _build_masks() -> list[int]:
@@ -41,16 +40,10 @@ def _build_masks() -> list[int]:
     parity bit *p* (at position ``2**p``) covers every codeword position with
     bit *p* set.
     """
-    data_positions: list[int] = []
-    pos = 1
-    while len(data_positions) < _DATA_BITS:
-        if pos & (pos - 1):  # not a power of two -> data position
-            data_positions.append(pos)
-        pos += 1
     masks = []
     for p in range(_HAMMING_PARITY_BITS):
         mask = 0
-        for i, position in enumerate(data_positions):
+        for i, position in enumerate(_DATA_POSITIONS):
             if position & (1 << p):
                 mask |= 1 << i
         masks.append(mask)
@@ -58,10 +51,6 @@ def _build_masks() -> list[int]:
 
 
 _PARITY_MASKS = _build_masks()
-_DATA_POSITIONS = [
-    pos for pos in range(1, 200) if pos & (pos - 1)
-][:_DATA_BITS]
-_POSITION_TO_DATA_BIT = {pos: i for i, pos in enumerate(_DATA_POSITIONS)}
 
 
 def encode_word(data: int) -> int:
@@ -73,168 +62,59 @@ def encode_word(data: int) -> int:
     return check | (overall << _HAMMING_PARITY_BITS)
 
 
-@dataclass(frozen=True)
-class EccCheckResult:
-    """Outcome of checking one word."""
-
-    ok: bool
-    corrected: bool
-    data: int
-
-    @classmethod
-    def clean(cls, data: int) -> "EccCheckResult":
-        return cls(ok=True, corrected=False, data=data)
-
-
-def check_word(data: int, check: int) -> EccCheckResult:
-    """Verify (and if needed correct) a 64-bit word against its check byte.
+def check_word(data: int, check: int) -> int:
+    """The word ``data`` was written as, given its check byte.
 
     Textbook SECDED decode: the Hamming syndrome locates a flipped bit and
     the *whole-codeword* parity (data + Hamming bits + overall bit, even by
-    construction) distinguishes single from double errors.  Raises
-    :class:`ECCError` on an uncorrectable (double-bit) error.
+    construction) distinguishes single from double errors.  A single flipped
+    data bit is corrected; a flipped check bit leaves ``data`` as it is.
+    Raises :class:`ECCError` on an uncorrectable (double-bit) error.
     """
-    hamming_stored = check & ((1 << _HAMMING_PARITY_BITS) - 1)
+    hamming_stored = check & _HAMMING_MASK
     overall_stored = (check >> _HAMMING_PARITY_BITS) & 1
-    expected = encode_word(data)
-    syndrome = (hamming_stored ^ expected) & ((1 << _HAMMING_PARITY_BITS) - 1)
+    syndrome = (hamming_stored ^ encode_word(data)) & _HAMMING_MASK
     codeword_parity = parity(data) ^ parity(hamming_stored) ^ overall_stored
-    if syndrome == 0 and codeword_parity == 0:
-        return EccCheckResult.clean(data)
-    if codeword_parity == 1:
-        # Odd total parity: exactly one bit flipped.
-        if syndrome == 0:
-            # The overall-parity bit itself was hit; data is intact.
-            return EccCheckResult(ok=True, corrected=True, data=data)
-        data_bit = _POSITION_TO_DATA_BIT.get(syndrome)
-        if data_bit is None:
-            # A Hamming parity bit was hit; data is intact.
-            return EccCheckResult(ok=True, corrected=True, data=data)
-        return EccCheckResult(ok=True, corrected=True, data=data ^ (1 << data_bit))
-    # Even total parity with a non-zero syndrome: two bits flipped.
-    raise ECCError(f"uncorrectable double-bit error (syndrome {syndrome:#x})")
+    if codeword_parity == 0:
+        if syndrome:
+            # Even total parity with a non-zero syndrome: two bits flipped.
+            raise ECCError(f"uncorrectable double-bit error (syndrome {syndrome:#x})")
+        return data
+    # Odd total parity: exactly one bit flipped.  A zero syndrome means the
+    # overall-parity bit was hit, a power-of-two one a Hamming bit: either
+    # way the data is intact.
+    data_bit = _POSITION_TO_DATA_BIT.get(syndrome)
+    return data if data_bit is None else data ^ (1 << data_bit)
 
 
-class EccPolicy(enum.Enum):
-    """ECC strategies for in-place logical operations (Section IV-I)."""
-
-    XOR_CHECK = "xor-check"
-    SCRUB = "scrub"
-
-
-@dataclass
-class EccStats:
-    words_encoded: int = 0
-    words_checked: int = 0
-    corrections: int = 0
-    xor_checks: int = 0
-    scrub_passes: int = 0
-    scrub_blocks: int = 0
-    extra_transfers: int = 0
+def encode_block(data: bytes) -> bytes:
+    """One check byte per 64-bit word: 8 ECC bytes per 64-byte block."""
+    if len(data) % WORD_SIZE:
+        raise ECCError(f"block of {len(data)} bytes is not whole words")
+    return bytes(encode_word(int.from_bytes(data[i : i + WORD_SIZE], "little"))
+                 for i in range(0, len(data), WORD_SIZE))
 
 
-class EccCodec:
-    """Block-granularity SECDED codec plus the paper's per-op ECC schemes."""
-
-    def __init__(self, policy: EccPolicy = EccPolicy.SCRUB) -> None:
-        self.policy = policy
-        self.stats = EccStats()
-
-    # -- word/block primitives ------------------------------------------------------
-
-    def encode_block(self, data: bytes) -> bytes:
-        """One check byte per 64-bit word: 8 ECC bytes per 64-byte block."""
-        if len(data) % WORD_SIZE:
-            raise ECCError(f"block of {len(data)} bytes is not whole words")
-        out = bytearray()
-        for i in range(0, len(data), WORD_SIZE):
-            word = int.from_bytes(data[i : i + WORD_SIZE], "little")
-            out.append(encode_word(word))
-            self.stats.words_encoded += 1
-        return bytes(out)
-
-    def check_block(self, data: bytes, ecc: bytes) -> bytes:
-        """Check every word; returns (possibly corrected) data."""
-        if len(ecc) * WORD_SIZE != len(data):
-            raise ECCError("ECC length does not match data length")
-        out = bytearray()
-        for i, check in enumerate(ecc):
-            word = int.from_bytes(data[i * WORD_SIZE : (i + 1) * WORD_SIZE], "little")
-            result = check_word(word, check)
-            self.stats.words_checked += 1
-            if result.corrected:
-                self.stats.corrections += 1
-            out += result.data.to_bytes(WORD_SIZE, "little")
-        return bytes(out)
-
-    # -- per-operation schemes --------------------------------------------------------
-
-    def ecc_for_copy(self, src_ecc: bytes) -> bytes:
-        """cc_copy: the destination's ECC is a copy of the source's."""
-        return bytes(src_ecc)
-
-    def ecc_for_buz(self, block_bytes: int = BLOCK_SIZE) -> bytes:
-        """cc_buz: precomputed ECC of the all-zero block."""
-        return self.encode_block(bytes(block_bytes))
-
-    def compare_check(self, data_a: bytes, data_b: bytes, ecc_a: bytes, ecc_b: bytes) -> bool:
-        """cc_cmp/cc_search ECC rule: data equality must agree with ECC
-        equality; a disagreement reveals a bit error in one operand."""
-        data_match = data_a == data_b
-        ecc_match = ecc_a == ecc_b
-        if data_match != ecc_match:
-            raise ECCError(
-                "compare ECC check failed: data "
-                + ("match but ECCs differ" if data_match else "differ but ECCs match")
-            )
-        return data_match
-
-    def xor_check(
-        self, xor_data: bytes, ecc_a: bytes, ecc_b: bytes
-    ) -> bytes:
-        """XOR-linearity check for in-place logical ops.
-
-        Verifies ``ECC(a XOR b) == ECC(a) XOR ECC(b)`` and returns the
-        recomputed ECC of the XOR (the logic unit reuses the machinery to
-        produce the result's ECC).  Each check costs extra transfers to the
-        ECC logic unit, which is why scrubbing is the preferred policy.
-        """
-        self.stats.xor_checks += 1
-        self.stats.extra_transfers += 2  # xor readout + result ECC writeback
-        computed = self.encode_block(xor_data)
-        expected = bytes_xor(ecc_a, ecc_b)
-        if computed != expected:
-            raise ECCError("XOR-linearity ECC check failed: operand bit error detected")
-        return computed
+def check_block(data: bytes, ecc: bytes) -> bytes:
+    """Check every word of ``data`` against ``ecc``; returns the corrected
+    data, or raises :class:`ECCError` on an uncorrectable word."""
+    if len(ecc) * WORD_SIZE != len(data):
+        raise ECCError("ECC length does not match data length")
+    return b"".join(
+        check_word(int.from_bytes(data[i * WORD_SIZE : (i + 1) * WORD_SIZE], "little"),
+                   check).to_bytes(WORD_SIZE, "little")
+        for i, check in enumerate(ecc))
 
 
-class CacheScrubber:
-    """Idle-cycle cache scrubbing (the paper's preferred logical-op policy).
+def xor_check(xor_data: bytes, ecc_a: bytes, ecc_b: bytes) -> bytes:
+    """XOR-linearity check for in-place logical ops.
 
-    Holds the ECC side-band for a set of blocks and sweeps them, correcting
-    single-bit errors.  Soft-error rates are 0.7-7 errors/year, so scrub
-    bandwidth is negligible; the model simply counts passes and blocks.
+    Verifies ``ECC(a XOR b) == ECC(a) XOR ECC(b)`` and returns the
+    recomputed ECC of the XOR (the logic unit reuses the machinery to
+    produce the result's ECC).  Each check costs extra transfers to the
+    ECC logic unit, which is why scrubbing is the preferred policy.
     """
-
-    def __init__(self, codec: EccCodec) -> None:
-        self.codec = codec
-        self._ecc: dict[int, bytes] = {}
-
-    def protect(self, addr: int, data: bytes) -> None:
-        """(Re)compute the ECC side-band for a block."""
-        self._ecc[addr] = self.codec.encode_block(data)
-
-    def ecc_of(self, addr: int) -> bytes:
-        try:
-            return self._ecc[addr]
-        except KeyError:
-            raise ECCError(f"no ECC side-band for block {addr:#x}") from None
-
-    def scrub(self, blocks: dict[int, bytes]) -> dict[int, bytes]:
-        """One scrub pass over ``{addr: data}``; returns corrected data."""
-        self.codec.stats.scrub_passes += 1
-        corrected: dict[int, bytes] = {}
-        for addr, data in blocks.items():
-            self.codec.stats.scrub_blocks += 1
-            corrected[addr] = self.codec.check_block(data, self.ecc_of(addr))
-        return corrected
+    computed = encode_block(xor_data)
+    if computed != bytes_xor(ecc_a, ecc_b):
+        raise ECCError("XOR-linearity ECC check failed: operand bit error detected")
+    return computed

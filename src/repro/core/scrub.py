@@ -1,16 +1,18 @@
-"""Cache scrubbing service: wiring the ECC scrubber to live cache levels.
+"""Idle-cycle ECC scrubbing of one cache level (Section IV-I).
 
 Section IV-I's preferred ECC policy for in-place logical operations is
 idle-cycle scrubbing.  :class:`ScrubService` attaches to a
-:class:`~repro.cache.cache.CacheLevel`:
+:class:`~repro.cache.cache.CacheLevel` and keeps the level's ECC
+side-band, one SECDED check byte per word (:mod:`repro.core.ecc`):
 
-* :meth:`protect_resident` (re)computes the ECC side-band for every
-  resident block (what a hardware fill path would do incrementally);
-* :meth:`scrub_pass` sweeps the level during idle cycles, re-checking
-  every protected resident block and writing back corrections;
+* :meth:`protect_resident` (re)computes the side-band for every resident
+  block (what a hardware fill path would do incrementally);
+* :meth:`scrub_pass` sweeps the level during idle cycles, checking every
+  protected resident block, writing back single-bit corrections and
+  listing the blocks with an uncorrectable (double-bit) error;
 * :meth:`inject_strike` flips a bit in a resident block *in the physical
   sub-array* - a particle-strike fault injection the next scrub pass must
-  catch and repair.
+  catch.
 
 Scrub cost is accounted as conventional reads (and writes for
 corrections), so a long-running simulation can price the policy.
@@ -21,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cache.cache import CacheLevel
-from .ecc import CacheScrubber, EccCodec, EccPolicy
+from ..errors import ECCError
+from .ecc import check_block, encode_block
 
 
 @dataclass
@@ -31,6 +34,7 @@ class ScrubReport:
     blocks_checked: int = 0
     corrections: int = 0
     corrected_addrs: list[int] = field(default_factory=list)
+    uncorrectable: list[int] = field(default_factory=list)
 
 
 class ScrubService:
@@ -38,15 +42,13 @@ class ScrubService:
 
     def __init__(self, level: CacheLevel) -> None:
         self.level = level
-        self.codec = EccCodec(EccPolicy.SCRUB)
-        self.scrubber = CacheScrubber(self.codec)
-        self.strikes_injected = 0
+        self._ecc: dict[int, bytes] = {}
 
     def protect_resident(self) -> int:
         """Compute/refresh the ECC side-band for all resident blocks."""
         count = 0
         for addr in self.level.resident_addresses():
-            self.scrubber.protect(addr, self.level.peek_block(addr))
+            self._ecc[addr] = encode_block(self.level.peek_block(addr))
             count += 1
         return count
 
@@ -56,23 +58,27 @@ class ScrubService:
         data[bit // 8] ^= 1 << (bit % 8)
         sub, row = self.level.locate(addr)
         sub.write_block(row, bytes(data))
-        self.strikes_injected += 1
 
     def scrub_pass(self) -> ScrubReport:
         """Sweep every protected resident block; correct what flipped.
 
         Reads charge conventional access energy (the sweep is real cache
         traffic, just scheduled into idle cycles); corrections write back.
+        A block with an uncorrectable error is left as it is and listed in
+        :attr:`ScrubReport.uncorrectable`; the sweep goes on to the next.
         """
         report = ScrubReport()
         for addr in self.level.resident_addresses():
-            try:
-                ecc = self.scrubber.ecc_of(addr)
-            except Exception:
+            ecc = self._ecc.get(addr)
+            if ecc is None:
                 continue  # block filled since the last protect pass
             data = self.level.read_block(addr)
             report.blocks_checked += 1
-            corrected = self.codec.check_block(data, ecc)
+            try:
+                corrected = check_block(data, ecc)
+            except ECCError:
+                report.uncorrectable.append(addr)
+                continue
             if corrected != data:
                 self.level.write_block(addr, corrected, dirty=True)
                 report.corrections += 1

@@ -34,7 +34,7 @@ from ..core.isa import (
 from ..machine import ComputeCacheMachine
 from ..params import small_test_machine
 from .chaos import RunnerChaos
-from .injector import FaultInjector
+from .injector import FaultInjector, recoveries
 from .plan import FaultPlan, default_plan
 
 _REGION = 4096
@@ -181,11 +181,6 @@ def run_workload(plan: FaultPlan, backend: str | None = None,
                        op_results=op_results)
 
 
-def _count_recoveries(tracer, outcome: str) -> int:
-    return sum(1 for e in tracer.by_kind("fault.recover")
-               if e.outcome == outcome)
-
-
 def _runner_phase(plan: FaultPlan):
     """Chaos-injected sweep-runner batch; returns (chaos, stats, silent)."""
     from ..bench.runner import Point, PointRunner
@@ -224,18 +219,17 @@ def run_campaign(plan: FaultPlan | None = None, backend: str | None = None,
     for label, result, digest in faulty.op_results:
         hasher.update(f"{label}:{result}:{digest}".encode())
 
-    tracer = faulty.machine.tracer
-    injector = faulty.injector
+    recovered = recoveries(faulty.machine.tracer)
     report = ResilienceReport(
         seed=plan.seed,
         backend=faulty.machine.config.backend,
-        injected=dict(injector.injected) if injector else {},
-        corrected=_count_recoveries(tracer, "corrected"),
-        refetched=_count_recoveries(tracer, "refetched"),
-        retried=_count_recoveries(tracer, "retried"),
-        degraded_risc=_count_recoveries(tracer, "degraded-risc"),
-        absorbed=_count_recoveries(tracer, "absorbed"),
-        surfaced=_count_recoveries(tracer, "surfaced"),
+        injected=dict(faulty.injector.injected),
+        corrected=recovered["corrected"],
+        refetched=recovered["refetched"],
+        retried=recovered["retried"],
+        degraded_risc=recovered["degraded-risc"],
+        absorbed=recovered["absorbed"],
+        surfaced=recovered["surfaced"],
         silent=silent,
     )
 

@@ -15,37 +15,53 @@ the same fault schedule — and the same resilience report — on both
 backends and across reruns.
 
 Every injection emits a ``fault.inject`` event and every recovery a
-``fault.recover`` event through the machine's tracer, so a traced
-campaign is fully auditable.
+``fault.recover`` event through the machine's tracer, so the injector
+needs a machine built with ``trace_events=True``.  The ``fault.recover``
+events are the one record of recoveries, whoever recovered (the scrub
+here, the controller's retries, the directory): :func:`recoveries`
+counts them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from ..core.scrub import ScrubService
-from ..errors import ECCError
+from ..errors import ConfigError, ECCError
 from .plan import FaultPlan
 
 _BITS_PER_BLOCK = 64 * 8
+
+
+def recoveries(tracer) -> Counter:
+    """Recovery actions of a traced run by ``outcome`` (``corrected``,
+    ``refetched``, ``retried``, ...), counted from its ``fault.recover``
+    events; an outcome that never happened counts 0."""
+    if tracer.dropped:
+        raise ConfigError(f"the tracer dropped {tracer.dropped} events; "
+                          "recoveries cannot be counted")
+    return Counter(e.outcome for e in tracer.by_kind("fault.recover"))
 
 
 class FaultInjector:
     """Deliver a plan's faults into a live machine, deterministically."""
 
     def __init__(self, machine, plan: FaultPlan) -> None:
+        if machine.tracer is None:
+            raise ConfigError("fault injection records every injection and "
+                              "recovery as an event: build the machine with "
+                              "trace_events=True")
         self.machine = machine
         self.plan = plan
         self.tracer = machine.tracer
         self.injected: dict[str, int] = {}
-        self.recovered: dict[str, int] = {}
-        self.surfaced: list[str] = []
         self._spec = {spec.kind: spec for spec in plan.specs}
         self._rng = {
             spec.kind: random.Random(f"{plan.seed}:{spec.kind}")
             for spec in plan.specs
         }
-        self._scrubs: dict[int, ScrubService] = {}
+        self._scrubs = [ScrubService(l3) for l3 in machine.hierarchy.l3]
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -61,14 +77,7 @@ class FaultInjector:
 
     def _record_inject(self, kind: str, **fields) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
-        if self.tracer is not None:
-            self.tracer.emit("fault.inject", reason=kind, **fields)
-
-    def _record_recover(self, outcome: str, reason: str, **fields) -> None:
-        self.recovered[outcome] = self.recovered.get(outcome, 0) + 1
-        if self.tracer is not None:
-            self.tracer.emit("fault.recover", outcome=outcome, reason=reason,
-                             **fields)
+        self.tracer.emit("fault.inject", reason=kind, **fields)
 
     # -- hook installation ---------------------------------------------------------
 
@@ -103,25 +112,16 @@ class FaultInjector:
     def _coherence_fault(self, addr: int, holder: int):
         if self._want("directory.duplicate"):
             self._record_inject("directory.duplicate", addr=addr, core=holder)
-            self.recovered["absorbed"] = self.recovered.get("absorbed", 0) + 1
             return ("duplicate", 0)
         if self._want("directory.delay"):
             spec = self._spec["directory.delay"]
             delay = int(spec.params.get("delay_cycles", 24))
             self._record_inject("directory.delay", addr=addr, core=holder,
                                 span=float(delay))
-            self.recovered["absorbed"] = self.recovered.get("absorbed", 0) + 1
             return ("delay", delay)
         return None
 
     # -- SRAM strikes and recovery scrub -------------------------------------------
-
-    def _scrub_service(self, slice_id: int) -> ScrubService:
-        svc = self._scrubs.get(slice_id)
-        if svc is None:
-            svc = ScrubService(self.machine.hierarchy.l3[slice_id])
-            self._scrubs[slice_id] = svc
-        return svc
 
     def _strike_candidates(self, slice_id: int, clean_only: bool) -> list[int]:
         """Resident L3 blocks eligible for a strike, in deterministic
@@ -154,15 +154,14 @@ class FaultInjector:
         the plan never schedules one, and the scrub would surface it as
         :class:`~repro.errors.ECCError`.
         """
-        h = self.machine.hierarchy
-        for slice_id in range(len(h.l3)):
-            self._scrub_service(slice_id).protect_resident()
-        for slice_id in range(len(h.l3)):
+        for svc in self._scrubs:
+            svc.protect_resident()
+        for slice_id in range(len(self._scrubs)):
             self._strike_slice(slice_id)
         self.scrub_and_recover()
 
     def _strike_slice(self, slice_id: int) -> None:
-        svc = self._scrub_service(slice_id)
+        svc = self._scrubs[slice_id]
         struck: set[int] = set()  # one upset per block per pulse: a third
         # flip in an already-hit ECC word could alias to a valid syndrome
         if "sram.bitflip" in self._spec:
@@ -192,49 +191,33 @@ class FaultInjector:
                                     unit=bit, level="L3")
 
     def scrub_and_recover(self) -> None:
-        """Sweep every protected block; correct, refetch, or surface.
+        """Scrub every L3 slice; refetch or surface what it cannot correct.
 
-        Unlike :meth:`~repro.core.scrub.ScrubService.scrub_pass` (which
-        propagates the first uncorrectable error and abandons the rest of
-        the sweep), this recovery sweep classifies every block: SECDED
-        single-bit corrections are written back, uncorrectable clean
-        blocks are dropped to refetch from memory, and uncorrectable
-        dirty blocks surface an :class:`~repro.errors.ECCError` after the
-        sweep finishes (data genuinely lost — never silent).
+        Each slice's :meth:`~repro.core.scrub.ScrubService.scrub_pass`
+        writes back the SECDED single-bit corrections and lists the
+        uncorrectable blocks.  A clean one is dropped to refetch from
+        memory on next use; a dirty one has lost its data, which surfaces
+        as an :class:`~repro.errors.ECCError` once every slice has been
+        swept (never silent).
         """
         h = self.machine.hierarchy
         lost: list[str] = []
-        for slice_id in range(len(h.l3)):
-            svc = self._scrubs.get(slice_id)
-            if svc is None:
-                continue
-            l3 = h.l3[slice_id]
-            for addr in list(l3.resident_addresses()):
-                try:
-                    ecc = svc.scrubber.ecc_of(addr)
-                except Exception:
-                    continue  # filled since the last protect pass
-                data = l3.read_block(addr)
-                try:
-                    corrected = svc.codec.check_block(data, ecc)
-                except ECCError:
-                    if l3.state_of(addr).dirty:
-                        msg = (f"uncorrectable ECC error in dirty block "
-                               f"{addr:#x} (slice {slice_id})")
-                        self.surfaced.append(msg)
-                        self._record_recover("surfaced", "sram.double-bitflip",
-                                             addr=addr, level="L3")
-                        lost.append(msg)
-                        continue
-                    l3.invalidate(addr)
+        for slice_id, svc in enumerate(self._scrubs):
+            report = svc.scrub_pass()
+            for addr in report.corrected_addrs:
+                self.tracer.emit("fault.recover", outcome="corrected",
+                                 reason="sram.bitflip", addr=addr, level="L3")
+            for addr in report.uncorrectable:
+                if svc.level.state_of(addr).dirty:
+                    outcome = "surfaced"
+                    lost.append(f"uncorrectable ECC error in dirty block "
+                                f"{addr:#x} (slice {slice_id})")
+                else:
+                    outcome = "refetched"
+                    svc.level.invalidate(addr)
                     h.directory[slice_id].drop(addr)
-                    self._record_recover("refetched", "sram.double-bitflip",
-                                         addr=addr, level="L3")
-                    continue
-                if corrected != data:
-                    l3.write_block(addr, corrected, dirty=True)
-                    svc.scrubber.protect(addr, corrected)
-                    self._record_recover("corrected", "sram.bitflip",
-                                         addr=addr, level="L3")
+                self.tracer.emit("fault.recover", outcome=outcome,
+                                 reason="sram.double-bitflip", addr=addr,
+                                 level="L3")
         if lost:
             raise ECCError("; ".join(lost))

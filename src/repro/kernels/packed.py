@@ -8,7 +8,9 @@ treated as a single row.
 :func:`block_op` is the one definition of what each sub-array operation
 computes: the packed sub-arrays, the near-place logic unit and the core's
 RISC fallback all run it; :func:`check_block_op` is the one check of its
-arguments, which the bit-exact circuit model shares.
+arguments, which the bit-exact circuit model shares.  The row kernels it
+calls take those arguments as checked; only a row that is not whole
+chunks (``equality_mask``) or lanes (``clmul_mask``) is checked again.
 
 Conventions (shared with the bit-exact circuit model):
 
@@ -67,13 +69,7 @@ def logical_rows(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndar
         return a.copy()
     if op == "not":
         return ~a
-    try:
-        kernel = LOGICAL_KERNELS[op]
-    except KeyError:
-        raise AddressError(f"no packed kernel for operation {op!r}") from None
-    if b is None:
-        raise AddressError(f"packed {op} kernel needs two operands")
-    return kernel(a, _as_matrix(b))
+    return LOGICAL_KERNELS[op](a, _as_matrix(b))
 
 
 def pack_flags(flags: np.ndarray) -> np.ndarray:
@@ -134,17 +130,7 @@ def clmul_mask(a: np.ndarray, b: np.ndarray, lane_bits: int) -> np.ndarray:
 
 def _elem_view(a: np.ndarray, elem_bits: int) -> np.ndarray:
     """View packed rows as ``(n, n_elems)`` unsigned elements."""
-    try:
-        dtype = ARITH_DTYPES[elem_bits]
-    except KeyError:
-        raise AddressError(f"no packed arithmetic for {elem_bits}-bit elements") from None
-    a = _as_matrix(a)
-    if a.shape[1] % (elem_bits // 8):
-        raise AddressError(
-            f"row of {a.shape[1]} bytes is not divisible by "
-            f"{elem_bits // 8}-byte elements"
-        )
-    return np.ascontiguousarray(a).view(dtype)
+    return np.ascontiguousarray(_as_matrix(a)).view(ARITH_DTYPES[elem_bits])
 
 
 def arith_rows(op: str, a: np.ndarray, b: np.ndarray, elem_bits: int) -> np.ndarray:
@@ -157,12 +143,7 @@ def arith_rows(op: str, a: np.ndarray, b: np.ndarray, elem_bits: int) -> np.ndar
     """
     ea = _elem_view(a, elem_bits)
     eb = _elem_view(b, elem_bits)
-    if op == "add":
-        out = ea + eb
-    elif op == "mul":
-        out = ea * eb
-    else:
-        raise AddressError(f"no packed arithmetic kernel for operation {op!r}")
+    out = ea + eb if op == "add" else ea * eb
     return out.view(np.uint8)
 
 

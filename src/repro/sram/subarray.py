@@ -61,6 +61,7 @@ import numpy as np
 from ..bitops import bits_to_bytes, bytes_to_bits, word_equality_mask, xor_reduce_lanes
 from ..errors import AddressError
 from ..kernels import PackedCellArray, block_op, check_block_op, pack_flags
+from ..params import BLOCK_SIZE, WORD_SIZE
 from .bitcell import BitCellArray
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
@@ -250,28 +251,29 @@ class ComputeSubarray(_Subarray):
         self.cells.write_row(dest, bits)
         self.stats.record(SubarrayOp.BUZ)
 
-    def op_cmp(self, row_a: int, row_b: int, word_bits: int = 64) -> int:
+    def op_cmp(self, row_a: int, row_b: int) -> int:
         """Word-granular equality of two rows.
 
-        The per-bit XOR results are combined per word with a wired-NOR;
-        returns a mask with bit *i* set iff word *i* of the two rows match.
+        The per-bit XOR results are combined per 64-bit word with a
+        wired-NOR; returns a mask with bit *i* set iff word *i* of the two
+        rows match.
         """
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
         self.stats.record(SubarrayOp.CMP)
-        return word_equality_mask(xor_bits, word_bits)
+        return word_equality_mask(xor_bits, WORD_SIZE * 8)
 
-    def op_search(self, data_row: int, key_row: int, key_bytes: int = 64) -> int:
+    def op_search(self, data_row: int, key_row: int) -> int:
         """Compare a data row against a replicated key row (cc_search).
 
-        The key occupies ``key_bytes`` (the paper fixes 64); equality is
+        The key is one 64-byte block, as the paper fixes it; equality is
         reported at key granularity: bit *i* of the result is set iff the
-        *i*-th key-sized chunk of the data row equals the key.
+        *i*-th block of the data row equals the key.
         """
         and_bits, nor_bits = self._compute_sense(data_row, key_row)
         xor_bits = ~(and_bits | nor_bits)
         self.stats.record(SubarrayOp.SEARCH)
-        return word_equality_mask(xor_bits, key_bytes * 8)
+        return word_equality_mask(xor_bits, BLOCK_SIZE * 8)
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
 

@@ -146,6 +146,7 @@ def check_ecc_scrubbing() -> None:
     service.inject_strike(addr, bit=77)
     report = service.scrub_pass()
     assert report.corrections == 1
+    assert not report.uncorrectable
     assert level.peek_block(addr) == before
 
 

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from repro.bitops import (
     bits_to_bytes,
     bytes_and,
-    bytes_not,
     bytes_or,
     bytes_to_bits,
     bytes_xor,
-    chunk_range,
     parity,
-    popcount_mask,
     word_equality_mask,
     xor_reduce_lanes,
 )
@@ -139,10 +136,6 @@ class TestByteWiseOps:
         assert int.from_bytes(bytes_and(a, b), "little") == ia & ib
         assert int.from_bytes(bytes_or(a, b), "little") == ia | ib
 
-    def test_not_involution(self):
-        data = bytes(range(64))
-        assert bytes_not(bytes_not(data)) == data
-
     def test_length_mismatch(self):
         with pytest.raises(AddressError):
             bytes_xor(b"\x00", b"\x00\x00")
@@ -153,8 +146,6 @@ class TestByteWiseOps:
         for fn in (bytes_xor, bytes_and, bytes_or):
             out = fn(b"", b"")
             assert out == b"" and type(out) is bytes
-        out = bytes_not(b"")
-        assert out == b"" and type(out) is bytes
 
     def test_zero_length_mismatch_still_rejected(self):
         with pytest.raises(AddressError):
@@ -165,38 +156,3 @@ class TestParityPopcount:
     @given(st.integers(min_value=0, max_value=2**70))
     def test_parity(self, v):
         assert parity(v) == bin(v).count("1") % 2
-
-    def test_popcount(self):
-        assert popcount_mask(0b1011) == 3
-        assert popcount_mask(0) == 0
-
-
-class TestChunkRange:
-    def test_aligned_blocks(self):
-        pieces = list(chunk_range(0, 256, 64))
-        assert pieces == [(0, 64), (64, 64), (128, 64), (192, 64)]
-
-    def test_unaligned_start(self):
-        pieces = list(chunk_range(50, 100, 64))
-        assert pieces == [(50, 14), (64, 64), (128, 22)]
-
-    def test_empty(self):
-        assert list(chunk_range(10, 0, 64)) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(AddressError):
-            list(chunk_range(0, -1, 64))
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=5_000),
-        st.sampled_from([64, 128, 4096]),
-    )
-    def test_pieces_cover_range(self, start, size, chunk):
-        pieces = list(chunk_range(start, size, chunk))
-        assert sum(p for _, p in pieces) == size
-        cursor = start
-        for addr, length in pieces:
-            assert addr == cursor
-            assert addr // chunk == (addr + length - 1) // chunk or length == 0
-            cursor += length

@@ -149,6 +149,25 @@ class TestScrubService:
         report = service.scrub_pass()
         assert report.corrections == 2
 
+    def test_uncorrectable_block_does_not_end_the_sweep(self, warm_level):
+        """A double-bit error in the first block swept is listed, and the
+        sweep still repairs a single-bit strike in the last one."""
+        _, level, _ = warm_level
+        service = ScrubService(level)
+        service.protect_resident()
+        resident = level.resident_addresses()
+        first, last = resident[0], resident[-1]
+        assert first != last
+        repaired = level.peek_block(last)
+        service.inject_strike(first, bit=3)
+        service.inject_strike(first, bit=41)  # same 64-bit word
+        service.inject_strike(last, bit=300)
+        report = service.scrub_pass()
+        assert report.uncorrectable == [first]
+        assert report.corrected_addrs == [last]
+        assert report.blocks_checked == len(resident)
+        assert level.peek_block(last) == repaired
+
     def test_scrub_charges_energy(self, warm_level):
         m, level, _ = warm_level
         service = ScrubService(level)

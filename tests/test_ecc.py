@@ -1,18 +1,22 @@
-"""ECC tests: SECDED correctness, linearity, and the per-op schemes (IV-I)."""
+"""ECC tests: SECDED correctness, linearity, the XOR check and the scrub
+side-band (IV-I)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import ComputeCacheMachine
 from repro.bitops import bytes_xor
 from repro.core.ecc import (
-    CacheScrubber,
-    EccCodec,
-    EccPolicy,
+    check_block,
     check_word,
+    encode_block,
     encode_word,
+    xor_check,
 )
+from repro.core.scrub import ScrubService
 from repro.errors import ECCError
+from repro.params import small_test_machine
 
 word = st.integers(min_value=0, max_value=2**64 - 1)
 block = st.binary(min_size=64, max_size=64)
@@ -22,22 +26,19 @@ class TestSECDEDWord:
     @given(word)
     @settings(max_examples=60)
     def test_clean_word_passes(self, w):
-        result = check_word(w, encode_word(w))
-        assert result.ok and not result.corrected and result.data == w
+        assert check_word(w, encode_word(w)) == w
 
     @given(word, st.integers(0, 63))
     @settings(max_examples=60)
     def test_single_data_bit_corrected(self, w, bit):
         corrupted = w ^ (1 << bit)
-        result = check_word(corrupted, encode_word(w))
-        assert result.corrected and result.data == w
+        assert check_word(corrupted, encode_word(w)) == w
 
     @given(word, st.integers(0, 7))
     @settings(max_examples=40)
     def test_single_check_bit_tolerated(self, w, bit):
         bad_check = encode_word(w) ^ (1 << bit)
-        result = check_word(w, bad_check)
-        assert result.ok and result.data == w
+        assert check_word(w, bad_check) == w
 
     @given(word, st.integers(0, 63), st.integers(0, 63))
     @settings(max_examples=60)
@@ -58,104 +59,100 @@ class TestSECDEDWord:
 
 class TestBlockCodec:
     def test_block_round_trip(self, make_bytes):
-        codec = EccCodec()
         data = make_bytes(64)
-        ecc = codec.encode_block(data)
+        ecc = encode_block(data)
         assert len(ecc) == 8
-        assert codec.check_block(data, ecc) == data
+        assert check_block(data, ecc) == data
 
     def test_block_correction(self, make_bytes):
-        codec = EccCodec()
         data = bytearray(make_bytes(64))
-        ecc = codec.encode_block(bytes(data))
+        ecc = encode_block(bytes(data))
+        original = bytes(data)
         data[17] ^= 0x04  # single-bit flip in word 2
-        corrected = codec.check_block(bytes(data), ecc)
-        assert corrected != bytes(data)
-        assert codec.check_block(corrected, ecc) == corrected
-        assert codec.stats.corrections == 1
+        corrected = check_block(bytes(data), ecc)
+        assert corrected == original
+        assert check_block(corrected, ecc) == corrected
 
     def test_length_mismatch(self):
-        codec = EccCodec()
         with pytest.raises(ECCError):
-            codec.check_block(bytes(64), bytes(4))
+            check_block(bytes(64), bytes(4))
 
 
 class TestPerOpSchemes:
-    def test_copy_scheme(self, make_bytes):
-        """cc_copy: destination ECC is simply the source's."""
-        codec = EccCodec()
-        data = make_bytes(64)
-        ecc = codec.encode_block(data)
-        assert codec.ecc_for_copy(ecc) == ecc
-
     def test_buz_scheme(self):
-        codec = EccCodec()
-        assert codec.ecc_for_buz() == codec.encode_block(bytes(64))
-
-    def test_compare_scheme_agreement(self, make_bytes):
-        codec = EccCodec()
-        a = make_bytes(64)
-        b = make_bytes(64)
-        ea, eb = codec.encode_block(a), codec.encode_block(b)
-        assert codec.compare_check(a, a, ea, ea) is True
-        assert codec.compare_check(a, b, ea, eb) is (a == b)
-
-    def test_compare_scheme_detects_error(self, make_bytes):
-        """Data matches but ECCs differ -> a bit error somewhere."""
-        codec = EccCodec()
-        a = make_bytes(64)
-        ea = codec.encode_block(a)
-        bad = bytes([ea[0] ^ 1]) + ea[1:]
-        with pytest.raises(ECCError):
-            codec.compare_check(a, a, ea, bad)
+        """cc_buz needs no ECC logic: the linear code gives the zero block
+        all-zero check bytes."""
+        assert encode_block(bytes(64)) == bytes(8)
 
     @given(block, block)
     @settings(max_examples=30)
     def test_xor_check_accepts_clean(self, a, b):
-        codec = EccCodec(EccPolicy.XOR_CHECK)
-        ea, eb = codec.encode_block(a), codec.encode_block(b)
-        result_ecc = codec.xor_check(bytes_xor(a, b), ea, eb)
-        assert result_ecc == codec.encode_block(bytes_xor(a, b))
+        ea, eb = encode_block(a), encode_block(b)
+        result_ecc = xor_check(bytes_xor(a, b), ea, eb)
+        assert result_ecc == encode_block(bytes_xor(a, b))
 
     def test_xor_check_detects_operand_error(self, make_bytes):
-        codec = EccCodec(EccPolicy.XOR_CHECK)
         a, b = make_bytes(64), make_bytes(64)
-        ea, eb = codec.encode_block(a), codec.encode_block(b)
+        ea, eb = encode_block(a), encode_block(b)
         corrupted = bytearray(a)
         corrupted[5] ^= 0x10
         with pytest.raises(ECCError):
-            codec.xor_check(bytes_xor(bytes(corrupted), b), ea, eb)
-
-    def test_xor_check_counts_transfers(self, make_bytes):
-        """The XOR scheme's cost: extra transfers to the ECC unit - the
-        reason scrubbing is the preferred policy."""
-        codec = EccCodec(EccPolicy.XOR_CHECK)
-        a, b = make_bytes(64), make_bytes(64)
-        codec.xor_check(bytes_xor(a, b), codec.encode_block(a), codec.encode_block(b))
-        assert codec.stats.extra_transfers == 2
+            xor_check(bytes_xor(bytes(corrupted), b), ea, eb)
 
 
 class TestScrubber:
-    def test_scrub_corrects_soft_error(self, make_bytes):
-        codec = EccCodec(EccPolicy.SCRUB)
-        scrubber = CacheScrubber(codec)
-        original = make_bytes(64)
-        scrubber.protect(0x1000, original)
-        struck = bytearray(original)
-        struck[33] ^= 0x40  # particle strike
-        corrected = scrubber.scrub({0x1000: bytes(struck)})
-        assert corrected[0x1000] == original
-        assert codec.stats.scrub_passes == 1
+    """The side-band a :class:`ScrubService` keeps for its level."""
 
-    def test_unprotected_block_rejected(self):
-        scrubber = CacheScrubber(EccCodec())
-        with pytest.raises(ECCError):
-            scrubber.ecc_of(0x2000)
+    @pytest.fixture
+    def machine(self, make_bytes):
+        m = ComputeCacheMachine(small_test_machine())
+        addr = m.arena.alloc_page_aligned(512)
+        m.load(addr, make_bytes(512))
+        m.warm_l3(addr, 256)
+        return m, addr
 
-    def test_protect_updates(self, make_bytes):
-        codec = EccCodec()
-        scrubber = CacheScrubber(codec)
-        d1, d2 = make_bytes(64), make_bytes(64)
-        scrubber.protect(0x0, d1)
-        scrubber.protect(0x0, d2)
-        assert scrubber.ecc_of(0x0) == codec.encode_block(d2)
+    @pytest.fixture
+    def level(self, machine):
+        m, addr = machine
+        return m.hierarchy.l3[m.hierarchy.home_slice(addr, 0)], addr
+
+    def test_scrub_corrects_soft_error(self, level):
+        level, addr = level
+        service = ScrubService(level)
+        service.protect_resident()
+        original = level.peek_block(addr)
+        service.inject_strike(addr, bit=33 * 8 + 6)  # particle strike
+        report = service.scrub_pass()
+        assert level.peek_block(addr) == original
+        assert report.corrected_addrs == [addr]
+
+    def test_unprotected_block_rejected(self, machine, level):
+        """A block filled since the last protect pass has no side-band: the
+        sweep leaves it unchecked instead of checking it against nothing."""
+        m, _ = machine
+        level, addr = level
+        service = ScrubService(level)
+        protected = service.protect_resident()
+        late = addr + 256
+        m.warm_l3(late, 64)
+        before = level.peek_block(late)
+        service.inject_strike(late, bit=5)
+        report = service.scrub_pass()
+        assert report.blocks_checked == protected
+        assert report.corrections == 0 and not report.uncorrectable
+        assert level.peek_block(late) != before
+
+    def test_protect_updates(self, level, make_bytes):
+        """A protect pass after a write refreshes the side-band: the new
+        data scrubs clean, and a strike on it is repaired to the new data."""
+        level, addr = level
+        service = ScrubService(level)
+        service.protect_resident()
+        fresh = make_bytes(64)
+        level.write_block(addr, fresh, dirty=True)
+        service.protect_resident()
+        service.inject_strike(addr, bit=300)
+        report = service.scrub_pass()
+        assert report.corrected_addrs == [addr]
+        assert not report.uncorrectable
+        assert level.peek_block(addr) == fresh

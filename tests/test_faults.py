@@ -33,6 +33,10 @@ from repro.api import (
 )
 from repro.bench.points import selftest_point
 from repro.cli import main
+from repro.core.scrub import ScrubService
+from repro.errors import ECCError
+from repro.events import EventTracer
+from repro.faults import recoveries
 
 
 class TestFaultPlan:
@@ -118,7 +122,7 @@ class TestInjectorDeterminism:
         return [
             (e.addr, e.unit) for e in m.tracer.snapshot()
             if e.kind == "fault.inject"
-        ], dict(injector.injected), dict(injector.recovered)
+        ], dict(injector.injected), recoveries(m.tracer)
 
     def test_same_plan_same_strikes(self):
         plan = FaultPlan(seed=3, specs=(
@@ -135,6 +139,22 @@ class TestInjectorDeterminism:
             for seed in (3, 4)
         ]
         assert strikes[0] != strikes[1]
+
+
+class TestRecoveryRecord:
+    def test_untraced_machine_rejected(self):
+        """Recoveries are recorded only as events, so an injector on a
+        machine without a tracer would lose them."""
+        m = ComputeCacheMachine(small_test_machine())
+        with pytest.raises(ConfigError, match="trace_events"):
+            FaultInjector(m, default_plan(0))
+
+    def test_recoveries_refuse_a_truncated_stream(self):
+        tracer = EventTracer(capacity=1)
+        for _ in range(2):
+            tracer.emit("fault.recover", outcome="corrected")
+        with pytest.raises(ConfigError, match="dropped"):
+            recoveries(tracer)
 
 
 class TestEccSweep:
@@ -166,11 +186,33 @@ class TestEccSweep:
         m.cc(cc_ops.cc_xor(a, b, c, 1024))
         assert m.peek(c, 1024) == bytes(x ^ y for x, y in zip(da, db))
         assert sum(injector.injected.values()) > 0
+        recovered = recoveries(m.tracer)
         if kind == "sram.bitflip":
-            assert injector.recovered.get("corrected", 0) > 0
+            assert recovered["corrected"] > 0
         else:
-            assert injector.recovered.get("refetched", 0) > 0
-        assert not injector.surfaced
+            assert recovered["refetched"] > 0
+        assert recovered["surfaced"] == 0
+
+    def test_dirty_uncorrectable_block_surfaces_after_the_sweep(self):
+        """A double-bit upset in a dirty block has no clean copy: the
+        recovery sweep still corrects the blocks after it, then raises."""
+        m = ComputeCacheMachine(small_test_machine(), trace_events=True)
+        injector = FaultInjector(m, FaultPlan(seed=0, specs=()))
+        a = m.arena.alloc_page_aligned(512)
+        m.load(a, random.Random("surface").randbytes(512))
+        m.warm_l3(a, 512)
+        l3 = m.hierarchy.l3[m.hierarchy.home_slice(a, 0)]
+        first, *_, last = l3.resident_addresses()
+        l3.write_block(first, l3.peek_block(first), dirty=True)
+        clean = l3.peek_block(last)
+        injector.pulse()  # protects every resident block, strikes nothing
+        striker = ScrubService(l3)
+        for bit in (7, 9, 200):  # two in one word of `first`, one in `last`
+            striker.inject_strike(first if bit < 64 else last, bit)
+        with pytest.raises(ECCError, match=f"dirty block {first:#x}"):
+            injector.scrub_and_recover()
+        assert l3.peek_block(last) == clean
+        assert recoveries(m.tracer) == {"surfaced": 1, "corrected": 1}
 
 
 class TestChaosRunner:

@@ -13,10 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bitops import bytes_to_bits, word_equality_mask, xor_reduce_lanes
-from repro.errors import AddressError
+from repro.errors import AddressError, ISAError
 from repro.kernels import (
     POPCOUNT8,
     PackedCellArray,
+    block_op,
     clmul_mask,
     equality_mask,
     logical_rows,
@@ -72,12 +73,13 @@ class TestLogicalRows:
         assert logical_rows("and", a, b).tolist() == [[0xF0, 0x00]]
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(AddressError):
-            logical_rows("nand", _rand_rows(0, 1), _rand_rows(1, 1))
+        """The row kernels take checked arguments: ``block_op`` checks."""
+        with pytest.raises(ISAError, match="unknown"):
+            block_op("nand", _rand_rows(0, 1), _rand_rows(1, 1))
 
     def test_missing_operand_rejected(self):
-        with pytest.raises(AddressError):
-            logical_rows("and", _rand_rows(0, 1))
+        with pytest.raises(ISAError, match="second operand"):
+            block_op("and", _rand_rows(0, 1))
 
 
 class TestPackFlags:

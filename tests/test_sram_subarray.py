@@ -123,8 +123,8 @@ class TestCompareSearch:
         sub.write_block(1, make_bytes(BLOCK))
         key_row = 8
         sub.write_block(key_row, key)
-        assert sub.op_search(0, key_row, key_bytes=BLOCK) == 1
-        assert sub.op_search(1, key_row, key_bytes=BLOCK) == 0
+        assert sub.op_search(0, key_row) == 1
+        assert sub.op_search(1, key_row) == 0
 
     @given(block_data, block_data)
     @settings(max_examples=25)
