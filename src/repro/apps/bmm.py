@@ -98,7 +98,6 @@ def run_bmm_baseline(workload: BMMWorkload,
         # A row loads once per output row (register-resident across j).
         for off in range(0, row_bytes, 16):
             runner.emit(Instr.simd_load(a_base + i * row_bytes + off, 16))
-        a_row = workload.a[i]
         for j in range(n):
             for off in range(0, row_bytes, 16):
                 runner.emit(Instr.simd_load(bt_base + j * row_bytes + off, 16))
@@ -107,7 +106,7 @@ def run_bmm_baseline(workload: BMMWorkload,
                 runner.emit(Instr.scalar())    # xor-fold partial products
             runner.emit(Instr.scalar())        # parity extract
             runner.emit(Instr.branch())        # loop
-            c[i, j] = np.bitwise_xor.reduce(a_row & bt[j])
+        c[i] = np.bitwise_xor.reduce(bt & workload.a[i], axis=1)
         runner.emit(Instr.store(c_base + i * row_bytes, _pack_row(c[i])))
     return runner.result(
         "bmm", "baseline", m.energy_since(snap), output=c, n=n,

@@ -195,6 +195,16 @@ def _mul_by_h_matrix(h: bytes) -> np.ndarray:
     return cols.T
 
 
+def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a @ b) & 1`` of 0/1 matrices, as a uint8 matrix.
+
+    The product runs in float32, which numpy hands to BLAS (its integer
+    matmul has no BLAS path).  It is exact: each entry counts at most
+    ``a.shape[1]`` products of 0/1 (at most 128 here), inside float32's exact
+    integers, and the count fits uint8 before the mask."""
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.uint8) & 1
+
+
 def ghash_matrix_rows(h: bytes, blocks: int) -> np.ndarray:
     """The whole-message GHASH map as a ``(128, blocks*128)`` bit matrix.
 
@@ -208,18 +218,13 @@ def ghash_matrix_rows(h: bytes, blocks: int) -> np.ndarray:
     for i in range(blocks - 1, -1, -1):
         rows[:, i * 128:(i + 1) * 128] = power
         if i:
-            power = (m1 @ power) & 1
+            power = _gf2_matmul(m1, power)
     return rows
 
 
-def crc_matrix_rows(width: int, length: int) -> tuple[np.ndarray, int]:
-    """Whole-message CRC as an affine map: ``crc = rows . msg ^ c0``.
-
-    The byte-step ``s' = Z s ^ B d`` is probed from the table recurrence,
-    then the per-position columns ``Z^(length-1-p) B`` are accumulated
-    backwards with boolean matmuls.  Returns the ``(width, length*8)``
-    row matrix and the constant ``c0`` (init + xorout folded in).
-    """
+def crc_step_matrices(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CRC byte step ``s' = Z s ^ B d`` as GF(2) matrices ``(Z, B)``,
+    probed from the table recurrence with basis vectors."""
     table = _CRC_TABLES[width]
 
     def step(state: int, byte: int) -> int:
@@ -231,13 +236,23 @@ def crc_matrix_rows(width: int, length: int) -> tuple[np.ndarray, int]:
     bmat = np.zeros((width, 8), dtype=np.uint8)
     for k in range(8):
         bmat[:, k] = _unpack_lsb(step(0, 1 << k).to_bytes(width // 8, "little"))
+    return z, bmat
 
+
+def crc_matrix_rows(width: int, length: int) -> tuple[np.ndarray, int]:
+    """Whole-message CRC as an affine map: ``crc = rows . msg ^ c0``.
+
+    The per-position columns ``Z^(length-1-p) B`` of the byte step
+    (:func:`crc_step_matrices`) are accumulated backwards with boolean
+    matmuls.  Returns the ``(width, length*8)`` row matrix and the
+    constant ``c0`` (init + xorout folded in).
+    """
+    z, cols = crc_step_matrices(width)
     rows = np.zeros((width, length * 8), dtype=np.uint8)
-    cols = bmat
     for p in range(length - 1, -1, -1):
         rows[:, p * 8:(p + 1) * 8] = cols
         if p:
-            cols = (z @ cols) & 1
+            cols = _gf2_matmul(z, cols)
     c0 = crc_ref(bytes(length), width)
     return rows, c0
 

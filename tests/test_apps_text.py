@@ -1,6 +1,8 @@
 """Corpus generator, WordCount, and StringMatch application tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine
 from repro.apps import stringmatch, textgen, wordcount
@@ -91,6 +93,17 @@ class TestStringMatch:
         vocab = workload.corpus.vocabulary
         encrypted = {stringmatch.encrypt_slot(w) for w in vocab}
         assert len(encrypted) == len(vocab)
+
+    @given(st.lists(st.text(max_size=80), max_size=12))
+    @example([])
+    @example(["k"])
+    @example(["a" * 63, "b" * 64, "c" * 90, "é" * 40, "日本語テキスト", ""])
+    @settings(max_examples=60, deadline=None)
+    def test_batched_cipher_matches_the_per_word_loop(self, words):
+        """Words of 63 bytes and of 64 or more (which ``pad_to_slot``
+        truncates), multi-byte UTF-8 and the empty list included."""
+        assert stringmatch.encrypt_slots(words) == [
+            stringmatch.encrypt_slot(w) for w in words]
 
     def test_matches_exact_both_variants(self, workload, results):
         ref = stringmatch.reference_matches(workload)

@@ -19,8 +19,11 @@ from repro.api import (
 )
 from repro.apps.crypto import (
     CRYPTO_KERNELS,
+    _mul_by_h_matrix,
     _pack_lsb,
+    crc_matrix_rows,
     crc_ref,
+    crc_step_matrices,
     gf128_mul,
     ghash_matrix_rows,
     output_digest,
@@ -117,6 +120,55 @@ class TestGF2Properties:
         reduced[: n - 1] -= full[n:]
         expect = np.mod(reduced, q)
         assert np.array_equal(ntt_polymul(a, b, q), expect)
+
+
+def ghash_matrix_rows_loop(h: bytes, blocks: int) -> np.ndarray:
+    """Reference for :func:`ghash_matrix_rows`: each power of the
+    multiply-by-H matrix by numpy's integer matmul, masked."""
+    m1 = _mul_by_h_matrix(h)
+    rows = np.zeros((128, blocks * 128), dtype=np.uint8)
+    power = m1
+    for i in range(blocks - 1, -1, -1):
+        rows[:, i * 128:(i + 1) * 128] = power
+        if i:
+            power = (m1 @ power) & 1
+    return rows
+
+
+def crc_matrix_rows_loop(width: int, length: int) -> tuple[np.ndarray, int]:
+    """Reference for :func:`crc_matrix_rows`: the byte-step columns by
+    numpy's integer matmul, masked."""
+    z, cols = crc_step_matrices(width)
+    rows = np.zeros((width, length * 8), dtype=np.uint8)
+    for p in range(length - 1, -1, -1):
+        rows[:, p * 8:(p + 1) * 8] = cols
+        if p:
+            cols = (z @ cols) & 1
+    return rows, crc_ref(bytes(length), width)
+
+
+class TestLoweringKernels:
+    """The float32 GF(2) products equal the integer-matmul loops."""
+
+    @pytest.mark.parametrize("blocks", [1, 4, 32])
+    @pytest.mark.parametrize("h", [
+        bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e"),
+        bytes(15) + b"\x01",
+        b"\xff" * 16,
+        bytes(range(16)),
+    ])
+    def test_ghash_matrix_rows_match_the_loop(self, h, blocks):
+        rows = ghash_matrix_rows(h, blocks)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, ghash_matrix_rows_loop(h, blocks))
+
+    @pytest.mark.parametrize("length", [1, 64, 512])
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_crc_matrix_rows_match_the_loop(self, width, length):
+        rows, c0 = crc_matrix_rows(width, length)
+        ref_rows, ref_c0 = crc_matrix_rows_loop(width, length)
+        assert rows.dtype == np.uint8
+        assert np.array_equal(rows, ref_rows) and c0 == ref_c0
 
 
 class TestConfigValidation:

@@ -1,5 +1,8 @@
 """Property test: in-place, near-place, and RISC-fallback execution are
-architecturally indistinguishable (same data, same result masks)."""
+architecturally indistinguishable (same data, same result masks), and a
+piece staged in one pass leaves the same machine as one staged op by op."""
+
+import random
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
+from repro.api import collect_stats
 from repro.core.isa import CLMUL_LANES
-from repro.params import BACKENDS, BLOCK_SIZE, small_test_machine
+from repro.params import BACKENDS, BLOCK_SIZE, PAGE_SIZE, small_test_machine
 
 CASES = (
     [(op, {}) for op in ("and", "or", "xor", "copy", "not", "buz", "cmp", "search")]
@@ -95,6 +99,143 @@ def test_execution_modes_agree(case, backend, blocks, seed_a, seed_b, key_hits):
     assert res_in.inplace_ops == blocks
     assert res_near.nearplace_ops == blocks
     assert res_risc.risc_ops == blocks
+
+
+# -- one-pass staging of ready pieces equals op-by-op staging ------------------------
+
+STAGED_BLOCKS = 4
+CASE_IDS = ["-".join([op, *map(str, widths.values())]) for op, widths in CASES]
+
+
+def conflicting_lines(m, cache, blocks, per_set):
+    """``per_set`` lines of a fresh region for each set of ``cache`` that
+    holds one of ``blocks``.  For an L1, none shares an L2 set with one
+    of ``blocks``: an L2 eviction would take the L1 copy with it."""
+    l2 = m.hierarchy.l2[0]
+    avoid = {l2.set_of(x) for x in blocks} if cache is m.hierarchy.l1[0] else set()
+    chosen = {cache.set_of(x): [] for x in blocks}
+    span = 2 * per_set * cache.config.size // cache.ways
+    region = m.arena.alloc_page_aligned(span)
+    for x in range(region, region + span, BLOCK_SIZE):
+        lines = chosen.get(cache.set_of(x))
+        if lines is not None and len(lines) < per_set and l2.set_of(x) not in avoid:
+            lines.append(x)
+    return sorted(x for lines in chosen.values() for x in lines)
+
+
+class Staged:
+    """One traced small machine with a case's operands (the key included)
+    warmed so that ``level`` is the highest level holding all of them,
+    then one *bystander* line touched into each of their sets there: an
+    operand line that staging promotes to MRU is newer than its
+    bystander, one left behind is older, and :meth:`fill_conflicts`
+    shows which.  ``per_op`` installs a contention hook that steals
+    nothing: with a hook installed, the controller stages every piece op
+    by op.  ``absent`` leaves the last block of the first operand stream
+    in memory only."""
+
+    def __init__(self, case, backend, level, per_op, absent=False):
+        op, widths = case
+        size = STAGED_BLOCKS * BLOCK_SIZE
+        rng = random.Random(f"{op}-{widths}")
+        self.m = m = ComputeCacheMachine(small_test_machine(), backend=backend,
+                                         trace_events=True)
+        a, b, c = m.arena.alloc_colocated(size, 3)
+        # Past the operands' page offsets, so its sets keep a free way.
+        key = m.arena.alloc_page_aligned(PAGE_SIZE) + size
+        da = rng.randbytes(size)
+        for addr, data in ((a, da), (b, rng.randbytes(size)), (c, rng.randbytes(size)),
+                           (key, da[BLOCK_SIZE:2 * BLOCK_SIZE])):
+            m.load(addr, data)
+        self.instr = build_instr(op, a, b, c, key, size, widths)
+        self.ranges = [(base, length) for _, base, length in self.instr.vector_ranges()]
+        self.blocks = [x for base, length in self.ranges
+                       for x in range(base, base + length, BLOCK_SIZE)]
+        first = self.instr.block_operands()[0][0]
+        if absent:
+            self.blocks.remove(first + size - BLOCK_SIZE)
+        warm = m.warm_l3 if level == "L3" else m.touch_range
+        for x in self.blocks:
+            warm(x, BLOCK_SIZE)
+        if level == "L2":
+            l1 = m.hierarchy.l1[0]
+            for x in conflicting_lines(m, l1, self.blocks, l1.ways):
+                m.touch_range(x, BLOCK_SIZE)
+        self.compute_cache = m.hierarchy.level_cache(level, 0, first)
+        for x in conflicting_lines(m, self.compute_cache, self.blocks, 1):
+            warm(x, BLOCK_SIZE)
+        self.key_stages = int(self.instr.key_is_fixed_block)
+        self.operand_blocks = STAGED_BLOCKS * len(self.instr.block_operands())
+        if per_op:
+            m.controllers[0].contention_hook = lambda addr: False
+        self.prepared = 0
+        prepare = m.hierarchy.cc_prepare
+
+        def counted(*args, **kwargs):
+            self.prepared += 1
+            return prepare(*args, **kwargs)
+
+        m.hierarchy.cc_prepare = counted
+
+    def observables(self) -> dict:
+        m = self.m
+        return {
+            "bytes": [m.peek(base, length) for base, length in self.ranges],
+            "ledger": m.ledger.pj,
+            "stats": collect_stats(m),
+            "controller": m.controllers[0].stats,
+            "events": m.tracer.snapshot(),
+        }
+
+    def fill_conflicts(self) -> list[list[int]]:
+        """Touch, one at a time, as many lines as the compute-level cache
+        has ways in each set of an operand block; after each touch, list
+        the operand blocks still resident there (the order in which they
+        go is their LRU order)."""
+        cache = self.compute_cache
+        trail = []
+        for line in conflicting_lines(self.m, cache, self.blocks, cache.ways):
+            self.m.touch_range(line, BLOCK_SIZE)
+            trail.append([x for x in self.blocks if cache.contains(x)])
+        return trail
+
+
+def assert_staging_paths_agree(one_pass: Staged, per_op: Staged) -> None:
+    """Equal results, bytes, ledger, stats and events after the
+    instruction, and again after lines conflicting with the operands
+    evict them."""
+    res = one_pass.m.cc(one_pass.instr)
+    assert res == per_op.m.cc(per_op.instr)
+    assert one_pass.observables() == per_op.observables()
+    assert one_pass.fill_conflicts() == per_op.fill_conflicts()
+    assert one_pass.observables() == per_op.observables()
+
+
+@pytest.mark.parametrize("level", ["L1", "L2", "L3"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_one_pass_staging_matches_op_by_op(case, backend, level):
+    """A piece whose operands are all ready at the compute level stages in
+    one pass (no ``cc_prepare`` call but the key's) and leaves the same
+    machine as op-by-op staging, down to the LRU order."""
+    one_pass, per_op = (Staged(case, backend, level, hooked) for hooked in (False, True))
+    assert_staging_paths_agree(one_pass, per_op)
+    assert one_pass.m.controllers[0].stats.level_compute_cycles.keys() == {level}
+    assert one_pass.prepared == one_pass.key_stages
+    assert per_op.prepared == per_op.key_stages + per_op.operand_blocks
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_piece_with_an_absent_block_stages_op_by_op(case, backend):
+    """One operand block only in memory: the piece is not ready, stages
+    op by op (one ``cc_prepare`` per operand block) and agrees with the
+    hooked machine."""
+    one_pass, per_op = (Staged(case, backend, "L3", hooked, absent=True)
+                        for hooked in (False, True))
+    assert_staging_paths_agree(one_pass, per_op)
+    assert one_pass.prepared == per_op.prepared == \
+        one_pass.key_stages + one_pass.operand_blocks
 
 
 @given(st.sampled_from(["and", "or", "xor", "copy", "not", "buz"]),
