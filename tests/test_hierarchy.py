@@ -178,6 +178,45 @@ class TestCCPrepare:
         assert not hier.l1[0].contains(0x5000)
         assert hier.l2[0].peek_block(0x5000) == b"\x42" * 64
 
+    @pytest.mark.parametrize("is_dest", [False, True])
+    @pytest.mark.parametrize("level", [L1, L2, L3])
+    @pytest.mark.parametrize("where", ["memory", "l3", "core0", "core0-dirty",
+                                       "core0-l2", "core1", "both-cores"])
+    def test_ready_lines_match_prepare(self, hier, where, level, is_dest):
+        """``cc_ready_lines`` finds a block ready exactly when
+        ``cc_prepare`` returns 0 for it and changes nothing but a
+        destination's state at the compute level."""
+        addr = 0x3000
+        hier.memory.load(addr, bytes(range(64)))
+        if where == "core0-dirty":
+            hier.write(0, addr, b"\x5a" * 8)
+        elif where != "memory":
+            hier.read(1 if where == "core1" else 0, addr, 8)
+        if where == "both-cores":
+            hier.read(1, addr, 8)
+        elif where == "l3":
+            hier.flush_private(0, addr)
+        elif where == "core0-l2":
+            hier.l1[0].invalidate(addr)  # a clean line leaves the L1 silently
+
+        caches = [*hier.l1, *hier.l2, *hier.l3]
+
+        def machine_state():
+            entry = hier.directory[hier.home_slice(addr, 0)].peek(addr)
+            return ([c.state_of(addr) for c in caches], dict(hier.ledger.pj),
+                    hier.memory.block_reads, entry and (set(entry.sharers), entry.owner))
+
+        lines = hier.cc_ready_lines(0, level, [addr], is_dest)
+        before = machine_state()
+        target = caches.index(hier.level_cache(level, 0, addr))
+        if is_dest and before[0][target].readable:
+            before[0][target] = MESIState.MODIFIED
+        latency = hier.cc_prepare(0, level, addr, is_dest, skip_fetch=is_dest)
+        assert (lines is not None) == (latency == 0 and machine_state() == before)
+        if lines is not None:
+            assert lines == [(hier.level_cache(level, 0, addr).set_of(addr),
+                              hier.level_cache(level, 0, addr).probe(addr))]
+
     def test_probe_residency(self, hier, make_bytes):
         hier.memory.load(0x6000, make_bytes(64))
         hier.read(0, 0x6000, 8)
