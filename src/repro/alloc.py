@@ -84,14 +84,6 @@ class Arena:
         base = self.alloc(superpage_bytes, align=PAGE_SIZE)
         return SuperpageArena(size=superpage_bytes, base=base)
 
-    @property
-    def used(self) -> int:
-        return self._cursor - self.base
-
-    @property
-    def remaining(self) -> int:
-        return self.base + self.size - self._cursor
-
 
 class SuperpageArena(Arena):
     """Allocator inside one superpage: co-located groups stay within it.

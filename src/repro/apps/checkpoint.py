@@ -34,7 +34,7 @@ from ..cpu.simd import scalar_copy, simd_copy
 from ..energy.accounting import Component, EnergyLedger
 from ..machine import ComputeCacheMachine
 from ..params import PAGE_SIZE
-from .common import AppResult, fresh_machine
+from .common import fresh_machine
 from .splash import CHECKPOINT_INTERVAL_INSTRS, SplashProfile
 
 VARIANTS = ("none", "base", "base32", "cc")
@@ -134,17 +134,4 @@ def run_checkpoint(prof: SplashProfile, variant: str,
         copy_cycles=copy_cycles, app_instructions=app_instructions,
         copy_instructions=copy_instructions, energy=m.energy_since(snap),
         pages_copied=pages_copied,
-    )
-
-
-def checkpoint_app_result(run: CheckpointRun) -> AppResult:
-    """Adapt a checkpoint run to the common application-result shape."""
-    return AppResult(
-        app=f"checkpoint-{run.profile.name}",
-        variant=run.variant,
-        cycles=run.total_cycles,
-        instructions=run.app_instructions + run.copy_instructions,
-        energy=run.energy,
-        output=run.pages_copied,
-        stats={"overhead": run.overhead},
     )

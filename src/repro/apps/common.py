@@ -26,27 +26,6 @@ class AppResult:
     def energy_nj(self) -> float:
         return self.energy.total_nj()
 
-    def to_dict(self) -> dict:
-        """JSON-ready summary (used by the results exporter and benches)."""
-        return {
-            "app": self.app,
-            "variant": self.variant,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "dynamic_nj": round(self.energy_nj, 3),
-            "energy_breakdown_nj": {
-                k: round(v / 1000.0, 3) for k, v in self.energy.breakdown().items()
-            },
-            "stats": {k: v for k, v in self.stats.items()
-                      if isinstance(v, (int, float, str, bool))},
-        }
-
-    def describe(self) -> str:
-        return (
-            f"{self.app}/{self.variant}: {self.cycles:,.0f} cycles, "
-            f"{self.instructions:,} instructions, {self.energy_nj:,.1f} nJ dynamic"
-        )
-
 
 def fresh_machine(config: MachineConfig | None = None) -> ComputeCacheMachine:
     """A new machine for one measured run (clean caches + ledger)."""

@@ -55,12 +55,3 @@ PROFILES: dict[str, SplashProfile] = {
 }
 
 BENCHMARKS = tuple(PROFILES)
-
-
-def profile(name: str) -> SplashProfile:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown SPLASH-2 profile {name!r}; choose from {BENCHMARKS}"
-        ) from None

@@ -82,17 +82,6 @@ class KernelMeasurement:
     def throughput_bytes_per_cycle(self) -> float:
         return self.bytes_processed / self.steady_cycles
 
-    def throughput_mops(self, frequency_ghz: float, op_bytes: int = 8) -> float:
-        """Million word-operations per second (Figure 7(a)'s unit up to a
-        constant)."""
-        ops = self.bytes_processed / op_bytes
-        seconds = self.steady_cycles / (frequency_ghz * 1e9)
-        return ops / seconds / 1e6
-
-
-def _machine() -> ComputeCacheMachine:
-    return ComputeCacheMachine(sandybridge_8core())
-
 
 def _stage_operands(m: ComputeCacheMachine, count: int, size: int,
                     seed: int = 42) -> list[int]:

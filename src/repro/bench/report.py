@@ -79,51 +79,6 @@ def render_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_bars(series: Mapping[str, float], title: str = "", width: int = 48,
-                unit: str = "") -> str:
-    """ASCII horizontal bar chart - the paper's figures are bar charts, so
-    ``-s`` output can show the same visual shape."""
-    if not series:
-        return f"{title}\n(empty)"
-    peak = max(series.values()) or 1.0
-    label_w = max(len(k) for k in series)
-    lines = [title] if title else []
-    for key, value in series.items():
-        bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
-        lines.append(f"{key.ljust(label_w)} |{bar.ljust(width)}| "
-                     f"{_fmt(value)}{unit}")
-    return "\n".join(lines)
-
-
-def render_stacked_bars(series: Mapping[str, Mapping[str, float]],
-                        title: str = "", width: int = 48) -> str:
-    """Stacked ASCII bars (one glyph per component), for the paper's
-    component-breakdown figures (7b, 7c, 11)."""
-    if not series:
-        return f"{title}\n(empty)"
-    glyphs = "#=+:*o%@"
-    components: list[str] = []
-    for parts in series.values():
-        for name in parts:
-            if name not in components:
-                components.append(name)
-    peak = max(sum(parts.values()) for parts in series.values()) or 1.0
-    label_w = max(len(k) for k in series)
-    lines = [title] if title else []
-    for key, parts in series.items():
-        bar = ""
-        for i, component in enumerate(components):
-            value = parts.get(component, 0.0)
-            bar += glyphs[i % len(glyphs)] * round(width * value / peak)
-        total = sum(parts.values())
-        lines.append(f"{key.ljust(label_w)} |{bar.ljust(width)}| {_fmt(total)}")
-    legend = "  ".join(
-        f"{glyphs[i % len(glyphs)]}={name}" for i, name in enumerate(components)
-    )
-    lines.append(f"{''.ljust(label_w)}  legend: {legend}")
-    return "\n".join(lines)
-
-
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         if value == 0:
@@ -152,12 +107,6 @@ def render_figure7(results) -> str:
             "total ratio": base.total_energy_nj / cc.total_energy_nj,
         })
     return render_table(rows, "Figure 7: 4 KB micro-benchmarks, Base_32 vs CC_L3")
-
-
-def render_breakdown(ledger, title: str) -> str:
-    """A Figure 7(b)-style component breakdown."""
-    rows = [{"component": k, "nJ": v / 1000.0} for k, v in ledger.breakdown().items()]
-    return render_table(rows, title)
 
 
 def render_figure9(comparisons) -> str:

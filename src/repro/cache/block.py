@@ -14,10 +14,6 @@ class MESIState(enum.Enum):
     INVALID = "I"
 
     @property
-    def readable(self) -> bool:
-        return self is not MESIState.INVALID
-
-    @property
     def writable(self) -> bool:
         return self in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
 

@@ -2,8 +2,8 @@
 
 :class:`CacheLevel` is the mechanical container the coherence protocol and
 the CC controllers manipulate.  It owns the level's address split: a block
-address's block number is ``addr >> offset_bits``, and the block number's
-low ``set_index_bits`` are its set index.  It owns the level's lines too:
+address's block number is ``addr >> offset_bits``, and the block number
+modulo ``sets`` is its set index.  It owns the level's lines too:
 the block number, MESI state, LRU stamp and pin owner (``None`` while
 unpinned) of every line sit in flat lists indexed by ``set_index * ways +
 way``, and one dict maps the block number of every valid line to its way,
@@ -67,10 +67,6 @@ class TagStats:
     hits: int = 0
     evictions: int = 0
     pinned_evictions_avoided: int = 0
-
-    @property
-    def misses(self) -> int:
-        return self.lookups - self.hits
 
 
 class CacheLevel:

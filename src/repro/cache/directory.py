@@ -81,9 +81,6 @@ class Directory:
                 and self.tracer is not None:
             self.tracer.emit("dir.drop", unit=self.slice_id, addr=block_addr)
 
-    def blocks(self) -> list[int]:
-        return list(self._entries)
-
     def check_all(self) -> None:
         for entry in self._entries.values():
             entry.check()

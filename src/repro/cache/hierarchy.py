@@ -17,8 +17,11 @@ the core model, the block-granularity hooks the CC controller needs:
 * :meth:`cc_ready_lines` - whether operand blocks are ready at a compute
   level (nothing to fetch, flush or recall), and their lines;
 * :meth:`cc_prepare` - fetch/flush/pin an operand block at a compute level,
-  returning the latency incurred;
-* :meth:`cc_release` - unpin after the operation completes.
+  returning the latency incurred.
+
+The controller unpins the lines it pinned through their
+:class:`~repro.cache.cache.CacheLevel`; :meth:`cc_release` unpins one
+block by address.
 """
 
 from __future__ import annotations

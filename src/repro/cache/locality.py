@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import OperandLocalityError
-from ..params import PAGE_SIZE, CacheLevelConfig
+from ..params import CacheLevelConfig
 
 
 def partitions_match(addr_a: int, addr_b: int, config: CacheLevelConfig) -> bool:
@@ -50,22 +50,3 @@ def check_operand_locality(
             return False
     return True
 
-
-def page_aligned_pair(addr_a: int, addr_b: int, page_size: int = PAGE_SIZE) -> bool:
-    """True iff the two addresses have the same page offset (Section IV-C's
-    software-visible sufficient condition for operand locality)."""
-    return (addr_a % page_size) == (addr_b % page_size)
-
-
-def required_alignment_bits(configs: Sequence[CacheLevelConfig]) -> int:
-    """The alignment a compiler must target: the max over all cache levels.
-
-    For the Table III machine this is 12 bits, i.e. 4 KB - exactly one page.
-    """
-    return max(cfg.min_locality_bits for cfg in configs)
-
-
-def alignment_satisfies(compiled_bits: int, config: CacheLevelConfig) -> bool:
-    """Portability rule of Section IV-C: a binary compiled with
-    ``compiled_bits`` of alignment runs on any cache needing <= that."""
-    return config.min_locality_bits <= compiled_bits

@@ -7,9 +7,8 @@ extension: given an element-wise vector computation over arrays, it
 1. **plans the layout** - allocates the arrays co-located (same page
    offset) so every block pair shares bit-lines at every cache level;
 2. **tiles the operation** - splits it into CC instructions respecting the
-   ISA limits (16 KB general, 512 B for ``cc_cmp``, 4 KB for
-   ``cc_search``) and page boundaries (avoiding run-time pipeline
-   exceptions entirely);
+   ISA limits (16 KB general, 512 B for ``cc_cmp``) and page boundaries
+   (avoiding run-time pipeline exceptions entirely);
 3. **emits** the instruction sequence, ready to run or to disassemble.
 
 The planner is deliberately conservative: if a caller brings pre-placed
@@ -34,7 +33,6 @@ from .params import BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
 
 _TILE_LIMIT = {
     Opcode.CMP: 512,
-    Opcode.SEARCH: 4096,
 }
 _DEFAULT_TILE = PAGE_SIZE  # page tiles never raise the span exception
 
@@ -46,9 +44,6 @@ class ArrayRef:
     name: str
     addr: int
     size: int
-
-    def block_addrs(self) -> list[int]:
-        return list(range(self.addr, self.addr + self.size, BLOCK_SIZE))
 
 
 @dataclass
@@ -166,16 +161,6 @@ class VectorCompiler:
                           instructions=instructions, locality_satisfied=ok,
                           diagnostics=diagnostics)
 
-    def compile_search(self, data: ArrayRef, key_addr: int) -> VectorPlan:
-        """Compile a key scan over ``data`` (4 KB per instruction)."""
-        instructions = [
-            isa.cc_search(data.addr + off, key_addr, length)
-            for off, length in self._tile_sizes(Opcode.SEARCH, [data.addr], data.size)
-        ]
-        key_ref = ArrayRef(name="key", addr=key_addr, size=BLOCK_SIZE)
-        return VectorPlan(op=Opcode.SEARCH,
-                          arrays={"data": data, "key": key_ref},
-                          instructions=instructions, locality_satisfied=True)
 
 
 def compile_and_run(machine: ComputeCacheMachine, op: Opcode,

@@ -62,15 +62,6 @@ class StreamResult:
     def instructions(self) -> int:
         return len(self.results)
 
-    @property
-    def overlap_speedup(self) -> float:
-        """Serial-model cycles per overlapped-model cycle (>= 1)."""
-        return (self.serial_cycles / self.overlapped_cycles
-                if self.overlapped_cycles else 0.0)
-
-    @property
-    def simulated_bytes(self) -> int:
-        return sum(r.instr.size for r in self.results)
 
 
 class CCInstructionStream:

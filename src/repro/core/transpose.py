@@ -48,11 +48,6 @@ class TransposeUnit:
     def __init__(self, transpose_latency: int = 8) -> None:
         self.transpose_latency = transpose_latency
         self._bit_serial: set[int] = set()
-        self.blocks_converted = 0
-        self.conversion_cycles = 0.0
-
-    def __len__(self) -> int:
-        return len(self._bit_serial)
 
     @staticmethod
     def _blocks(addr: int, size: int) -> range:
@@ -77,10 +72,7 @@ class TransposeUnit:
             return 0, 0.0
         count = len(missing)
         waves = -(-count // TRANSPOSE_MLP)
-        cycles = float(self.transpose_latency * waves)
-        self.blocks_converted += count
-        self.conversion_cycles += cycles
-        return count, cycles
+        return count, float(self.transpose_latency * waves)
 
     def mark_bit_serial(self, addr: int, size: int) -> None:
         """Blocks produced in bit-serial form (arithmetic destinations)."""

@@ -59,13 +59,6 @@ class RunResult:
     load_data: list[bytes] = field(default_factory=list)
     cc_results: list[CCResult] = field(default_factory=list)
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    def seconds(self, frequency_ghz: float) -> float:
-        return self.cycles / (frequency_ghz * 1e9)
-
 
 class CoreModel:
     """One processor core bound to the shared hierarchy."""

@@ -46,9 +46,6 @@ class MulticoreResult:
     def aggregate_ipc(self) -> float:
         return self.total_instructions / self.makespan if self.makespan else 0.0
 
-    def speedup_over(self, serial_cycles: float) -> float:
-        return serial_cycles / self.makespan if self.makespan else 0.0
-
     def cluster_makespans(self, clusters: int, cores_per_cluster: int) -> dict[int, float]:
         """Slowest core per cluster (``core // cores_per_cluster``).
 

@@ -129,19 +129,8 @@ class Program:
     def append(self, instr: Instr) -> None:
         self.instructions.append(instr)
 
-    def extend(self, instrs: list[Instr]) -> None:
-        self.instructions.extend(instrs)
-
     def __len__(self) -> int:
         return len(self.instructions)
 
     def __iter__(self):
         return iter(self.instructions)
-
-    def counts(self) -> dict[str, int]:
-        """Instruction-mix histogram (used for the paper's instruction-
-        reduction claims, e.g. WordCount's 87%)."""
-        out: dict[str, int] = {}
-        for instr in self.instructions:
-            out[instr.kind.value] = out.get(instr.kind.value, 0) + 1
-        return out

@@ -94,10 +94,6 @@ class EnergyLedger:
             "noc": self.noc(),
         }
 
-    def by_level(self) -> dict[str, float]:
-        """Figure 8(b)-style per-component breakdown, in pJ."""
-        return {c: self.get(c) for c in Component.ALL if self.get(c)}
-
     # -- arithmetic -----------------------------------------------------------
 
     def copy(self) -> "EnergyLedger":
@@ -109,6 +105,3 @@ class EnergyLedger:
         keys = set(self.pj) | set(other.pj)
         return {k: other.get(k) - self.get(k) for k in sorted(keys)}
 
-    def merge(self, other: "EnergyLedger") -> None:
-        for component, pj in other.pj.items():
-            self.add(component, pj)

@@ -43,13 +43,6 @@ class TotalEnergy:
             self.core_dynamic + self.uncore_dynamic + self.core_static + self.uncore_static
         )
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "core-dynamic": self.core_dynamic,
-            "uncore-dynamic": self.uncore_dynamic,
-            "core-static": self.core_static,
-            "uncore-static": self.uncore_static,
-        }
 
 
 class PowerModel:
@@ -77,12 +70,6 @@ class PowerModel:
             uncore_static=uncore_static_nj,
         )
 
-    def static_power_watts(self) -> float:
-        """Total leakage power of active cores + uncore, in watts."""
-        return (
-            self.config.core.static_power_core_mw * self.active_cores
-            + self.config.static_power_uncore_mw
-        ) * 1e-3
 
 
 # Every per-event charge is a constant of the published tables, built

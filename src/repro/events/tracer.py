@@ -138,17 +138,16 @@ class EventTracer:
 
     ``capacity`` bounds memory: once full, the oldest events are dropped
     (``dropped`` counts them, and the profiler refuses to validate a
-    truncated stream).  ``enabled`` allows pausing an attached tracer;
-    components constructed without a tracer skip even the method call.
+    truncated stream).  Components constructed without a tracer skip even
+    the method call.
     """
 
-    __slots__ = ("capacity", "enabled", "_rows", "_emitted")
+    __slots__ = ("capacity", "_rows", "_emitted")
 
-    def __init__(self, capacity: int = 1 << 20, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = 1 << 20) -> None:
         if capacity <= 0:
             raise ValueError(f"tracer capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
         self._rows: deque[tuple] = deque(maxlen=capacity)
         self._emitted = 0
 
@@ -161,13 +160,11 @@ class EventTracer:
              span: float = 0.0, outcome: str | None = None,
              reason: str | None = None, phase: str | None = None,
              blocks: int | None = None) -> None:
-        """Append one event (no-op while paused).  The keywords are the
-        :class:`Event` fields, so a misspelt one raises ``TypeError``."""
-        if self.enabled:
-            self._rows.append((kind, core, level, unit, opcode, partition, addr,
-                               instr_id, cycle, span, outcome, reason, phase,
-                               blocks))
-            self._emitted += 1
+        """Append one event.  The keywords are the :class:`Event` fields,
+        so a misspelt one raises ``TypeError``."""
+        self._rows.append((kind, core, level, unit, opcode, partition, addr,
+                           instr_id, cycle, span, outcome, reason, phase, blocks))
+        self._emitted += 1
 
     # -- inspection -----------------------------------------------------------------
 

@@ -123,12 +123,6 @@ class FaultPlan:
             raise FaultPlanError(f"duplicate fault specs for {sorted(dupes)}")
         object.__setattr__(self, "specs", tuple(self.specs))
 
-    def spec(self, kind: str) -> FaultSpec | None:
-        for s in self.specs:
-            if s.kind == kind:
-                return s
-        return None
-
     def kinds(self) -> frozenset[str]:
         return frozenset(s.kind for s in self.specs)
 

@@ -16,7 +16,6 @@ logic unit, or as the core's RISC fallback.
 
 from .packed import (
     POPCOUNT8,
-    PackedCellArray,
     arith_rows,
     block_op,
     check_block_op,
@@ -29,7 +28,6 @@ from .packed import (
 
 __all__ = [
     "POPCOUNT8",
-    "PackedCellArray",
     "arith_rows",
     "block_op",
     "check_block_op",

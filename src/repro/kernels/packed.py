@@ -210,72 +210,3 @@ def block_op(op: str, a: np.ndarray, b: np.ndarray | None = None,
         return None, reduce_rows(a, elem_bits).tolist()
     return out, [row.tobytes() for row in out]
 
-
-class PackedCellArray:
-    """Packed-byte storage for one sub-array (the fast-path data plane).
-
-    Drop-in replacement for the data-plane surface of
-    :class:`~repro.sram.bitcell.BitCellArray`: same ``rows``/``cols`` shape
-    and the same ``read_row``/``write_row``/``snapshot`` bit-level accessors
-    (used by scrubbing, ECC, and ``peek`` backdoors), but the backing store
-    is one ``uint8`` byte per 8 bit-cells and the hot accessors move packed
-    bytes without ever unpacking.
-
-    Circuit physics (multi-row activation, write-disturb, sense amps) is
-    *not* modeled here; circuit-level experiments use
-    :class:`~repro.sram.bitcell.BitCellArray` directly.
-
-    ``data``, when given, is the ``(rows, cols // 8)`` uint8 array to store
-    into, e.g. one partition's view of a cache level's shared block.
-    """
-
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None) -> None:
-        if rows <= 0 or cols <= 0:
-            raise AddressError(f"invalid cell array shape {rows}x{cols}")
-        if cols % 8:
-            raise AddressError(f"packed array width {cols} is not a whole number of bytes")
-        self.rows = rows
-        self.cols = cols
-        self.row_bytes = cols // 8
-        if data is None:
-            data = np.zeros((rows, self.row_bytes), dtype=np.uint8)
-        elif data.shape != (rows, self.row_bytes) or data.dtype != np.uint8:
-            raise AddressError(f"backing array {data.shape} {data.dtype} does not hold "
-                               f"{rows} uint8 rows of {self.row_bytes} bytes")
-        self.data = data
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise AddressError(f"row {row} outside array of {self.rows} rows")
-
-    # -- packed fast path -----------------------------------------------------
-
-    def read_row_bytes(self, row: int) -> bytes:
-        self._check_row(row)
-        return self.data[row].tobytes()
-
-    def write_row_bytes(self, row: int, data: bytes) -> None:
-        self._check_row(row)
-        if len(data) != self.row_bytes:
-            raise AddressError(
-                f"row write of {len(data)} bytes into {self.row_bytes}-byte row"
-            )
-        self.data[row] = np.frombuffer(data, dtype=np.uint8)
-
-    # -- bit-level compatibility surface (scrub/ECC/peek backdoors) -----------
-
-    def read_row(self, row: int) -> np.ndarray:
-        """Row as a bool bit array (MSB-first), matching BitCellArray."""
-        self._check_row(row)
-        return np.unpackbits(self.data[row]).astype(bool)
-
-    def write_row(self, row: int, bits: np.ndarray) -> None:
-        """Write a row given as a bool bit array, matching BitCellArray."""
-        self._check_row(row)
-        if bits.size != self.cols:
-            raise AddressError(f"row write of {bits.size} bits into {self.cols} columns")
-        self.data[row] = np.packbits(np.asarray(bits, dtype=bool))
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the whole array as bits (tests and scrubbing)."""
-        return np.unpackbits(self.data, axis=1).astype(bool)

@@ -149,17 +149,6 @@ class ComputeCacheMachine:
 
     # -- topology (multi-cluster NUMA) --------------------------------------------------
 
-    @property
-    def topology(self):
-        """The machine's :class:`~repro.params.TopologyConfig`."""
-        return self.config.topology
-
-    def cluster_of_core(self, core: int) -> int:
-        """Cluster a core belongs to (cores partition like ring stops)."""
-        self._check_core(core)
-        stop = core % self.config.ring.stops
-        return self.hierarchy.ring.cluster_of(stop)
-
     def place_page(self, addr: int, slice_id: int) -> None:
         """Home the page containing ``addr`` on an L3 slice (OS hook).
 

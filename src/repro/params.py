@@ -112,10 +112,6 @@ class CacheLevelConfig:
         return self.blocks // self.ways
 
     @property
-    def set_index_bits(self) -> int:
-        return log2i(self.sets)
-
-    @property
     def offset_bits(self) -> int:
         return log2i(BLOCK_SIZE)
 
@@ -342,18 +338,6 @@ class MachineConfig:
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
 
-    @property
-    def l3_total_size(self) -> int:
-        return self.l3_slice.size * self.l3_slices
-
-    def scaled(self, memory_size: int | None = None, cores: int | None = None) -> "MachineConfig":
-        """Return a copy with selected top-level fields replaced."""
-        kwargs = {}
-        if memory_size is not None:
-            kwargs["memory_size"] = memory_size
-        if cores is not None:
-            kwargs["cores"] = cores
-        return replace(self, **kwargs)
 
 
 def sandybridge_8core(memory_size: int = 64 * 1024 * 1024) -> MachineConfig:
@@ -430,8 +414,3 @@ def validate_table3(config: MachineConfig) -> dict[str, int]:
     levels = (config.l1d, config.l2, config.l3_slice)
     return {name: level.min_locality_bits
             for name, level in zip(Component.LEVELS, levels)}
-
-
-def ns_to_cycles(ns: float, core: CoreConfig) -> int:
-    """Convert nanoseconds to (rounded-up) core cycles."""
-    return int(math.ceil(ns / core.cycle_ns))

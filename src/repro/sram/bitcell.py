@@ -39,11 +39,6 @@ class CellType(enum.Enum):
         (including multi-row compute activations) cannot flip them."""
         return self is CellType.EIGHT_T
 
-    @property
-    def relative_area(self) -> float:
-        """Approximate cell-area ratio vs 6T (why L2/L3 stay 6T)."""
-        return 1.0 if self is CellType.SIX_T else 1.3
-
 
 class BitCellArray:
     """A ``rows x cols`` grid of SRAM bit-cells.
@@ -149,7 +144,3 @@ class BitCellArray:
             raise DataCorruptionError(
                 "multi-row activation without word-line underdrive corrupted bit-cells"
             )
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the whole array contents (for tests and scrubbing)."""
-        return self._cells.copy()

@@ -18,8 +18,8 @@ from ..errors import AddressError
 class DualRowDecoder:
     """Two-port row decoder: decodes up to two row addresses per activation.
 
-    Tracks decode counts so area/energy accounting can attribute the second
-    decoder's contribution to the 8% sub-array area overhead.
+    Counts single and dual decodes (``decode_count``,
+    ``dual_decode_count``); no area or energy model reads them.
     """
 
     rows: int

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..bitops import bits_to_bytes, bytes_to_bits, word_equality_mask, xor_reduce_lanes
 from ..errors import AddressError
-from ..kernels import PackedCellArray, block_op, check_block_op, pack_flags
+from ..kernels import block_op, check_block_op, pack_flags
 from ..params import BLOCK_SIZE, WORD_SIZE
 from .bitcell import BitCellArray
 from .decoder import DualRowDecoder
@@ -119,8 +119,9 @@ class _Subarray:
     """What both backends share: shape and statistics."""
 
     def __init__(self, rows: int, cols: int) -> None:
-        if cols % 8:
-            raise AddressError(f"sub-array width {cols} is not a whole number of bytes")
+        if rows <= 0 or cols <= 0 or cols % 8:
+            raise AddressError(f"invalid sub-array shape {rows}x{cols}: rows and columns "
+                               "must be positive, columns a whole number of bytes")
         self.rows = rows
         self.cols = cols
         self.stats = SubarrayStats()
@@ -445,28 +446,29 @@ class ComputeSubarray(_Subarray):
         return bits_to_bytes(bits)
 
 
-class PackedSubarray(_Subarray, PackedCellArray):
+class PackedSubarray(_Subarray):
     """The fast path: packed rows whose every batch is one
     :func:`~repro.kernels.packed.block_op` call (gather packed rows,
     compute, scatter), with the circuit's results and statistics.
 
-    The sub-arrays of one cache level (:meth:`level`) keep their rows in
-    one shared ``(partitions, rows, cols // 8)`` uint8 ``block``, each
-    storing into the view ``block[index]``, so :meth:`op_groups` runs a
-    batch spread over many partitions as one gather, kernel and scatter.
-    A sub-array built on its own has a one-partition block.
+    Rows are stored one ``uint8`` byte per 8 bit-cells and move as packed
+    bytes, never unpacked; circuit physics (multi-row activation, write
+    disturb, sense amps) is not modeled here.  The sub-arrays of one cache
+    level (:meth:`level`) keep their rows in one shared ``(partitions,
+    rows, cols // 8)`` uint8 ``block``, each storing into the view
+    ``data = block[index]``, so :meth:`op_groups` runs a batch spread over
+    many partitions as one gather, kernel and scatter.  A sub-array built
+    on its own has a one-partition block.
     """
 
     def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
                  index: int = 0) -> None:
-        _Subarray.__init__(self, rows, cols)
+        super().__init__(rows, cols)
         if block is None:
-            PackedCellArray.__init__(self, rows, cols)
-            block = self.data[None]
-        else:
-            PackedCellArray.__init__(self, rows, cols, block[index])
+            block = np.zeros((1, rows, cols // 8), dtype=np.uint8)
         self.block = block
         self.index = index
+        self.data = block[index]
 
     @classmethod
     def level(cls, count: int, rows: int, cols: int) -> list:
@@ -481,11 +483,15 @@ class PackedSubarray(_Subarray, PackedCellArray):
                               dtype=np.uint8).reshape(shape)
         return [cls(rows, cols, block=block, index=i) for i in range(count)]
 
+    def _check_row(self, row: int) -> None:
+        if not 0 <= row < self.rows:
+            raise AddressError(f"row {row} outside array of {self.rows} rows")
+
     def read_block(self, row: int) -> bytes:
         """Conventional read of one row (one cache block)."""
-        data = self.read_row_bytes(row)
+        self._check_row(row)
         self.stats.record(SubarrayOp.READ)
-        return data
+        return self.data[row].tobytes()
 
     def write_block(self, row: int, data: bytes) -> None:
         """Conventional write of one row."""
@@ -493,12 +499,14 @@ class PackedSubarray(_Subarray, PackedCellArray):
             raise AddressError(
                 f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
             )
-        self.write_row_bytes(row, data)
+        self._check_row(row)
+        self.data[row] = np.frombuffer(data, dtype=np.uint8)
         self.stats.record(SubarrayOp.WRITE)
 
     def peek_block(self, row: int) -> bytes:
         """One row's bytes without stats or energy (verification backdoor)."""
-        return self.read_row_bytes(row)
+        self._check_row(row)
+        return self.data[row].tobytes()
 
     def op_batch(
         self,

@@ -3,12 +3,8 @@
 import pytest
 
 from repro import ComputeCacheMachine
-from repro.apps.checkpoint import (
-    CheckpointRun,
-    checkpoint_app_result,
-    run_checkpoint,
-)
-from repro.apps.splash import BENCHMARKS, PROFILES, SplashProfile, profile
+from repro.apps.checkpoint import run_checkpoint
+from repro.apps.splash import BENCHMARKS, PROFILES, SplashProfile
 from repro.params import PAGE_SIZE, small_test_machine
 
 FAST = SplashProfile("fast", dirty_pages_per_interval=3, cpi=1.0,
@@ -33,12 +29,8 @@ class TestProfiles:
             radix >= p.dirty_pages_per_interval for p in PROFILES.values()
         )
 
-    def test_unknown_profile(self):
-        with pytest.raises(KeyError):
-            profile("lu")
-
     def test_interval_cycles(self):
-        assert profile("fmm").interval_cycles == pytest.approx(115_000)
+        assert PROFILES["fmm"].interval_cycles == pytest.approx(115_000)
 
 
 class TestCheckpointRuns:
@@ -82,11 +74,6 @@ class TestCheckpointRuns:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             run("tape")
-
-    def test_app_result_adapter(self, runs):
-        res = checkpoint_app_result(runs["cc"])
-        assert res.app == "checkpoint-fast"
-        assert res.stats["overhead"] == pytest.approx(runs["cc"].overhead)
 
     def test_energy_ordering(self, runs):
         """Figure 11's shape: checkpointing energy cost shrinks with CC."""

@@ -5,8 +5,7 @@ import pytest
 
 from repro import ComputeCacheMachine
 from repro.apps import bitmap_db, bmm, stringmatch, textgen, wordcount
-from repro.apps.common import AppResult, StreamRunner, fresh_machine, pad_to_slot
-from repro.energy.accounting import EnergyLedger
+from repro.apps.common import StreamRunner, fresh_machine, pad_to_slot
 from repro.params import small_test_machine
 
 
@@ -26,12 +25,6 @@ class TestCommonPlumbing:
         runner.flush()
         assert runner.instructions == 10
         assert runner.cycles == 10
-
-    def test_app_result_describe(self):
-        res = AppResult(app="x", variant="cc", cycles=1234.0,
-                        instructions=56, energy=EnergyLedger())
-        text = res.describe()
-        assert "x/cc" in text and "1,234" in text and "56" in text
 
 
 class TestWordCountEdges:
@@ -155,17 +148,3 @@ class TestEnergyIsolation:
         m1.read(addr, 8)
         assert m1.ledger.total() > 0
         assert m2.ledger.total() == 0
-
-
-class TestAppResultExport:
-    def test_to_dict_json_ready(self):
-        import json
-
-        ledger = EnergyLedger()
-        ledger.add("core", 1500.0)
-        res = AppResult(app="x", variant="cc", cycles=10.0, instructions=5,
-                        energy=ledger, stats={"k": 1, "obj": object()})
-        doc = res.to_dict()
-        json.dumps(doc)  # must be serializable
-        assert doc["dynamic_nj"] == 1.5
-        assert doc["stats"] == {"k": 1}  # non-scalar stats dropped

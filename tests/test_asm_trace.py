@@ -232,14 +232,6 @@ class TestVectorCompiler:
         expected = (np.frombuffer(da, np.uint8) & np.frombuffer(db, np.uint8)).tobytes()
         assert m.peek(0x8000, 128) == expected
 
-    def test_compile_search(self):
-        from repro.compiler import ArrayRef, VectorCompiler
-
-        comp = VectorCompiler(small_test_machine())
-        plan = comp.compile_search(ArrayRef("data", 0x0, 8192), key_addr=0x4000)
-        assert all(i.size <= 4096 for i in plan.instructions)
-        assert plan.op is Opcode.SEARCH
-
     def test_size_mismatch_rejected(self):
         from repro.compiler import ArrayRef, VectorCompiler
 

@@ -10,12 +10,7 @@ from repro.bench.microbench import (
     table3_rows,
     table5_rows,
 )
-from repro.bench.report import (
-    render_breakdown,
-    render_figure10,
-    render_figure11,
-    render_table,
-)
+from repro.bench.report import render_figure10, render_figure11, render_table
 from repro.cli import build_parser, main
 from repro.energy.accounting import EnergyLedger
 from repro.params import small_test_machine
@@ -37,12 +32,6 @@ class TestReportRendering:
         text = render_table([{"v": 123456.789}, {"v": 0.123456}, {"v": 0.0}])
         assert "123,457" in text
         assert "0.123" in text
-
-    def test_render_breakdown(self):
-        ledger = EnergyLedger()
-        ledger.add("core", 1500.0)
-        text = render_breakdown(ledger, "B")
-        assert "core" in text and "1.50" in text
 
     def test_render_fig10_fig11(self):
         overheads = {"fmm": {"base": 0.1, "base32": 0.05, "cc": 0.01}}
@@ -75,7 +64,6 @@ class TestRunKernel:
             instructions=1, dynamic=EnergyLedger(), bytes_processed=4096,
         )
         assert meas.throughput_bytes_per_cycle == pytest.approx(81.92)
-        assert meas.throughput_mops(2.0) == pytest.approx(4096 / 8 / (50 / 2e9) / 1e6)
 
 
 class TestTablesFast:

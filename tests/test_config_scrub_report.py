@@ -1,9 +1,8 @@
-"""Config serialization, scrub service, and bar-chart renderer tests."""
+"""Config serialization and scrub service tests."""
 
 import pytest
 
 from repro import ComputeCacheMachine, cc_ops
-from repro.bench.report import render_bars, render_stacked_bars
 from repro.config_io import (
     config_from_dict,
     config_from_json,
@@ -185,29 +184,3 @@ class TestScrubService:
         service = ScrubService(level)
         service.protect_resident()
         assert service.scrub_pass().corrections == 0
-
-
-class TestBarCharts:
-    def test_render_bars(self):
-        text = render_bars({"Base_32": 100.0, "CC_L3": 10.0}, "T", width=10)
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 1
-
-    def test_render_bars_empty_and_zero(self):
-        assert "(empty)" in render_bars({}, "x")
-        text = render_bars({"a": 0.0, "b": 2.0})
-        assert "|" in text
-
-    def test_stacked_bars_with_legend(self):
-        series = {
-            "base": {"core": 50.0, "noc": 30.0},
-            "cc": {"core": 5.0, "noc": 0.0},
-        }
-        text = render_stacked_bars(series, "S", width=16)
-        assert "legend:" in text
-        assert "#=core" in text
-        base_line = text.splitlines()[1]
-        cc_line = text.splitlines()[2]
-        assert base_line.count("#") > cc_line.count("#")

@@ -153,6 +153,31 @@ class TestL3EvictionUnderCC:
         assert not m.hierarchy.l1[0].contains(c)
 
 
+class TestDrainRowCheck:
+    """The drain's row check (``ComputeCacheController._drain``) keeps a
+    forced-level piece correct when a staging fetch back-invalidates an
+    operand that an earlier op located."""
+
+    @pytest.mark.parametrize("backend", ["bitexact", "packed"])
+    def test_operand_evicted_by_a_staging_fetch_is_staged_again(self, backend, make_bytes):
+        m = ComputeCacheMachine(small_test_machine(), backend=backend, trace_events=True)
+        # One page apart: one L2 set (and one L1 set) for all six blocks.
+        x, z1, z2, z3, y, d = m.arena.alloc_colocated(BLOCK_SIZE, 6)
+        for addr in (x, z1, z2, z3, y, d):
+            m.load(addr, make_bytes(BLOCK_SIZE))
+        for addr in (x, z1, z2, z3):
+            m.read(addr, 8, core=0)
+        # x stays in L1 and is the LRU line of its full L2 set, so fetching
+        # y for the AND evicts it from L2 and back-invalidates it in L1
+        # after the op located it there.
+        res = m.cc(cc_ops.cc_and(x, y, d, BLOCK_SIZE), force_level="L1")
+        expected = (np.frombuffer(m.peek(x, BLOCK_SIZE), np.uint8)
+                    & np.frombuffer(m.peek(y, BLOCK_SIZE), np.uint8)).tobytes()
+        assert m.peek(d, BLOCK_SIZE) == expected
+        assert res.inplace_ops == 1
+        assert [e.outcome for e in m.tracer.by_kind("cc.dispatch")] == ["batched"]
+
+
 class TestInjectedPinSteals:
     """Starvation avoidance under injected pin steals (Section IV-E):
     the RISC fallback engages after *exactly* ``pin_retry_limit`` failed

@@ -114,11 +114,6 @@ class TestErrorBranches:
 
 
 class TestRunResultMetrics:
-    def test_ipc_and_seconds(self, m):
-        res = m.run(Program("p", [Instr.scalar()] * 10))
-        assert res.ipc == pytest.approx(1.0)
-        assert res.seconds(2.0) == pytest.approx(10 / 2e9)
-
     def test_counts_by_kind(self, m, make_bytes):
         addr = m.arena.alloc_page_aligned(64)
         m.load(addr, make_bytes(64))

@@ -32,7 +32,7 @@ def l3_level() -> CacheLevel:
 
 class TestAddressDecode:
     def test_fields_of_known_address(self, l3_geo):
-        addr = (0x5 << (6 + L3.set_index_bits)) | (0x123 << 6)
+        addr = (0x5 * L3.sets + 0x123) << 6
         bank, bp = 0x123 & 0xF, (0x123 >> 4) & 0x3  # low 4 set bits, next 2
         assert l3_level().set_of(addr) == 0x123
         assert l3_geo.partition_of(addr | 0x15) == bank * L3.bps_per_bank + bp

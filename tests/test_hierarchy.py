@@ -209,7 +209,7 @@ class TestCCPrepare:
         lines = hier.cc_ready_lines(0, level, [addr], is_dest)
         before = machine_state()
         target = caches.index(hier.level_cache(level, 0, addr))
-        if is_dest and before[0][target].readable:
+        if is_dest and before[0][target] is not MESIState.INVALID:
             before[0][target] = MESIState.MODIFIED
         latency = hier.cc_prepare(0, level, addr, is_dest, skip_fetch=is_dest)
         assert (lines is not None) == (latency == 0 and machine_state() == before)

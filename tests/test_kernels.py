@@ -16,7 +16,6 @@ from repro.bitops import bytes_to_bits, word_equality_mask, xor_reduce_lanes
 from repro.errors import AddressError, ISAError
 from repro.kernels import (
     POPCOUNT8,
-    PackedCellArray,
     block_op,
     clmul_mask,
     equality_mask,
@@ -141,47 +140,3 @@ class TestClmulMask:
     def test_bad_lane_rejected(self):
         with pytest.raises(AddressError):
             clmul_mask(_rand_rows(0, 1), _rand_rows(1, 1), 24)
-
-
-class TestPackedCellArray:
-    def test_byte_round_trip(self):
-        arr = PackedCellArray(4, 512)
-        data = bytes(range(64))
-        arr.write_row_bytes(2, data)
-        assert arr.read_row_bytes(2) == data
-        assert arr.read_row_bytes(0) == bytes(64)
-
-    def test_bit_compat_round_trip(self):
-        """The bit-level compat surface must agree with the packed bytes
-        (MSB-first bit order, matching BitCellArray)."""
-        arr = PackedCellArray(2, 16)
-        arr.write_row_bytes(0, b"\x80\x01")
-        bits = arr.read_row(0)
-        assert bits[0] and bits[15] and bits[1:15].sum() == 0
-        arr.write_row(1, bits)
-        assert arr.read_row_bytes(1) == b"\x80\x01"
-
-    def test_snapshot_shape(self):
-        arr = PackedCellArray(3, 64)
-        arr.write_row_bytes(1, b"\xff" * 8)
-        snap = arr.snapshot()
-        assert snap.shape == (3, 64)
-        assert snap[1].all() and not snap[0].any()
-
-    def test_row_bounds_checked(self):
-        arr = PackedCellArray(2, 64)
-        with pytest.raises(AddressError):
-            arr.read_row_bytes(2)
-        with pytest.raises(AddressError):
-            arr.write_row_bytes(-1, bytes(8))
-
-    def test_stores_into_the_given_array(self):
-        """Rows written through the array land in the backing array it was
-        given (one partition's view of a level's shared block)."""
-        block = np.zeros((3, 4, 8), dtype=np.uint8)
-        arr = PackedCellArray(4, 64, block[1])
-        arr.write_row_bytes(2, bytes(range(8)))
-        assert block[1, 2].tobytes() == bytes(range(8))
-        assert not block[0].any() and not block[2].any()
-        with pytest.raises(AddressError):
-            PackedCellArray(4, 64, block)

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from repro import ComputeCacheMachine, cc_ops
 from repro.cache.geometry import CacheGeometry
-from repro.cache.locality import (
-    alignment_satisfies,
-    check_operand_locality,
-    page_aligned_pair,
-    partitions_match,
-    required_alignment_bits,
-)
+from repro.cache.locality import check_operand_locality, partitions_match
 from repro.core.exceptions import split_by_pages
 from repro.errors import ISAError, OperandLocalityError
 from repro.params import BLOCK_SIZE, PAGE_SIZE, multi_cluster, sandybridge_8core, small_test_machine
@@ -70,23 +64,6 @@ class TestCheckOperandLocality:
         with pytest.raises(OperandLocalityError) as exc:
             check_operand_locality([0x0, 0x40], cfg.l3_slice, strict=True)
         assert "12" in str(exc.value)
-
-
-class TestAlignmentRules:
-    def test_required_alignment_is_l3(self, cfg):
-        bits = required_alignment_bits([cfg.l1d, cfg.l2, cfg.l3_slice])
-        assert bits == 12  # one 4 KB page
-
-    def test_portability_rule(self, cfg):
-        """A binary compiled for 12-bit alignment runs on caches needing
-        <= 12 bits (Section IV-C)."""
-        for level in (cfg.l1d, cfg.l2, cfg.l3_slice):
-            assert alignment_satisfies(12, level)
-        assert not alignment_satisfies(10, cfg.l3_slice)
-
-    def test_page_aligned_pair(self):
-        assert page_aligned_pair(0x1100, 0x5100)
-        assert not page_aligned_pair(0x1100, 0x5140)
 
 
 MACHINES = {"small": small_test_machine, "sandybridge": sandybridge_8core,

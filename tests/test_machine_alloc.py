@@ -53,12 +53,6 @@ class TestArena:
         with pytest.raises(AddressError):
             arena.alloc_colocated(64, 0)
 
-    def test_usage_tracking(self):
-        arena = Arena(1 << 20)
-        arena.alloc(128)
-        assert arena.used >= 128
-        assert arena.remaining <= (1 << 20) - 128
-
     def test_superpage_colocated_groups(self):
         """Section IV-C: within a superpage, 12-bit alignment suffices."""
         arena = Arena(8 << 20)
@@ -166,8 +160,7 @@ class TestMachineFacade:
 
     @pytest.mark.parametrize("past_end", [False, True], ids=["-1", "cores"])
     @pytest.mark.parametrize("method", ["cc", "cc_stream", "run", "read",
-                                        "write", "touch_range", "warm_l3",
-                                        "cluster_of_core"])
+                                        "write", "touch_range", "warm_l3"])
     def test_core_out_of_range_rejected(self, machine, method, past_end):
         """A core index outside ``range(cores)`` is a ReproError naming the
         index and the core count, raised before any cache state changes
@@ -184,7 +177,6 @@ class TestMachineFacade:
             "write": lambda: machine.write(a, b"\x01" * 8, core=core),
             "touch_range": lambda: machine.touch_range(a, 128, core=core),
             "warm_l3": lambda: machine.warm_l3(a, 128, core=core),
-            "cluster_of_core": lambda: machine.cluster_of_core(core),
         }[method]
         with pytest.raises(ReproError, match=rf"core {core} .*{cores} cores"):
             call()

@@ -75,12 +75,6 @@ class TestMulticoreRunner:
         assert result.per_core[0].cycles < result.per_core[1].cycles
         assert result.aggregate_ipc > 0
 
-    def test_speedup_metric(self, m):
-        per_core = Program("p", [Instr.scalar()] * 100)
-        result = MulticoreRunner(m).run({0: per_core, 1: Program("q", list(per_core))})
-        serial = 200.0
-        assert result.speedup_over(serial) == pytest.approx(serial / result.makespan)
-
     def test_validation(self, m):
         with pytest.raises(ReproError):
             MulticoreRunner(m, chunk=0)
@@ -100,20 +94,17 @@ class TestDegenerateAggregates:
         assert result.makespan == 0.0
         assert result.total_instructions == 0
         assert result.aggregate_ipc == 0.0
-        assert result.speedup_over(100.0) == 0.0
 
     def test_all_empty_programs(self, m):
         result = MulticoreRunner(m).run({0: Program("e0", []),
                                          1: Program("e1", [])})
         assert result.makespan == 0.0
         assert result.aggregate_ipc == 0.0
-        assert result.speedup_over(0.0) == 0.0
 
     def test_empty_result_object(self):
         result = MulticoreResult(per_core={})
         assert result.makespan == 0.0
         assert result.aggregate_ipc == 0.0
-        assert result.speedup_over(42.0) == 0.0
         assert result.cluster_makespans(2, 2) == {0: 0.0, 1: 0.0}
 
 

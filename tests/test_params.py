@@ -9,7 +9,6 @@ from repro.params import (
     CacheLevelConfig,
     MachineConfig,
     log2i,
-    ns_to_cycles,
     sandybridge_8core,
     small_test_machine,
     validate_table3,
@@ -42,7 +41,6 @@ class TestTable4Defaults:
         assert cfg.l2.hit_latency == 11
         assert cfg.l3_slice.size == 2 * 1024 * 1024 and cfg.l3_slice.ways == 16
         assert cfg.l3_slices == 8
-        assert cfg.l3_total_size == 16 * 1024 * 1024
 
     def test_interconnect_memory(self):
         cfg = sandybridge_8core()
@@ -105,11 +103,3 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MachineConfig(memory_size=PAGE_SIZE + BLOCK_SIZE)
 
-    def test_ns_to_cycles_rounds_up(self):
-        cfg = sandybridge_8core()
-        assert ns_to_cycles(1.0, cfg.core) == 3  # 2.66 GHz -> 0.376 ns/cycle
-
-    def test_scaled_copy(self):
-        cfg = sandybridge_8core().scaled(memory_size=2 * 1024 * 1024)
-        assert cfg.memory_size == 2 * 1024 * 1024
-        assert cfg.cores == 8

@@ -44,7 +44,7 @@ class TestLookupInstall:
         fill(level, 0, 0x10, EXCLUSIVE)
         assert level.lookup(addr(level, 0, 0x10)) == (0, 0, EXCLUSIVE)
         assert level.tag_stats.hits == 1
-        assert level.tag_stats.misses == 1
+        assert level.tag_stats.lookups == 2
 
     def test_probe_uncounted(self, level):
         fill(level, 0, 0x10)

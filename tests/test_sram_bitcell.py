@@ -126,11 +126,3 @@ class TestDisturbFaultInjection:
         arr.write_row(0, bits("1111"))
         arr.activate([0])
         assert (arr.read_row(0) == bits("1111")).all()
-
-
-class TestSnapshot:
-    def test_snapshot_is_copy(self):
-        arr = BitCellArray(2, 4)
-        snap = arr.snapshot()
-        arr.write_row(0, bits("1111"))
-        assert not snap.any()

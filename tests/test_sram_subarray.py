@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AddressError, ISAError
-from repro.sram import ComputeSubarray, SubarrayStats
+from repro.sram import ComputeSubarray, PackedSubarray, SubarrayStats
 from repro.sram.timing import DELAY_MULTIPLIER, ENERGY_MULTIPLIER
 
 BLOCK = 64
@@ -34,6 +34,43 @@ class TestConventionalAccess:
         sub.read_block(0)
         assert sub.stats.reads == 2
         assert sub.stats.writes == 1
+
+
+class TestPackedRows:
+    """A packed sub-array stores its rows as bytes in its partition's view
+    of the level's shared block."""
+
+    def test_byte_round_trip(self):
+        sub = PackedSubarray(4, 512)
+        data = bytes(range(64))
+        sub.write_block(2, data)
+        assert sub.read_block(2) == data
+        assert sub.peek_block(0) == bytes(64)
+        with pytest.raises(AddressError):
+            sub.write_block(0, bytes(63))
+
+    def test_row_bounds_checked(self):
+        sub = PackedSubarray(2, 64)
+        with pytest.raises(AddressError):
+            sub.read_block(2)
+        with pytest.raises(AddressError):
+            sub.write_block(-1, bytes(8))
+        with pytest.raises(AddressError):
+            sub.peek_block(2)
+
+    def test_stores_into_the_shared_block(self):
+        subs = PackedSubarray.level(3, 4, 64)
+        block = subs[0].block
+        assert all(s.block is block for s in subs)
+        subs[1].write_block(2, bytes(range(8)))
+        assert block[1, 2].tobytes() == bytes(range(8))
+        assert not block[0].any() and not block[2].any()
+
+    @pytest.mark.parametrize("cls", [ComputeSubarray, PackedSubarray])
+    @pytest.mark.parametrize("rows, cols", [(0, 64), (4, 0), (4, 60)])
+    def test_bad_shape_rejected(self, cls, rows, cols):
+        with pytest.raises(AddressError):
+            cls(rows, cols)
 
 
 class TestLogicalOps:

@@ -81,8 +81,7 @@ class TestEightTCell:
             arr.write_row(1, self._rows("10101100"))
         assert (a6.activate([0, 1])[0] == a8.activate([0, 1])[0]).all()
 
-    def test_area_tradeoff(self):
-        assert CellType.EIGHT_T.relative_area > CellType.SIX_T.relative_area
+    def test_only_8t_is_read_disturb_immune(self):
         assert CellType.EIGHT_T.read_disturb_immune
         assert not CellType.SIX_T.read_disturb_immune
 

@@ -211,7 +211,6 @@ class TestStreamFusion:
         m, instrs = self._disjoint_stream(4)
         out = m.cc_stream(instrs)
         assert out.instructions == 4
-        assert out.simulated_bytes == 4 * 512
 
     def test_dependent_instructions_do_not_fuse_together(self):
         """d = c^a reads the c = a^b issued just before it in the stream."""
@@ -235,7 +234,6 @@ class TestStreamFusion:
         m, instrs = self._disjoint_stream(6)
         out = m.cc_stream(instrs)
         assert 0.0 < out.overlapped_cycles <= out.serial_cycles
-        assert out.overlap_speedup >= 1.0
         assert out.serial_cycles == sum(r.cycles for r in out.results)
 
 
