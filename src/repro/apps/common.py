@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..cpu.program import Instr, Program
 from ..energy.accounting import EnergyLedger
 from ..machine import ComputeCacheMachine
@@ -97,3 +99,9 @@ def pad_to_slot(word: bytes, slot: int = 64) -> bytes:
     if len(word) >= slot:
         word = word[: slot - 1]
     return word + bytes(slot - len(word))
+
+
+def lanes16(values: np.ndarray, plane_bytes: int) -> bytes:
+    """Zero-extend values into little-endian 16-bit lanes, block-padded."""
+    raw = np.ascontiguousarray(values, dtype=np.uint16).astype("<u2").tobytes()
+    return raw + bytes(plane_bytes - len(raw))

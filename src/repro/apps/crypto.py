@@ -59,7 +59,7 @@ from ..core.isa import cc_add, cc_clmul_bcast, cc_mul
 from ..cpu.program import Instr
 from ..machine import ComputeCacheMachine
 from ..params import BLOCK_SIZE
-from .common import AppResult, StreamRunner, fresh_machine
+from .common import AppResult, StreamRunner, fresh_machine, lanes16
 
 CRYPTO_KERNELS = ("ghash", "crc32", "crc64", "ntt")
 
@@ -535,11 +535,6 @@ def run_crc_baseline(workload: CryptoWorkload, width: int,
 # -- NTT-style negacyclic polynomial multiply -----------------------------------------
 
 
-def _lanes16(values: np.ndarray, plane_bytes: int) -> bytes:
-    raw = np.ascontiguousarray(values, dtype=np.uint16).astype("<u2").tobytes()
-    return raw + bytes(plane_bytes - len(raw))
-
-
 def run_ntt_cc(workload: CryptoWorkload, q: int,
                machine: ComputeCacheMachine | None = None,
                pulse=None) -> AppResult:
@@ -562,7 +557,7 @@ def run_ntt_cc(workload: CryptoWorkload, q: int,
     plane_addrs, abcast, prod, acc = addrs[:n], addrs[n], addrs[n + 1], addrs[n + 2]
     out_base = m.arena.alloc_page_aligned(pb)
     for i in range(n):
-        m.load(plane_addrs[i], _lanes16(planes[i], pb))
+        m.load(plane_addrs[i], lanes16(planes[i], pb))
     m.load(acc, bytes(pb))
     for i in range(n):                                     # rotation planes stay hot
         m.warm_l3(plane_addrs[i], pb)
@@ -573,7 +568,7 @@ def run_ntt_cc(workload: CryptoWorkload, q: int,
     for i in range(n):
         if pulse is not None:
             pulse()
-        stage = _lanes16(np.full(n, int(a[i]) & 0xFFFF, dtype=np.uint16), pb)
+        stage = lanes16(np.full(n, int(a[i]) & 0xFFFF, dtype=np.uint16), pb)
         for off in range(0, pb, BLOCK_SIZE):
             runner.emit(Instr.store(abcast + off, stage[off:off + BLOCK_SIZE]))
         runner.emit(Instr.cc_op(cc_mul(abcast, plane_addrs[i], prod, pb,
@@ -585,7 +580,7 @@ def run_ntt_cc(workload: CryptoWorkload, q: int,
     out = raw % q                                          # q | 2^16: exact
     for j in range(n):
         runner.emit(Instr.scalar())                        # mod-q mask per lane
-    runner.emit(Instr.store(out_base, _lanes16(out.astype(np.uint16), pb)))
+    runner.emit(Instr.store(out_base, lanes16(out.astype(np.uint16), pb)))
     runner.flush()
     ref = ntt_polymul(a, b, q)
     return runner.result(
@@ -606,8 +601,8 @@ def run_ntt_baseline(workload: CryptoWorkload, q: int,
     a_base = m.arena.alloc_page_aligned(n * 2)
     b_base = m.arena.alloc_page_aligned(n * 2)
     out_base = m.arena.alloc_page_aligned(n * 2)
-    m.load(a_base, _lanes16(a.astype(np.uint16), n * 2))
-    m.load(b_base, _lanes16(b.astype(np.uint16), n * 2))
+    m.load(a_base, lanes16(a.astype(np.uint16), n * 2))
+    m.load(b_base, lanes16(b.astype(np.uint16), n * 2))
 
     runner = StreamRunner(m, "ntt-base")
     snap = m.snapshot_energy()
@@ -626,7 +621,7 @@ def run_ntt_baseline(workload: CryptoWorkload, q: int,
         runner.emit(Instr.scalar())                        # mod q
         runner.emit(Instr.branch())
         out[j] %= q
-        runner.emit(Instr.store(out_base + j * 2, _lanes16(out[j:j + 1], 2)))
+        runner.emit(Instr.store(out_base + j * 2, lanes16(out[j:j + 1], 2)))
     runner.flush()
     ref = ntt_polymul(a, b, q)
     return runner.result(

@@ -46,7 +46,7 @@ from ..core.isa import cc_add, cc_mul, cc_reduce
 from ..cpu.program import Instr
 from ..machine import ComputeCacheMachine
 from ..params import BLOCK_SIZE
-from .common import AppResult, StreamRunner, fresh_machine
+from .common import AppResult, StreamRunner, fresh_machine, lanes16
 
 CONV_K = 3
 """Convolution kernel size (3x3, valid padding)."""
@@ -122,12 +122,6 @@ def reference_qdnn(workload: QDNNWorkload) -> dict[str, np.ndarray]:
     return {"conv_out": conv_out, "logits": logits}
 
 
-def _lanes16(values: np.ndarray, plane_bytes: int) -> bytes:
-    """Zero-extend values into little-endian 16-bit lanes, block-padded."""
-    raw = np.ascontiguousarray(values, dtype=np.uint16).astype("<u2").tobytes()
-    return raw + bytes(plane_bytes - len(raw))
-
-
 def _emit_staged_plane(runner: StreamRunner, src_base: int, dst_base: int,
                        data: bytes) -> None:
     """Model the core staging one derived plane: read the source bytes
@@ -160,9 +154,9 @@ def run_qdnn_cc(workload: QDNNWorkload,
     for k, (dy, dx) in enumerate(taps):
         wk = np.full(workload.conv_elems, workload.conv_w[dy, dx],
                      dtype=np.uint16)
-        m.load(wp_base + k * pb, _lanes16(wk, pb))
+        m.load(wp_base + k * pb, lanes16(wk, pb))
     for j in range(workload.n_out):
-        m.load(fcw_base + j * pb, _lanes16(workload.fc_w[j], pb))
+        m.load(fcw_base + j * pb, lanes16(workload.fc_w[j], pb))
 
     runner = StreamRunner(m, "qdnn-cc")
     snap = m.snapshot_energy()
@@ -172,7 +166,7 @@ def run_qdnn_cc(workload: QDNNWorkload,
     for k, (dy, dx) in enumerate(taps):
         shifted = acts[dy:dy + oh, dx:dx + ow].ravel().astype(np.uint16)
         _emit_staged_plane(runner, act_base, shift_base,
-                           _lanes16(shifted, pb))
+                           lanes16(shifted, pb))
         if k == 0:
             runner.emit(Instr.cc_op(cc_mul(shift_base, wp_base, acc_base,
                                            pb, elem_bits=ELEM_BITS)))
@@ -186,7 +180,7 @@ def run_qdnn_cc(workload: QDNNWorkload,
     # Requantize on the core (shift + saturate) and stage the FC input.
     conv_out = ref["conv_out"].ravel()
     _emit_staged_plane(runner, acc_base, fca_base,
-                       _lanes16(conv_out.astype(np.uint16), pb))
+                       lanes16(conv_out.astype(np.uint16), pb))
 
     # FC: one exact integer dot product per logit.
     logits = np.zeros(workload.n_out, dtype=np.uint64)

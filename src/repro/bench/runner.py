@@ -396,6 +396,7 @@ class PointRunner:
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
+        timed_out = False
         try:
             futures = {
                 i: pool.submit(_execute_point, points[i].fn, points[i].kwargs)
@@ -417,6 +418,7 @@ class PointRunner:
                                        outcome="parallel")
                             break
                         except FutureTimeout:
+                            timed_out = True
                             self.stats.timeouts += 1
                             futures[i].cancel()
                             self._emit("timeout", point,
@@ -450,7 +452,15 @@ class PointRunner:
                 self.stats.computed += 1
                 self._store(keys[i], point, result)
         finally:
+            # A running call cannot be cancelled, and the interpreter's exit
+            # joins every worker: stop those of a timed-out point (listed
+            # first, as shutdown drops the pool's table of them).
+            stuck = []
+            if timed_out:
+                stuck = list((getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
+            for worker in stuck:
+                worker.terminate()
 
     def _store(self, key: str, point: Point, result: Any) -> None:
         if self.use_cache:

@@ -1,17 +1,17 @@
 """Bit-level helpers shared by the SRAM, cache, and application layers.
 
-The functional simulator stores data as numpy ``uint8`` byte arrays and the
-SRAM layer stores bits as numpy ``bool`` arrays (one element per bit-cell).
-These helpers convert between the two representations and implement the
-word-granularity reductions the compute-cache circuits perform (wired-NOR
-equality, XOR-reduction for carry-less multiply).
+The simulator stores rows as numpy ``uint8`` byte arrays; the bit-exact
+circuit unpacks the rows it activates into numpy ``bool`` arrays (one
+element per bit-cell).  These helpers pack such bits back into bytes and
+implement the word-granularity reductions the compute-cache circuits
+perform (wired-NOR equality, XOR-reduction for carry-less multiply).
 
-Bit order convention: ``bytes_to_bits`` uses big-endian bit order within a
-byte (``numpy.unpackbits`` default), which matches a left-to-right layout of
-bit-lines in a sub-array row.  All round-trips are exact; the specific order
-only matters for lane extraction, which consistently uses the same order.
-Reduction masks use the opposite, little-endian convention: word/lane 0 (the
-lowest-addressed) occupies bit 0 of the mask.
+Bit order convention: bits are big-endian within a byte (``numpy.unpackbits``
+default), which matches a left-to-right layout of bit-lines in a sub-array
+row.  All round-trips are exact; the specific order only matters for lane
+extraction, which consistently uses the same order.  Reduction masks use the
+opposite, little-endian convention: word/lane 0 (the lowest-addressed)
+occupies bit 0 of the mask.
 
 Zero-length inputs are uniformly valid: every helper treats an empty byte
 string (or empty bit vector) as the identity and returns an empty result
@@ -26,12 +26,6 @@ import numpy as np
 
 from .errors import AddressError
 from .kernels import pack_flags
-
-
-def bytes_to_bits(data: bytes | bytearray | np.ndarray) -> np.ndarray:
-    """Expand bytes into a bool array of bits (8 per byte, MSB first)."""
-    arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    return np.unpackbits(arr).astype(bool)
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:

@@ -17,9 +17,9 @@ level's (:meth:`~repro.cache.cache.CacheLevel.set_of`).
 
 Each block partition is realized by one sub-array of the machine's backend
 (:data:`~repro.sram.SUBARRAYS`) whose rows each hold one cache block; any
-two blocks of a partition can be computed on in place.  The ``packed``
-sub-arrays of one level are views of one shared ``(partitions, rows,
-BLOCK_SIZE)`` uint8 block.
+two blocks of a partition can be computed on in place.  On both backends
+the sub-arrays of one level are views of one shared ``(partitions, rows,
+BLOCK_SIZE)`` uint8 block, the level's one row store.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class CacheGeometry:
         # replication: the key must share bit-lines with the data it is
         # compared against, so each block partition holds its own copy.
         self.key_row = config.blocks_per_partition
-        # The backend's sub-array class builds the level's partitions
-        # (packed ones share one block, so a batch spanning partitions is
-        # one kernel call).
+        # The backend's sub-array class builds the level's partitions on
+        # one block (so a packed batch spanning partitions is one kernel
+        # call).
         self.subarrays = SUBARRAYS[backend].level(
             config.num_partitions, config.blocks_per_partition + 1, BLOCK_SIZE * 8)
         # A set's flat (bank-major) partition id, by its low set-index bits:

@@ -138,15 +138,19 @@ class CacheHierarchy:
 
     # -- private-hierarchy helpers ----------------------------------------------------
 
+    def _lose_pin(self, level: CacheLevel, core: int, addr: int, reason: str) -> None:
+        """Record and drop the pin of a line about to be invalidated, if any."""
+        if level.is_pinned(addr):
+            self.forced_unpins.append((level.name, core, addr))
+            if self.tracer is not None:
+                self.tracer.emit("cc.pin_loss", core=core, level=level.name,
+                                 addr=addr, reason=reason)
+            level.unpin(addr)
+
     def _invalidate_private(self, core: int, addr: int) -> tuple[bytes | None, bool]:
         """Invalidate a core's L1+L2 copies; returns freshest (data, dirty)."""
         for level in (self.l1[core], self.l2[core]):
-            if level.is_pinned(addr):
-                self.forced_unpins.append((level.name, core, addr))
-                if self.tracer is not None:
-                    self.tracer.emit("cc.pin_loss", core=core, level=level.name,
-                                     addr=addr, reason="coherence-invalidation")
-                level.unpin(addr)
+            self._lose_pin(level, core, addr, "coherence-invalidation")
         l1_res = self.l1[core].invalidate(addr)
         l2_res = self.l2[core].invalidate(addr)
         if l1_res and l1_res[1]:
@@ -224,6 +228,7 @@ class CacheHierarchy:
 
     def _handle_l2_eviction(self, core: int, ev: Eviction) -> None:
         data, dirty = ev.data, ev.dirty
+        self._lose_pin(self.l1[core], core, ev.addr, "inclusive-eviction")
         l1_res = self.l1[core].invalidate(ev.addr)
         if l1_res and l1_res[1]:
             data, dirty = l1_res[0], True

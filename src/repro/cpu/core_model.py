@@ -65,15 +65,13 @@ class CoreModel:
 
     def __init__(self, hierarchy: CacheHierarchy, core_id: int,
                  config: MachineConfig | None = None,
-                 controller: ComputeCacheController | None = None,
-                 mlp: float = MEMORY_LEVEL_PARALLELISM) -> None:
+                 controller: ComputeCacheController | None = None) -> None:
         self.hierarchy = hierarchy
         self.core_id = core_id
         self.config = config or hierarchy.config
         self.controller = controller or ComputeCacheController(
             hierarchy, core_id, self.config
         )
-        self.mlp = mlp
         self.keep_load_data = False
         self.tracer = hierarchy.tracer
 
@@ -140,7 +138,7 @@ class CoreModel:
                         res.cycles += latency - l1_hit
                         res.stall_cycles += latency - l1_hit
                     else:
-                        pending_stall += (latency - l1_hit) / self.mlp
+                        pending_stall += (latency - l1_hit) / MEMORY_LEVEL_PARALLELISM
 
             elif kind is STORE or kind is SIMD_STORE:
                 charge(CORE, epi_scalar if kind is STORE else epi_simd)
@@ -161,7 +159,7 @@ class CoreModel:
                 # misses still occupy MSHRs: bulk stores are throughput-bound
                 # by the same memory-level parallelism as loads.
                 if latency > l1_hit:
-                    pending_stall += (latency - l1_hit) / self.mlp
+                    pending_stall += (latency - l1_hit) / MEMORY_LEVEL_PARALLELISM
 
             elif kind is CC:
                 charge(CORE, epi_cc)

@@ -81,7 +81,6 @@ _OP_COLUMN = {
     "not": "not",
     "and": "logic",
     "or": "logic",
-    "nor": "logic",
     "xor": "logic",
     "clmul": "cmp",
     "add": "logic",

@@ -51,7 +51,10 @@ Event kinds
                     arithmetic instruction (``blocks`` converted,
                     ``span`` = conversion makespan in cycles).
 ``cc.pin_retry``    A lost pin forcing a re-fetch attempt.
-``cc.pin_loss``     A forwarded coherence request stealing a pinned line.
+``cc.pin_loss``     A pinned line invalidated: stolen by a forwarded
+                    coherence request (``reason`` =
+                    ``coherence-invalidation``) or back-invalidated when
+                    its L2 copy is evicted (``inclusive-eviction``).
 ``cc.key_replicate``A search key written into a partition's key row.
 ``subarray.op``     One in-place sub-array operation.
 ``nearplace.op``    One near-place logic-unit operation.

@@ -1,9 +1,9 @@
 """Packed-word fast-path kernels for the Compute Cache functional model.
 
 The bit-exact backend simulates every CC operation through the modeled
-circuit: bytes are unpacked into per-bit ``bool`` arrays, bit-lines are
-sensed, and masks are assembled bit by bit.  That is the right model for
-circuit-level experiments but an 8x memory blow-up and the hot path of
+circuit: the rows an operation activates are unpacked into per-bit
+``bool`` arrays, bit-lines are sensed, and masks are assembled bit by bit.
+That is the right model for circuit-level experiments but the hot path of
 every benchmark.  This package provides the *packed* backend: every
 sub-array operation expressed as a vectorized numpy kernel over packed
 ``uint8`` rows — no bit unpacking anywhere — proven bit-exact against the

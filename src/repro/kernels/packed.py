@@ -34,17 +34,15 @@ LOGICAL_KERNELS = {
     "and": lambda a, b: a & b,
     "or": lambda a, b: a | b,
     "xor": lambda a, b: a ^ b,
-    "nor": lambda a, b: ~(a | b),
 }
 
 ARITH_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
 """Little-endian unsigned element views for the bit-serial arithmetic tier:
 element 0 occupies the lowest-addressed bytes of the row."""
 
-ROW_OPS = frozenset({"and", "or", "nor", "xor", "not", "copy", "buz", "add", "mul"})
+ROW_OPS = frozenset({"and", "or", "xor", "not", "copy", "buz", "add", "mul"})
 """Operations that produce one row per operand row (written to a destination)."""
-TWO_OPERAND_OPS = frozenset({"and", "or", "nor", "xor", "cmp", "search", "clmul",
-                             "add", "mul"})
+TWO_OPERAND_OPS = frozenset({"and", "or", "xor", "cmp", "search", "clmul", "add", "mul"})
 BLOCK_OPS = ROW_OPS | {"cmp", "search", "clmul", "reduce"}
 """Every compute operation of a sub-array."""
 
@@ -56,7 +54,7 @@ def _as_matrix(arr: np.ndarray) -> np.ndarray:
 
 
 def logical_rows(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Bulk bitwise kernel over packed rows: and/or/xor/nor/not/copy/buz.
+    """Bulk bitwise kernel over packed rows: and/or/xor/not/copy/buz.
 
     ``a`` and ``b`` are ``(n, row_bytes)`` (or 1-D single-row) uint8 arrays;
     the result has ``a``'s shape.  ``buz`` ignores the operand values and

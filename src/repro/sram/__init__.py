@@ -17,12 +17,15 @@ Public surface:
 * :class:`~repro.sram.sense_amp.SenseAmpColumn` - differential sensing that
   reconfigures into two single-ended amps during compute.
 * :class:`~repro.sram.subarray.ComputeSubarray` - the full sub-array as a
-  circuit, with read/write/compute entry points and per-operation counts;
-  the oracle for everything else that computes a block operation.
+  circuit, with compute entry points and per-operation counts; the
+  oracle for everything else that computes a block operation.
 * :class:`~repro.sram.subarray.PackedSubarray` - the ``packed`` fast path:
-  the same block access and batched compute over packed bytes, run by the
+  batched compute over packed bytes, run by the
   :func:`repro.kernels.block_op` kernel that the near-place unit and the
   RISC fallback also run, bit-exact against the circuit.
+
+Both keep a cache level's rows in one packed block and share its plain
+block access (``read_block``/``write_block``/``peek_block``).
   :data:`~repro.sram.subarray.SUBARRAYS` maps each backend name to its
   class.
 * :mod:`~repro.sram.timing` - the Section VI-C delay/energy multipliers

@@ -1,7 +1,9 @@
 """Raw SRAM bit-cell array with multi-row activation physics.
 
-The array stores one bool per bit-cell.  A normal access activates a single
-word-line; bit-line computing activates two (or more) word-lines at once.
+The array stores its rows packed, one ``uint8`` byte per 8 bit-cells (the
+first cell in the byte's most significant bit), and unpacks only the rows
+an activation reads.  A normal access activates a single word-line;
+bit-line computing activates two (or more) word-lines at once.
 With the word-line voltage lowered (``wordline_underdrive=True``, the
 default, matching Jeloka et al.'s fabricated chip) the cells are biased
 against writes and multi-row activation is non-destructive.  With the
@@ -58,6 +60,10 @@ class BitCellArray:
         the cells are 8T, which are immune regardless.
     cell_type:
         :class:`CellType.SIX_T` (default) or :class:`CellType.EIGHT_T`.
+    store:
+        The packed rows, a ``(rows, ceil(cols / 8))`` uint8 array the cells
+        read and write in place (a compute sub-array passes its rows of
+        the cache level's block); a zeroed array of its own by default.
     """
 
     def __init__(
@@ -67,15 +73,22 @@ class BitCellArray:
         max_activated: int = 64,
         wordline_underdrive: bool = True,
         cell_type: CellType = CellType.SIX_T,
+        store: np.ndarray | None = None,
     ) -> None:
         if rows <= 0 or cols <= 0:
             raise AddressError(f"invalid bit-cell array shape {rows}x{cols}")
+        shape = (rows, (cols + 7) // 8)
+        if store is None:
+            store = np.zeros(shape, dtype=np.uint8)
+        elif store.shape != shape:
+            raise AddressError(f"row store of shape {store.shape} does not hold "
+                               f"a {rows}x{cols} bit-cell array")
         self.rows = rows
         self.cols = cols
         self.max_activated = max_activated
         self.wordline_underdrive = wordline_underdrive
         self.cell_type = cell_type
-        self._cells = np.zeros((rows, cols), dtype=bool)
+        self._rows = store
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -86,12 +99,12 @@ class BitCellArray:
         self._check_row(row)
         if bits.size != self.cols:
             raise AddressError(f"row write of {bits.size} bits into {self.cols} columns")
-        self._cells[row] = bits.astype(bool)
+        self._rows[row] = np.packbits(bits.astype(bool))
 
     def read_row(self, row: int) -> np.ndarray:
         """Single word-line activation with differential sensing."""
         self._check_row(row)
-        return self._cells[row].copy()
+        return np.unpackbits(self._rows[row], count=self.cols).astype(bool)
 
     def activate(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Activate one or more word-lines and sense both bit-lines.
@@ -115,7 +128,7 @@ class BitCellArray:
             )
         for row in unique:
             self._check_row(row)
-        stack = self._cells[unique]
+        stack = np.unpackbits(self._rows[unique], axis=1, count=self.cols).astype(bool)
         bl = stack.all(axis=0)
         blb = ~stack.any(axis=0)
         if (
@@ -123,10 +136,10 @@ class BitCellArray:
             and not self.wordline_underdrive
             and not self.cell_type.read_disturb_immune
         ):
-            self._disturb(unique, bl)
+            self._disturb(unique, stack, bl)
         return bl, blb
 
-    def _disturb(self, rows: Sequence[int], bl: np.ndarray) -> None:
+    def _disturb(self, rows: list[int], stack: np.ndarray, bl: np.ndarray) -> None:
         """Emulate write-disturb during full-swing multi-row activation.
 
         A cell storing '1' whose bit-line is pulled low by a '0' in another
@@ -134,13 +147,8 @@ class BitCellArray:
         access transistor: the cell flips.  This is the corruption the
         lowered word-line voltage prevents.
         """
-        flipped = False
-        for row in rows:
-            victims = self._cells[row] & ~bl
-            if victims.any():
-                self._cells[row][victims] = False
-                flipped = True
-        if flipped:
+        if (stack & ~bl).any():
+            self._rows[rows] = np.packbits(stack & bl, axis=1)
             raise DataCorruptionError(
                 "multi-row activation without word-line underdrive corrupted bit-cells"
             )

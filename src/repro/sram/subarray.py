@@ -6,14 +6,13 @@ controller talks to.  Every row holds one cache block; all rows share
 bit-lines, so any two rows of the same sub-array are in the same *block
 partition* and can be operated on in place.
 
-Supported in-place operations (all bit-exact):
+Supported operations (all bit-exact):
 
 =============  =====================================================
-``read``       conventional differential read of one row
-``write``      conventional write of one row
+``read``       conventional read of one row's bytes
+``write``      conventional write of one row's bytes
 ``and``        BL sensing over two activated rows
-``nor``        BLB sensing over two activated rows
-``or``         complement of ``nor``
+``or``         complement of the BLB sensing (NOR) of two activated rows
 ``xor``        NOR of BL and BLB sense results
 ``not``        complement read driven to a destination row
 ``copy``       sense a row, feed the latch back onto the bit-lines
@@ -30,14 +29,20 @@ Execution backends
 ------------------
 
 The backend is chosen once per machine (``MachineConfig.backend``), when
-the cache geometry builds its sub-arrays from :data:`SUBARRAYS`:
+the cache geometry builds its sub-arrays from :data:`SUBARRAYS`.  Both
+keep their rows in one store: the sub-arrays of a cache level are views of
+one ``(partitions, rows, cols // 8)`` uint8 block, and a plain
+``read_block``/``write_block`` moves a row's bytes the same way on both.
+They differ only in how an operation computes:
 
 * ``"bitexact"`` - :class:`ComputeSubarray`, the circuit model above:
-  bytes expand to per-bit bool arrays, word-lines activate, sense amps
-  resolve rails.  It is the oracle for the fast path and the only one with
-  circuit diagnostics (sense-amp reconfiguration and decoder counts).
+  word-lines activate, the activated rows unpack into per-bit bool arrays,
+  sense amps resolve rails.  It is the oracle for the fast path and the
+  only one with circuit diagnostics (sense-amp reconfiguration and decoder
+  counts of the operations; a plain read or write is not modeled as a
+  circuit).
 * ``"packed"`` - :class:`PackedSubarray`, vectorized numpy kernels over
-  packed ``uint8`` rows (:mod:`repro.kernels`); no bit unpacking anywhere.
+  the packed rows (:mod:`repro.kernels`); no bit unpacking anywhere.
   Proven bit-exact against the circuit model by the differential-equivalence
   harness.
 
@@ -58,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitops import bits_to_bytes, bytes_to_bits, word_equality_mask, xor_reduce_lanes
+from ..bitops import bits_to_bytes, word_equality_mask, xor_reduce_lanes
 from ..errors import AddressError
 from ..kernels import block_op, check_block_op, pack_flags
 from ..params import BLOCK_SIZE, WORD_SIZE
@@ -74,7 +79,6 @@ class SubarrayOp:
     WRITE = "write"
     AND = "and"
     OR = "or"
-    NOR = "nor"
     XOR = "xor"
     NOT = "not"
     COPY = "copy"
@@ -85,13 +89,6 @@ class SubarrayOp:
     ADD = "add"
     MUL = "mul"
     REDUCE = "reduce"
-
-    LOGICAL = frozenset({AND, OR, NOR, XOR})
-    ARITH = frozenset({ADD, MUL, REDUCE})
-    ALL = frozenset(
-        {READ, WRITE, AND, OR, NOR, XOR, NOT, COPY, BUZ, CMP, SEARCH, CLMUL,
-         ADD, MUL, REDUCE}
-    )
 
 
 @dataclass
@@ -116,20 +113,68 @@ class SubarrayStats:
 
 
 class _Subarray:
-    """What both backends share: shape and statistics."""
+    """What both backends share: the packed rows, their plain access, and
+    the statistics.
 
-    def __init__(self, rows: int, cols: int) -> None:
+    A sub-array stores its rows one ``uint8`` byte per 8 bit-cells in
+    ``data``, the view ``block[index]`` of its cache level's ``(partitions,
+    rows, cols // 8)`` block (:meth:`level`); a sub-array built on its own
+    has a one-partition block.  Writing a row through any handle changes
+    the block.
+    """
+
+    def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
+                 index: int = 0) -> None:
         if rows <= 0 or cols <= 0 or cols % 8:
             raise AddressError(f"invalid sub-array shape {rows}x{cols}: rows and columns "
                                "must be positive, columns a whole number of bytes")
         self.rows = rows
         self.cols = cols
         self.stats = SubarrayStats()
+        if block is None:
+            block = np.zeros((1, rows, cols // 8), dtype=np.uint8)
+        self.block = block
+        self.index = index
+        self.data = block[index]
 
     @classmethod
     def level(cls, count: int, rows: int, cols: int) -> list:
-        """The ``count`` sub-arrays (block partitions) of one cache level."""
-        return [cls(rows, cols) for _ in range(count)]
+        """The ``count`` sub-arrays (block partitions) of one cache level,
+        on one shared block.
+
+        The block is an anonymous memory map: its pages read as zero and
+        take memory only once written, so the rows a run never fills cost
+        neither set-up time nor memory (a Table IV L3 slice is 2 MB).
+        """
+        shape = (count, rows, cols // 8)
+        block = np.frombuffer(mmap.mmap(-1, count * rows * (cols // 8)),
+                              dtype=np.uint8).reshape(shape)
+        return [cls(rows, cols, block=block, index=i) for i in range(count)]
+
+    def _check_row(self, row: int) -> None:
+        if not 0 <= row < self.rows:
+            raise AddressError(f"row {row} outside array of {self.rows} rows")
+
+    def read_block(self, row: int) -> bytes:
+        """Conventional read of one row (one cache block)."""
+        self._check_row(row)
+        self.stats.record(SubarrayOp.READ)
+        return self.data[row].tobytes()
+
+    def write_block(self, row: int, data: bytes) -> None:
+        """Conventional write of one row."""
+        if len(data) * 8 != self.cols:
+            raise AddressError(
+                f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
+            )
+        self._check_row(row)
+        self.data[row] = np.frombuffer(data, dtype=np.uint8)
+        self.stats.record(SubarrayOp.WRITE)
+
+    def peek_block(self, row: int) -> bytes:
+        """One row's bytes without stats or energy (verification backdoor)."""
+        self._check_row(row)
+        return self.data[row].tobytes()
 
     @classmethod
     def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,
@@ -151,39 +196,17 @@ class _Subarray:
 
 class ComputeSubarray(_Subarray):
     """One sub-array as a circuit: ``rows`` cache blocks sharing ``cols``
-    bit-lines, a dual row decoder and reconfigurable sense amps."""
+    bit-lines, a dual row decoder and reconfigurable sense amps.
 
-    def __init__(self, rows: int, cols: int) -> None:
-        super().__init__(rows, cols)
-        self.cells = BitCellArray(rows, cols)
+    The bit-cells (``cells``) are the sub-array's packed rows; an operation
+    activates word-lines and unpacks only the rows it activates."""
+
+    def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
+                 index: int = 0) -> None:
+        super().__init__(rows, cols, block, index)
+        self.cells = BitCellArray(rows, cols, store=self.data)
         self.decoder = DualRowDecoder(rows)
         self.sense = SenseAmpColumn(cols)
-
-    # -- conventional access ------------------------------------------------
-
-    def read_block(self, row: int) -> bytes:
-        """Conventional differential read of one row (one cache block)."""
-        wl = self.decoder.decode(row)
-        self.sense.configure(SenseMode.DIFFERENTIAL)
-        bl, blb = self.cells.activate(wl)
-        bits = self.sense.sense_differential(bl, blb)
-        self.stats.record(SubarrayOp.READ)
-        return bits_to_bytes(bits)
-
-    def write_block(self, row: int, data: bytes) -> None:
-        """Conventional write of one row."""
-        if len(data) * 8 != self.cols:
-            raise AddressError(
-                f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
-            )
-        bits = bytes_to_bits(data)
-        self.decoder.decode(row)
-        self.cells.write_row(row, bits)
-        self.stats.record(SubarrayOp.WRITE)
-
-    def peek_block(self, row: int) -> bytes:
-        """One row's bytes without stats or energy (verification backdoor)."""
-        return bits_to_bytes(self.cells.read_row(row))
 
     # -- in-place compute ---------------------------------------------------
 
@@ -199,12 +222,6 @@ class ComputeSubarray(_Subarray):
         and_bits, _ = self._compute_sense(row_a, row_b)
         self.stats.record(SubarrayOp.AND)
         return self._finish(and_bits, dest)
-
-    def op_nor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
-        """In-place NOR of two rows (sensed on bit-line-bar)."""
-        _, nor_bits = self._compute_sense(row_a, row_b)
-        self.stats.record(SubarrayOp.NOR)
-        return self._finish(nor_bits, dest)
 
     def op_or(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place OR: complement of the NOR sense result."""
@@ -285,9 +302,10 @@ class ComputeSubarray(_Subarray):
         operate on: column *k* is bit-plane *k* of every element.  Elements
         are little-endian within the row (element 0 lowest-addressed).
         """
-        raw = np.frombuffer(bits_to_bytes(self.cells.read_row(row)), dtype=np.uint8)
+        self._check_row(row)
         return (
-            np.unpackbits(raw, bitorder="little").astype(bool).reshape(-1, elem_bits)
+            np.unpackbits(self.data[row], bitorder="little").astype(bool)
+            .reshape(-1, elem_bits)
         )
 
     @staticmethod
@@ -414,9 +432,9 @@ class ComputeSubarray(_Subarray):
         a = rows_a[i]
         b = rows_b[i] if rows_b is not None else None
         dest = rows_dest[i] if rows_dest is not None else None
-        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.NOR, SubarrayOp.XOR):
+        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.XOR):
             method = {SubarrayOp.AND: self.op_and, SubarrayOp.OR: self.op_or,
-                      SubarrayOp.NOR: self.op_nor, SubarrayOp.XOR: self.op_xor}[op]
+                      SubarrayOp.XOR: self.op_xor}[op]
             return method(a, b, dest=dest)
         if op == SubarrayOp.NOT:
             return self.op_not(a, dest=dest)
@@ -451,62 +469,11 @@ class PackedSubarray(_Subarray):
     :func:`~repro.kernels.packed.block_op` call (gather packed rows,
     compute, scatter), with the circuit's results and statistics.
 
-    Rows are stored one ``uint8`` byte per 8 bit-cells and move as packed
-    bytes, never unpacked; circuit physics (multi-row activation, write
-    disturb, sense amps) is not modeled here.  The sub-arrays of one cache
-    level (:meth:`level`) keep their rows in one shared ``(partitions,
-    rows, cols // 8)`` uint8 ``block``, each storing into the view
-    ``data = block[index]``, so :meth:`op_groups` runs a batch spread over
-    many partitions as one gather, kernel and scatter.  A sub-array built
-    on its own has a one-partition block.
+    Rows move as packed bytes, never unpacked; circuit physics (multi-row
+    activation, write disturb, sense amps) is not modeled here.  Since the
+    sub-arrays of one cache level share one block, :meth:`op_groups` runs
+    a batch spread over many partitions as one gather, kernel and scatter.
     """
-
-    def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
-                 index: int = 0) -> None:
-        super().__init__(rows, cols)
-        if block is None:
-            block = np.zeros((1, rows, cols // 8), dtype=np.uint8)
-        self.block = block
-        self.index = index
-        self.data = block[index]
-
-    @classmethod
-    def level(cls, count: int, rows: int, cols: int) -> list:
-        """The ``count`` sub-arrays of one cache level, on one shared block.
-
-        The block is an anonymous memory map: its pages read as zero and
-        take memory only once written, so the rows a run never fills cost
-        neither set-up time nor memory (a Table IV L3 slice is 2 MB).
-        """
-        shape = (count, rows, cols // 8)
-        block = np.frombuffer(mmap.mmap(-1, count * rows * (cols // 8)),
-                              dtype=np.uint8).reshape(shape)
-        return [cls(rows, cols, block=block, index=i) for i in range(count)]
-
-    def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.rows:
-            raise AddressError(f"row {row} outside array of {self.rows} rows")
-
-    def read_block(self, row: int) -> bytes:
-        """Conventional read of one row (one cache block)."""
-        self._check_row(row)
-        self.stats.record(SubarrayOp.READ)
-        return self.data[row].tobytes()
-
-    def write_block(self, row: int, data: bytes) -> None:
-        """Conventional write of one row."""
-        if len(data) * 8 != self.cols:
-            raise AddressError(
-                f"block of {len(data)} bytes does not fill a {self.cols}-bit row"
-            )
-        self._check_row(row)
-        self.data[row] = np.frombuffer(data, dtype=np.uint8)
-        self.stats.record(SubarrayOp.WRITE)
-
-    def peek_block(self, row: int) -> bytes:
-        """One row's bytes without stats or energy (verification backdoor)."""
-        self._check_row(row)
-        return self.data[row].tobytes()
 
     def op_batch(
         self,
@@ -525,13 +492,10 @@ class PackedSubarray(_Subarray):
     def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,
                   elem_bits: int | None = None) -> list:
         """:meth:`_Subarray.op_groups` as one gather, one kernel call and
-        one scatter over the level's shared block (groups from sub-arrays
-        of different blocks fall back to one call per group)."""
+        one scatter over the shared block of the groups' cache level."""
         if not groups:
             return []
         block = groups[0][0].block
-        if any(sub.block is not block for sub, *_ in groups):
-            return super().op_groups(op, groups, lane_bits, elem_bits)
         has_b, has_dest = groups[0][2] is not None, groups[0][3] is not None
         parts: list[int] = []
         rows_a: list[int] = []

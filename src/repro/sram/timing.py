@@ -26,7 +26,6 @@ from ..errors import ISAError
 DELAY_MULTIPLIER = {
     "and": 3.0,
     "or": 3.0,
-    "nor": 3.0,
     "xor": 3.0,
     "not": 2.0,
     "copy": 2.0,
@@ -54,7 +53,6 @@ ENERGY_MULTIPLIER = {
     "not": 2.0,
     "and": 2.5,
     "or": 2.5,
-    "nor": 2.5,
     "xor": 2.5,
     "read": 1.0,
     "write": 1.0,

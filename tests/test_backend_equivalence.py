@@ -352,8 +352,7 @@ SOURCE_ROWS = 16
 SUB_ROWS = SOURCE_ROWS + 8  # eight destination rows: one per tuple of a batch
 
 SUBARRAY_CASES = (
-    [(op, {}) for op in ("and", "or", "nor", "xor", "not", "copy", "buz",
-                         "cmp", "search")]
+    [(op, {}) for op in ("and", "or", "xor", "not", "copy", "buz", "cmp", "search")]
     + [("clmul", {"lane_bits": lanes}) for lanes in CLMUL_LANES]
     + [(op, {"elem_bits": bits}) for op in ("add", "mul", "reduce")
        for bits in (8, 16, 32)]
@@ -410,13 +409,14 @@ class TestSubarrayBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("op, widths", [
         ("add", {}), ("mul", {}), ("reduce", {}), ("add", {"elem_bits": 12}),
-        ("clmul", {}), ("clmul", {"lane_bits": 32}), ("nand", {}),
-    ], ids=["add", "mul", "reduce", "add-12", "clmul", "clmul-32", "nand"])
+        ("clmul", {}), ("clmul", {"lane_bits": 32}), ("nand", {}), ("nor", {}),
+    ], ids=["add", "mul", "reduce", "add-12", "clmul", "clmul-32", "nand", "nor"])
     def test_bad_arguments_rejected(self, backend, op, widths):
         """One argument check for every place a block op runs: a missing
-        or unsupported element or lane width, or an unknown op, raises
-        ``ISAError`` on either backend before a row or a statistic
-        changes, and at the near-place unit and the RISC fallback."""
+        or unsupported element or lane width, or an unknown op (``nor``
+        too: no CC instruction issues it), raises ``ISAError`` on either
+        backend before a row or a statistic changes, and at the
+        near-place unit and the RISC fallback."""
         sub = SUBARRAYS[backend](SUB_ROWS, BLOCK_SIZE * 8)
         image = _row_image(np.random.default_rng(5))
         for row, data in enumerate(image):

@@ -176,6 +176,11 @@ class TestDrainRowCheck:
         assert m.peek(d, BLOCK_SIZE) == expected
         assert res.inplace_ops == 1
         assert [e.outcome for e in m.tracer.by_kind("cc.dispatch")] == ["batched"]
+        # The back-invalidation took x's L1 pin: recorded as a pin loss.
+        [loss] = m.tracer.by_kind("cc.pin_loss")
+        assert (loss.core, loss.level, loss.addr, loss.reason) == (
+            0, "L1-D", x, "inclusive-eviction")
+        assert m.hierarchy.forced_unpins == [("L1-D", 0, x)]
 
 
 class TestInjectedPinSteals:

@@ -3,10 +3,16 @@ cache hit/miss semantics, timeout -> retry -> serial-fallback, degraded
 (pool-less) execution, and parallel-vs-serial determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import runner as runner_mod
 from repro.bench.microbench import figure7, kernel_point_spec
 from repro.bench.runner import (
@@ -239,6 +245,27 @@ class TestFailureHandling:
         assert runner.stats.serial_fallbacks == 1
         phases = [e.phase for e in runner.tracer.by_kind("runner.point")]
         assert phases == ["timeout", "retry", "timeout", "serial-fallback"]
+
+    def test_timed_out_worker_does_not_hold_the_process_open(self):
+        """A timed-out point's worker sleeps on after ``run`` returns; the
+        runner stops it, so the process exits as soon as it is done."""
+        code = (
+            "from repro.bench.runner import Point, PointRunner\n"
+            "runner = PointRunner(jobs=2, timeout_s=0.3, retries=0)\n"
+            "[result] = runner.run([Point('selftest', {'value': 7,"
+            " 'sleep_in_worker_s': 30.0})])\n"
+            "print(result['doubled'], runner.stats.serial_fallbacks)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["14", "1"]
+        assert elapsed < 10, f"process exited after {elapsed:.1f} s"
 
     def test_pool_unavailable_degrades_to_serial(self, monkeypatch):
         def broken_pool(workers):

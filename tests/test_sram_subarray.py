@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheLevel, MESIState
+from repro.energy import EnergyLedger
 from repro.errors import AddressError, ISAError
+from repro.params import small_test_machine
 from repro.sram import ComputeSubarray, PackedSubarray, SubarrayStats
 from repro.sram.timing import DELAY_MULTIPLIER, ENERGY_MULTIPLIER
 
@@ -73,6 +76,44 @@ class TestPackedRows:
             cls(rows, cols)
 
 
+class TestOneRowStore:
+    """Both backends keep a cache level's rows in one block: every
+    sub-array, and a bit-exact one's bit-cells, read and write it in place,
+    so plain row I/O and in-place ops see the same bytes."""
+
+    @pytest.mark.parametrize("backend", ["bitexact", "packed"])
+    def test_subarrays_and_cells_are_views_of_the_level_block(self, backend):
+        level = CacheLevel("L2", small_test_machine().l2, EnergyLedger(), backend=backend)
+        subs = level.geometry.subarrays
+        block = subs[0].block
+        assert block.shape == (len(subs), subs[0].rows, subs[0].cols // 8)
+        for i, sub in enumerate(subs):
+            assert sub.block is block and sub.index == i
+            assert np.shares_memory(sub.data, block[i])
+            block[i, 3] = i + 1
+            assert sub.peek_block(3) == bytes([i + 1]) * (sub.cols // 8)
+            if backend == "bitexact":
+                assert (np.packbits(sub.cells.read_row(3)) == i + 1).all()
+                sub.cells.write_row(5, np.ones(sub.cols, dtype=bool))
+                assert (block[i, 5] == 0xFF).all()
+
+    @pytest.mark.parametrize("backend", ["bitexact", "packed"])
+    def test_ops_and_level_access_share_rows(self, backend, make_bytes):
+        level = CacheLevel("L2", small_test_machine().l2, EnergyLedger(), backend=backend)
+        a, b, d = (k * 4096 for k in range(3))  # one partition, three rows
+        for addr in (a, b, d):
+            level.fill(addr, bytes(BLOCK), MESIState.EXCLUSIVE)
+        da, db = make_bytes(BLOCK), make_bytes(BLOCK)
+        level.write_block(a, da)
+        level.write_block(b, db)
+        (sub, ra), (_, rb), (_, rd) = (level.locate(x) for x in (a, b, d))
+        assert sub is level.locate(d)[0]
+        [out] = sub.op_batch("xor", [ra], [rb], [rd])
+        want = (np.frombuffer(da, np.uint8) ^ np.frombuffer(db, np.uint8)).tobytes()
+        assert out == want
+        assert level.read_block(d) == want
+
+
 class TestLogicalOps:
     @given(block_data, block_data)
     @settings(max_examples=25)
@@ -85,7 +126,6 @@ class TestLogicalOps:
         assert sub.op_and(0, 1) == (na & nb).tobytes()
         assert sub.op_or(0, 1) == (na | nb).tobytes()
         assert sub.op_xor(0, 1) == (na ^ nb).tobytes()
-        assert sub.op_nor(0, 1) == (~(na | nb)).astype(np.uint8).tobytes()
 
     def test_not_matches_complement(self, sub, make_bytes):
         data = make_bytes(BLOCK)
