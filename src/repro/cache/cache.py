@@ -17,10 +17,15 @@ missing operands (Section IV-E); the operand lines of a piece that has
 nothing to fetch are promoted the same way without a pin.
 
 Block data sits in compute sub-arrays (one per block partition, see
-:class:`~repro.cache.geometry.CacheGeometry`); the level charges Table-V
-energies to the machine's :class:`~repro.energy.EnergyLedger` under its
-name and exposes the ``(sub-array, row)`` handles in-place computation
-needs.
+:class:`~repro.cache.geometry.CacheGeometry`), all views of the level's one
+row store.  A read, write, fill, eviction, invalidate or peek moves a
+line's bytes as one slice of that store: the byte offset comes from the
+set index, the geometry's per-low-set partition table and two shifts, and
+the partition's :class:`~repro.sram.SubarrayStats` count the read or write
+inline, as a sub-array call would.  The level charges Table-V energies to
+the machine's :class:`~repro.energy.EnergyLedger` under its name and
+exposes the ``(sub-array, row)`` handles in-place computation needs
+(:meth:`CacheLevel.locate`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from ..energy.accounting import EnergyLedger
 from ..energy.mcpat import charge_cache_read, charge_cache_write
 from ..errors import AddressError, CoherenceError, PinnedLineError
 from ..params import BLOCK_SIZE, CacheLevelConfig
-from ..sram import ComputeSubarray, PackedSubarray
+from ..sram import ComputeSubarray, PackedSubarray, SubarrayStats
 from .block import MESIState
 from .geometry import CacheGeometry
 from .htree import HTree
@@ -104,6 +109,10 @@ class CacheLevel:
         self._clock = 0
         self.tag_stats = TagStats()
         self.geometry = CacheGeometry(config, backend)
+        self._lines = self.geometry.lines
+        self._low_sets = self.geometry.low_sets
+        self._low_set_mask = self.geometry.low_set_mask
+        self._row_shift = self.geometry.row_shift
         self.htree = HTree(name, commands_per_cycle=commands_per_cycle,
                            tracer=tracer, unit=unit)
         self.stats = CacheLevelStats()
@@ -194,6 +203,18 @@ class CacheLevel:
 
     # -- data plane ----------------------------------------------------------------
 
+    def _row(self, set_index: int, way: int) -> tuple[int, SubarrayStats]:
+        """Byte offset of line ``(set_index, way)`` in the row store, and
+        the statistics of the partition that holds it."""
+        base, stats = self._low_sets[set_index & self._low_set_mask]
+        return base + (((set_index >> self._row_shift) * self.ways + way)
+                       << self._offset_bits), stats
+
+    def _check_size(self, data: bytes) -> None:
+        if len(data) != BLOCK_SIZE:
+            raise AddressError(f"{self.name}: block of {len(data)} bytes does not "
+                               f"fill a {BLOCK_SIZE}-byte line")
+
     def read_block(self, addr: int, charge: bool = True) -> bytes:
         """Read a resident block (conventional access: array + H-tree)."""
         return self.read_line(addr, *self._resident(addr, "read of"), charge)
@@ -211,11 +232,14 @@ class CacheLevel:
                              addr=addr)
         if charge:
             charge_cache_read(self.ledger, self.name)
-        sub, row = self.geometry.slot(set_index, way)
-        return sub.read_block(row)
+        at, stats = self._row(set_index, way)
+        stats.reads += 1
+        return self._lines[at:at + BLOCK_SIZE].tobytes()
 
     def write_block(self, addr: int, data: bytes, dirty: bool = True, charge: bool = True) -> None:
-        """Write a resident block; marks it MODIFIED unless ``dirty=False``."""
+        """Write a resident block; marks it MODIFIED unless ``dirty=False``.
+        A ``data`` that is not one block raises before anything changes."""
+        self._check_size(data)
         set_index, way = self._resident(addr, "write to")
         slot = set_index * self.ways + way
         if dirty:
@@ -229,8 +253,9 @@ class CacheLevel:
                              addr=addr)
         if charge:
             charge_cache_write(self.ledger, self.name)
-        sub, row = self.geometry.slot(set_index, way)
-        sub.write_block(row, data)
+        at, stats = self._row(set_index, way)
+        self._lines[at:at + BLOCK_SIZE] = data
+        stats.writes += 1
 
     def _victim(self, set_index: int) -> int:
         """LRU victim way among unpinned ways; an invalid way wins at once."""
@@ -251,15 +276,18 @@ class CacheLevel:
         unpinned victim if needed.
 
         Returns the eviction (with its data and dirtiness) so the caller -
-        the coherence engine - can write it back or drop it.
+        the coherence engine - can write it back or drop it.  A ``data``
+        that is not one block raises before anything changes.
         """
+        self._check_size(data)
         block = self._block(addr)
         if self._way_of(block) is not None:
             raise CoherenceError(f"{self.name}: double fill of block {addr:#x}")
         set_index = block & self._set_mask
         way = self._victim(set_index)
         slot = set_index * self.ways + way
-        sub, row = self.geometry.slot(set_index, way)
+        at, stats = self._row(set_index, way)
+        lines = self._lines
         victim_state = self._state[slot]
         eviction = None
         if victim_state is not INVALID:
@@ -267,7 +295,9 @@ class CacheLevel:
             victim_block = self._block_at[slot]
             del self._index[victim_block]
             victim_addr = victim_block << self._offset_bits
-            eviction = Eviction(victim_addr, sub.read_block(row), victim_state.dirty)
+            stats.reads += 1
+            eviction = Eviction(victim_addr, lines[at:at + BLOCK_SIZE].tobytes(),
+                                victim_state.dirty)
             if eviction.dirty:
                 self.stats.writebacks_out += 1
                 if self.tracer is not None:
@@ -278,7 +308,8 @@ class CacheLevel:
         self._index[block] = way
         self._clock += 1
         self._lru[slot] = self._clock
-        sub.write_block(row, data)
+        lines[at:at + BLOCK_SIZE] = data
+        stats.writes += 1
         self.stats.fills += 1
         self.epoch += 1
         if self.tracer is not None:
@@ -294,8 +325,9 @@ class CacheLevel:
         if way is None:
             return None
         slot = set_index * self.ways + way
-        sub, row = self.geometry.slot(set_index, way)
-        data = sub.read_block(row)
+        at, stats = self._row(set_index, way)
+        stats.reads += 1
+        data = self._lines[at:at + BLOCK_SIZE].tobytes()
         dirty = self._state[slot].dirty
         del self._index[self._block_at[slot]]
         self._state[slot] = INVALID
@@ -306,8 +338,8 @@ class CacheLevel:
     def peek_block(self, addr: int) -> bytes:
         """Read a resident block without touching LRU, stats, or energy
         (verification backdoor)."""
-        sub, row = self.geometry.slot(*self._resident(addr, "peek of"))
-        return sub.peek_block(row)
+        at, _ = self._row(*self._resident(addr, "peek of"))
+        return self._lines[at:at + BLOCK_SIZE].tobytes()
 
     # -- CC support (Section IV-E) ------------------------------------------------
 

@@ -20,6 +20,13 @@ Each block partition is realized by one sub-array of the machine's backend
 two blocks of a partition can be computed on in place.  On both backends
 the sub-arrays of one level are views of one shared ``(partitions, rows,
 BLOCK_SIZE)`` uint8 block, the level's one row store.
+
+The cache level moves a line's bytes itself, without a sub-array call:
+``lines`` is the row store as flat bytes, and ``low_sets`` maps a set's low
+(bank and partition-select) bits to its partition's byte offset and
+statistics.  Line ``(set, way)`` is the ``BLOCK_SIZE`` bytes at that offset
+plus ``((set >> row_shift) * ways + way) * BLOCK_SIZE``, the row
+:meth:`CacheGeometry.slot` names.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ class CacheGeometry:
 
     def __init__(self, config: CacheLevelConfig, backend: str = "bitexact") -> None:
         self._offset_bits = config.offset_bits
-        self._low_set_mask = config.num_partitions - 1
-        self._rg_shift = config.bank_bits + config.bp_bits
+        self.low_set_mask = config.num_partitions - 1
+        self.row_shift = config.bank_bits + config.bp_bits
         self._ways = config.ways
         # One extra row per sub-array is reserved for cc_search key
         # replication: the key must share bit-lines with the data it is
@@ -51,10 +58,14 @@ class CacheGeometry:
             (low & (config.banks - 1)) * config.bps_per_bank + (low >> config.bank_bits)
             for low in range(config.num_partitions)
         ]
+        self.lines = memoryview(self.subarrays[0].block).cast("B")
+        partition_bytes = (config.blocks_per_partition + 1) * BLOCK_SIZE
+        self.low_sets = [(partition * partition_bytes, self.subarrays[partition].stats)
+                         for partition in self._partition_by_low_set]
 
     def partition_of(self, addr: int) -> int:
         """Flat block-partition id an address maps to."""
-        return self._partition_by_low_set[(addr >> self._offset_bits) & self._low_set_mask]
+        return self._partition_by_low_set[(addr >> self._offset_bits) & self.low_set_mask]
 
     def slot(self, set_index: int, way: int) -> tuple[ComputeSubarray | PackedSubarray, int]:
         """``(sub-array, row)`` of an in-range (set, way).
@@ -62,8 +73,8 @@ class CacheGeometry:
         All ways of a set sit in consecutive rows of the set's partition,
         implementing the way->partition mapping of Figure 5(a).
         """
-        return (self.subarrays[self._partition_by_low_set[set_index & self._low_set_mask]],
-                (set_index >> self._rg_shift) * self._ways + way)
+        return (self.subarrays[self._partition_by_low_set[set_index & self.low_set_mask]],
+                (set_index >> self.row_shift) * self._ways + way)
 
     def write_key(self, partition: int, key: bytes) -> int:
         """Replicate a search key into a partition's reserved key row.

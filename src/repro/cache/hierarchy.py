@@ -130,11 +130,31 @@ class CacheHierarchy:
         return slice_id
 
     def place_page(self, addr: int, slice_id: int) -> None:
-        """Explicitly place a page on a slice (OS page-coloring hook)."""
+        """Explicitly place a page on a slice (OS page-coloring hook).
+
+        Raises :class:`~repro.errors.AddressError`, and leaves the map as it
+        is, when the page would move off a slice that holds one of its
+        blocks: the cached copies and their directory entries stay at the
+        old home, where no later access would look for them.
+        """
         if not 0 <= slice_id < self.config.l3_slices:
             raise AddressError(f"slice {slice_id} outside 0..{self.config.l3_slices - 1}")
-        self._page_to_slice[addr // PAGE_SIZE] = slice_id
+        page = addr // PAGE_SIZE
+        home = self._page_to_slice.get(page, slice_id)
+        base = page * PAGE_SIZE
+        if home != slice_id and any(self.cached(block) for block in
+                                    range(base, base + PAGE_SIZE, BLOCK_SIZE)):
+            raise AddressError(f"page {base:#x} has blocks cached on its home slice "
+                               f"{home}; it cannot move to slice {slice_id}")
+        self._page_to_slice[page] = slice_id
         self.page_map_epoch += 1
+
+    def cached(self, addr: int) -> bool:
+        """Whether any cache holds a block.  The L3 is inclusive, so that
+        is whether the slice homing the block's page holds it; a page no
+        access has homed has no cached block."""
+        slice_id = self._page_to_slice.get(addr // PAGE_SIZE)
+        return slice_id is not None and self.l3[slice_id].contains(addr)
 
     # -- private-hierarchy helpers ----------------------------------------------------
 
@@ -435,13 +455,22 @@ class CacheHierarchy:
         return bytes(out)
 
     def _peek_block(self, addr: int) -> bytes:
-        for core in range(self.config.cores):
-            for level in (self.l1[core], self.l2[core]):
+        """One block's current bytes, found through its home directory:
+        only the core it names as owner can hold the block dirty (the
+        audit of :meth:`check_inclusion`), in its L1 or else its L2; with
+        no dirty private copy the home L3 slice holds the value, and with
+        no L3 copy (or no home yet) memory does."""
+        slice_id = self._page_to_slice.get(addr // PAGE_SIZE)
+        if slice_id is None:
+            return self.memory.peek(addr, BLOCK_SIZE)
+        entry = self.directory[slice_id].peek(addr)
+        if entry is not None and entry.owner is not None:
+            for level in (self.l1[entry.owner], self.l2[entry.owner]):
                 if level.state_of(addr).dirty:
                     return level.peek_block(addr)
-        slice_id = self._page_to_slice.get(addr // PAGE_SIZE)
-        if slice_id is not None and self.l3[slice_id].contains(addr):
-            return self.l3[slice_id].peek_block(addr)
+        l3 = self.l3[slice_id]
+        if l3.contains(addr):
+            return l3.peek_block(addr)
         return self.memory.peek(addr, BLOCK_SIZE)
 
     # -- CC controller hooks (Section IV-E) --------------------------------------------------
@@ -609,7 +638,9 @@ class CacheHierarchy:
     # -- invariant audits (used by property tests) ---------------------------------------------
 
     def check_inclusion(self) -> None:
-        """Assert L1 subset-of L2 subset-of L3 and directory consistency."""
+        """Assert L1 subset-of L2 subset-of L3 and directory consistency:
+        every private copy is listed at its home directory, and a writable
+        (E/M) one belongs to the core the directory names as owner."""
         for core in range(self.config.cores):
             for addr in self.l1[core].resident_addresses():
                 if not self.l2[core].contains(addr):
@@ -627,6 +658,15 @@ class CacheHierarchy:
                     raise CoherenceError(
                         f"L2 block {addr:#x} of core {core} not in directory"
                     )
+            # Each block here is listed at its home directory (checked above).
+            for level in (self.l1[core], self.l2[core]):
+                for addr in level.resident_addresses():
+                    if level.state_of(addr).writable and self.directory[
+                            self.home_slice(addr, core)].peek(addr).owner != core:
+                        raise CoherenceError(
+                            f"writable {level.name} block {addr:#x} of core {core} "
+                            "is not owned by it in its home directory"
+                        )
         for directory in self.directory:
             directory.check_all()
 

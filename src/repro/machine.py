@@ -28,7 +28,7 @@ from .cpu.program import Program
 from .energy.accounting import EnergyLedger
 from .energy.mcpat import PowerModel, TotalEnergy
 from .errors import AddressError, ReproError
-from .params import BLOCK_SIZE, PAGE_SIZE, MachineConfig, sandybridge_8core
+from .params import BLOCK_SIZE, MachineConfig, sandybridge_8core
 
 
 class ComputeCacheMachine:
@@ -84,17 +84,11 @@ class ComputeCacheMachine:
         """Backdoor-initialize memory (no cache traffic).
 
         Only safe before the range is cached; raises if any block of the
-        range is currently resident somewhere in the hierarchy.
+        range is currently resident somewhere in the hierarchy (by
+        inclusion, in the L3 slice homing it).
         """
         for block in range(block_of(addr), addr + len(data), BLOCK_SIZE):
-            for core in range(self.config.cores):
-                if self.hierarchy.l1[core].contains(block) or \
-                        self.hierarchy.l2[core].contains(block):
-                    raise AddressError(
-                        f"backdoor load into cached block {block:#x}; use write()"
-                    )
-            slice_id = self.hierarchy._page_to_slice.get(block // PAGE_SIZE)
-            if slice_id is not None and self.hierarchy.l3[slice_id].contains(block):
+            if self.hierarchy.cached(block):
                 raise AddressError(
                     f"backdoor load into cached block {block:#x}; use write()"
                 )

@@ -23,11 +23,11 @@ Public surface:
   batched compute over packed bytes, run by the
   :func:`repro.kernels.block_op` kernel that the near-place unit and the
   RISC fallback also run, bit-exact against the circuit.
-
-Both keep a cache level's rows in one packed block and share its plain
-block access (``read_block``/``write_block``/``peek_block``).
   :data:`~repro.sram.subarray.SUBARRAYS` maps each backend name to its
-  class.
+  class.  Both keep a cache level's rows in one packed block and share
+  its plain row access (``read_block``/``write_block``), which serves key
+  rows, fault strikes and tests: a cache level moves its lines' bytes
+  itself, as slices of that block.
 * :mod:`~repro.sram.timing` - the Section VI-C delay/energy multipliers
   and the bit-serial step counts of the arithmetic tier.  A sub-array
   keeps no cost of its own: an in-place op's energy is its Table V charge.

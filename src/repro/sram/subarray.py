@@ -31,9 +31,12 @@ Execution backends
 The backend is chosen once per machine (``MachineConfig.backend``), when
 the cache geometry builds its sub-arrays from :data:`SUBARRAYS`.  Both
 keep their rows in one store: the sub-arrays of a cache level are views of
-one ``(partitions, rows, cols // 8)`` uint8 block, and a plain
-``read_block``/``write_block`` moves a row's bytes the same way on both.
-They differ only in how an operation computes:
+one ``(partitions, rows, cols // 8)`` uint8 block.  A cache level reads
+and writes its lines as slices of that block and counts them in the
+partition's :class:`SubarrayStats` itself; a plain
+``read_block``/``write_block`` moves a row's bytes the same way on both
+backends and serves the key rows, fault strikes and tests.  The backends
+differ only in how an operation computes:
 
 * ``"bitexact"`` - :class:`ComputeSubarray`, the circuit model above:
   word-lines activate, the activated rows unpack into per-bit bool arrays,
@@ -120,7 +123,9 @@ class _Subarray:
     ``data``, the view ``block[index]`` of its cache level's ``(partitions,
     rows, cols // 8)`` block (:meth:`level`); a sub-array built on its own
     has a one-partition block.  Writing a row through any handle changes
-    the block.
+    the block.  The cache level's line reads and writes slice the block
+    directly and add to ``stats`` as :meth:`read_block` and
+    :meth:`write_block` would.
     """
 
     def __init__(self, rows: int, cols: int, block: np.ndarray | None = None,
@@ -170,11 +175,6 @@ class _Subarray:
         self._check_row(row)
         self.data[row] = np.frombuffer(data, dtype=np.uint8)
         self.stats.record(SubarrayOp.WRITE)
-
-    def peek_block(self, row: int) -> bytes:
-        """One row's bytes without stats or energy (verification backdoor)."""
-        self._check_row(row)
-        return self.data[row].tobytes()
 
     @classmethod
     def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,

@@ -400,7 +400,7 @@ class TestSubarrayBackends:
             results = {be: sub.op_batch(op, *rows, **widths)
                        for be, sub in subs.items()}
             assert results["bitexact"] == results["packed"], f"batch of {n}"
-            images = {be: [sub.peek_block(r) for r in range(SUB_ROWS)]
+            images = {be: [sub.data[r].tobytes() for r in range(SUB_ROWS)]
                       for be, sub in subs.items()}
             assert images["bitexact"] == images["packed"], f"batch of {n}"
         assert subs["bitexact"].stats == subs["packed"].stats
@@ -421,11 +421,11 @@ class TestSubarrayBackends:
         image = _row_image(np.random.default_rng(5))
         for row, data in enumerate(image):
             sub.write_block(row, data.tobytes())
-        before = [sub.peek_block(r) for r in range(SUB_ROWS)], copy.deepcopy(sub.stats)
+        before = [sub.data[r].tobytes() for r in range(SUB_ROWS)], copy.deepcopy(sub.stats)
         rows = _row_tuples(op, 3, np.random.default_rng(1))
         with pytest.raises(ISAError):
             sub.op_batch(op, *rows, **widths)
-        assert ([sub.peek_block(r) for r in range(SUB_ROWS)], sub.stats) == before
+        assert ([sub.data[r].tobytes() for r in range(SUB_ROWS)], sub.stats) == before
         near = BlockOperation(0, op, [BlockOperand(0, False), BlockOperand(64, False)],
                               **widths)
         with pytest.raises(ISAError):
@@ -460,7 +460,7 @@ class TestSubarrayBackends:
                         for result in each[part].op_batch(op, *rows, **widths)]
                 assert got == want, f"round {n}"
                 results += got
-            images = [[subs[part].peek_block(row) for part in partitions
+            images = [[subs[part].data[row].tobytes() for part in partitions
                        for row in range(SUB_ROWS)] for subs in (one, each)]
             assert images[0] == images[1]
             stats = [[sub.stats for sub in subs] for subs in (one, each)]

@@ -1,11 +1,15 @@
-"""Coherent hierarchy tests: MESI transitions, inclusion, writebacks."""
+"""Coherent hierarchy tests: MESI transitions, inclusion, writebacks,
+page placement, and coherent peeks through the home directory."""
 
+import numpy as np
 import pytest
 
+from repro import ComputeCacheMachine
 from repro.cache.block import MESIState
 from repro.cache.hierarchy import L1, L2, L3, CacheHierarchy
 from repro.energy.accounting import EnergyLedger
-from repro.params import BLOCK_SIZE, small_test_machine
+from repro.errors import AddressError, CoherenceError
+from repro.params import BLOCK_SIZE, PAGE_SIZE, sandybridge_8core, small_test_machine
 
 
 @pytest.fixture
@@ -102,6 +106,17 @@ class TestInclusionAndWriteback:
                 hier.write(core, addr, bytes([i & 0xFF]) * 8)
         hier.check_inclusion()
         hier.check_single_writer()
+
+    @pytest.mark.parametrize("for_write", [False, True])
+    def test_audit_flags_a_writable_copy_its_directory_does_not_own(self, hier, for_write):
+        """An E or M private line must belong to its home directory's
+        owner: that is what lets ``coherent_peek`` look at one core."""
+        hier.memory.load(0x1000, bytes(64))
+        hier.access_block(0, 0x1000, for_write=for_write)
+        hier.check_inclusion()
+        hier.directory[hier.home_slice(0x1000)].clear_owner(0x1000)
+        with pytest.raises(CoherenceError, match="not owned"):
+            hier.check_inclusion()
 
     def test_l1_capacity_eviction_writes_back(self, hier):
         """Dirty L1 victims land in L2 with their data."""
@@ -255,3 +270,131 @@ class TestNUCAPlacement:
     def test_explicit_placement(self, hier):
         hier.place_page(0x0, 1)
         assert hier.home_slice(0x40) == 1
+
+    def test_cached_page_is_not_rehomed(self):
+        """Moving a page off the slice that caches one of its blocks would
+        strand the copies: core 1 would read memory's stale bytes and the
+        audit would find its copy in no directory.  The map stays put."""
+        m = ComputeCacheMachine(small_test_machine())
+        page = m.arena.alloc(PAGE_SIZE, align=PAGE_SIZE)
+        block = page + 5 * BLOCK_SIZE
+        m.load(page, b"\x11" * PAGE_SIZE)
+        m.write(block, b"\x22" * BLOCK_SIZE, core=0)
+        assert m.hierarchy.home_slice(block) == 0
+        epoch = m.hierarchy.page_map_epoch
+        with pytest.raises(AddressError):
+            m.place_page(page + 7, 1)
+        assert m.hierarchy.home_slice(block) == 0
+        assert m.hierarchy.page_map_epoch == epoch
+        m.place_page(block, 0)  # its own slice: nothing moves
+        assert m.read(block, BLOCK_SIZE, core=1) == b"\x22" * BLOCK_SIZE
+        assert m.peek(block, BLOCK_SIZE) == b"\x22" * BLOCK_SIZE
+        m.hierarchy.check_inclusion()
+
+    def test_fresh_or_untouched_pages_move(self, hier):
+        hier.place_page(0x0, 1)
+        hier.place_page(0x0, 0)  # placed, never touched
+        hier.memory.load(PAGE_SIZE, bytes(PAGE_SIZE))  # loaded, never cached
+        hier.place_page(PAGE_SIZE, 1)
+        assert (hier.home_slice(0x40), hier.home_slice(PAGE_SIZE)) == (0, 1)
+
+
+def _scan_peek(hier: CacheHierarchy, addr: int) -> bytes:
+    """A coherent peek by brute force: the first dirty copy in any core's
+    L1 or L2, else the home L3 slice, else memory."""
+    for core in range(hier.config.cores):
+        for level in (hier.l1[core], hier.l2[core]):
+            if level.state_of(addr).dirty:
+                return level.peek_block(addr)
+    for l3 in hier.l3:
+        if l3.contains(addr):
+            return l3.peek_block(addr)
+    return hier.memory.peek(addr, BLOCK_SIZE)
+
+
+class TestHomeDirectoryPeek:
+    """``coherent_peek`` asks the home directory for the owner and checks
+    only that core's L1 and L2, then the home L3, then memory.  On the
+    Table IV machine it must agree with a scan of all 16 private caches,
+    and the owner audit of ``check_inclusion`` must hold throughout."""
+
+    @pytest.fixture(scope="class")
+    def m(self):
+        return ComputeCacheMachine(sandybridge_8core())
+
+    @staticmethod
+    def _agrees(m, blocks):
+        m.hierarchy.check_inclusion()
+        for block in blocks:
+            assert m.peek(block, BLOCK_SIZE) == _scan_peek(m.hierarchy, block)
+
+    def test_cases(self, m):
+        hier = m.hierarchy
+        base = m.arena.alloc(16 * PAGE_SIZE, align=PAGE_SIZE)
+        m.load(base, bytes(range(256)) * (16 * PAGE_SIZE // 256))
+        # The L1 conflict reads after b touch pages 2 to 9.
+        a, b, c = base, base + PAGE_SIZE + 64, base + 10 * PAGE_SIZE + 128
+        # Dirty only in the owner's L1 (its L2 copy is clean).
+        m.write(a, b"\xa1" * BLOCK_SIZE, core=3)
+        assert hier.l1[3].state_of(a).dirty and not hier.l2[3].state_of(a).dirty
+        assert hier.directory[hier.home_slice(a)].peek(a).owner == 3
+        self._agrees(m, [a])
+        assert m.peek(a, BLOCK_SIZE) == b"\xa1" * BLOCK_SIZE
+        # Dirty only in the owner's L2, after an L1 conflict eviction.
+        m.write(b, b"\xb2" * BLOCK_SIZE, core=6)
+        l1_stride = hier.config.l1d.sets * BLOCK_SIZE
+        for i in range(1, hier.config.l1d.ways + 1):
+            m.read(b + i * l1_stride, 8, core=6)
+        assert not hier.l1[6].contains(b) and hier.l2[6].state_of(b).dirty
+        self._agrees(m, [b])
+        assert m.peek(b, BLOCK_SIZE) == b"\xb2" * BLOCK_SIZE
+        # A downgrade: another core's read leaves no owner and the data at L3.
+        m.write(c, b"\xc3" * BLOCK_SIZE, core=1)
+        m.read(c, 8, core=4)
+        entry = hier.directory[hier.home_slice(c)].peek(c)
+        assert entry.owner is None and entry.sharers == {1, 4}
+        self._agrees(m, [a, b, c])
+        assert m.peek(c, BLOCK_SIZE) == b"\xc3" * BLOCK_SIZE
+        # A placed page nothing has touched, and a page no access has homed.
+        placed, unhomed = base + 12 * PAGE_SIZE, base + 14 * PAGE_SIZE
+        m.place_page(placed, 5)
+        self._agrees(m, [placed, placed + 64, unhomed, unhomed + 64])
+        assert m.peek(placed, 4) == bytes(range(4))
+        assert m.peek(unhomed + 64, 4) == bytes(range(64, 68))
+
+    def test_random_traffic(self, m):
+        """Reads and writes on three pages' blocks and on blocks that
+        conflict with them in the L1, most by cores 1 and 6 (so their L1s
+        evict dirty lines to their L2s) and a quarter by any of the eight
+        (so copies are shared, downgraded and recalled): the two peeks
+        agree after every access."""
+        rng = np.random.default_rng(7)
+        l1_stride = m.config.l1d.sets * BLOCK_SIZE
+        base = m.arena.alloc(12 * PAGE_SIZE, align=PAGE_SIZE)
+        m.load(base, bytes(12 * PAGE_SIZE))
+        blocks = [base + page * PAGE_SIZE + k * BLOCK_SIZE
+                  for page in range(3) for k in (0, 1, 63)]
+        blocks += [base + 2 * PAGE_SIZE + i * l1_stride for i in range(1, 10)]
+        for step in range(300):
+            core = (int(rng.integers(m.config.cores)) if rng.random() < 0.25
+                    else (1, 6)[int(rng.integers(2))])
+            addr = blocks[int(rng.integers(len(blocks)))]
+            if rng.random() < 0.5:
+                m.write(addr, bytes([step % 256]) * 8, core=core)
+            else:
+                m.read(addr, 8, core=core)
+            self._agrees(m, blocks)
+
+    def test_load_into_a_block_only_one_l1_holds_dirty(self, m):
+        """``load`` checks only the home L3 slice; by inclusion that sees a
+        block whose one fresh copy is in core 7's L1."""
+        addr = m.arena.alloc(PAGE_SIZE, align=PAGE_SIZE)
+        m.load(addr, bytes(PAGE_SIZE))
+        m.write(addr, b"\x77" * BLOCK_SIZE, core=7)
+        holders = [(core, level.name) for core in range(m.config.cores)
+                   for level in (m.hierarchy.l1[core], m.hierarchy.l2[core])
+                   if level.state_of(addr).dirty]
+        assert holders == [(7, "L1-D")]
+        with pytest.raises(AddressError):
+            m.load(addr, bytes(BLOCK_SIZE))
+        assert m.peek(addr, BLOCK_SIZE) == b"\x77" * BLOCK_SIZE
