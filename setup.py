@@ -4,7 +4,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="15.0.0",
+    version="16.0.0",
     description='Reproduction of "Compute Caches" (HPCA 2017)',
     package_dir={"": "src"},
     packages=find_packages(where="src"),

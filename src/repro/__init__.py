@@ -39,7 +39,7 @@ from .errors import ReproError
 from .machine import ComputeCacheMachine
 from .params import MachineConfig, sandybridge_8core, small_test_machine
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "Arena",

@@ -1,4 +1,4 @@
-"""One cache level: its lines, compute sub-arrays, H-tree and accounting.
+"""One cache level: its lines, compute sub-arrays and accounting.
 
 :class:`CacheLevel` is the mechanical container the coherence protocol and
 the CC controllers manipulate.  It owns the level's address split: a block
@@ -22,7 +22,10 @@ row store.  A read, write, fill, eviction, invalidate or peek moves a
 line's bytes as one slice of that store: the byte offset comes from the
 set index, the geometry's per-low-set partition table and two shifts, and
 the partition's :class:`~repro.sram.SubarrayStats` count the read or write
-inline, as a sub-array call would.  The level charges Table-V energies to
+inline, as a sub-array call would.  A conventional read or write moves the
+block over the level's H-tree (an ``htree.transfer`` event; in-place work
+never does, Table I), so ``stats.reads + stats.writes`` is the level's
+H-tree transfer count.  The level charges Table-V energies to
 the machine's :class:`~repro.energy.EnergyLedger` under its name and
 exposes the ``(sub-array, row)`` handles in-place computation needs
 (:meth:`CacheLevel.locate`).
@@ -39,7 +42,6 @@ from ..params import BLOCK_SIZE, CacheLevelConfig
 from ..sram import ComputeSubarray, PackedSubarray, SubarrayStats
 from .block import MESIState
 from .geometry import CacheGeometry
-from .htree import HTree
 
 INVALID = MESIState.INVALID
 
@@ -85,7 +87,6 @@ class CacheLevel:
         name: str,
         config: CacheLevelConfig,
         ledger: EnergyLedger,
-        commands_per_cycle: int = 1,
         backend: str = "bitexact",
         tracer=None,
         unit: int = 0,
@@ -113,8 +114,6 @@ class CacheLevel:
         self._low_sets = self.geometry.low_sets
         self._low_set_mask = self.geometry.low_set_mask
         self._row_shift = self.geometry.row_shift
-        self.htree = HTree(name, commands_per_cycle=commands_per_cycle,
-                           tracer=tracer, unit=unit)
         self.stats = CacheLevelStats()
         self.epoch = 0
         """Residency epoch: bumped on every fill and invalidate.  The CC
@@ -226,8 +225,8 @@ class CacheLevel:
         self._clock += 1
         self._lru[set_index * self.ways + way] = self._clock
         self.stats.reads += 1
-        self.htree.record_transfer()
         if self.tracer is not None:
+            self.tracer.emit("htree.transfer", level=self.name, unit=self.unit)
             self.tracer.emit("cache.read", level=self.name, unit=self.unit,
                              addr=addr)
         if charge:
@@ -247,8 +246,8 @@ class CacheLevel:
         self._clock += 1
         self._lru[slot] = self._clock
         self.stats.writes += 1
-        self.htree.record_transfer()
         if self.tracer is not None:
+            self.tracer.emit("htree.transfer", level=self.name, unit=self.unit)
             self.tracer.emit("cache.write", level=self.name, unit=self.unit,
                              addr=addr)
         if charge:

@@ -5,6 +5,9 @@ NUCA slices on a ring, a directory per slice, and DRAM behind it all.
 Transactions are atomic (each access completes before the next begins),
 which is sufficient for the paper's analysis: the CC controller interacts
 with coherence only through writebacks, invalidations, and pin releases.
+Every forwarded request - an owner recall, a write miss's sharer
+invalidation, a CC operand's recall to L3 - is delivered by one routine,
+:meth:`CacheHierarchy._forward`.
 
 Pages map to the NUCA slice of the first core that touches them
 (Section IV-C: "pages are mapped to a NUCA slice closest to the core
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.transpose import TransposeUnit
 from ..energy.accounting import Component, EnergyLedger
 from ..errors import AddressError, CoherenceError
 from ..events.tracer import EventTracer
@@ -68,22 +72,21 @@ class CacheHierarchy:
             EventTracer(capacity=config.event_buffer_capacity)
             if config.trace_events else None
         )
-        cpc = config.cc.commands_per_cycle
         backend = config.backend
         l1_name, l2_name, l3_name = Component.LEVELS
         self.l1 = [
-            CacheLevel(l1_name, config.l1d, self.ledger, commands_per_cycle=cpc,
-                       backend=backend, tracer=self.tracer, unit=core)
+            CacheLevel(l1_name, config.l1d, self.ledger, backend=backend,
+                       tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l2 = [
-            CacheLevel(l2_name, config.l2, self.ledger, commands_per_cycle=cpc,
-                       backend=backend, tracer=self.tracer, unit=core)
+            CacheLevel(l2_name, config.l2, self.ledger, backend=backend,
+                       tracer=self.tracer, unit=core)
             for core in range(config.cores)
         ]
         self.l3 = [
-            CacheLevel(l3_name, config.l3_slice, self.ledger, commands_per_cycle=cpc,
-                       backend=backend, tracer=self.tracer, unit=slice_id)
+            CacheLevel(l3_name, config.l3_slice, self.ledger, backend=backend,
+                       tracer=self.tracer, unit=slice_id)
             for slice_id in range(config.l3_slices)
         ]
         self.directory = [Directory(slice_id=s, tracer=self.tracer)
@@ -101,12 +104,17 @@ class CacheHierarchy:
         homing is sticky and deterministic, so pure per-address decode caches
         only go stale on an explicit re-placement."""
         self.forced_unpins: list[tuple[str, int, int]] = []
+        self.transpose = TransposeUnit(config.cc.transpose_latency)
+        """Which blocks hold bit-serial data (:mod:`repro.core.transpose`):
+        one tracker for the machine, since a block's layout belongs to the
+        data in the arrays, which every core's CC controller computes on."""
         self.coherence_fault_hook = None
         """Fault-injection hook (:mod:`repro.faults`): called as
         ``hook(addr, holder_core)`` after each forwarded coherence request
-        is processed.  Returning ``("duplicate", 0)`` re-delivers the
-        request (which must be an idempotent no-op); ``("delay", cycles)``
-        charges extra delivery latency; ``None`` injects nothing."""
+        is delivered (:meth:`_forward`).  Returning ``("duplicate", 0)``
+        re-delivers the request (which must be an idempotent no-op);
+        ``("delay", cycles)`` charges extra delivery latency; ``None``
+        injects nothing."""
 
     # -- NUCA home mapping ---------------------------------------------------------
 
@@ -204,28 +212,46 @@ class CacheHierarchy:
             level.set_state(addr, MESIState.SHARED)
         return dirty_data
 
-    def _coherence_fault_latency(self, addr: int, holder: int, slice_id: int,
-                                 directory, invalidate: bool) -> int:
-        """Consult the fault hook after a forwarded request; returns extra
-        latency.  A ``duplicate`` action re-delivers the message — the
-        invalidate/downgrade and the directory revocation must absorb it
-        as idempotent no-ops; a ``delay`` action charges the injected
-        delivery latency."""
-        if self.coherence_fault_hook is None:
-            return 0
-        action = self.coherence_fault_hook(addr, holder)
+    def _forward(self, holder: int, addr: int, slice_id: int, invalidate: bool,
+                 duplicate: bool = False) -> int:
+        """Deliver one forwarded request from the home ``slice_id`` to core
+        ``holder``; returns the latency it adds.
+
+        The holder's L1 and L2 copies are invalidated (``invalidate``) or
+        downgraded to SHARED; the home directory revokes the holder, or
+        clears its ownership; a dirty copy then travels from the holder's
+        ring stop into the home L3 slice.  Last, the fault hook is
+        consulted: ``duplicate`` delivers the request again
+        (``duplicate=True``, which finds no copy left to take and consults
+        no hook: an idempotent no-op) over one more control message;
+        ``delay`` adds its cycles.  Either emits one ``fault.recover``
+        with outcome ``absorbed``.
+        """
+        directory = self.directory[slice_id]
+        if invalidate:
+            data, dirty = self._invalidate_private(holder, addr)
+            directory.remove_sharer(addr, holder)
+        else:
+            data = self._downgrade_private(holder, addr)
+            dirty = data is not None
+            directory.clear_owner(addr)
+        holder_stop = RingInterconnect.core_stop(holder, self.config.l3_slices)
+        latency = 0
+        if dirty:
+            l3 = self.l3[slice_id]
+            if not l3.contains(addr):
+                raise CoherenceError(f"writeback of {addr:#x} from core {holder} "
+                                     "found no L3 copy (inclusion)")
+            latency = self.ring.send_block(holder_stop, slice_id)
+            l3.write_block(addr, data, dirty=True)
+        hook = self.coherence_fault_hook
+        action = None if duplicate or hook is None else hook(addr, holder)
         if action is None:
-            return 0
+            return latency
         kind, cycles = action
         extra = 0
         if kind == "duplicate":
-            if invalidate:
-                self._invalidate_private(holder, addr)
-                directory.remove_sharer(addr, holder)
-            else:
-                self._downgrade_private(holder, addr)
-                directory.clear_owner(addr)
-            holder_stop = RingInterconnect.core_stop(holder, self.config.l3_slices)
+            self._forward(holder, addr, slice_id, invalidate, duplicate=True)
             extra = self.ring.send_control(slice_id, holder_stop)
         elif kind == "delay":
             extra = int(cycles)
@@ -233,7 +259,7 @@ class CacheHierarchy:
             self.tracer.emit("fault.recover", core=holder, level="L3",
                              addr=addr, outcome="absorbed",
                              reason=f"directory-{kind}", span=float(extra))
-        return extra
+        return latency + extra
 
     # -- eviction handling --------------------------------------------------------------
 
@@ -289,32 +315,10 @@ class CacheHierarchy:
         entry = directory.entry(addr)
         # Recall / invalidate remote copies.
         if entry.owner is not None and entry.owner != core:
-            owner = entry.owner
-            if for_write:
-                data, dirty = self._invalidate_private(owner, addr)
-            else:
-                data = self._downgrade_private(owner, addr)
-                dirty = data is not None
-            if dirty and data is not None:
-                owner_stop = RingInterconnect.core_stop(owner, self.config.l3_slices)
-                latency += self.ring.send_block(owner_stop, slice_id)
-                if not l3.contains(addr):
-                    raise CoherenceError(
-                        f"owner recall for {addr:#x} found no L3 copy (inclusion)"
-                    )
-                l3.write_block(addr, data, dirty=True)
-            if for_write:
-                directory.remove_sharer(addr, owner)
-            else:
-                directory.clear_owner(addr)
-            latency += self._coherence_fault_latency(
-                addr, owner, slice_id, directory, invalidate=for_write)
+            latency += self._forward(entry.owner, addr, slice_id, invalidate=for_write)
         elif for_write:
             for sharer in sorted(entry.sharers - {core}):
-                self._invalidate_private(sharer, addr)
-                directory.remove_sharer(addr, sharer)
-                latency += self._coherence_fault_latency(
-                    addr, sharer, slice_id, directory, invalidate=True)
+                latency += self._forward(sharer, addr, slice_id, invalidate=True)
 
         # Supply the data from L3, fetching from memory on an L3 miss.
         if l3.contains(addr):
@@ -584,11 +588,10 @@ class CacheHierarchy:
     def _cc_prepare_l3(self, core: int, addr: int, is_dest: bool, skip_fetch: bool) -> int:
         slice_id = self.home_slice(addr, core)
         l3 = self.l3[slice_id]
-        directory = self.directory[slice_id]
         # Fast path: the block is resident, clean of private copies, and
         # already writable if needed - only the tag probe remains, which is
         # folded into the controller's command-issue serialization.
-        entry = directory.peek(addr)
+        entry = self.directory[slice_id].peek(addr)
         if l3.contains(addr) and not (entry and entry.sharers):
             if is_dest:
                 l3.set_state(addr, MESIState.MODIFIED)
@@ -598,23 +601,7 @@ class CacheHierarchy:
         )
         if entry:
             for holder in sorted(entry.sharers):
-                if is_dest:
-                    data, dirty = self._invalidate_private(holder, addr)
-                    directory.remove_sharer(addr, holder)
-                else:
-                    data = self._downgrade_private(holder, addr)
-                    dirty = data is not None
-                    directory.clear_owner(addr)
-                if dirty and data is not None:
-                    if not l3.contains(addr):
-                        raise CoherenceError(
-                            f"CC writeback for {addr:#x} found no L3 copy (inclusion)"
-                        )
-                    holder_stop = RingInterconnect.core_stop(holder, self.config.l3_slices)
-                    latency += self.ring.send_block(holder_stop, slice_id)
-                    l3.write_block(addr, data, dirty=True)
-                latency += self._coherence_fault_latency(
-                    addr, holder, slice_id, directory, invalidate=is_dest)
+                latency += self._forward(holder, addr, slice_id, invalidate=is_dest)
         if not l3.contains(addr):
             if skip_fetch and is_dest:
                 ev = l3.fill(addr, bytes(BLOCK_SIZE), MESIState.MODIFIED)

@@ -85,7 +85,6 @@ from .inplace import InPlaceExecutor, row_slots
 from .isa import CCInstruction, Opcode
 from .nearplace import NearPlaceUnit, block_result
 from .operation_table import BlockOperand, BlockOperation
-from .transpose import TransposeUnit
 
 LEVEL_ORDER = (L1, L2, L3)
 
@@ -216,7 +215,7 @@ class ComputeCacheController:
         """The id of each piece, in issue order (``instr_id`` of its events)."""
         self.inplace = InPlaceExecutor(cc.inplace_latency)
         self.nearplace = NearPlaceUnit(cc.nearplace_latency)
-        self.transpose = TransposeUnit(cc.transpose_latency)
+        self.transpose = hierarchy.transpose
         self.stats = CCControllerStats()
         self.tracer = hierarchy.tracer
         self.contention_hook: Callable[[int], bool] | None = None
@@ -593,7 +592,7 @@ class ComputeCacheController:
         inplace_span = spans["in-place"]
 
         fetch_cycles = self._fetch_makespan(piece.fetch_latencies)
-        compute_cycles = self._compute_makespan(level, piece.partition_load,
+        compute_cycles = self._compute_makespan(piece.partition_load,
                                                 nearplace_cycles, inplace_span)
         notify = self.config.l1d.hit_latency  # L1 controller -> core completion
         cycles = (INSTRUCTION_OVERHEAD_CYCLES + fetch_cycles + piece.transpose_cycles
@@ -606,7 +605,7 @@ class ComputeCacheController:
         commands = sum(piece.partition_load.values()) + (1 if piece.key_slots else 0) + risc_ops
         occupancy = (
             INSTRUCTION_OVERHEAD_CYCLES
-            + self._issue_cycles(level, commands)
+            + self._issue_cycles(commands)
             + nearplace_cycles
         )
 
@@ -800,7 +799,6 @@ class ComputeCacheController:
             except PinnedLineError:
                 self._unpin_all(op, caches)
                 return None
-            operand.pinned = True
         if self.contention_hook is not None:
             for operand in op.operands:
                 if self.contention_hook(operand.addr):
@@ -812,11 +810,12 @@ class ComputeCacheController:
 
     @staticmethod
     def _unpin_all(op: BlockOperation, caches: tuple[CacheLevel, ...]) -> None:
-        """Unpin each pinned operand in its stream's compute-level cache."""
+        """Unpin each operand's line in its stream's compute-level cache.
+        The line's pin owner is the one record of a pin: unpinning an
+        absent or unpinned line does nothing, and only the op being staged
+        holds pins."""
         for operand, cache in zip(op.operands, caches):
-            if operand.pinned:
-                cache.unpin(operand.addr)
-                operand.pinned = False
+            cache.unpin(operand.addr)
 
     def _locality_holds(self, addrs: list[int], level: str) -> bool:
         """Whether one block op's operands (``addrs``) can compute in
@@ -898,16 +897,12 @@ class ComputeCacheController:
             return 0.0
         return max(max(latencies), math.ceil(sum(latencies) / FETCH_MLP))
 
-    def _issue_cycles(self, level: str, commands: int) -> int:
-        """Cycles to stream block commands down the level's address bus."""
-        if commands <= 0:
-            return 0
-        cache = {L1: self.hierarchy.l1[self.core_id],
-                 L2: self.hierarchy.l2[self.core_id],
-                 L3: self.hierarchy.l3[0]}[level]
-        return cache.htree.command_issue_cycles(commands)
+    def _issue_cycles(self, commands: int) -> int:
+        """Cycles to stream block commands down the unreplicated H-tree
+        address bus, ``commands_per_cycle`` at a time (Section IV-D)."""
+        return -(-commands // self.config.cc.commands_per_cycle)
 
-    def _compute_makespan(self, level: str, partition_load: dict[int, int],
+    def _compute_makespan(self, partition_load: dict[int, int],
                           nearplace_cycles: float, inplace_latency: float) -> float:
         """In-place ops stream down the address bus and run concurrently
         across partitions, serially within one; near-place ops serialize
@@ -915,7 +910,7 @@ class ComputeCacheController:
         per-block-op latency (step-scaled for the arithmetic tier)."""
         makespan = nearplace_cycles
         if partition_load:
-            issue = self._issue_cycles(level, sum(partition_load.values()))
+            issue = self._issue_cycles(sum(partition_load.values()))
             busiest = max(partition_load.values())
             makespan += issue + busiest * inplace_latency
         return makespan

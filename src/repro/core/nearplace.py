@@ -44,9 +44,6 @@ class OperandRegisters:
     def __init__(self, capacity: int = 4) -> None:
         self.capacity = capacity
         self._tags: list[int] = []
-        self.loads = 0
-        self.hits = 0
-        self.spills = 0
 
     def acquire(self, addr: int) -> bool:
         """Bring an operand into a register; True on a register hit
@@ -54,12 +51,9 @@ class OperandRegisters:
         if addr in self._tags:
             self._tags.remove(addr)
             self._tags.append(addr)  # MRU
-            self.hits += 1
             return True
-        self.loads += 1
         if len(self._tags) >= self.capacity:
-            self._tags.pop(0)
-            self.spills += 1
+            self._tags.pop(0)  # spill the LRU operand
         self._tags.append(addr)
         return False
 

@@ -22,7 +22,6 @@ class BlockOperand:
 
     addr: int
     is_dest: bool
-    pinned: bool = False
 
 
 @dataclass

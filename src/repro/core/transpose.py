@@ -3,10 +3,11 @@
 The bit-serial arithmetic tier (Neural Cache, arXiv 1805.03718) computes
 over *transposed* operands: bit *k* of every element sits on one physical
 row so the bit-line logic evaluates a whole bit plane per step.  Cache
-blocks normally live row-major, so each controller owns a transpose unit
-(one per sub-array cluster in the paper; modeled as one per controller)
-that converts operand blocks on demand and remembers which blocks are
-already bit-serial.
+blocks normally live row-major, so a transpose unit (one per sub-array
+cluster in the paper) converts operand blocks on demand.  Which blocks are
+already bit-serial is a fact about the data in the arrays, not about one
+core: the machine keeps one :class:`TransposeUnit`
+(``CacheHierarchy.transpose``) that every core's controller shares.
 
 Modeling contract
 -----------------
@@ -25,8 +26,9 @@ timing model.  The rules:
 * Arithmetic destinations are produced bit-serial directly (no charge)
   and join the set.
 * Any conventional write into a tracked block — ``machine.write``,
-  ``machine.load``, or a non-arithmetic CC op's destination — evicts it
-  from the set; the next arithmetic use pays the conversion again.
+  ``machine.load``, or a non-arithmetic CC op's destination on any core —
+  evicts it from the set; the next arithmetic use pays the conversion
+  again.
 
 Conversions of distinct blocks are independent row operations in
 different sub-arrays, so they overlap like operand fetches: the makespan

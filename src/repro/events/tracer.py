@@ -64,7 +64,7 @@ Event kinds
 ``cache.fill``      Block allocation (fill).
 ``cache.writeback`` Dirty victim pushed out by a fill.
 ``htree.transfer``  One 64-byte block moved over a cache's H-tree.
-``dir.grant``       Directory grant (``outcome``: ``owner`` / ``sharer``).
+``dir.grant``       Directory grant of ownership (``outcome``: ``owner``).
 ``dir.revoke``      Directory sharer removal (``reason``: ``redundant``
                     for an idempotent duplicate delivery).
 ``dir.drop``        Directory entry dropped (L3 eviction).

@@ -2,8 +2,9 @@
 
 :class:`ComputeCacheMachine` wires together everything a user needs: the
 Table IV configuration, the shared energy ledger, the coherent cache
-hierarchy, one core model + CC controller per core, an allocation arena,
-and the power model.  It is the entry point used by the examples, the
+hierarchy, one core model + CC controller per core and an allocation
+arena; :meth:`ComputeCacheMachine.total_energy` adds the power model's
+static energy.  It is the entry point used by the examples, the
 applications, and the benchmark harness::
 
     from repro import ComputeCacheMachine, cc_ops
@@ -69,7 +70,6 @@ class ComputeCacheMachine:
             for core_id in range(self.config.cores)
         ]
         self.arena = Arena(self.config.memory_size)
-        self.power = PowerModel(self.config)
 
     def _check_core(self, core: int) -> None:
         """Reject a core index the machine does not have; a negative one
@@ -92,8 +92,7 @@ class ComputeCacheMachine:
                 raise AddressError(
                     f"backdoor load into cached block {block:#x}; use write()"
                 )
-        for controller in self.controllers:
-            controller.transpose.invalidate(addr, len(data))
+        self.hierarchy.transpose.invalidate(addr, len(data))
         self.hierarchy.memory.load(addr, data)
 
     def peek(self, addr: int, size: int) -> bytes:
@@ -107,8 +106,7 @@ class ComputeCacheMachine:
         its range to row-major layout (see :mod:`repro.core.transpose`).
         """
         self._check_core(core)
-        for controller in self.controllers:
-            controller.transpose.invalidate(addr, len(data))
+        self.hierarchy.transpose.invalidate(addr, len(data))
         return self.hierarchy.write(core, addr, data)
 
     def read(self, addr: int, size: int, core: int = 0) -> bytes:

@@ -9,22 +9,16 @@ wordlines, one for each operand").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import AddressError
 
 
 @dataclass
 class DualRowDecoder:
-    """Two-port row decoder: decodes up to two row addresses per activation.
-
-    Counts single and dual decodes (``decode_count``,
-    ``dual_decode_count``); no area or energy model reads them.
-    """
+    """Two-port row decoder: decodes up to two row addresses per activation."""
 
     rows: int
-    decode_count: int = field(default=0, init=False)
-    dual_decode_count: int = field(default=0, init=False)
 
     def _check(self, row: int) -> None:
         if not 0 <= row < self.rows:
@@ -38,13 +32,7 @@ class DualRowDecoder:
         case a ``cc_cmp(a, a, n)`` or ``cc_and(a, a, c, n)`` produces.
         """
         self._check(row_a)
-        if row_b is None:
-            self.decode_count += 1
+        if row_b is None or row_b == row_a:
             return (row_a,)
         self._check(row_b)
-        if row_b == row_a:
-            self.decode_count += 1
-            return (row_a,)
-        self.decode_count += 1
-        self.dual_decode_count += 1
         return (row_a, row_b)

@@ -38,20 +38,15 @@ class SenseAmpColumn:
         self.cols = cols
         self.mode = SenseMode.DIFFERENTIAL
         self._latch: np.ndarray | None = None
-        self.reconfigurations = 0
-        self.sense_count = 0
 
     def configure(self, mode: SenseMode) -> None:
         """Switch between differential and single-ended sensing."""
-        if mode is not self.mode:
-            self.reconfigurations += 1
-            self.mode = mode
+        self.mode = mode
 
     def sense_differential(self, bl: np.ndarray, blb: np.ndarray) -> np.ndarray:
         """Normal read: resolve each column from the BL/BLB differential."""
         if self.mode is not SenseMode.DIFFERENTIAL:
             raise ReproError("sense amps are configured single-ended; reconfigure first")
-        self.sense_count += 1
         self._latch = bl.copy()
         return self._latch.copy()
 
@@ -65,7 +60,6 @@ class SenseAmpColumn:
         """
         if self.mode is not SenseMode.SINGLE_ENDED:
             raise ReproError("sense amps are configured differentially; reconfigure first")
-        self.sense_count += 1
         self._latch = bl.copy()
         return bl.copy(), blb.copy()
 

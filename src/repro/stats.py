@@ -31,7 +31,11 @@ class CacheLevelSnapshot:
     cc_inplace_ops: int
     cc_nearplace_ops: int
     htree_transfers: int
+    """Blocks moved over the level's H-tree: its conventional reads plus
+    writes (in-place work moves none)."""
     htree_commands: int
+    """Stays 0: CC block commands are timed by the controller's issue
+    cycles rather than counted one by one."""
     subarray_reads: int
     subarray_writes: int
     subarray_compute_ops: int
@@ -78,8 +82,7 @@ class MachineSnapshot:
 
 def _level_snapshot(name: str, caches) -> CacheLevelSnapshot:
     agg = dict(lookups=0, hits=0, reads=0, writes=0, fills=0, writebacks=0,
-               evictions=0, inplace=0, nearplace=0, transfers=0, commands=0,
-               sreads=0, swrites=0, sops=0)
+               evictions=0, inplace=0, nearplace=0, sreads=0, swrites=0, sops=0)
     for cache in caches:
         agg["lookups"] += cache.tag_stats.lookups
         agg["hits"] += cache.tag_stats.hits
@@ -90,8 +93,6 @@ def _level_snapshot(name: str, caches) -> CacheLevelSnapshot:
         agg["writebacks"] += cache.stats.writebacks_out
         agg["inplace"] += cache.stats.cc_inplace_ops
         agg["nearplace"] += cache.stats.cc_nearplace_ops
-        agg["transfers"] += cache.htree.data_transfers
-        agg["commands"] += cache.htree.commands_issued
         for sub in cache.geometry.subarrays:
             agg["sreads"] += sub.stats.reads
             agg["swrites"] += sub.stats.writes
@@ -104,7 +105,7 @@ def _level_snapshot(name: str, caches) -> CacheLevelSnapshot:
         fills=agg["fills"], writebacks=agg["writebacks"],
         evictions=agg["evictions"],
         cc_inplace_ops=agg["inplace"], cc_nearplace_ops=agg["nearplace"],
-        htree_transfers=agg["transfers"], htree_commands=agg["commands"],
+        htree_transfers=agg["reads"] + agg["writes"], htree_commands=0,
         subarray_reads=agg["sreads"], subarray_writes=agg["swrites"],
         subarray_compute_ops=agg["sops"],
     )

@@ -1,6 +1,7 @@
 """One AST index of the program's own code, shared by the tier-1 guards
-that check it reaches every module (``test_no_orphan_modules.py``) and
-every definition (``test_no_orphan_definitions.py``) under ``src/repro``.
+that check it reaches every module (``test_no_orphan_modules.py``), every
+definition (``test_no_orphan_definitions.py``) and reads every stored
+attribute (``test_no_write_only_attributes.py``) under ``src/repro``.
 
 Program code is ``src/repro``, ``benchmarks/``, ``hostbench/``,
 ``examples/`` and the python blocks that ``repro docscheck`` runs; the
@@ -48,10 +49,14 @@ class Definition:
 
 @dataclass(frozen=True)
 class Use:
-    """One use of ``name``; ``within`` are the definitions it sits in."""
+    """One use of ``name``; ``within`` are the definitions it sits in.
+    ``kind`` says how: ``name`` (a name or an imported name), ``string``,
+    ``attribute`` (a load), ``store`` (an attribute assigned or deleted)
+    or ``self-store`` (the same on ``self``)."""
 
     name: str
     within: tuple[Definition, ...]
+    kind: str = "name"
 
 
 @dataclass
@@ -172,14 +177,20 @@ class _UseCollector(ast.NodeVisitor):
         self.out = out
         self.within: tuple[Definition, ...] = ()
 
-    def use(self, name: str) -> None:
-        self.out.append(Use(name, self.within))
+    def use(self, name: str, kind: str = "name") -> None:
+        self.out.append(Use(name, self.within, kind))
 
     def visit_Name(self, node):
         self.use(node.id)
 
     def visit_Attribute(self, node):
-        self.use(node.attr)
+        if isinstance(node.ctx, ast.Load):
+            kind = "attribute"
+        elif isinstance(node.value, ast.Name) and node.value.id == "self":
+            kind = "self-store"
+        else:
+            kind = "store"
+        self.use(node.attr, kind)
         self.visit(node.value)
 
     def visit_alias(self, node):
@@ -190,7 +201,7 @@ class _UseCollector(ast.NodeVisitor):
     def visit_Constant(self, node):
         if isinstance(node.value, str) and _PATH_OF_IDENTIFIERS.fullmatch(node.value):
             for part in re.split(r"[.:]", node.value):
-                self.use(part)
+                self.use(part, "string")
 
     def visit_Expr(self, node):
         if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
@@ -271,3 +282,22 @@ def unused_definitions(index: ProgramIndex) -> list[Definition]:
                       o.module == d.module and d.qualname.startswith(o.qualname + ".")
                       for o in flagged)),
                   key=lambda d: (d.module, d.node.lineno))
+
+
+def write_only_attributes(index: ProgramIndex) -> list[str]:
+    """``module:Class.name`` of each ``self.<name>`` store under
+    ``src/repro`` whose name no program code reads.  A read is an attribute
+    load or an identifier string (``getattr`` names, hostbench's dotted
+    counter keys); a bare name is another variable, and a store, augmented
+    or not, reads nothing.  Uses inside the definitions
+    :func:`unused_definitions` flags count for nothing: their stores are
+    that guard's to report, and their reads keep nothing alive."""
+    flagged = set(unused_definitions(index))
+    live = [use for use in index.uses() if not flagged.intersection(use.within)]
+    read = {use.name for use in live if use.kind in ("attribute", "string")}
+    found = set()
+    for use in live:
+        classes = [d for d in use.within if isinstance(d.node, ast.ClassDef)]
+        if use.kind == "self-store" and classes and use.name not in read:
+            found.add(f"{classes[-1].module}:{classes[-1].qualname}.{use.name}")
+    return sorted(found)

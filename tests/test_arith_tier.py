@@ -115,6 +115,20 @@ class TestTransposeAccounting:
                                 elem_bits=8))
         assert self.stats()[0] - blocks_before == 4
 
+    def test_other_core_cc_dest_recharges(self):
+        """One tracker per machine: core 1's cc_copy into a bit-serial
+        cc_add destination reverts it for core 0 too, so core 0's next
+        cc_add over it converts its 4 blocks."""
+        d, x = self.m.arena.alloc_colocated(self.size, 2)
+        self.m.load(x, payload(3, self.size))
+        self.m.cc(cc_ops.cc_add(self.a, self.b, self.c, self.size), core=0)
+        self.m.cc(cc_ops.cc_copy(x, self.c, self.size), core=1)
+        blocks_before, _ = self.stats()
+        self.m.cc(cc_ops.cc_add(self.c, self.b, d, self.size), core=0)
+        assert self.stats()[0] - blocks_before == 4
+        assert all(c.transpose is self.m.hierarchy.transpose
+                   for c in self.m.controllers)
+
     def test_transpose_energy_hits_ledger(self):
         before = self.m.ledger.copy()
         self.m.cc(cc_ops.cc_add(self.a, self.b, self.c, self.size,

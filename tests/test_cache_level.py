@@ -155,8 +155,9 @@ class TestEnergyCharging:
 
 class TestWrongSizeBlock:
     """A block that is not ``BLOCK_SIZE`` bytes raises ``AddressError``
-    before the level changes anything: lines, LRU, statistics, H-tree
-    transfers, energy and the row store stay as they were."""
+    before the level changes anything: lines, LRU, statistics (H-tree
+    transfers are their reads plus writes), energy and the row store stay
+    as they were."""
 
     @staticmethod
     def _snapshot(level):
@@ -165,7 +166,6 @@ class TestWrongSizeBlock:
             [(a, level.state_of(a)) for a in level.resident_addresses()],
             list(level._lru),
             copy.deepcopy((level.stats, level.tag_stats, level.epoch)),
-            level.htree.data_transfers,
             dict(level.ledger.pj),
             [copy.deepcopy(sub.stats) for sub in subs],
             subs[0].block.tobytes(),

@@ -12,6 +12,7 @@ import inspect
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -203,6 +204,22 @@ class TestProfilerStatsAgreement:
             assert counts.get("writebacks", 0) == level.writebacks
             assert counts.get("htree_transfers", 0) == level.htree_transfers
             assert counts.get("htree_commands", 0) == level.htree_commands
+
+    @pytest.mark.parametrize("backend", ["bitexact", "packed"])
+    def test_htree_transfers_are_reads_plus_writes(self, small_config, backend):
+        """A block crosses a level's H-tree exactly when the level reads or
+        writes it conventionally: per level, the stats' transfers, its
+        reads plus writes and the ``htree.transfer`` events agree."""
+        m = ComputeCacheMachine(small_config, backend=backend, trace_events=True)
+        run_trace(PROFILE_TRACE, m)
+        events = Counter(ev.level for ev in m.tracer if ev.kind == "htree.transfer")
+        snap = collect_stats(m)
+        for stats_level, event_level in (("L1", "L1-D"), ("L2", "L2"), ("L3", "L3-slice")):
+            level = snap.levels[stats_level]
+            assert level.htree_transfers == level.reads + level.writes
+            assert level.htree_transfers == events[event_level]
+            assert level.htree_commands == 0
+        assert sum(events.values()) > 0
 
     def test_format_outputs_render(self, small_config):
         m = ComputeCacheMachine(small_config, trace_events=True)

@@ -398,3 +398,127 @@ class TestHomeDirectoryPeek:
         with pytest.raises(AddressError):
             m.load(addr, bytes(BLOCK_SIZE))
         assert m.peek(addr, BLOCK_SIZE) == b"\x77" * BLOCK_SIZE
+
+
+# -- forwarded requests (CacheHierarchy._forward) --------------------------------------
+
+_B = 0x4000
+"""A block homed on slice 1 of ``small_test_machine()`` (placed there):
+core 0, the holder every delivery below targets, sits one hop away."""
+
+
+def _owner_recall(h):
+    """A write miss on core 1 recalls core 0's dirty copy."""
+    h.write(0, _B, b"\x11" * 8)
+    return lambda: h.access_block(1, _B, for_write=True).latency
+
+
+def _sharer_invalidation(h):
+    """Core 1's write to a block both cores share invalidates core 0's copy."""
+    h.read(0, _B, 8)
+    h.read(1, _B, 8)
+    return lambda: h.access_block(1, _B, for_write=True).latency
+
+
+def _read_downgrade(h):
+    """A read miss on core 1 downgrades core 0's dirty copy."""
+    h.write(0, _B, b"\x11" * 8)
+    return lambda: h.access_block(1, _B, for_write=False).latency
+
+
+def _cc_source(h):
+    """Core 1 stages a CC source at L3 that core 0 holds dirty."""
+    h.write(0, _B, b"\x11" * 8)
+    return lambda: h.cc_prepare(1, L3, _B, is_dest=False)
+
+
+def _cc_dest(h):
+    """Core 1 stages a CC destination at L3 that core 0 holds dirty."""
+    h.write(0, _B, b"\x11" * 8)
+    return lambda: h.cc_prepare(1, L3, _B, is_dest=True)
+
+
+DELIVERIES = {  # scenario -> (set-up returning the delivery, invalidations)
+    "write-miss-owner-recall": (_owner_recall, 1),
+    "write-miss-sharer-invalidation": (_sharer_invalidation, 1),
+    "read-miss-downgrade": (_read_downgrade, 0),
+    "cc-l3-source": (_cc_source, 0),
+    "cc-l3-destination": (_cc_dest, 1),
+}
+
+
+def _copies(h, addr):
+    """Every copy of a block (state and bytes, per cache) and its home
+    directory entry."""
+    levels = [*h.l1, *h.l2, h.l3[1]]
+    copies = [(lvl.state_of(addr), lvl.peek_block(addr) if lvl.contains(addr) else None)
+              for lvl in levels]
+    entry = h.directory[1].peek(addr)
+    return copies, entry and (sorted(entry.sharers), entry.owner), h.coherent_peek(addr, 64)
+
+
+class TestForwardedRequests:
+    """Every forwarded request is one delivery: the holder's copies go,
+    the directory forgets it, a dirty copy is written back, and an
+    injected fault is absorbed."""
+
+    @staticmethod
+    def _deliver(small_config, scenario, action):
+        """Set up ``scenario``, install a hook answering ``action``, run
+        its delivery; returns (latency, copies, redundant revokes,
+        fault.recover events)."""
+        m = ComputeCacheMachine(small_config, trace_events=True)
+        m.place_page(_B, 1)
+        h = m.hierarchy
+        deliver = DELIVERIES[scenario][0](h)
+        if action is not None:
+            h.coherence_fault_hook = lambda addr, holder: action
+        start = m.tracer.total_emitted
+        latency = deliver()
+        recovers = [(ev.core, ev.addr, ev.outcome, ev.reason, ev.span)
+                    for ev in list(m.tracer)[start:] if ev.kind == "fault.recover"]
+        return latency, _copies(h, _B), h.directory[1].redundant_revokes, recovers
+
+    @pytest.mark.parametrize("scenario", DELIVERIES)
+    def test_duplicate_is_absorbed(self, small_config, scenario):
+        """A duplicated delivery leaves the copies and the directory as one
+        delivery does; it costs one control message from the home slice
+        to the holder, one redundant revoke per invalidation and one
+        ``absorbed`` recovery."""
+        plain = self._deliver(small_config, scenario, None)
+        dup = self._deliver(small_config, scenario, ("duplicate", 0))
+        control = ComputeCacheMachine(small_config).hierarchy.ring.latency(1, 0, data=False)
+        assert control > 0
+        assert dup[1] == plain[1]
+        assert dup[0] == plain[0] + control
+        assert dup[2] == plain[2] + DELIVERIES[scenario][1]
+        assert plain[3] == []
+        assert dup[3] == [(0, _B, "absorbed", "directory-duplicate", float(control))]
+
+    @pytest.mark.parametrize("scenario", DELIVERIES)
+    def test_delay_is_absorbed(self, small_config, scenario):
+        plain = self._deliver(small_config, scenario, None)
+        late = self._deliver(small_config, scenario, ("delay", 7))
+        assert late[1:3] == plain[1:3]
+        assert late[0] == plain[0] + 7
+        assert late[3] == [(0, _B, "absorbed", "directory-delay", 7.0)]
+
+    def test_write_miss_recall_revokes_before_the_writeback(self, small_config):
+        """Core 1's store misses on a block core 0 holds dirty: the home
+        directory revokes core 0, then its copy crosses the L3 slice's
+        H-tree, then core 1 is granted the block."""
+        m = ComputeCacheMachine(small_config, trace_events=True)
+        m.write(_B, b"\x11" * 8, core=0)
+        start = m.tracer.total_emitted
+        m.write(_B, b"\x22" * 8, core=1)
+        events = [(ev.kind, ev.level or ev.core) for ev in list(m.tracer)[start:]]
+        assert events == [
+            ("cache.lookup", "L1-D"), ("cache.lookup", "L2"),
+            ("dir.revoke", 0),
+            ("htree.transfer", "L3-slice"), ("cache.write", "L3-slice"),  # writeback
+            ("htree.transfer", "L3-slice"), ("cache.read", "L3-slice"),   # supply
+            ("dir.grant", 1),
+            ("cache.fill", "L2"), ("cache.fill", "L1-D"),
+            ("htree.transfer", "L1-D"), ("cache.write", "L1-D"),          # the store
+        ]
+        assert m.peek(_B, 8) == b"\x22" * 8

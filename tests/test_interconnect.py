@@ -1,14 +1,18 @@
 """Ring, H-tree, and memory model tests."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.cache.htree import HTree
+from repro import ComputeCacheMachine, cc_ops
+from repro.cache.hierarchy import L3
 from repro.cache.memory import MainMemory
 from repro.cache.ring import RingInterconnect
+from repro.core.controller import INSTRUCTION_OVERHEAD_CYCLES
 from repro.energy.accounting import Component, EnergyLedger
 from repro.energy.tables import CACHE_ACCESS_ENERGY_PJ, CACHE_IC_ENERGY_PJ
 from repro.errors import AddressError
-from repro.params import RingConfig
+from repro.params import PAGE_SIZE, RingConfig, small_test_machine
 
 
 class TestRing:
@@ -54,17 +58,27 @@ class TestHTree:
         assert share("L3-slice") > 0.75
         assert share("L1-D") > 0.55
 
-    def test_command_issue_serialization(self):
-        h = HTree("L3-slice", commands_per_cycle=1)
-        assert h.command_issue_cycles(64) == 64
-        h2 = HTree("L3-slice", commands_per_cycle=4)
-        assert h2.command_issue_cycles(64) == 16
+    @staticmethod
+    def _piece(commands_per_cycle):
+        """A 64-block in-place ``cc_and`` at L3 with block commands issued
+        ``commands_per_cycle`` at a time."""
+        config = small_test_machine()
+        config = replace(config, cc=replace(config.cc, commands_per_cycle=commands_per_cycle))
+        m = ComputeCacheMachine(config)
+        a, b, c = m.arena.alloc_colocated(PAGE_SIZE, 3)
+        res = m.cc(cc_ops.cc_and(a, b, c, PAGE_SIZE), force_level=L3)
+        assert res.inplace_ops == 64 and res.used_inplace
+        return res
 
-    def test_transfer_accounting(self):
-        h = HTree("L2")
-        h.record_transfer()
-        assert h.data_transfers == 1
-        assert h.commands_issued == 0
+    def test_command_issue_serialization(self):
+        """The unreplicated address bus (Section IV-D): four commands a
+        cycle issue a 64-block piece in a quarter of the cycles one a
+        cycle takes, and the piece finishes that much sooner."""
+        one, four = self._piece(1), self._piece(4)
+        assert one.occupancy_cycles - INSTRUCTION_OVERHEAD_CYCLES == 64
+        assert four.occupancy_cycles - INSTRUCTION_OVERHEAD_CYCLES == 16
+        assert one.compute_cycles - four.compute_cycles == 64 - 16
+        assert one.cycles - four.cycles == 64 - 16
 
 
 class TestMemory:
