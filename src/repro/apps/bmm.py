@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.isa import cc_clmul_bcast
+from ..core.isa import CLMUL_LANES, cc_clmul_bcast
 from ..cpu.program import Instr
 from ..machine import ComputeCacheMachine
 from ..params import BLOCK_SIZE
@@ -53,9 +53,9 @@ class BMMWorkload:
 
 
 def make_matrices(seed: int, n: int = ROW_BITS_DEFAULT) -> BMMWorkload:
-    if n not in (64, 128, 256):
+    if n not in CLMUL_LANES:
         raise ValueError(
-            "matrix dimension must be 64, 128, or 256 (a cc_clmul lane width)"
+            f"matrix dimension must be one of {CLMUL_LANES} (a cc_clmul lane width)"
         )
     rng = np.random.default_rng(seed)
     return BMMWorkload(

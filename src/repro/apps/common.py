@@ -9,7 +9,8 @@ import numpy as np
 from ..cpu.program import Instr, Program
 from ..energy.accounting import EnergyLedger
 from ..machine import ComputeCacheMachine
-from ..params import MachineConfig, sandybridge_8core
+from ..params import BLOCK_SIZE, MachineConfig, sandybridge_8core
+from .textgen import Corpus
 
 
 @dataclass
@@ -35,7 +36,7 @@ def fresh_machine(config: MachineConfig | None = None) -> ComputeCacheMachine:
 
 
 class StreamRunner:
-    """Executes instruction streams in bounded chunks.
+    """Executes instruction streams on core 0 in bounded chunks.
 
     Applications generate millions of abstract instructions; buffering them
     all would be wasteful.  The runner flushes to the core model whenever
@@ -43,10 +44,9 @@ class StreamRunner:
     """
 
     def __init__(self, machine: ComputeCacheMachine, name: str,
-                 core: int = 0, chunk: int = 4096) -> None:
+                 chunk: int = 4096) -> None:
         self.machine = machine
         self.name = name
-        self.core = core
         self.chunk = chunk
         self._buffer: list[Instr] = []
         self.cycles = 0.0
@@ -65,7 +65,7 @@ class StreamRunner:
     def flush(self) -> None:
         if not self._buffer:
             return
-        res = self.machine.run(Program(self.name, self._buffer), core=self.core)
+        res = self.machine.run(Program(self.name, self._buffer))
         self.cycles += res.cycles
         self.instructions += res.instructions
         self.cc_results.extend(res.cc_results)
@@ -76,9 +76,7 @@ class StreamRunner:
         and return its :class:`~repro.core.controller.CCResult` - needed
         when control flow depends on the result mask."""
         self.flush()
-        res = self.machine.run(
-            Program(self.name, [Instr.cc_op(instr)]), core=self.core
-        )
+        res = self.machine.run(Program(self.name, [Instr.cc_op(instr)]))
         self.cycles += res.cycles
         self.instructions += res.instructions
         self.cc_results.extend(res.cc_results)
@@ -99,6 +97,16 @@ def pad_to_slot(word: bytes, slot: int = 64) -> bytes:
     if len(word) >= slot:
         word = word[: slot - 1]
     return word + bytes(slot - len(word))
+
+
+def stage_text(m: ComputeCacheMachine, corpus: Corpus) -> int:
+    """Load a corpus into memory, one 64-byte slot per word from a page
+    boundary, and return its base.  Both variants of a text app stream it
+    in, so reading it pollutes the caches like the paper's 10 MB input
+    file."""
+    text_base = m.arena.alloc_page_aligned(len(corpus.words) * BLOCK_SIZE)
+    m.load(text_base, b"".join(pad_to_slot(w.encode()) for w in corpus.words))
+    return text_base
 
 
 def lanes16(values: np.ndarray, plane_bytes: int) -> bytes:

@@ -290,12 +290,12 @@ def _warm_set(kernel: str, bufs: StreamBuffers) -> tuple[int, ...]:
     }[kernel]
 
 
-def measured_fill_bytes(machine: ComputeCacheMachine, level: str = "L1-D") -> int:
-    """Bytes filled into ``level`` since the tracer was last cleared."""
+def measured_fill_bytes(machine: ComputeCacheMachine) -> int:
+    """Bytes filled into the L1-Ds since the tracer was last cleared."""
     if machine.tracer is None:
         raise ValueError("machine has no event tracer")
     return BLOCK_SIZE * sum(
-        1 for e in machine.tracer.by_kind("cache.fill") if e.level == level
+        1 for e in machine.tracer.by_kind("cache.fill") if e.level == "L1-D"
     )
 
 

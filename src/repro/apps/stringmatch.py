@@ -24,7 +24,7 @@ from ..core.isa import cc_search
 from ..cpu.program import Instr
 from ..machine import ComputeCacheMachine
 from ..params import BLOCK_SIZE
-from .common import AppResult, StreamRunner, fresh_machine, pad_to_slot
+from .common import AppResult, StreamRunner, fresh_machine, pad_to_slot, stage_text
 from .textgen import Corpus
 
 SLOT = BLOCK_SIZE
@@ -84,18 +84,10 @@ def reference_matches(workload: StringMatchWorkload) -> list[tuple[int, int]]:
     ]
 
 
-def _stage_text(m: ComputeCacheMachine, corpus: Corpus) -> int:
-    """The input text lives in memory; both variants stream it in."""
-    text_base = m.arena.alloc_page_aligned(len(corpus.words) * SLOT)
-    blob = b"".join(pad_to_slot(w.encode()) for w in corpus.words)
-    m.load(text_base, blob)
-    return text_base
-
-
 def run_stringmatch_baseline(workload: StringMatchWorkload,
                              machine: ComputeCacheMachine | None = None) -> AppResult:
     m = machine or fresh_machine()
-    text_base = _stage_text(m, workload.corpus)
+    text_base = stage_text(m, workload.corpus)
     runner = StreamRunner(m, "stringmatch-base")
     snap = m.snapshot_energy()
     encrypted_keys = encrypt_slots(workload.keys)
@@ -121,7 +113,7 @@ def run_stringmatch_baseline(workload: StringMatchWorkload,
 def run_stringmatch_cc(workload: StringMatchWorkload,
                        machine: ComputeCacheMachine | None = None) -> AppResult:
     m = machine or fresh_machine()
-    text_base = _stage_text(m, workload.corpus)
+    text_base = stage_text(m, workload.corpus)
     # Two batch buffers: the core encrypts into one while the CC controller
     # searches the other (the RMO overlap of Section IV-G).  On the paper's
     # hardware the vector LSQ would order stores into a buffer behind the

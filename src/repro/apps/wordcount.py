@@ -24,7 +24,7 @@ from ..core.isa import cc_search
 from ..cpu.program import Instr
 from ..machine import ComputeCacheMachine
 from ..params import BLOCK_SIZE
-from .common import AppResult, StreamRunner, fresh_machine, pad_to_slot
+from .common import AppResult, StreamRunner, fresh_machine, pad_to_slot, stage_text
 from .textgen import Corpus
 
 SLOT = BLOCK_SIZE
@@ -52,15 +52,6 @@ def _bin_index(word: str, n_bins: int) -> int:
 # -- baseline: sorted dictionary + binary search -------------------------------------
 
 
-def _stage_text(m: ComputeCacheMachine, corpus: Corpus) -> int:
-    """The input text stream lives in memory; reading it (one 64-byte slot
-    per word here) is part of both variants and pollutes the caches just
-    like the paper's 10 MB input file."""
-    text_base = m.arena.alloc_page_aligned(len(corpus.words) * SLOT)
-    m.load(text_base, b"".join(pad_to_slot(w.encode()) for w in corpus.words))
-    return text_base
-
-
 def run_wordcount_baseline(corpus: Corpus,
                            machine: ComputeCacheMachine | None = None,
                            config: WordCountConfig | None = None) -> AppResult:
@@ -68,7 +59,7 @@ def run_wordcount_baseline(corpus: Corpus,
     m = machine or fresh_machine()
     dict_base = m.arena.alloc_page_aligned(cfg.dict_capacity * SLOT)
     counts_base = m.arena.alloc_page_aligned(cfg.dict_capacity * 8)
-    text_base = _stage_text(m, corpus)
+    text_base = stage_text(m, corpus)
     runner = StreamRunner(m, "wordcount-base")
     snap = m.snapshot_energy()
 
@@ -140,7 +131,7 @@ def run_wordcount_cc(corpus: Corpus,
     bins_base = m.arena.alloc_page_aligned(cfg.n_bins * cfg.bin_bytes)
     counts_base = m.arena.alloc_page_aligned(cfg.n_bins * cfg.bin_capacity * 8)
     key_slots = m.arena.alloc_colocated(SLOT, KEY_SLOTS)
-    text_base = _stage_text(m, corpus)
+    text_base = stage_text(m, corpus)
     runner = StreamRunner(m, "wordcount-cc", chunk=1 << 30)
     snap = m.snapshot_energy()
 

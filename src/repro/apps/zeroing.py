@@ -43,12 +43,13 @@ class ZeroingWorkload:
 
 
 def make_allocation_trace(seed: int, n_regions: int = 32,
-                          min_blocks: int = 1, max_blocks: int = 64) -> ZeroingWorkload:
-    """Object/page-sized allocations, log-uniform like real heaps."""
+                          max_blocks: int = 64) -> ZeroingWorkload:
+    """Object/page-sized allocations of 1 to ``max_blocks`` blocks,
+    log-uniform like real heaps."""
     rng = np.random.default_rng(seed)
-    log_lo, log_hi = np.log(min_blocks), np.log(max_blocks + 1)
+    log_hi = np.log(max_blocks + 1)
     sizes = tuple(
-        int(np.exp(rng.uniform(log_lo, log_hi))) * BLOCK_SIZE
+        int(np.exp(rng.uniform(0.0, log_hi))) * BLOCK_SIZE
         for _ in range(n_regions)
     )
     return ZeroingWorkload(region_sizes=sizes)

@@ -44,8 +44,8 @@ def run_benchmark(name: str, intervals: int = 2,
     return CheckpointComparison(benchmark=name, runs=runs)
 
 
-def _checkpoint_points(intervals: int, benchmarks: tuple[str, ...],
-                       runner, backend: str | None = None) -> list[dict]:
+def _checkpoint_points(intervals: int, runner,
+                       backend: str | None = None) -> list[dict]:
     """One ``checkpoint`` runner point per benchmark; each point carries
     both the Figure 10 overheads and the Figure 11 energies, so
     regenerating both figures (or re-running one with a warm cache)
@@ -59,25 +59,21 @@ def _checkpoint_points(intervals: int, benchmarks: tuple[str, ...],
         Point("checkpoint", {"benchmark": name, "intervals": intervals,
                              **extra},
               label=f"checkpoint:{name}x{intervals}")
-        for name in benchmarks
+        for name in BENCHMARKS
     ])
 
 
-def figure10_overheads(intervals: int = 2,
-                       benchmarks: tuple[str, ...] = BENCHMARKS,
-                       runner=None,
+def figure10_overheads(intervals: int = 2, runner=None,
                        backend: str | None = None) -> dict[str, dict[str, float]]:
     """Figure 10: checkpointing performance overhead (%) per benchmark."""
-    docs = _checkpoint_points(intervals, benchmarks, runner, backend=backend)
+    docs = _checkpoint_points(intervals, runner, backend=backend)
     return {doc["benchmark"]: doc["overheads"] for doc in docs}
 
 
-def figure11_energy(intervals: int = 2,
-                    benchmarks: tuple[str, ...] = BENCHMARKS,
-                    runner=None,
+def figure11_energy(intervals: int = 2, runner=None,
                     backend: str | None = None) -> dict[str, dict[str, float]]:
     """Figure 11: total energy (nJ) per benchmark, including no_chkpt."""
-    docs = _checkpoint_points(intervals, benchmarks, runner, backend=backend)
+    docs = _checkpoint_points(intervals, runner, backend=backend)
     return {doc["benchmark"]: doc["energy"] for doc in docs}
 
 

@@ -25,19 +25,20 @@ import numpy as np
 
 from ..config_io import config_to_dict
 from ..errors import ActivationLimitError
-from ..params import MachineConfig, sandybridge_8core
+from ..params import sandybridge_8core
 from ..sram import BitCellArray
 from .microbench import _resolve_runner, kernel_point_spec
 from .points import measurement_from_point
 
 
 def operand_size_sweep(kernel: str = "logical",
-                       sizes: tuple[int, ...] = (64, 256, 1024, 4096, 16384),
                        runner=None,
                        backend: str | None = None,
                        seed: int | None = None) -> list[dict[str, float]]:
-    """CC-vs-Base_32 gain as a function of operand size."""
+    """CC-vs-Base_32 gain as a function of operand size, from one block to
+    the ISA's 16 KB operand limit."""
     runner = _resolve_runner(runner)
+    sizes = (64, 256, 1024, 4096, 16384)
     docs = runner.run([kernel_point_spec(kernel, config, size,
                                          backend=backend, seed=seed)
                        for size in sizes for config in ("base32", "cc")])
@@ -55,15 +56,10 @@ def operand_size_sweep(kernel: str = "logical",
     return rows
 
 
-def partition_parallelism_sweep(
-    kernel: str = "copy",
-    bps_options: tuple[int, ...] = (1, 2, 4),
-    size: int = 4096,
-    runner=None,
-    backend: str | None = None,
-    seed: int | None = None,
-) -> list[dict[str, float]]:
-    """In-place makespan vs the number of block partitions per bank.
+def partition_parallelism_sweep(runner=None, backend: str | None = None,
+                                seed: int | None = None) -> list[dict[str, float]]:
+    """In-place makespan of a 4 KB CC copy vs the number of block
+    partitions per L3 bank (1, 2 or 4).
 
     More partitions = more sub-arrays computing concurrently; with few
     partitions the per-partition serial chain (14 cycles per op) dominates.
@@ -72,12 +68,12 @@ def partition_parallelism_sweep(
     """
     runner = _resolve_runner(runner)
     variants = []
-    for bps in bps_options:
+    for bps in (1, 2, 4):
         base_cfg = sandybridge_8core()
         l3 = replace(base_cfg.l3_slice, bps_per_bank=bps)
         variants.append((bps, l3, replace(base_cfg, l3_slice=l3)))
     docs = runner.run([
-        kernel_point_spec(kernel, "cc", size, machine=config_to_dict(cfg),
+        kernel_point_spec("copy", "cc", 4096, machine=config_to_dict(cfg),
                           backend=backend, seed=seed)
         for _, _, cfg in variants
     ])
@@ -93,19 +89,21 @@ def partition_parallelism_sweep(
     return rows
 
 
-def wordline_activation_sweep(max_rows: int = 64,
-                              cols: int = 512) -> list[dict[str, object]]:
-    """Multi-row AND/NOR correctness up to the activation limit.
+def wordline_activation_sweep() -> list[dict[str, object]]:
+    """Multi-row AND/NOR correctness up to the activation limit, on a
+    512-column array.
 
     Jeloka et al. measured no corruption up to 64 simultaneous word-lines;
-    the model enforces the same limit and this sweep demonstrates both the
-    correct algebra below it and the hard stop above it.
+    the model enforces the same limit (:class:`BitCellArray`'s
+    ``max_activated``) and this sweep demonstrates both the correct
+    algebra below it and the hard stop above it.
     """
     rng = np.random.default_rng(2024)
+    arr = BitCellArray(rows=66, cols=512)
+    limit = arr.max_activated
     rows_out: list[dict[str, object]] = []
     for n in (2, 4, 8, 16, 32, 64):
-        arr = BitCellArray(rows=max(n, 64) + 1, cols=cols, max_activated=max_rows)
-        data = rng.integers(0, 2, size=(n, cols)).astype(bool)
+        data = rng.integers(0, 2, size=(n, arr.cols)).astype(bool)
         for i in range(n):
             arr.write_row(i, data[i])
         bl, blb = arr.activate(list(range(n)))
@@ -115,21 +113,20 @@ def wordline_activation_sweep(max_rows: int = 64,
         rows_out.append({"rows_activated": n, "algebra_exact": ok})
     over_limit = False
     try:
-        arr = BitCellArray(rows=max_rows + 2, cols=cols, max_activated=max_rows)
-        arr.activate(list(range(max_rows + 1)))
+        arr.activate(list(range(limit + 1)))
     except ActivationLimitError:
         over_limit = True
-    rows_out.append({"rows_activated": max_rows + 1, "algebra_exact": None,
+    rows_out.append({"rows_activated": limit + 1, "algebra_exact": None,
                      "rejected": over_limit})
     return rows_out
 
 
-def noc_distance_sweep(config: MachineConfig | None = None) -> list[dict[str, float]]:
-    """Ring energy/latency vs hop distance - the data-movement term CC
-    eliminates entirely for L3-resident operands."""
+def noc_distance_sweep() -> list[dict[str, float]]:
+    """Ring energy/latency vs hop distance on the Table IV ring - the
+    data-movement term CC eliminates entirely for L3-resident operands."""
     from ..cache.ring import RingInterconnect
 
-    cfg = config or sandybridge_8core()
+    cfg = sandybridge_8core()
     ring = RingInterconnect(cfg.ring)
     rows = []
     for distance in range(cfg.ring.stops // 2 + 1):

@@ -67,13 +67,12 @@ class CacheLevelStats:
 
 @dataclass
 class TagStats:
-    """Tag-store counters: counted lookups, their hits, evictions of a
-    valid line, and pinned ways a victim choice passed over."""
+    """Tag-store counters: counted lookups, their hits, and evictions of
+    a valid line."""
 
     lookups: int = 0
     hits: int = 0
     evictions: int = 0
-    pinned_evictions_avoided: int = 0
 
 
 class CacheLevel:
@@ -115,6 +114,11 @@ class CacheLevel:
         self._low_set_mask = self.geometry.low_set_mask
         self._row_shift = self.geometry.row_shift
         self.stats = CacheLevelStats()
+        self.written: dict[int, bytes] | None = None
+        """While a :class:`~repro.core.scrub.ScrubService` is attached: the
+        bytes the last :meth:`write_block` or :meth:`fill` of each block
+        stored, by block address, until the service takes them into its
+        ECC side-band (the ECC a hardware write path computes)."""
         self.epoch = 0
         """Residency epoch: bumped on every fill and invalidate.  The CC
         controller's memoized level-selection is valid only while the
@@ -255,6 +259,8 @@ class CacheLevel:
         at, stats = self._row(set_index, way)
         self._lines[at:at + BLOCK_SIZE] = data
         stats.writes += 1
+        if self.written is not None:
+            self.written[addr] = bytes(data)
 
     def _victim(self, set_index: int) -> int:
         """LRU victim way among unpinned ways; an invalid way wins at once."""
@@ -267,7 +273,6 @@ class CacheLevel:
         if not free:
             raise PinnedLineError(f"{self.name}: all {self.ways} ways of set "
                                   f"{set_index} are pinned by CC operations")
-        self.tag_stats.pinned_evictions_avoided += self.ways - len(free)
         return min(free)[1]
 
     def fill(self, addr: int, data: bytes, state: MESIState) -> Eviction | None:
@@ -309,6 +314,8 @@ class CacheLevel:
         self._lru[slot] = self._clock
         lines[at:at + BLOCK_SIZE] = data
         stats.writes += 1
+        if self.written is not None:
+            self.written[addr] = bytes(data)
         self.stats.fills += 1
         self.epoch += 1
         if self.tracer is not None:

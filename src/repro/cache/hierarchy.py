@@ -119,21 +119,13 @@ class CacheHierarchy:
     # -- NUCA home mapping ---------------------------------------------------------
 
     def home_slice(self, addr: int, core: int = 0) -> int:
-        """Slice homing ``addr``.
-
-        Policy comes from :class:`~repro.params.TopologyConfig`:
-        ``first-touch`` homes a page at the first toucher's ring stop
-        (Section IV-C); ``page`` interleaves pages statically across the
-        slices (``page % l3_slices`` - a gap- and overlap-free partition of
-        the address space).  An explicit :meth:`place_page` always wins.
-        """
+        """Slice homing ``addr``: the ring stop of the first core that
+        touches its page (Section IV-C), unless :meth:`place_page` placed
+        the page first."""
         page = addr // PAGE_SIZE
         slice_id = self._page_to_slice.get(page)
         if slice_id is None:
-            if self.config.topology.slice_interleave == "page":
-                slice_id = page % self.config.l3_slices
-            else:
-                slice_id = RingInterconnect.core_stop(core, self.config.l3_slices)
+            slice_id = RingInterconnect.core_stop(core, self.config.l3_slices)
             self._page_to_slice[page] = slice_id
         return slice_id
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..errors import OperandLocalityError
 from ..params import CacheLevelConfig
 
 
@@ -26,27 +25,7 @@ def partitions_match(addr_a: int, addr_b: int, config: CacheLevelConfig) -> bool
     return (addr_a & mask) == (addr_b & mask)
 
 
-def check_operand_locality(
-    addrs: Sequence[int], config: CacheLevelConfig, strict: bool = False
-) -> bool:
-    """Check that every address shares a block partition with the first.
-
-    With ``strict`` a failure raises :class:`OperandLocalityError` naming
-    the offending operand; otherwise the predicate simply returns False and
-    the controller falls back to near-place execution.
-    """
-    if not addrs:
-        return True
-    base = addrs[0]
-    for addr in addrs[1:]:
-        if not partitions_match(base, addr, config):
-            if strict:
-                mask = (1 << config.min_locality_bits) - 1
-                raise OperandLocalityError(
-                    f"operand {addr:#x} (low bits {addr & mask:#x}) does not share a "
-                    f"block partition with {base:#x} (low bits {base & mask:#x}): "
-                    f"{config.min_locality_bits} low address bits must match"
-                )
-            return False
-    return True
-
+def check_operand_locality(addrs: Sequence[int], config: CacheLevelConfig) -> bool:
+    """Whether every address shares a block partition with the first (the
+    controller runs an op whose operands do not near-place)."""
+    return all(partitions_match(addrs[0], addr, config) for addr in addrs[1:])

@@ -18,7 +18,6 @@ from ..params import RingConfig
 class RingStats:
     control_messages: int = 0
     data_messages: int = 0
-    flit_hops: int = 0
     energy_pj: float = 0.0
 
 
@@ -59,7 +58,6 @@ class RingInterconnect:
         """Account a one-flit control message; returns its latency."""
         h = self.hops(src_stop, dst_stop)
         self.stats.control_messages += 1
-        self.stats.flit_hops += h
         self._charge(h * self.config.energy_per_hop_per_flit)
         return self.latency(src_stop, dst_stop, data=False)
 
@@ -68,7 +66,6 @@ class RingInterconnect:
         h = self.hops(src_stop, dst_stop)
         flits = self.config.flits_per_block
         self.stats.data_messages += 1
-        self.stats.flit_hops += h * flits
         self._charge(h * flits * self.config.energy_per_hop_per_flit)
         return self.latency(src_stop, dst_stop, data=True)
 

@@ -119,9 +119,8 @@ class ClusterInterconnect(RingInterconnect):
     # -- accounting ------------------------------------------------------------------
 
     def _message(self, src_stop: int, dst_stop: int, data: bool) -> tuple:
-        """One message's routed costs, ``(flit_hops, intra_pj, inter,
-        inter_flit_hops, inter_pj, src_cluster, dst_cluster, route_label,
-        latency)``: computed on the first message of each
+        """One message's routed costs, ``(intra_pj, inter, inter_flit_hops,
+        inter_pj, src_cluster, dst_cluster, route_label, latency)``: computed on the first message of each
         ``(src, dst, data)`` and looked up after that (the configs are
         frozen, so the route never changes)."""
         key = (src_stop, dst_stop, data)
@@ -132,7 +131,6 @@ class ClusterInterconnect(RingInterconnect):
             inter_flits = self.topology.inter_flits_per_block if data else 1
             src, dst = self.cluster_of(src_stop), self.cluster_of(dst_stop)
             message = self._messages[key] = (
-                intra * ring_flits,
                 intra * ring_flits * self.config.energy_per_hop_per_flit,
                 inter, inter * inter_flits,
                 inter * inter_flits * self.topology.inter_energy_per_hop_per_flit,
@@ -141,9 +139,8 @@ class ClusterInterconnect(RingInterconnect):
         return message
 
     def _account(self, src_stop: int, dst_stop: int, data: bool) -> int:
-        (flit_hops, intra_pj, inter, inter_flit_hops, inter_pj,
+        (intra_pj, inter, inter_flit_hops, inter_pj,
          src, dst, label, latency) = self._message(src_stop, dst_stop, data)
-        self.stats.flit_hops += flit_hops
         if data:
             self.stats.data_messages += 1
         else:

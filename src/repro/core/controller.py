@@ -452,12 +452,8 @@ class ComputeCacheController:
             if force_nearplace or not plan.inplace:
                 # Near-place handles any operand placement, including L3
                 # operands homed on different NUCA slices.
-                level = piece.level
                 op.fallback_reason = "forced" if force_nearplace else "locality-miss"
-                self.nearplace.execute(
-                    lambda addr: self.hierarchy.level_cache(level, self.core_id, addr),
-                    op, key_data=piece.key_data,
-                )
+                self.nearplace.execute(plan.caches, op, key_data=piece.key_data)
                 return
             partition = self._queue(piece, op, lines)
             piece.located.append((op, [(o.addr, way) for o, (_, way)

@@ -24,8 +24,9 @@ from __future__ import annotations
 from ..cache.cache import CacheLevel
 from ..energy.mcpat import charge_cc_arith, charge_cc_op
 from ..errors import ISAError, OperandLocalityError
+from ..kernels.packed import ARITH_OPS
 from ..params import BLOCK_SIZE
-from ..sram.timing import ARITH_OPS, arith_steps
+from ..sram.timing import arith_steps
 from .operation_table import BlockOperation
 
 

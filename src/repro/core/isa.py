@@ -47,6 +47,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from ..errors import ISAError
+from ..kernels.packed import ARITH_ELEM_BITS, CLMUL_LANES
 from ..params import BLOCK_SIZE, PAGE_SIZE, WORD_SIZE
 
 
@@ -100,9 +101,6 @@ SEARCH_KEY_BYTES = 64
 SEARCH_MAX_BYTES = 64 * SEARCH_KEY_BYTES
 """cc_search matches at key granularity (64-byte keys): 64 keys (4 KB)
 fill the 64-bit result register."""
-CLMUL_LANES = (64, 128, 256)
-ARITH_ELEM_BITS = (8, 16, 32)
-"""Element widths the bit-serial arithmetic tier supports (``elem_bits``)."""
 
 
 @dataclass(frozen=True)

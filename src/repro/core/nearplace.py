@@ -18,7 +18,7 @@ so it remains much better than the baseline.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from ..errors import ReproError
 from ..kernels import block_op
 from ..params import BLOCK_SIZE
 from .operation_table import BlockOperation
-
-CacheResolver = Callable[[int], CacheLevel]
 
 
 class OperandRegisters:
@@ -89,45 +87,43 @@ def block_result(op: BlockOperation, sources: list[bytes],
 class NearPlaceUnit:
     """The logic unit + operand registers at one cache controller."""
 
-    def __init__(self, nearplace_latency: int = 22,
-                 register_capacity: int = 4) -> None:
+    def __init__(self, nearplace_latency: int = 22) -> None:
         self.nearplace_latency = nearplace_latency
-        self.registers = OperandRegisters(register_capacity)
+        self.registers = OperandRegisters()
 
-    def execute(self, level: CacheLevel | CacheResolver, op: BlockOperation,
+    def execute(self, caches: Sequence[CacheLevel], op: BlockOperation,
                 key_data: bytes | None = None) -> None:
         """Run one block operation at the controller's logic unit.
 
-        Sources are read conventionally (charging H-tree energy), the
-        result is computed in the logic unit (:func:`block_result`, which
-        leaves the op's result bits on it), and destinations are written
-        back conventionally.  ``level`` may be a single cache or a
-        per-address resolver - near-place is exactly what handles operands
-        that do not share a partition, including ones homed on *different
-        L3 NUCA slices*.
+        ``caches`` holds the cache of each of the op's operands, in
+        operand order: near-place is exactly what handles operands that
+        do not share a partition, including ones homed on *different L3
+        NUCA slices*.  Sources are read conventionally (charging H-tree
+        energy), the result is computed in the logic unit
+        (:func:`block_result`, which leaves the op's result bits on it),
+        and the destination is written back conventionally.
         """
-        cache_for: CacheResolver = (
-            level if callable(level) else (lambda _addr: level)
-        )
         sources = []
-        for operand in op.source_operands:
+        dest = None
+        for operand, cache in zip(op.operands, caches):
+            if operand.is_dest:
+                dest = operand, cache
+                continue
             # A register hit (e.g. a reused key block) skips the sub-array
             # read and its H-tree energy entirely.
             hit = self.registers.acquire(operand.addr)
-            sources.append(
-                cache_for(operand.addr).read_block(operand.addr, charge=not hit)
-            )
+            sources.append(cache.read_block(operand.addr, charge=not hit))
         result_data = block_result(op, sources, key_data)
-        dest = op.dest_operand
         if dest is not None:
             if result_data is None:
                 raise ReproError(
                     f"{op.subarray_op} produced no data for its destination")
-            cache_for(dest.addr).write_block(dest.addr, result_data, dirty=True)
-            self.registers.invalidate(dest.addr)
+            operand, cache = dest
+            cache.write_block(operand.addr, result_data, dirty=True)
+            self.registers.invalidate(operand.addr)
         op.outcome = "near-place"
         stats_home = op.operands[0].addr
-        home = cache_for(stats_home)
+        home = caches[0]
         home.stats.cc_nearplace_ops += 1
         if home.tracer is not None:
             home.tracer.emit(

@@ -6,13 +6,17 @@ idle-cycle scrubbing.  :class:`ScrubService` attaches to a
 side-band, one SECDED check byte per word (:mod:`repro.core.ecc`):
 
 * :meth:`protect_resident` (re)computes the side-band for every resident
-  block (what a hardware fill path would do incrementally);
+  block;
+* while the service is attached, the level keeps the bytes each
+  ``write_block`` and ``fill`` stores (``CacheLevel.written``), as a
+  hardware write path recomputes a line's ECC, and the next sweep takes
+  the side-band of those lines from them;
 * :meth:`scrub_pass` sweeps the level during idle cycles, checking every
   protected resident block, writing back single-bit corrections and
   listing the blocks with an uncorrectable (double-bit) error;
 * :meth:`inject_strike` flips a bit in a resident block *in the physical
-  sub-array* - a particle-strike fault injection the next scrub pass must
-  catch.
+  sub-array*, bypassing the level's write path - a particle-strike fault
+  injection the next scrub pass must catch.
 
 Scrub cost is accounted as conventional reads (and writes for
 corrections), so a long-running simulation can price the policy.
@@ -43,9 +47,12 @@ class ScrubService:
     def __init__(self, level: CacheLevel) -> None:
         self.level = level
         self._ecc: dict[int, bytes] = {}
+        if level.written is None:
+            level.written = {}
 
     def protect_resident(self) -> int:
         """Compute/refresh the ECC side-band for all resident blocks."""
+        self.level.written.clear()
         count = 0
         for addr in self.level.resident_addresses():
             self._ecc[addr] = encode_block(self.level.peek_block(addr))
@@ -68,10 +75,14 @@ class ScrubService:
         :attr:`ScrubReport.uncorrectable`; the sweep goes on to the next.
         """
         report = ScrubReport()
+        written, self.level.written = self.level.written, {}
         for addr in self.level.resident_addresses():
+            stored = written.get(addr)
+            if stored is not None:
+                self._ecc[addr] = encode_block(stored)
             ecc = self._ecc.get(addr)
             if ecc is None:
-                continue  # block filled since the last protect pass
+                continue  # filled before the service attached, never protected
             data = self.level.read_block(addr)
             report.blocks_checked += 1
             try:

@@ -15,6 +15,7 @@ both produces correct data movement and yields the kernel's result.
 
 from __future__ import annotations
 
+from ..core.isa import SEARCH_KEY_BYTES
 from ..errors import AddressError
 from ..params import WORD_SIZE
 from .program import Instr, InstrKind, Program
@@ -60,11 +61,11 @@ def scalar_compare(a: int, b: int, size: int) -> Program:
     return program
 
 
-def scalar_search(data: int, key: int, size: int, key_bytes: int = 64) -> Program:
+def scalar_search(data: int, key: int, size: int) -> Program:
     """Scan ``data`` for a 64-byte key, word at a time."""
-    _check(size, key_bytes)
+    _check(size, SEARCH_KEY_BYTES)
     program = Program(f"scalar-search-{size}")
-    for off in range(0, key_bytes, WORD_SIZE):
+    for off in range(0, SEARCH_KEY_BYTES, WORD_SIZE):
         program.append(Instr.load(key + off, WORD_SIZE))  # key into registers
     for off in range(0, size, WORD_SIZE):
         program.append(Instr.load(data + off, WORD_SIZE))
@@ -114,12 +115,12 @@ def simd_compare(a: int, b: int, size: int) -> Program:
     return program
 
 
-def simd_search(data: int, key: int, size: int, key_bytes: int = 64) -> Program:
+def simd_search(data: int, key: int, size: int) -> Program:
     """Search for a 64-byte key: the key lives in two SIMD registers, so
     the steady state is one load + two compares per 32 bytes of data."""
     _check(size, SIMD_WIDTH)
     program = Program(f"simd-search-{size}")
-    for off in range(0, key_bytes, SIMD_WIDTH):
+    for off in range(0, SEARCH_KEY_BYTES, SIMD_WIDTH):
         program.append(Instr.simd_load(key + off, SIMD_WIDTH))
     for off in range(0, size, SIMD_WIDTH):
         program.append(Instr.simd_load(data + off, SIMD_WIDTH))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..kernels.packed import ARITH_ELEM_BITS, ARITH_OPS
 from ..params import BLOCK_SIZE, CoreConfig, MachineConfig
-from ..sram.timing import ARITH_OPS
 from .accounting import Component, EnergyLedger
 from .tables import (
     _OP_COLUMN,
@@ -117,11 +117,12 @@ _KEY_ROW_WRITE = {name: (Component.for_level(name)[0],
                   for name in Component.LEVELS}
 _CC_OP = {(name, op): _cc_op(name, op)
           for name in Component.LEVELS for op in _OP_COLUMN}
-# The element widths the ISA accepts (repro.core.isa.ARITH_ELEM_BITS), at
-# the element count of one block; any other call is computed on the spot.
+# The element widths the ISA accepts, at the element count of one block;
+# any other call is computed on the spot.
 _CC_ARITH = {(name, op, bits, BLOCK_SIZE * 8 // bits):
              _cc_arith(name, op, bits, BLOCK_SIZE * 8 // bits)
-             for name in Component.LEVELS for op in ARITH_OPS for bits in (8, 16, 32)}
+             for name in Component.LEVELS for op in ARITH_OPS
+             for bits in ARITH_ELEM_BITS}
 
 
 def charge_cache_read(ledger: EnergyLedger, level_name: str) -> None:

@@ -301,8 +301,7 @@ def format_profile(profile: TraceProfile) -> str:
                 f"{c.get('reads', 0):,} reads / {c.get('writes', 0):,} writes, "
                 f"{c.get('fills', 0):,} fills, "
                 f"{c.get('writebacks', 0):,} writebacks; "
-                f"H-tree {c.get('htree_transfers', 0):,} transfers / "
-                f"{c.get('htree_commands', 0):,} commands"
+                f"H-tree {c.get('htree_transfers', 0):,} transfers"
             )
 
     if profile.directory_counts:

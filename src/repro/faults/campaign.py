@@ -197,9 +197,10 @@ def _runner_phase(plan: FaultPlan):
     return chaos, runner.stats, silent
 
 
-def run_campaign(plan: FaultPlan | None = None, backend: str | None = None,
-                 include_runner: bool = True) -> ResilienceReport:
-    """Run one full fault campaign and audit it against a golden run."""
+def run_campaign(plan: FaultPlan | None = None,
+                 backend: str | None = None) -> ResilienceReport:
+    """Run one full fault campaign and audit it against a golden run; a
+    plan with a ``runner.*`` fault also runs the sweep-runner phase."""
     plan = plan if plan is not None else default_plan()
     golden = run_workload(plan, backend=backend, inject=False)
     faulty = run_workload(plan, backend=backend, inject=True)
@@ -233,7 +234,7 @@ def run_campaign(plan: FaultPlan | None = None, backend: str | None = None,
         silent=silent,
     )
 
-    if include_runner and plan.kinds() & {"runner.timeout", "runner.crash"}:
+    if plan.kinds() & {"runner.timeout", "runner.crash"}:
         chaos, stats, runner_silent = _runner_phase(plan)
         report.injected.update(chaos.injected)
         report.degraded_serial = stats.serial_fallbacks

@@ -39,6 +39,13 @@ LOGICAL_KERNELS = {
 ARITH_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
 """Little-endian unsigned element views for the bit-serial arithmetic tier:
 element 0 occupies the lowest-addressed bytes of the row."""
+ARITH_ELEM_BITS = tuple(ARITH_DTYPES)
+"""Element widths of the arithmetic ops (``cc_add``/``cc_mul``/``cc_reduce``)."""
+ARITH_OPS = frozenset({"add", "mul", "reduce"})
+"""Bit-serial arithmetic operations: their cost scales with the step count
+(:func:`repro.sram.timing.arith_steps`)."""
+CLMUL_LANES = (64, 128, 256)
+"""Lane widths of ``cc_clmul``."""
 
 ROW_OPS = frozenset({"and", "or", "xor", "not", "copy", "buz", "add", "mul"})
 """Operations that produce one row per operand row (written to a destination)."""
@@ -159,17 +166,20 @@ def check_block_op(op: str, row_bits: int, has_b: bool,
                    lane_bits: int | None = None, elem_bits: int | None = None) -> None:
     """Raise :class:`~repro.errors.ISAError` unless ``op`` is a sub-array
     compute operation that can run on rows of ``row_bits``: a second
-    operand where it takes one, a clmul lane width of 64/128/256, and an
-    arithmetic element width of 8/16/32 that divides the row."""
+    operand where it takes one, a clmul lane width of :data:`CLMUL_LANES`,
+    and an arithmetic element width of :data:`ARITH_ELEM_BITS` that
+    divides the row."""
     if op not in BLOCK_OPS:
         raise ISAError(f"unknown sub-array operation {op!r}")
     if op in TWO_OPERAND_OPS and not has_b:
         raise ISAError(f"{op} needs a second operand")
-    if op == "clmul" and lane_bits not in (64, 128, 256):
-        raise ISAError(f"cc_clmul lane width must be 64/128/256, got {lane_bits}")
-    if op in ("add", "mul", "reduce"):
+    if op == "clmul" and lane_bits not in CLMUL_LANES:
+        raise ISAError(f"cc_clmul lane width must be "
+                       f"{'/'.join(map(str, CLMUL_LANES))}, got {lane_bits}")
+    if op in ARITH_OPS:
         if elem_bits not in ARITH_DTYPES:
-            raise ISAError(f"arithmetic element width must be 8/16/32, got {elem_bits}")
+            raise ISAError(f"arithmetic element width must be "
+                           f"{'/'.join(map(str, ARITH_ELEM_BITS))}, got {elem_bits}")
         if row_bits % elem_bits:
             raise ISAError(f"{row_bits}-bit row is not divisible into {elem_bits}-bit elements")
 

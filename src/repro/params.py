@@ -201,28 +201,18 @@ class TopologyConfig:
     bidirectional ring, bit-for-bit (pinned by
     ``tests/test_topology_property.py``).
 
-    ``slice_interleave`` selects the L3 page-homing policy:
-
-    * ``"first-touch"`` (default, the paper's Section IV-C policy): a page
-      is homed on the NUCA slice at the first toucher's ring stop.
-    * ``"page"``: static address interleaving, ``slice = page % l3_slices``
-      - a partition of the physical address space with no overlap or gap.
+    A page is homed on the NUCA slice at its first toucher's ring stop
+    (Section IV-C), on any topology.
     """
 
     clusters: int = 1
     inter_hop_latency: int = 24
     inter_link_width_bits: int = 256
     inter_energy_per_hop_per_flit: float = 260.0
-    slice_interleave: str = "first-touch"
 
     def __post_init__(self) -> None:
         _check_numbers(self, positive=("clusters", "inter_link_width_bits"))
         _check_link_width(self, "inter_link_width_bits")
-        if self.slice_interleave not in ("first-touch", "page"):
-            raise ConfigError(
-                f"unknown slice_interleave {self.slice_interleave!r}; "
-                "expected 'first-touch' or 'page'"
-            )
 
     @property
     def inter_flits_per_block(self) -> int:
@@ -374,7 +364,6 @@ def multi_cluster(
     *,
     full_size: bool = False,
     inter_hop_latency: int = 24,
-    slice_interleave: str = "first-touch",
     memory_size: int | None = None,
 ) -> MachineConfig:
     """A clustered (NUMA) machine: ``clusters`` x ``cores_per_cluster`` cores.
@@ -400,7 +389,6 @@ def multi_cluster(
         topology=TopologyConfig(
             clusters=clusters,
             inter_hop_latency=inter_hop_latency,
-            slice_interleave=slice_interleave,
         ),
         memory_size=memory_size,
     )

@@ -36,7 +36,7 @@ Public surface:
 from .bitcell import BitCellArray, CellType
 from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
-from .subarray import SUBARRAYS, ComputeSubarray, PackedSubarray, SubarrayOp, SubarrayStats
+from .subarray import SUBARRAYS, ComputeSubarray, PackedSubarray, SubarrayStats
 
 __all__ = [
     "BitCellArray",
@@ -47,6 +47,5 @@ __all__ = [
     "ComputeSubarray",
     "PackedSubarray",
     "SUBARRAYS",
-    "SubarrayOp",
     "SubarrayStats",
 ]

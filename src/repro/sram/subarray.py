@@ -75,25 +75,6 @@ from .decoder import DualRowDecoder
 from .sense_amp import SenseAmpColumn, SenseMode
 
 
-class SubarrayOp:
-    """String constants naming sub-array operations."""
-
-    READ = "read"
-    WRITE = "write"
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    NOT = "not"
-    COPY = "copy"
-    BUZ = "buz"
-    CMP = "cmp"
-    SEARCH = "search"
-    CLMUL = "clmul"
-    ADD = "add"
-    MUL = "mul"
-    REDUCE = "reduce"
-
-
 @dataclass
 class SubarrayStats:
     """Operation counts of one sub-array."""
@@ -103,9 +84,9 @@ class SubarrayStats:
     compute_ops: dict[str, int] = field(default_factory=dict)
 
     def record(self, op: str) -> None:
-        if op == SubarrayOp.READ:
+        if op == "read":
             self.reads += 1
-        elif op == SubarrayOp.WRITE:
+        elif op == "write":
             self.writes += 1
         else:
             self.compute_ops[op] = self.compute_ops.get(op, 0) + 1
@@ -163,7 +144,7 @@ class _Subarray:
     def read_block(self, row: int) -> bytes:
         """Conventional read of one row (one cache block)."""
         self._check_row(row)
-        self.stats.record(SubarrayOp.READ)
+        self.stats.record("read")
         return self.data[row].tobytes()
 
     def write_block(self, row: int, data: bytes) -> None:
@@ -174,7 +155,7 @@ class _Subarray:
             )
         self._check_row(row)
         self.data[row] = np.frombuffer(data, dtype=np.uint8)
-        self.stats.record(SubarrayOp.WRITE)
+        self.stats.record("write")
 
     @classmethod
     def op_groups(cls, op: str, groups: list[tuple], lane_bits: int | None = None,
@@ -220,20 +201,20 @@ class ComputeSubarray(_Subarray):
     def op_and(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place AND of two rows; optionally written back to ``dest``."""
         and_bits, _ = self._compute_sense(row_a, row_b)
-        self.stats.record(SubarrayOp.AND)
+        self.stats.record("and")
         return self._finish(and_bits, dest)
 
     def op_or(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place OR: complement of the NOR sense result."""
         _, nor_bits = self._compute_sense(row_a, row_b)
-        self.stats.record(SubarrayOp.OR)
+        self.stats.record("or")
         return self._finish(~nor_bits, dest)
 
     def op_xor(self, row_a: int, row_b: int, dest: int | None = None) -> bytes:
         """In-place XOR: NOR of the BL (AND) and BLB (NOR) sense results."""
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
-        self.stats.record(SubarrayOp.XOR)
+        self.stats.record("xor")
         return self._finish(xor_bits, dest)
 
     def op_not(self, row: int, dest: int | None = None) -> bytes:
@@ -242,7 +223,7 @@ class ComputeSubarray(_Subarray):
         self.sense.configure(SenseMode.SINGLE_ENDED)
         bl, blb = self.cells.activate(wl)
         _, not_bits = self.sense.sense_single_ended(bl, blb)
-        self.stats.record(SubarrayOp.NOT)
+        self.stats.record("not")
         return self._finish(not_bits, dest)
 
     def op_copy(self, src: int, dest: int) -> bytes:
@@ -258,7 +239,7 @@ class ComputeSubarray(_Subarray):
         self.sense.sense_differential(bl, blb)
         bits = self.sense.drive_back()
         self.cells.write_row(dest, bits)
-        self.stats.record(SubarrayOp.COPY)
+        self.stats.record("copy")
         return bits_to_bytes(bits)
 
     def op_buz(self, dest: int) -> None:
@@ -267,7 +248,7 @@ class ComputeSubarray(_Subarray):
         bits = self.sense.drive_back()
         self.decoder.decode(dest)
         self.cells.write_row(dest, bits)
-        self.stats.record(SubarrayOp.BUZ)
+        self.stats.record("buz")
 
     def op_cmp(self, row_a: int, row_b: int) -> int:
         """Word-granular equality of two rows.
@@ -278,7 +259,7 @@ class ComputeSubarray(_Subarray):
         """
         and_bits, nor_bits = self._compute_sense(row_a, row_b)
         xor_bits = ~(and_bits | nor_bits)
-        self.stats.record(SubarrayOp.CMP)
+        self.stats.record("cmp")
         return word_equality_mask(xor_bits, WORD_SIZE * 8)
 
     def op_search(self, data_row: int, key_row: int) -> int:
@@ -290,7 +271,7 @@ class ComputeSubarray(_Subarray):
         """
         and_bits, nor_bits = self._compute_sense(data_row, key_row)
         xor_bits = ~(and_bits | nor_bits)
-        self.stats.record(SubarrayOp.SEARCH)
+        self.stats.record("search")
         return word_equality_mask(xor_bits, BLOCK_SIZE * 8)
 
     # -- bit-serial arithmetic (Neural Cache tier) ----------------------------
@@ -351,21 +332,21 @@ class ComputeSubarray(_Subarray):
     def op_add(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial addition of two rows (cc_add)."""
-        check_block_op(SubarrayOp.ADD, self.cols, True, elem_bits=elem_bits)
+        check_block_op("add", self.cols, True, elem_bits=elem_bits)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_add_planes(a, b)
-        self.stats.record(SubarrayOp.ADD)
+        self.stats.record("add")
         return self._finish(self._planes_to_bits(out), dest)
 
     def op_mul(self, row_a: int, row_b: int, dest: int | None = None,
                elem_bits: int = 8) -> bytes:
         """Element-wise bit-serial multiplication of two rows (cc_mul)."""
-        check_block_op(SubarrayOp.MUL, self.cols, True, elem_bits=elem_bits)
+        check_block_op("mul", self.cols, True, elem_bits=elem_bits)
         a = self._row_bit_planes(row_a, elem_bits)
         b = self._row_bit_planes(row_b, elem_bits)
         out = self._serial_mul_planes(a, b)
-        self.stats.record(SubarrayOp.MUL)
+        self.stats.record("mul")
         return self._finish(self._planes_to_bits(out), dest)
 
     def op_reduce(self, row: int, elem_bits: int = 8) -> int:
@@ -375,12 +356,12 @@ class ComputeSubarray(_Subarray):
         (``sum_i e_i = sum_k 2^k * popcount(plane k)``), which is exactly
         what the log-depth reduction tree computes.
         """
-        check_block_op(SubarrayOp.REDUCE, self.cols, False, elem_bits=elem_bits)
+        check_block_op("reduce", self.cols, False, elem_bits=elem_bits)
         planes = self._row_bit_planes(row, elem_bits)
         total = 0
         for k in range(elem_bits):
             total += int(planes[:, k].sum()) << k
-        self.stats.record(SubarrayOp.REDUCE)
+        self.stats.record("reduce")
         return total & 0xFFFFFFFFFFFFFFFF
 
     def op_clmul(self, row_a: int, row_b: int, lane_bits: int) -> bytes:
@@ -390,10 +371,10 @@ class ComputeSubarray(_Subarray):
         (Table II: ``c_i = XOR_j (a[j] & b[j])``); the result is returned
         as packed bytes, one bit per lane, zero-padded to a whole byte.
         """
-        check_block_op(SubarrayOp.CLMUL, self.cols, True, lane_bits=lane_bits)
+        check_block_op("clmul", self.cols, True, lane_bits=lane_bits)
         and_bits, _ = self._compute_sense(row_a, row_b)
         lanes = xor_reduce_lanes(and_bits, lane_bits)
-        self.stats.record(SubarrayOp.CLMUL)
+        self.stats.record("clmul")
         mask = int(pack_flags(lanes)[0])
         return mask.to_bytes((lanes.size + 7) // 8, "little")
 
@@ -432,25 +413,24 @@ class ComputeSubarray(_Subarray):
         a = rows_a[i]
         b = rows_b[i] if rows_b is not None else None
         dest = rows_dest[i] if rows_dest is not None else None
-        if op in (SubarrayOp.AND, SubarrayOp.OR, SubarrayOp.XOR):
-            method = {SubarrayOp.AND: self.op_and, SubarrayOp.OR: self.op_or,
-                      SubarrayOp.XOR: self.op_xor}[op]
+        if op in ("and", "or", "xor"):
+            method = {"and": self.op_and, "or": self.op_or, "xor": self.op_xor}[op]
             return method(a, b, dest=dest)
-        if op == SubarrayOp.NOT:
+        if op == "not":
             return self.op_not(a, dest=dest)
-        if op == SubarrayOp.COPY:
+        if op == "copy":
             return self.op_copy(a, dest)
-        if op == SubarrayOp.BUZ:
+        if op == "buz":
             return self.op_buz(dest if dest is not None else a)
-        if op == SubarrayOp.CMP:
+        if op == "cmp":
             return self.op_cmp(a, b)
-        if op == SubarrayOp.SEARCH:
+        if op == "search":
             return self.op_search(a, b)
-        if op == SubarrayOp.CLMUL:
+        if op == "clmul":
             return self.op_clmul(a, b, lane_bits)
-        if op == SubarrayOp.ADD:
+        if op == "add":
             return self.op_add(a, b, dest=dest, elem_bits=elem_bits)
-        if op == SubarrayOp.MUL:
+        if op == "mul":
             return self.op_mul(a, b, dest=dest, elem_bits=elem_bits)
         return self.op_reduce(a, elem_bits=elem_bits)
 

@@ -62,10 +62,6 @@ ENERGY_MULTIPLIER = {
     "reduce": 2.5,
 }
 
-ARITH_OPS = frozenset({"add", "mul", "reduce"})
-"""Sub-array operations whose cost scales with bit-serial step count."""
-
-
 def arith_steps(op: str, elem_bits: int, n_elems: int | None = None) -> int:
     """Bit-serial step count of one arithmetic block operation.
 

@@ -51,8 +51,9 @@ class Definition:
 class Use:
     """One use of ``name``; ``within`` are the definitions it sits in.
     ``kind`` says how: ``name`` (a name or an imported name), ``string``,
-    ``attribute`` (a load), ``store`` (an attribute assigned or deleted)
-    or ``self-store`` (the same on ``self``)."""
+    ``attribute`` (a load), ``store`` (an attribute assigned or deleted),
+    ``self-store`` (the same on ``self``) or ``bump`` (an augmented store
+    through another object, ``x.stats.hits += 1``)."""
 
     name: str
     within: tuple[Definition, ...]
@@ -169,6 +170,10 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 class _UseCollector(ast.NodeVisitor):
     def __init__(self, definitions: dict[int, Definition], reexports: bool,
                  out: list[Use]):
@@ -186,7 +191,7 @@ class _UseCollector(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
             kind = "attribute"
-        elif isinstance(node.value, ast.Name) and node.value.id == "self":
+        elif _is_self(node.value):
             kind = "self-store"
         else:
             kind = "store"
@@ -213,7 +218,14 @@ class _UseCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node):
-        if not (isinstance(node.target, ast.Name) and node.target.id == "__all__"):
+        target = node.target
+        if isinstance(target, ast.Name) and target.id == "__all__":
+            return
+        if isinstance(target, ast.Attribute) and not _is_self(target.value):
+            self.use(target.attr, "bump")
+            self.visit(target.value)
+            self.visit(node.value)
+        else:
             self.generic_visit(node)
 
     def _visit_definition(self, node):
@@ -284,20 +296,53 @@ def unused_definitions(index: ProgramIndex) -> list[Definition]:
                   key=lambda d: (d.module, d.node.lineno))
 
 
-def write_only_attributes(index: ProgramIndex) -> list[str]:
+def _declared_fields(index: ProgramIndex) -> dict[str, list[Definition]]:
+    """The classes under ``src/repro`` that declare each class-level name
+    (a dataclass field, a class constant), by name."""
+    out: dict[str, list[Definition]] = {}
+    for d in index.definitions:
+        if isinstance(d.node, ast.ClassDef):
+            for statement in d.node.body:
+                targets = ([statement.target] if isinstance(statement, ast.AnnAssign)
+                           else statement.targets if isinstance(statement, ast.Assign)
+                           else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        out.setdefault(target.id, []).append(d)
+    return out
+
+
+def write_only_attributes(index: ProgramIndex,
+                          flattened: frozenset[str] = frozenset()) -> list[str]:
     """``module:Class.name`` of each ``self.<name>`` store under
     ``src/repro`` whose name no program code reads.  A read is an attribute
     load or an identifier string (``getattr`` names, hostbench's dotted
     counter keys); a bare name is another variable, and a store, augmented
     or not, reads nothing.  Uses inside the definitions
     :func:`unused_definitions` flags count for nothing: their stores are
-    that guard's to report, and their reads keep nothing alive."""
+    that guard's to report, and their reads keep nothing alive.
+
+    A counter bumped through another object under ``src/repro``
+    (``self.stats.hits += 1``) is checked by the same rule.  It is reported
+    as each class that declares a field of its name
+    (:func:`_declared_fields`), or else as the definition the bump sits in.
+    The classes named ``module:Class`` in ``flattened`` are exempt: program
+    code reads all their fields at once (``dataclasses.asdict``)."""
     flagged = set(unused_definitions(index))
     live = [use for use in index.uses() if not flagged.intersection(use.within)]
     read = {use.name for use in live if use.kind in ("attribute", "string")}
+    fields = _declared_fields(index)
     found = set()
     for use in live:
+        if use.name in read:
+            continue
         classes = [d for d in use.within if isinstance(d.node, ast.ClassDef)]
-        if use.kind == "self-store" and classes and use.name not in read:
-            found.add(f"{classes[-1].module}:{classes[-1].qualname}.{use.name}")
+        if use.kind == "self-store" and classes:
+            owners = [classes[-1]]
+        elif use.kind == "bump" and use.within:
+            owners = fields.get(use.name, [use.within[-1]])
+        else:
+            continue
+        found.update(f"{d.module}:{d.qualname}.{use.name}" for d in owners
+                     if f"{d.module}:{d.qualname}" not in flattened)
     return sorted(found)

@@ -126,9 +126,22 @@ class TestScrubber:
         assert level.peek_block(addr) == original
         assert report.corrected_addrs == [addr]
 
-    def test_unprotected_block_rejected(self, machine, level):
-        """A block filled since the last protect pass has no side-band: the
-        sweep leaves it unchecked instead of checking it against nothing."""
+    def test_unprotected_block_rejected(self, level):
+        """A block resident before the service attached and never
+        protected has no side-band: the sweep leaves it unchecked instead
+        of checking it against nothing."""
+        level, addr = level
+        service = ScrubService(level)
+        before = level.peek_block(addr)
+        service.inject_strike(addr, bit=5)
+        report = service.scrub_pass()
+        assert report.blocks_checked == 0
+        assert report.corrections == 0 and not report.uncorrectable
+        assert level.peek_block(addr) != before
+
+    def test_fill_after_protect_is_checked(self, machine, level):
+        """A block filled since the last protect pass takes its side-band
+        from the bytes the fill stored: a strike on it is repaired."""
         m, _ = machine
         level, addr = level
         service = ScrubService(level)
@@ -138,9 +151,39 @@ class TestScrubber:
         before = level.peek_block(late)
         service.inject_strike(late, bit=5)
         report = service.scrub_pass()
-        assert report.blocks_checked == protected
+        assert report.blocks_checked == protected + 1
+        assert report.corrected_addrs == [late]
+        assert level.peek_block(late) == before
+
+    @pytest.mark.parametrize("bits", [(77,), (3, 41), tuple(range(0, 512, 7))],
+                             ids=["one-bit", "two-bits-one-word", "many-words"])
+    def test_write_after_protect_is_kept(self, level, bits):
+        """A legitimate write between a protect pass and the sweep is not
+        an upset: the sweep keeps the written bytes and corrects nothing."""
+        level, addr = level
+        service = ScrubService(level)
+        service.protect_resident()
+        written = bytearray(level.peek_block(addr))
+        for bit in bits:
+            written[bit // 8] ^= 1 << (bit % 8)
+        level.write_block(addr, bytes(written), dirty=True)
+        report = service.scrub_pass()
         assert report.corrections == 0 and not report.uncorrectable
-        assert level.peek_block(late) != before
+        assert level.peek_block(addr) == bytes(written)
+
+    def test_strike_after_write_restores_the_written_bytes(self, level, make_bytes):
+        """The side-band follows the write, so a strike after it is still
+        caught and repaired to the written bytes."""
+        level, addr = level
+        service = ScrubService(level)
+        service.protect_resident()
+        fresh = make_bytes(64)
+        level.write_block(addr, fresh, dirty=True)
+        service.inject_strike(addr, bit=300)
+        report = service.scrub_pass()
+        assert report.corrected_addrs == [addr]
+        assert not report.uncorrectable
+        assert level.peek_block(addr) == fresh
 
     def test_protect_updates(self, level, make_bytes):
         """A protect pass after a write refreshes the side-band: the new

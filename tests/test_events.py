@@ -228,6 +228,9 @@ class TestProfilerStatsAgreement:
         text = format_profile(profile)
         assert "[attribution OK]" in text
         assert "=== CC block operations ===" in text
+        # no H-tree command count: nothing emits ``htree.command``
+        htree = [line for line in text.splitlines() if "H-tree" in line and ":" in line]
+        assert htree and not any("commands" in line for line in htree)
         from repro.stats import format_stats
         assert "compute cycles" in format_stats(collect_stats(m))
 

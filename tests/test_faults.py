@@ -276,8 +276,7 @@ class TestCampaign:
 
     def test_golden_run_injects_nothing(self):
         quiet = replace(default_plan(0), specs=())
-        report = run_campaign(quiet, backend=BACKENDS[0],
-                              include_runner=False)
+        report = run_campaign(quiet, backend=BACKENDS[0])
         assert report.total_injected == 0
         assert report.silent == 0
 

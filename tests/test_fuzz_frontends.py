@@ -10,6 +10,7 @@ The ECC path must repair a strike at *any* bit position of any block.
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ SCALAR_FIELDS = [
     if name != "schema" and isinstance(value, (int, float, str))
 ]
 """``(document, section, field)`` of every number and string, ``backend``
-and ``topology.slice_interleave`` included."""
+included."""
 CONFIG_TRACE = """init 0x0, zeros:4096
 init 0x1000, repeat:0xff*4096
 load 0x0, 8
@@ -152,7 +153,11 @@ class TestFaultPlanFuzz:
             plan = FaultPlan.from_dict(doc)
         except FaultPlanError:
             return
-        assert run_campaign(plan, include_runner=False).silent == 0
+        # Without its ``runner.*`` faults the plan skips the sweep-runner
+        # phase, which this test does not vary.
+        plan = replace(plan, specs=tuple(s for s in plan.specs
+                                         if not s.kind.startswith("runner.")))
+        assert run_campaign(plan).silent == 0
 
 
 class TestECCStrikeSweep:

@@ -132,20 +132,22 @@ class TestByteGranularity:
 
 
 class TestRingAccounting:
-    def test_cross_core_traffic_counts_hops(self, hier, make_bytes):
+    def test_cross_core_traffic_charges_hops(self, hier, make_bytes):
         if hier.config.l3_slices < 2:
             pytest.skip("needs two slices")
         hier.memory.load(0x4000, make_bytes(64))
         hier.read(1, 0x4000, 8)   # homed at slice 1 (first touch core 1)
-        before = hier.ring.stats.flit_hops
+        before = hier.ring.stats.energy_pj
         hier.read(0, 0x4000, 8)   # core 0 <-> slice 1: nonzero hops
-        assert hier.ring.stats.flit_hops > before
+        assert hier.ring.stats.energy_pj > before
         assert hier.ledger.get("noc") > 0
 
     def test_same_stop_traffic_is_free(self, hier, make_bytes):
         hier.memory.load(0x5000, make_bytes(64))
         hier.read(0, 0x5000, 8)   # homed at core 0's own stop
-        assert hier.ring.stats.flit_hops == 0
+        assert hier.ring.stats.data_messages > 0
+        assert hier.ring.stats.energy_pj == 0
+        assert hier.ledger.get("noc") == 0
 
 
 class TestForcedUnpinLog:

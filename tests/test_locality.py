@@ -8,7 +8,7 @@ from repro import ComputeCacheMachine, cc_ops
 from repro.cache.geometry import CacheGeometry
 from repro.cache.locality import check_operand_locality, partitions_match
 from repro.core.exceptions import split_by_pages
-from repro.errors import ISAError, OperandLocalityError
+from repro.errors import ISAError
 from repro.params import BLOCK_SIZE, PAGE_SIZE, multi_cluster, sandybridge_8core, small_test_machine
 
 
@@ -59,11 +59,6 @@ class TestCheckOperandLocality:
 
     def test_group_fail_returns_false(self, cfg):
         assert not check_operand_locality([0x0, 0x40], cfg.l3_slice)
-
-    def test_strict_raises_with_details(self, cfg):
-        with pytest.raises(OperandLocalityError) as exc:
-            check_operand_locality([0x0, 0x40], cfg.l3_slice, strict=True)
-        assert "12" in str(exc.value)
 
 
 MACHINES = {"small": small_test_machine, "sandybridge": sandybridge_8core,

@@ -66,17 +66,22 @@ class TestOperandRegisters:
         assert regs.acquire(0x0)
 
 
+def run(unit, level, op, **kwargs):
+    """Run ``op`` near-place with every operand in ``level``."""
+    unit.execute([level] * len(op.operands), op, **kwargs)
+
+
 class TestNearPlaceHandlers:
     def test_register_hit_skips_read_energy(self, level):
         unit = NearPlaceUnit()
         op1 = block_op("cmp", [0x0, 0x40])
-        unit.execute(level, op1)
+        run(unit, level, op1)
         first = level.ledger.total()
         assert first > 0  # two conventional reads
         # Same operands again: both register hits, no new read energy
         # (only whatever the op writes - cmp writes nothing).
         op2 = block_op("cmp", [0x0, 0x40])
-        unit.execute(level, op2)
+        run(unit, level, op2)
         assert level.ledger.total() == first
 
     def test_dest_write_invalidates_register(self, level, make_bytes):
@@ -84,11 +89,11 @@ class TestNearPlaceHandlers:
 
         def charge(op):
             before = level.ledger.total()
-            unit.execute(level, op)
+            run(unit, level, op)
             return level.ledger.total() - before
 
-        unit.execute(level, block_op("not", [0x40], dest=0x80))  # registers 0x40
-        unit.execute(level, block_op("copy", [0x0], dest=0x40))
+        run(unit, level, block_op("not", [0x40], dest=0x80))  # registers 0x40
+        run(unit, level, block_op("copy", [0x0], dest=0x40))
         # 0x40's register copy is stale now: reading it as a source
         # reloads it from the cache, and pays the read a hit skips.
         reload = charge(block_op("not", [0x40], dest=0xC0))
@@ -98,23 +103,23 @@ class TestNearPlaceHandlers:
     def test_unknown_op_rejected(self, level):
         unit = NearPlaceUnit()
         with pytest.raises(ReproError):
-            unit.execute(level, block_op("mul", [0x0, 0x40], dest=0x80))
+            run(unit, level, block_op("mul", [0x0, 0x40], dest=0x80))
 
     def test_missing_key_rejected(self, level):
         unit = NearPlaceUnit()
         with pytest.raises(ReproError):
-            unit.execute(level, block_op("search", [0x0]), key_data=None)
+            run(unit, level, block_op("search", [0x0]), key_data=None)
 
     def test_clmul_needs_lanes(self, level):
         unit = NearPlaceUnit()
         with pytest.raises(ReproError):
-            unit.execute(level, block_op("clmul", [0x0, 0x40], dest=0x80))
+            run(unit, level, block_op("clmul", [0x0, 0x40], dest=0x80))
 
     def test_dest_without_result_rejected(self, level):
         unit = NearPlaceUnit()
         with pytest.raises(ReproError):
             # cmp produces no data; a dest operand is a malformed op.
-            unit.execute(level, block_op("cmp", [0x0, 0x40], dest=0x80))
+            run(unit, level, block_op("cmp", [0x0, 0x40], dest=0x80))
 
 
 class TestKeyReuseThroughRegisters:

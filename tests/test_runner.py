@@ -54,7 +54,7 @@ CHANGED = {
     "inplace_latency": 15, "nearplace_latency": 23, "transpose_latency": 40,
     "pin_retry_limit": 3, "commands_per_cycle": 2,
     "clusters": 4, "inter_hop_latency": 30, "inter_link_width_bits": 128,
-    "inter_energy_per_hop_per_flit": 300.0, "slice_interleave": "page",
+    "inter_energy_per_hop_per_flit": 300.0,
 }
 
 

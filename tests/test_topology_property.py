@@ -7,8 +7,8 @@ configurations:
   triangle-inequality-respecting — for *any* (clusters x stops) shape;
 * a 1-cluster :class:`ClusterInterconnect` is bit-identical to the flat
   pre-topology :class:`RingInterconnect` (golden compatibility);
-* ``"page"`` slice interleaving partitions the address space — every
-  page homed on exactly one slice, no overlap, no gap.
+* a page homes on one slice, its first toucher's, for every address of
+  the page and from any core.
 """
 
 from dataclasses import replace
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.ring import RingInterconnect
 from repro.cache.topology import ClusterInterconnect, ring_distance
+from repro.config_io import config_from_dict, config_to_dict
 from repro.energy.accounting import EnergyLedger
 from repro.errors import ConfigError
 from repro.params import (
@@ -163,34 +164,19 @@ class TestRingDistance:
 
 
 class TestSlicedL3Partition:
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 512))
-    @settings(max_examples=60, deadline=None)
-    def test_page_interleave_partitions_address_space(
-            self, clusters, cores_per_cluster, first_page):
-        """``"page"`` interleaving: every page homes on exactly one slice,
-        and any window of ``l3_slices`` consecutive pages covers every
-        slice exactly once — no overlap, no gap."""
-        config = multi_cluster(clusters, cores_per_cluster,
-                               slice_interleave="page")
-        hierarchy = CacheHierarchy(config, EnergyLedger())
-        slices = config.l3_slices
-        window = [hierarchy.home_slice(page * PAGE_SIZE, core=0)
-                  for page in range(first_page, first_page + slices)]
-        assert sorted(window) == list(range(slices))
-
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 64),
            st.integers(0, PAGE_SIZE - 1))
     @settings(max_examples=60, deadline=None)
     def test_home_is_page_granular_and_stable(
             self, clusters, cores_per_cluster, page, offset):
-        """Every address of a page homes on that page's slice, from any
-        core, and repeated lookups agree (no reassignment)."""
-        config = multi_cluster(clusters, cores_per_cluster,
-                               slice_interleave="page")
+        """Every address of a page homes on the slice of the core that
+        touched it first, from any core, and repeated lookups agree (no
+        reassignment)."""
+        config = multi_cluster(clusters, cores_per_cluster)
         hierarchy = CacheHierarchy(config, EnergyLedger())
         base = page * PAGE_SIZE
         home = hierarchy.home_slice(base, core=0)
-        assert 0 <= home < config.l3_slices
+        assert home == RingInterconnect.core_stop(0, config.l3_slices)
         other_core = (config.cores - 1)
         assert hierarchy.home_slice(base + offset, core=other_core) == home
         assert hierarchy.home_slice(base, core=0) == home
@@ -215,11 +201,18 @@ class TestTopologyConfigValidation:
         {"inter_hop_latency": -1},
         {"inter_energy_per_hop_per_flit": -0.5},
         {"inter_link_width_bits": 100},
-        {"slice_interleave": "striped"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TopologyConfig(**kwargs)
+
+    def test_config_document_rejects_slice_interleave(self):
+        """The page-interleave policy is gone (17.0.0): a document that
+        still carries ``slice_interleave`` fails at the boundary."""
+        doc = config_to_dict(multi_cluster(2, 2))
+        doc["topology"]["slice_interleave"] = "first-touch"
+        with pytest.raises(ConfigError, match="unknown config field 'slice_interleave'"):
+            config_from_dict(doc)
 
     def test_machine_validates_cluster_divisibility(self):
         base = multi_cluster(2, 2)
