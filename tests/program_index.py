@@ -312,8 +312,7 @@ def _declared_fields(index: ProgramIndex) -> dict[str, list[Definition]]:
     return out
 
 
-def write_only_attributes(index: ProgramIndex,
-                          flattened: frozenset[str] = frozenset()) -> list[str]:
+def write_only_attributes(index: ProgramIndex, flattened: frozenset[str]) -> list[str]:
     """``module:Class.name`` of each ``self.<name>`` store under
     ``src/repro`` whose name no program code reads.  A read is an attribute
     load or an identifier string (``getattr`` names, hostbench's dotted
